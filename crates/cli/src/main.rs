@@ -23,9 +23,9 @@ mod json;
 use helix_analysis::LoopNestingGraph;
 use helix_core::{transform, Helix, HelixConfig, HelixOutput, PrefetchMode};
 use helix_frontend::parse_file;
-use helix_ir::{printer, ExecImage, ExecStats, ImageMachine, Machine, Module, Value};
-use helix_profiler::{ImageProfiler, Profiler, ProgramProfile};
-use helix_runtime::{EventKind, ParallelExecutor, TelemetryMode, TelemetryReport, WaitProfile};
+use helix_ir::{printer, ExecImage, ImageMachine, Module, Value};
+use helix_profiler::{ImageProfiler, ProgramProfile};
+use helix_runtime::{EventKind, ParallelExecutor, TelemetryMode, TelemetryReport};
 use helix_simulator::{simulate_program, SimConfig};
 use json::Json;
 use std::process::ExitCode;
@@ -58,7 +58,6 @@ COMMON OPTIONS:
     --mode <m>         Prefetching mode: helix|none|matched|ideal (default: helix)
     --arg <int>        Append an integer argument for the entry function (repeatable)
     --fuel <n>         Interpreter fuel limit for any interpreted run (default: 2000000000)
-    --engine <e>       Execution engine: image (flat bytecode, default) | tree (tree-walker)
     --print            (parse) Re-print the parsed module in canonical form
     --parallel         (run) Transform the hottest selected loop, run on real threads
     --lowered-costs    (simulate) Price sequential segments from the lowered ParallelImage
@@ -139,24 +138,6 @@ impl CliError {
     }
 }
 
-/// Which interpreter executes sequential/profiled runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Engine {
-    /// The flat-bytecode engine (`helix_ir::exec`), the default.
-    Image,
-    /// The reference tree-walking interpreter (`helix_ir::interp`).
-    Tree,
-}
-
-impl Engine {
-    fn name(self) -> &'static str {
-        match self {
-            Engine::Image => "image",
-            Engine::Tree => "tree",
-        }
-    }
-}
-
 /// Options shared by the pipeline commands, parsed from the flag list.
 struct Options {
     file: Option<String>,
@@ -174,7 +155,6 @@ struct Options {
     /// Thread counts from `--threads`; `None` means the per-command default.
     threads: Option<Vec<usize>>,
     fuel: u64,
-    engine: Engine,
     spin_budget: Option<u64>,
     mode: PrefetchMode,
     args: Vec<Value>,
@@ -208,7 +188,6 @@ impl Default for Options {
             cores: 6,
             threads: None,
             fuel: 2_000_000_000,
-            engine: Engine::Image,
             spin_budget: None,
             mode: PrefetchMode::Helix,
             args: Vec::new(),
@@ -336,17 +315,6 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
                     .parse()
                     .map_err(|_| CliError::Usage("--fuel expects an integer".into()))?;
             }
-            "--engine" => {
-                opts.engine = match value_of("--engine", &mut it)?.as_str() {
-                    "image" | "bytecode" => Engine::Image,
-                    "tree" | "walker" => Engine::Tree,
-                    other => {
-                        return Err(CliError::Usage(format!(
-                            "unknown --engine `{other}` (expected image|tree)"
-                        )))
-                    }
-                };
-            }
             "--spin-budget" => {
                 let spins: u64 = value_of("--spin-budget", &mut it)?
                     .parse()
@@ -433,9 +401,9 @@ fn entry_of(module: &Module, opts: &Options) -> Result<helix_ir::FuncId, CliErro
     })
 }
 
-/// Profiles the program (shared by profile/parallelize/simulate/run --parallel), honouring
-/// the `--fuel` limit and the `--engine` choice like every other interpreted run the CLI
-/// performs. The default flat-bytecode engine and the tree-walker produce identical profiles.
+/// Profiles the program (shared by profile/parallelize/simulate/run --parallel) on the
+/// flat-bytecode engine, honouring the `--fuel` limit like every other interpreted run the
+/// CLI performs. The lowered image comes back for callers that run the program again.
 fn profiled(
     module: &Module,
     opts: &Options,
@@ -444,35 +412,22 @@ fn profiled(
         LoopNestingGraph,
         ProgramProfile,
         helix_ir::FuncId,
-        Option<ExecImage>,
+        ExecImage,
     ),
     CliError,
 > {
     let entry = entry_of(module, opts)?;
     let nesting = LoopNestingGraph::new(module);
-    match opts.engine {
-        Engine::Image => {
-            let image = ExecImage::lower(module);
-            let mut machine = ImageMachine::new(&image);
-            machine.set_fuel(opts.fuel);
-            let mut profiler = ImageProfiler::new(&image, &nesting);
-            machine
-                .call_observed(entry, &opts.args, &mut profiler)
-                .map_err(|e| CliError::failed(format!("profiling run failed: {e}")))?;
-            let profile = profiler.finish();
-            drop(machine);
-            Ok((nesting, profile, entry, Some(image)))
-        }
-        Engine::Tree => {
-            let mut machine = Machine::new(module);
-            machine.set_fuel(opts.fuel);
-            let mut profiler = Profiler::new(module, &nesting);
-            machine
-                .call_observed(entry, &opts.args, &mut profiler)
-                .map_err(|e| CliError::failed(format!("profiling run failed: {e}")))?;
-            Ok((nesting, profiler.finish(), entry, None))
-        }
-    }
+    let image = ExecImage::lower(module);
+    let mut machine = ImageMachine::new(&image);
+    machine.set_fuel(opts.fuel);
+    let mut profiler = ImageProfiler::new(&image, &nesting);
+    machine
+        .call_observed(entry, &opts.args, &mut profiler)
+        .map_err(|e| CliError::failed(format!("profiling run failed: {e}")))?;
+    let profile = profiler.finish();
+    drop(machine);
+    Ok((nesting, profile, entry, image))
 }
 
 fn config_of(opts: &Options) -> HelixConfig {
@@ -545,30 +500,17 @@ fn cmd_run(opts: &Options) -> Result<(), CliError> {
         return run_parallel(&module, opts);
     }
     let entry = entry_of(&module, opts)?;
-    let (result, stats): (Option<Value>, ExecStats) = match opts.engine {
-        Engine::Image => {
-            let image = ExecImage::lower(&module);
-            let mut machine = ImageMachine::new(&image);
-            machine.set_fuel(opts.fuel);
-            let result = machine
-                .call(entry, &opts.args)
-                .map_err(|e| CliError::failed(format!("execution failed: {e}")))?;
-            (result, machine.stats())
-        }
-        Engine::Tree => {
-            let mut machine = Machine::new(&module);
-            machine.set_fuel(opts.fuel);
-            let result = machine
-                .call(entry, &opts.args)
-                .map_err(|e| CliError::failed(format!("execution failed: {e}")))?;
-            (result, machine.stats())
-        }
-    };
+    let image = ExecImage::lower(&module);
+    let mut machine = ImageMachine::new(&image);
+    machine.set_fuel(opts.fuel);
+    let result = machine
+        .call(entry, &opts.args)
+        .map_err(|e| CliError::failed(format!("execution failed: {e}")))?;
+    let stats = machine.stats();
     if opts.json {
         let doc = Json::object([
             ("module", Json::str(&module.name)),
             ("entry", Json::str(&opts.entry)),
-            ("engine", Json::str(opts.engine.name())),
             (
                 "result",
                 match result {
@@ -590,14 +532,8 @@ fn cmd_run(opts: &Options) -> Result<(), CliError> {
             None => println!("result: (void)"),
         }
         println!(
-            "executed {} instructions in {} model cycles ({} loads, {} stores, {} calls) \
-             [{} engine]",
-            stats.instrs,
-            stats.cycles,
-            stats.loads,
-            stats.stores,
-            stats.calls,
-            opts.engine.name()
+            "executed {} instructions in {} model cycles ({} loads, {} stores, {} calls)",
+            stats.instrs, stats.cycles, stats.loads, stats.stores, stats.calls
         );
     }
     Ok(())
@@ -629,21 +565,13 @@ fn run_parallel(module: &Module, opts: &Options) -> Result<(), CliError> {
             CliError::failed("no loop of the entry function was selected for parallelization")
         })?;
     let transformed = transform::apply(module, plan);
-    // The sequential baseline honours --engine (reusing the profiling run's lowering on the
-    // default image engine); the parallel run always executes through the bytecode executor.
-    let seq_error = |e| CliError::failed(format!("sequential execution failed: {e}"));
-    let sequential = match &image {
-        Some(image) => {
-            let mut machine = ImageMachine::new(image);
-            machine.set_fuel(opts.fuel);
-            machine.call(entry, &opts.args).map_err(seq_error)?
-        }
-        None => {
-            let mut machine = Machine::new(module);
-            machine.set_fuel(opts.fuel);
-            machine.call(entry, &opts.args).map_err(seq_error)?
-        }
-    };
+    // The sequential baseline reuses the profiling run's lowering.
+    let mut machine = ImageMachine::new(&image);
+    machine.set_fuel(opts.fuel);
+    let sequential = machine
+        .call(entry, &opts.args)
+        .map_err(|e| CliError::failed(format!("sequential execution failed: {e}")))?;
+    drop(machine);
     // Telemetry rides along at the sampled low-overhead period (counters stay exact);
     // `--sample 0` turns it off, `--sample 1` records every iteration.
     let executor = ParallelExecutor::from_config(threads, &config_of(opts))
@@ -875,8 +803,8 @@ fn chrome_trace_json(report: &TelemetryReport) -> Json {
     ])
 }
 
-/// `helix trace`: run the parallelized loop under full telemetry with the dedicated wait
-/// profile, report per-segment stall accounting and worker occupancy, export a Chrome
+/// `helix trace`: run the parallelized loop under full telemetry on exactly the requested
+/// worker count, report per-segment stall accounting and worker occupancy, export a Chrome
 /// trace-event timeline, and — with `--compare-model` — validate the calibrated cost
 /// model's per-segment predictions against the observed costs and re-run loop selection
 /// with them.
@@ -910,11 +838,11 @@ fn cmd_trace(opts: &Options) -> Result<(), CliError> {
             "trace needs telemetry: pass --sample 1 (full) or --sample <n> (sampled), not 0".into(),
         ));
     }
-    // The dedicated wait profile keeps the requested worker count even when the hardware
-    // has fewer threads (the trace should show the claim protocol, not a solo fast path).
-    let mut executor = ParallelExecutor::from_config(threads, &config)
-        .with_wait_profile(WaitProfile::DEDICATED)
-        .with_telemetry(mode);
+    // Overriding the hardware snapshot keeps the requested worker count even when the
+    // host has fewer threads: the trace should show the claim protocol between `threads`
+    // (there time-sliced) workers, not the clamped single-worker path.
+    let mut executor = ParallelExecutor::from_config(threads, &config).with_telemetry(mode);
+    executor.hardware = threads;
     if let Some(spins) = opts.spin_budget {
         executor = executor.with_spin_budget(spins);
     }
@@ -1048,7 +976,7 @@ fn cmd_trace(opts: &Options) -> Result<(), CliError> {
             None => "(void)".to_string(),
         };
         println!(
-            "traced loop {} of `{}` on {} worker(s), {} telemetry, dedicated waits",
+            "traced loop {} of `{}` on {} worker(s), {} telemetry",
             plan.loop_id,
             opts.entry,
             executor.effective_workers(),
@@ -1541,6 +1469,11 @@ fn cmd_fuzz(opts: &Options) -> Result<(), CliError> {
     if inject {
         helix_config = helix_config.with_unsound_union_merge();
     }
+    // What the host could actually run: a worker count above the hardware thread count
+    // is executed by time-slicing, so "0 divergences" at that count exercises the
+    // protocol's logic but says nothing about real concurrency.
+    let hardware = helix_runtime::detect_hardware_threads();
+    let time_sliced = |workers: usize| workers > hardware;
     let oracle = OracleConfig {
         threads: opts.threads.clone().unwrap_or_else(|| vec![1, 2, 4, 6]),
         repeats: opts.repeats,
@@ -1629,6 +1562,21 @@ fn cmd_fuzz(opts: &Options) -> Result<(), CliError> {
             ("seed_start", Json::uint(opts.seed_start)),
             ("gen_config", Json::str(&opts.gen_config)),
             ("generated_instrs", Json::uint(total_instrs)),
+            ("hardware_threads", Json::uint(hardware as u64)),
+            (
+                "threads",
+                Json::array(oracle.threads.iter().map(|&workers| {
+                    let mode = if time_sliced(workers) {
+                        "time-sliced"
+                    } else {
+                        "concurrent"
+                    };
+                    Json::object([
+                        ("workers", Json::uint(workers as u64)),
+                        ("mode", Json::str(mode)),
+                    ])
+                })),
+            ),
             ("parallel_eligible_seeds", Json::uint(parallel_eligible)),
             ("parallel_runs", Json::uint(parallel_runs)),
             ("errored_seeds", Json::uint(errored)),
@@ -1649,6 +1597,21 @@ fn cmd_fuzz(opts: &Options) -> Result<(), CliError> {
             parallel_eligible,
             parallel_runs,
             errored,
+        );
+        let counts: Vec<String> = oracle
+            .threads
+            .iter()
+            .map(|&workers| {
+                if time_sliced(workers) {
+                    format!("{workers} (time-sliced)")
+                } else {
+                    workers.to_string()
+                }
+            })
+            .collect();
+        println!(
+            "hardware_threads: {hardware}; worker counts: {}",
+            counts.join(", ")
         );
         if divergences.is_empty() {
             println!("no divergences");

@@ -1,7 +1,7 @@
 //! Black-box tests of the `helix` binary: the `serve` daemon smoke test (50 mixed
 //! requests over the stdio batch protocol, one fault-injected panic among them) and
 //! the file-IO error paths (missing input, unwritable output — both must name the
-//! offending path).
+//! offending path) and the host-topology labels of `helix fuzz`.
 
 use std::process::{Command, Stdio};
 
@@ -181,4 +181,49 @@ fn unwritable_output_path_error_names_the_path() {
     );
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn fuzz_reports_hardware_threads_and_labels_time_sliced_counts() {
+    let hardware = std::thread::available_parallelism().map_or(1, |n| n.get());
+    // One count the host can run concurrently, one it cannot whatever the host is.
+    let oversubscribed = hardware + 1;
+    let threads = format!("1,{oversubscribed}");
+    let run = |extra: &[&str]| {
+        let out = Command::new(helix_exe())
+            .args([
+                "fuzz",
+                "--seeds",
+                "2",
+                "--gen-config",
+                "small",
+                "--no-shrink",
+            ])
+            .args(["--threads", &threads, "--repeats", "1"])
+            .args(["--out", "/nonexistent-dir/never-written"])
+            .args(extra)
+            .output()
+            .expect("run helix fuzz");
+        assert!(out.status.success(), "fuzz failed: {out:?}");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let text = run(&[]);
+    assert!(
+        text.contains(&format!(
+            "hardware_threads: {hardware}; worker counts: 1, {oversubscribed} (time-sliced)"
+        )),
+        "topology line missing: {text}"
+    );
+    let json = run(&["--json"]);
+    assert!(
+        json.contains(&format!("\"hardware_threads\":{hardware}")),
+        "{json}"
+    );
+    assert!(
+        json.contains("{\"workers\":1,\"mode\":\"concurrent\"}")
+            && json.contains(&format!(
+                "{{\"workers\":{oversubscribed},\"mode\":\"time-sliced\"}}"
+            )),
+        "per-count labels missing: {json}"
+    );
 }

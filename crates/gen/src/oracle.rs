@@ -26,7 +26,6 @@ use helix_ir::{
 use helix_profiler::{profile_program, profile_program_image};
 use helix_runtime::{
     DispatchTier, EventKind, ParallelExecutor, ParallelImage, TelemetryMode, TelemetryReport,
-    WaitProfile,
 };
 use std::fmt;
 
@@ -448,14 +447,15 @@ pub fn differential_check(
             for &threads in &config.threads {
                 for _ in 0..config.repeats.max(1) {
                     parallel_runs += 1;
-                    // The dedicated wait profile forces the full multi-worker claim
-                    // protocol even on machines with fewer hardware threads than workers:
-                    // the oracle exists to hammer the concurrent path, not to run fast.
-                    // `from_config` picks up `telemetry_sample_period`, so a traced oracle
-                    // additionally validates the event streams it produces.
-                    let executor = ParallelExecutor::from_config(threads, &config.helix)
-                        .with_wait_profile(WaitProfile::DEDICATED)
+                    // Overriding the hardware snapshot forces the full multi-worker claim
+                    // protocol even on machines with fewer hardware threads than workers
+                    // (time-sliced there): the oracle exists to hammer the concurrent
+                    // path, not to run fast. `from_config` picks up
+                    // `telemetry_sample_period`, so a traced oracle additionally validates
+                    // the event streams it produces.
+                    let mut executor = ParallelExecutor::from_config(threads, &config.helix)
                         .with_dispatch_tier(config.dispatch_tier);
+                    executor.hardware = threads;
                     let (run, telemetry) = if config.helix.telemetry_sample_period > 0 {
                         executor.run_parallel_traced(&parallel_image, &[])
                     } else {

@@ -19,11 +19,12 @@
 //! over repetitions, and per-op costs are derived from the slope between a long and a
 //! short kernel so fixed call overhead cancels.
 
+use crate::engine::Engine;
 use crate::lanes::SignalLanes;
-use crate::parallel_image::{run_flat, LocalTier};
+use crate::parallel_image::LocalTier;
 use crate::pool::WorkerPool;
 use crate::sharded::PrivateArena;
-use crate::threaded::{run_flat_threaded, DispatchTier, FlatTables};
+use crate::threaded::DispatchTier;
 use helix_core::HelixConfig;
 use helix_ir::builder::{FunctionBuilder, ModuleBuilder};
 use helix_ir::{BinOp, CostModel, ExecImage, FuncId, Operand, Pred, Value};
@@ -46,7 +47,10 @@ enum Kernel {
 /// class costs end to end in the runtime's interpreter, dominated by dispatch rather than
 /// the ALU work itself. That is the right currency: the speedup model compares segment
 /// cycles against signal latencies, and both must be priced in what *this* runtime pays.
-#[derive(Clone, Copy, Debug, PartialEq)]
+///
+/// The `Default` is all zeros — "nothing measured", which [`CalibrationProfile::from_text`]
+/// refuses — and exists so a parse can start empty and prove every field was filled.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct CalibrationProfile {
     /// ns per dispatched ALU-class op (add/xor/compare/move) in the switch tier.
     pub alu_ns: f64,
@@ -195,10 +199,10 @@ impl CalibrationProfile {
 
     /// The dispatch tier that measured fastest on this machine, by mean per-op dispatch
     /// cost across the five kernel classes. The JIT tier is considered only where it can
-    /// actually run ([`crate::jit::jit_supported`]) and only on a *strict* win — mirrored
-    /// profiles (v1/v2 files, unsupported hosts) therefore never select it. Remaining
-    /// ties go to the threaded tier (it is the one with the flat-profile branch predictor
-    /// win the microkernels cannot see).
+    /// actually run ([`crate::jit::jit_supported`]) and only on a *strict* win — a profile
+    /// measured on an unsupported host mirrors the threaded costs and therefore never
+    /// selects it. Remaining ties go to the threaded tier (it is the one with the
+    /// flat-profile branch predictor win the microkernels cannot see).
     pub fn selected_tier(&self) -> DispatchTier {
         let mean = |c: [f64; 5]| c.iter().sum::<f64>() / 5.0;
         let threaded = mean(self.dispatch_ns(DispatchTier::Threaded));
@@ -295,159 +299,88 @@ impl CalibrationProfile {
         config
     }
 
-    /// Serializes the profile as the `helix-calibration v3` text format (one `key value`
-    /// pair per line), the format `helix parallelize --calibration-file` reads and
-    /// writes. v2 extended v1 with the direct-threaded tier's per-class costs
-    /// (`*_threaded_ns`); v3 adds the template-JIT tier's (`*_jit_ns`).
-    /// [`CalibrationProfile::from_text`] still reads v1 and v2 files.
-    pub fn to_text(&self) -> String {
-        format!(
-            "helix-calibration v3\n\
-             alu_ns {}\nmul_ns {}\ndiv_ns {}\nload_ns {}\nstore_ns {}\n\
-             alu_threaded_ns {}\nmul_threaded_ns {}\ndiv_threaded_ns {}\n\
-             load_threaded_ns {}\nstore_threaded_ns {}\n\
-             alu_jit_ns {}\nmul_jit_ns {}\ndiv_jit_ns {}\n\
-             load_jit_ns {}\nstore_jit_ns {}\n\
-             signal_observe_ns {}\nsignal_publish_ns {}\nsignal_poll_ns {}\n\
-             pool_wake_ns {}\nhardware_threads {}\n",
-            self.alu_ns,
-            self.mul_ns,
-            self.div_ns,
-            self.load_ns,
-            self.store_ns,
-            self.alu_threaded_ns,
-            self.mul_threaded_ns,
-            self.div_threaded_ns,
-            self.load_threaded_ns,
-            self.store_threaded_ns,
-            self.alu_jit_ns,
-            self.mul_jit_ns,
-            self.div_jit_ns,
-            self.load_jit_ns,
-            self.store_jit_ns,
-            self.signal_observe_ns,
-            self.signal_publish_ns,
-            self.signal_poll_ns,
-            self.pool_wake_ns,
-            self.hardware_threads,
-        )
+    /// The nanosecond fields in `helix-calibration v3` file order, each with its key.
+    fn ns_fields(&mut self) -> [(&'static str, &mut f64); 19] {
+        [
+            ("alu_ns", &mut self.alu_ns),
+            ("mul_ns", &mut self.mul_ns),
+            ("div_ns", &mut self.div_ns),
+            ("load_ns", &mut self.load_ns),
+            ("store_ns", &mut self.store_ns),
+            ("alu_threaded_ns", &mut self.alu_threaded_ns),
+            ("mul_threaded_ns", &mut self.mul_threaded_ns),
+            ("div_threaded_ns", &mut self.div_threaded_ns),
+            ("load_threaded_ns", &mut self.load_threaded_ns),
+            ("store_threaded_ns", &mut self.store_threaded_ns),
+            ("alu_jit_ns", &mut self.alu_jit_ns),
+            ("mul_jit_ns", &mut self.mul_jit_ns),
+            ("div_jit_ns", &mut self.div_jit_ns),
+            ("load_jit_ns", &mut self.load_jit_ns),
+            ("store_jit_ns", &mut self.store_jit_ns),
+            ("signal_observe_ns", &mut self.signal_observe_ns),
+            ("signal_publish_ns", &mut self.signal_publish_ns),
+            ("signal_poll_ns", &mut self.signal_poll_ns),
+            ("pool_wake_ns", &mut self.pool_wake_ns),
+        ]
     }
 
-    /// Parses the `helix-calibration v3` text format, accepting v1 and v2 files too.
-    /// Older files predate the newer tiers, so their most-refined measured costs stand in
-    /// for the missing ones (v1 → threaded and JIT mirror the switch costs; v2 → JIT
-    /// mirrors the threaded costs). A mirrored JIT column never *wins* selection — see
-    /// [`CalibrationProfile::selected_tier`] — so old files keep their old behavior.
+    /// Serializes the profile as the `helix-calibration v3` text format (one `key value`
+    /// pair per line), the format `helix parallelize --calibration-file` reads and
+    /// writes.
+    pub fn to_text(&self) -> String {
+        let mut text = String::from("helix-calibration v3\n");
+        let mut copy = *self;
+        for (key, value) in copy.ns_fields() {
+            text.push_str(&format!("{key} {value}\n"));
+        }
+        text.push_str(&format!("hardware_threads {}\n", self.hardware_threads));
+        text
+    }
+
+    /// Parses the `helix-calibration v3` text format — the only one. Files written by
+    /// older releases (v1, v2) lack the per-tier dispatch costs selection now prices with;
+    /// they are measurements of a machine, cheap to retake, so they are refused rather
+    /// than padded with stand-in numbers.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed or missing field.
+    /// Returns a description of the first malformed or missing field; an older format
+    /// version is named along with the way to regenerate the file.
     pub fn from_text(text: &str) -> Result<CalibrationProfile, String> {
         let mut lines = text.lines();
-        let version = match lines.next() {
-            Some("helix-calibration v1") => 1,
-            Some("helix-calibration v2") => 2,
-            Some("helix-calibration v3") => 3,
-            other => return Err(format!("bad calibration header: {other:?}")),
-        };
-        let mut profile = CalibrationProfile {
-            alu_ns: f64::NAN,
-            mul_ns: f64::NAN,
-            div_ns: f64::NAN,
-            load_ns: f64::NAN,
-            store_ns: f64::NAN,
-            alu_threaded_ns: f64::NAN,
-            mul_threaded_ns: f64::NAN,
-            div_threaded_ns: f64::NAN,
-            load_threaded_ns: f64::NAN,
-            store_threaded_ns: f64::NAN,
-            alu_jit_ns: f64::NAN,
-            mul_jit_ns: f64::NAN,
-            div_jit_ns: f64::NAN,
-            load_jit_ns: f64::NAN,
-            store_jit_ns: f64::NAN,
-            signal_observe_ns: f64::NAN,
-            signal_publish_ns: f64::NAN,
-            signal_poll_ns: f64::NAN,
-            pool_wake_ns: f64::NAN,
-            hardware_threads: 0,
-        };
-        for line in lines {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
+        match lines.next() {
+            Some("helix-calibration v3") => {}
+            Some(header @ ("helix-calibration v1" | "helix-calibration v2")) => {
+                return Err(format!(
+                    "unsupported calibration format `{header}`: only `helix-calibration v3` \
+                     is read; re-run with `--calibrate` to measure this machine again"
+                ))
             }
+            other => return Err(format!("bad calibration header: {other:?}")),
+        }
+        // Every field starts at zero, so a missing key fails the final check.
+        let mut profile = CalibrationProfile::default();
+        for line in lines.map(str::trim).filter(|l| !l.is_empty()) {
             let (key, value) = line
                 .split_once(' ')
                 .ok_or_else(|| format!("malformed calibration line: {line:?}"))?;
-            let parse = |v: &str| {
-                v.parse::<f64>()
-                    .map_err(|_| format!("bad value for {key}: {v:?}"))
-            };
-            match key {
-                "alu_ns" => profile.alu_ns = parse(value)?,
-                "mul_ns" => profile.mul_ns = parse(value)?,
-                "div_ns" => profile.div_ns = parse(value)?,
-                "load_ns" => profile.load_ns = parse(value)?,
-                "store_ns" => profile.store_ns = parse(value)?,
-                "alu_threaded_ns" => profile.alu_threaded_ns = parse(value)?,
-                "mul_threaded_ns" => profile.mul_threaded_ns = parse(value)?,
-                "div_threaded_ns" => profile.div_threaded_ns = parse(value)?,
-                "load_threaded_ns" => profile.load_threaded_ns = parse(value)?,
-                "store_threaded_ns" => profile.store_threaded_ns = parse(value)?,
-                "alu_jit_ns" => profile.alu_jit_ns = parse(value)?,
-                "mul_jit_ns" => profile.mul_jit_ns = parse(value)?,
-                "div_jit_ns" => profile.div_jit_ns = parse(value)?,
-                "load_jit_ns" => profile.load_jit_ns = parse(value)?,
-                "store_jit_ns" => profile.store_jit_ns = parse(value)?,
-                "signal_observe_ns" => profile.signal_observe_ns = parse(value)?,
-                "signal_publish_ns" => profile.signal_publish_ns = parse(value)?,
-                "signal_poll_ns" => profile.signal_poll_ns = parse(value)?,
-                "pool_wake_ns" => profile.pool_wake_ns = parse(value)?,
-                "hardware_threads" => {
-                    profile.hardware_threads = value
-                        .parse()
-                        .map_err(|_| format!("bad value for hardware_threads: {value:?}"))?;
-                }
-                other => return Err(format!("unknown calibration key: {other:?}")),
+            let bad_value = || format!("bad value for {key}: {value:?}");
+            if key == "hardware_threads" {
+                profile.hardware_threads = value.parse().map_err(|_| bad_value())?;
+            } else {
+                let mut fields = profile.ns_fields();
+                let (_, slot) = fields
+                    .iter_mut()
+                    .find(|(k, _)| *k == key)
+                    .ok_or_else(|| format!("unknown calibration key: {key:?}"))?;
+                **slot = value.parse().map_err(|_| bad_value())?;
             }
         }
-        if version < 2 {
-            profile.alu_threaded_ns = profile.alu_ns;
-            profile.mul_threaded_ns = profile.mul_ns;
-            profile.div_threaded_ns = profile.div_ns;
-            profile.load_threaded_ns = profile.load_ns;
-            profile.store_threaded_ns = profile.store_ns;
-        }
-        if version < 3 {
-            profile.alu_jit_ns = profile.alu_threaded_ns;
-            profile.mul_jit_ns = profile.mul_threaded_ns;
-            profile.div_jit_ns = profile.div_threaded_ns;
-            profile.load_jit_ns = profile.load_threaded_ns;
-            profile.store_jit_ns = profile.store_threaded_ns;
-        }
-        let fields = [
-            profile.alu_ns,
-            profile.mul_ns,
-            profile.div_ns,
-            profile.load_ns,
-            profile.store_ns,
-            profile.alu_threaded_ns,
-            profile.mul_threaded_ns,
-            profile.div_threaded_ns,
-            profile.load_threaded_ns,
-            profile.store_threaded_ns,
-            profile.alu_jit_ns,
-            profile.mul_jit_ns,
-            profile.div_jit_ns,
-            profile.load_jit_ns,
-            profile.store_jit_ns,
-            profile.signal_observe_ns,
-            profile.signal_publish_ns,
-            profile.signal_poll_ns,
-            profile.pool_wake_ns,
-        ];
-        if fields.iter().any(|f| !f.is_finite() || *f <= 0.0) || profile.hardware_threads == 0 {
+        let complete = profile
+            .ns_fields()
+            .iter()
+            .all(|(_, v)| v.is_finite() && **v > 0.0);
+        if !complete || profile.hardware_threads == 0 {
             return Err("calibration file is missing fields or has non-positive values".into());
         }
         Ok(profile)
@@ -516,10 +449,7 @@ fn kernel_image(kind: Kernel, body_ops: usize) -> (ExecImage, FuncId) {
 /// region, mirroring how the executor amortizes them across a run.
 fn time_kernel(image: &ExecImage, func: FuncId, reps: usize, tier: DispatchTier) -> Duration {
     let fi = &image.funcs[func.index()];
-    // `built` bundles the table with the JIT artifact whose machine code it points into —
-    // it must stay alive for the whole timing loop.
-    let built = crate::jit::build_flat_tables::<LocalTier>(tier, image);
-    let tables: Option<&FlatTables<LocalTier>> = built.as_ref().map(|(t, _)| t);
+    let engine = Engine::build(tier, image, None);
     let mut tier = LocalTier {
         memory: image.initial_memory.fresh_copy(),
         arena: PrivateArena::new(),
@@ -528,27 +458,7 @@ fn time_kernel(image: &ExecImage, func: FuncId, reps: usize, tier: DispatchTier)
     for _ in 0..reps {
         let mut regs = vec![Value::default(); fi.num_regs];
         let start = Instant::now();
-        let result = match tables {
-            Some(t) => run_flat_threaded(
-                image,
-                t,
-                func,
-                fi.entry_block,
-                None,
-                &mut regs,
-                &mut tier,
-                u64::MAX,
-            ),
-            None => run_flat(
-                image,
-                func,
-                fi.entry_block,
-                None,
-                &mut regs,
-                &mut tier,
-                u64::MAX,
-            ),
-        };
+        let result = engine.run_flat(func, fi.entry_block, None, &mut regs, &mut tier, u64::MAX);
         let _ = std::hint::black_box(result);
         best = best.min(start.elapsed());
     }
@@ -680,35 +590,48 @@ mod tests {
         assert!(CalibrationProfile::from_text("helix-calibration v3\n").is_err());
     }
 
-    #[test]
-    fn v1_files_still_parse_with_threaded_costs_mirrored() {
-        let v1 = "helix-calibration v1\n\
-                  alu_ns 10\nmul_ns 11\ndiv_ns 12\nload_ns 13\nstore_ns 14\n\
-                  signal_observe_ns 100\nsignal_publish_ns 5\nsignal_poll_ns 1\n\
-                  pool_wake_ns 1000\nhardware_threads 6\n";
-        let p = CalibrationProfile::from_text(v1).expect("v1 compat");
-        assert_eq!(p.alu_threaded_ns, p.alu_ns);
-        assert_eq!(p.store_threaded_ns, p.store_ns);
-        assert_eq!(p.alu_jit_ns, p.alu_ns);
-        // Equal per-tier costs mean the tie, which goes to the threaded tier (never the
-        // JIT: a mirrored column is not a strict win).
-        assert_eq!(p.selected_tier(), DispatchTier::Threaded);
+    /// A v3 profile whose three tiers cost `switch`/`threaded`/`jit` ns for every op class.
+    fn flat_profile(switch: f64, threaded: f64, jit: f64) -> CalibrationProfile {
+        CalibrationProfile {
+            alu_ns: switch,
+            mul_ns: switch,
+            div_ns: switch,
+            load_ns: switch,
+            store_ns: switch,
+            alu_threaded_ns: threaded,
+            mul_threaded_ns: threaded,
+            div_threaded_ns: threaded,
+            load_threaded_ns: threaded,
+            store_threaded_ns: threaded,
+            alu_jit_ns: jit,
+            mul_jit_ns: jit,
+            div_jit_ns: jit,
+            load_jit_ns: jit,
+            store_jit_ns: jit,
+            signal_observe_ns: 100.0,
+            signal_publish_ns: 5.0,
+            signal_poll_ns: 1.0,
+            pool_wake_ns: 1000.0,
+            hardware_threads: 6,
+        }
     }
 
     #[test]
-    fn v2_files_still_parse_with_jit_costs_mirrored_from_threaded() {
-        let v2 = "helix-calibration v2\n\
-                  alu_ns 10\nmul_ns 11\ndiv_ns 12\nload_ns 13\nstore_ns 14\n\
-                  alu_threaded_ns 4\nmul_threaded_ns 5\ndiv_threaded_ns 6\n\
-                  load_threaded_ns 7\nstore_threaded_ns 8\n\
-                  signal_observe_ns 100\nsignal_publish_ns 5\nsignal_poll_ns 1\n\
-                  pool_wake_ns 1000\nhardware_threads 6\n";
-        let p = CalibrationProfile::from_text(v2).expect("v2 compat");
-        assert_eq!(p.alu_jit_ns, 4.0);
-        assert_eq!(p.store_jit_ns, 8.0);
-        // The mirrored JIT column ties the threaded one, so selection is unchanged.
-        assert_eq!(p.selected_tier(), DispatchTier::Threaded);
-        assert_eq!(p.ns_per_cycle(), 4.0);
+    fn older_format_versions_are_refused_with_a_way_forward() {
+        for version in ["v1", "v2"] {
+            let text = format!(
+                "helix-calibration {version}\n\
+                 alu_ns 10\nmul_ns 11\ndiv_ns 12\nload_ns 13\nstore_ns 14\n\
+                 signal_observe_ns 100\nsignal_publish_ns 5\nsignal_poll_ns 1\n\
+                 pool_wake_ns 1000\nhardware_threads 6\n"
+            );
+            let err = CalibrationProfile::from_text(&text).expect_err("old format refused");
+            assert!(
+                err.contains(&format!("helix-calibration {version}")),
+                "names the version it saw: {err}"
+            );
+            assert!(err.contains("--calibrate"), "says how to regenerate: {err}");
+        }
     }
 
     #[test]
@@ -718,23 +641,7 @@ mod tests {
         let _env = crate::jit::TEST_ENV_LOCK
             .lock()
             .unwrap_or_else(|e| e.into_inner());
-        let mut p = CalibrationProfile::from_text(
-            "helix-calibration v1\n\
-             alu_ns 10\nmul_ns 10\ndiv_ns 10\nload_ns 10\nstore_ns 10\n\
-             signal_observe_ns 100\nsignal_publish_ns 5\nsignal_poll_ns 1\n\
-             pool_wake_ns 1000\nhardware_threads 6\n",
-        )
-        .unwrap();
-        p.alu_threaded_ns = 4.0;
-        p.mul_threaded_ns = 4.0;
-        p.div_threaded_ns = 4.0;
-        p.load_threaded_ns = 4.0;
-        p.store_threaded_ns = 4.0;
-        p.alu_jit_ns = 1.0;
-        p.mul_jit_ns = 1.0;
-        p.div_jit_ns = 1.0;
-        p.load_jit_ns = 1.0;
-        p.store_jit_ns = 1.0;
+        let p = flat_profile(10.0, 4.0, 1.0);
         if crate::jit::jit_supported() {
             assert_eq!(p.selected_tier(), DispatchTier::Jit);
             assert_eq!(p.ns_per_cycle(), 1.0);
@@ -744,36 +651,19 @@ mod tests {
             assert_eq!(p.ns_per_cycle(), 4.0);
         }
         // A tie with the threaded tier is not a win.
-        p.alu_jit_ns = 4.0;
-        p.mul_jit_ns = 4.0;
-        p.div_jit_ns = 4.0;
-        p.load_jit_ns = 4.0;
-        p.store_jit_ns = 4.0;
-        assert_eq!(p.selected_tier(), DispatchTier::Threaded);
+        assert_eq!(
+            flat_profile(10.0, 4.0, 4.0).selected_tier(),
+            DispatchTier::Threaded
+        );
     }
 
     #[test]
     fn selected_tier_prefers_the_measured_faster_engine() {
-        let mut p = CalibrationProfile::from_text(
-            "helix-calibration v1\n\
-             alu_ns 10\nmul_ns 10\ndiv_ns 10\nload_ns 10\nstore_ns 10\n\
-             signal_observe_ns 100\nsignal_publish_ns 5\nsignal_poll_ns 1\n\
-             pool_wake_ns 1000\nhardware_threads 6\n",
-        )
-        .unwrap();
-        p.alu_threaded_ns = 4.0;
-        p.mul_threaded_ns = 4.0;
-        p.div_threaded_ns = 4.0;
-        p.load_threaded_ns = 4.0;
-        p.store_threaded_ns = 4.0;
+        let p = flat_profile(10.0, 4.0, 4.0);
         assert_eq!(p.selected_tier(), DispatchTier::Threaded);
         // The cost currency follows the selected tier.
         assert_eq!(p.ns_per_cycle(), 4.0);
-        p.alu_threaded_ns = 40.0;
-        p.mul_threaded_ns = 40.0;
-        p.div_threaded_ns = 40.0;
-        p.load_threaded_ns = 40.0;
-        p.store_threaded_ns = 40.0;
+        let p = flat_profile(10.0, 40.0, 40.0);
         assert_eq!(p.selected_tier(), DispatchTier::Switch);
         assert_eq!(p.ns_per_cycle(), 10.0);
     }

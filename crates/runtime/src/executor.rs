@@ -16,12 +16,16 @@
 //!   spawned per run — and are only *activated* once iteration 0's prologue decides the
 //!   loop actually continues: a zero-trip (Phase A/C-only) loop never wakes a single helper
 //!   and runs purely sequentially on the calling thread;
-//! * iterations are *claimed when ready* from one shared counter: a worker takes iteration
-//!   `i` only once iteration `i-1`'s prologue has released the control lane and iteration
-//!   `i - window` has fully completed (the completion ring that makes the windowed
-//!   [`SignalLanes`] reuse safe). The claiming worker is usually the one that just released
-//!   control, so on a loaded machine consecutive iterations run back-to-back on one core
-//!   with no handoff, while idle workers sit in the adaptive spin→yield→park backoff;
+//! * Phase B is one protocol. Workers never outnumber hardware threads
+//!   ([`ParallelExecutor::effective_workers`]), and each claims the next iteration from one
+//!   shared counter once it is ready: a worker takes iteration `i` only after iteration
+//!   `i-1`'s prologue has released the control lane and iteration `i - window` has fully
+//!   completed (the completion ring that makes the windowed [`SignalLanes`] reuse safe);
+//!   workers with nothing to claim sit in the adaptive spin→yield→park backoff. With one
+//!   effective worker there is nothing to claim against: iterations run in order on the
+//!   calling thread with no claim atomics at all;
+//! * one [`Engine`] per run — the resolved dispatch tier's handler tables plus any native
+//!   code — is built on the submitting thread and shared by reference with every helper;
 //! * cross-iteration dependences synchronize through cache-line-padded, windowed
 //!   [`SignalLanes`] instead of a dense false-sharing counter array;
 //! * allocations proved iteration-private are served from each worker's
@@ -29,20 +33,16 @@
 //!   every shared address stays bitwise-identical to a sequential run.
 
 use crate::calibrate::CalibrationProfile;
-use crate::jit;
+use crate::engine::Engine;
 use crate::lanes::{PaddedCounter, SignalLanes};
 use crate::parallel_image::{
-    run_flat, run_iteration, FlatEnd, FlatError, IterEnd, IterError, IterSync, LocalTier,
-    LoopImage, ParallelImage, SharedTier, Tier,
+    FlatEnd, FlatError, IterEnd, IterError, IterSync, LocalTier, LoopImage, ParallelImage,
+    SharedTier, Tier,
 };
-use crate::pool::{
-    detect_hardware_threads, panic_message, AdaptiveWait, Sleepers, WaitProfile, WorkerPool,
-};
+use crate::pool::{detect_hardware_threads, panic_message, AdaptiveWait, Sleepers, WorkerPool};
 use crate::sharded::{PrivateArena, ShardedMemory};
 use crate::telemetry::{TelemetryMode, TelemetryReport, TelemetryRun, WorkerCtx, WorkerTail};
-use crate::threaded::{
-    run_flat_threaded, run_iteration_threaded, DispatchTier, FlatTables, IterTable,
-};
+use crate::threaded::DispatchTier;
 use helix_core::TransformedProgram;
 use helix_ir::interp::ExecError;
 use helix_ir::{DepId, ExecImage, Memory, Value};
@@ -195,14 +195,12 @@ enum LoopExit {
 
 /// The shared state of one Phase B: lanes, ordering counters, exit bookkeeping.
 struct RunShared<'a> {
-    image: &'a ExecImage,
     loop_image: &'a LoopImage,
     /// Padded signal lanes, one ring row per synchronized dependence.
     lanes: SignalLanes,
     /// The park pad of lane (`Wait`) waiters: signal publication wakes it.
     sleepers: Sleepers,
-    /// The park pad of idle claimers and stall-watching helpers: woken on exit/error, on
-    /// per-iteration progress only under a dedicated-hardware profile.
+    /// The park pad of idle claimers: woken on per-iteration progress, exit and error.
     claim_sleepers: Sleepers,
     /// Highest iteration whose prologue predecessor chain is complete (iteration `i` may
     /// start once `control >= i`).
@@ -225,44 +223,14 @@ struct RunShared<'a> {
     snapshot: Vec<Value>,
     /// Words served from private arenas, re-reserved in shared memory after the loop.
     private_words: AtomicU64,
-    max_iterations: u64,
-    spin_budget: u64,
-    /// Solo-mode heartbeat: the primary worker stores its iteration counter here once per
-    /// iteration while the claim protocol is unpublished, so stall-watching helpers can tell
-    /// progress from a stall without the primary paying any claim atomics.
-    progress: PaddedCounter,
-    /// Helpers wanting to join while the protocol is unpublished bump this; the primary
-    /// checks it once per iteration boundary.
-    join_requests: PaddedCounter,
-    /// 0 while the primary runs the solo fast path; `u64::MAX` once the claim protocol
-    /// (control / next_claim / completion ring) is published and every worker may race.
-    published: PaddedCounter,
-    /// Fault injection: the worker that claims this iteration panics before running it
-    /// (see [`ParallelExecutor::with_injected_panic`]).
-    panic_at: Option<u64>,
-    /// Backoff shape of this run's wait sites (topology-dependent).
-    profile: WaitProfile,
-    /// Send wake-ups on per-iteration progress (claim availability)? Worth it only when
-    /// waiters spin on dedicated hardware threads; on an oversubscribed machine parked
-    /// helpers are left to their timed parks so they stop stealing the active worker's CPU.
-    wake_on_progress: bool,
+    /// The run's budgets and fault injection (`max_iterations`, `spin_budget`, `panic_at`).
+    executor: ParallelExecutor,
 }
 
 impl<'a> RunShared<'a> {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        image: &'a ExecImage,
-        loop_image: &'a LoopImage,
-        snapshot: Vec<Value>,
-        threads: usize,
-        max_iterations: u64,
-        spin_budget: u64,
-        panic_at: Option<u64>,
-        profile: WaitProfile,
-    ) -> Self {
-        let window = (threads * 2).next_power_of_two().max(8);
+    fn new(loop_image: &'a LoopImage, snapshot: Vec<Value>, executor: &ParallelExecutor) -> Self {
+        let window = (executor.threads * 2).next_power_of_two().max(8);
         Self {
-            image,
             loop_image,
             lanes: SignalLanes::new(loop_image.num_phys_lanes(), window),
             sleepers: Sleepers::new(),
@@ -276,68 +244,69 @@ impl<'a> RunShared<'a> {
             error: Mutex::new(None),
             snapshot,
             private_words: AtomicU64::new(0),
-            max_iterations,
-            spin_budget,
-            progress: PaddedCounter::new(),
-            join_requests: PaddedCounter::new(),
-            // With dedicated hardware the claim protocol is public from the start; on an
-            // oversubscribed machine the primary begins in the solo fast path.
-            published: PaddedCounter(AtomicU64::new(if profile.wakes_on_progress() {
-                u64::MAX
-            } else {
-                0
-            })),
-            panic_at,
-            profile,
-            wake_on_progress: profile.wakes_on_progress(),
+            executor: *executor,
         }
     }
 
-    /// Publishes the claim protocol after a solo prefix of `done` iterations: completion
-    /// ring for the last window, control and claim frontiers, then the `published` flag
-    /// (release order — joiners acquire the flag before touching the rest).
-    fn publish_protocol(&self, done: u64) {
-        let mask = self.window - 1;
-        for k in done.saturating_sub(self.window)..done {
-            self.done_ring[(k & mask) as usize]
-                .0
-                .store(k + 1, Ordering::Release);
+    /// Ends the loop at `iteration`: stores `value` in `slot` unless an earlier iteration
+    /// already did, and wakes every waiter so it sees `exited_at`.
+    fn record<V>(&self, slot: &Mutex<Option<(u64, V)>>, iteration: u64, value: V) {
+        self.exited_at.0.fetch_min(iteration, Ordering::AcqRel);
+        let mut slot = slot.lock();
+        if slot
+            .as_ref()
+            .is_none_or(|(recorded, _)| *recorded > iteration)
+        {
+            *slot = Some((iteration, value));
         }
-        self.control.0.store(done, Ordering::Release);
-        self.next_claim.0.store(done, Ordering::Release);
-        self.published.0.store(u64::MAX, Ordering::Release);
+        drop(slot);
+        self.sleepers.wake_all();
         self.claim_sleepers.wake_all();
     }
 
     /// Records `exit` for `iteration`, keeping the lowest-iteration exit seen so far.
     fn record_exit(&self, iteration: u64, exit: LoopExit) {
-        self.exited_at.0.fetch_min(iteration, Ordering::AcqRel);
-        let mut slot = self.exit_state.lock();
-        match &*slot {
-            Some((recorded, _)) if *recorded <= iteration => {}
-            _ => *slot = Some((iteration, exit)),
-        }
-        drop(slot);
-        self.sleepers.wake_all();
-        self.claim_sleepers.wake_all();
+        self.record(&self.exit_state, iteration, exit);
     }
 
     /// Records a worker error, keeping the earliest-iteration one.
     fn record_error(&self, iteration: u64, error: RuntimeError) {
-        self.exited_at.0.fetch_min(iteration, Ordering::AcqRel);
-        let mut slot = self.error.lock();
-        match &*slot {
-            Some((recorded, _)) if *recorded <= iteration => {}
-            _ => *slot = Some((iteration, error)),
-        }
-        drop(slot);
-        self.sleepers.wake_all();
-        self.claim_sleepers.wake_all();
+        self.record(&self.error, iteration, error);
     }
 
-    /// Converts an iteration-runner error into the precise runtime error.
-    fn convert_error(&self, iteration: u64, e: IterError) -> RuntimeError {
-        convert_iter_error(self.loop_image, iteration, e)
+    /// Records a panic that escaped `worker` as the run's iteration-0 error: that wins
+    /// the earliest-error race and zeroes `exited_at`, so every other worker drains
+    /// promptly instead of spinning out its deadlock budget on control that will never
+    /// be released.
+    fn record_panic(&self, worker: usize, message: String) {
+        self.record_error(
+            0,
+            RuntimeError::WorkerPanicked {
+                worker,
+                message,
+                tail: Vec::new(),
+            },
+        );
+    }
+
+    /// Phase B's verdict once every worker has left: how the loop ended and the words
+    /// served from private arenas. Sequential semantics pick whichever loop end comes
+    /// first in *iteration* order: a fault in a speculative iteration past an
+    /// already-recorded exit is work sequential execution never performs and must not mask
+    /// the legitimate result. An error at or before the earliest exit is real (sequential
+    /// execution reaches it first).
+    fn into_outcome(self) -> Result<(LoopExit, u64), RuntimeError> {
+        let exit = self.exit_state.into_inner();
+        if let Some((err_iter, err)) = self.error.into_inner() {
+            let exit_iter = exit.as_ref().map_or(u64::MAX, |(i, _)| *i);
+            if err_iter <= exit_iter {
+                return Err(err);
+            }
+        }
+        match exit {
+            Some((_, exit)) => Ok((exit, self.private_words.into_inner())),
+            None => Err(RuntimeError::IterationBudgetExceeded),
+        }
     }
 }
 
@@ -351,88 +320,48 @@ fn convert_iter_error(loop_image: &LoopImage, iteration: u64, e: IterError) -> R
         IterError::Deadlock { lane, pc, observed } => {
             // No fallback through the logical table: indexing it with a physical
             // (coalesced) row id would attribute the deadlock to an unrelated segment.
-            match loop_image.lane_at(pc) {
-                Some(info) => RuntimeError::Deadlock {
-                    dep: info.dep,
-                    iteration,
-                    lane: lane as usize,
-                    last_observed: observed,
-                    segment: info.segment,
-                    wait_pc: pc,
-                    segment_pc_range: info.pc_range(),
-                    tail: Vec::new(),
-                },
-                None => RuntimeError::Deadlock {
-                    dep: DepId::new(lane),
-                    iteration,
-                    lane: lane as usize,
-                    last_observed: observed,
-                    segment: 0,
-                    wait_pc: pc,
-                    segment_pc_range: (pc, pc),
-                    tail: Vec::new(),
-                },
+            let (dep, segment, segment_pc_range) = match loop_image.lane_at(pc) {
+                Some(info) => (info.dep, info.segment, info.pc_range()),
+                None => (DepId::new(lane), 0, (pc, pc)),
+            };
+            RuntimeError::Deadlock {
+                dep,
+                iteration,
+                lane: lane as usize,
+                last_observed: observed,
+                segment,
+                wait_pc: pc,
+                segment_pc_range,
+                tail: Vec::new(),
             }
         }
     }
 }
 
-/// Resets a worker's register file for `iteration` — restore-set registers back to the
-/// loop-entry snapshot, privatized induction variables recomputed — and starts a fresh
-/// arena. Shared by every Phase B flavour (claimed, solo, single-thread).
-fn prepare_iteration<T: Tier>(
-    loop_image: &LoopImage,
-    snapshot: &[Value],
-    regs: &mut [Value],
-    iteration: u64,
-    tier: &mut T,
-) {
-    for &r in &loop_image.restore_regs {
-        regs[r as usize] = snapshot[r as usize];
-    }
-    for (reg, step) in &loop_image.induction_vars {
-        let r = *reg as usize;
-        if r < regs.len() {
-            let base = snapshot[r].as_int();
-            regs[r] = Value::Int(base + *step * iteration as i64);
-        }
-    }
-    tier.reset_arena();
-}
-
-/// One worker's Phase B: claim ready iterations and run them until the loop ends.
-/// `on_first_control` fires the first time any iteration of *this worker* releases control
-/// (the executor's pool-activation hook; helpers pass a no-op).
+/// One worker's state for running the iterations it owns: everything Phase B needs that
+/// is the same whether iterations were claimed from the shared counter or simply counted
+/// up by the single worker.
 ///
-/// On an oversubscribed machine a `helper` starts in *stall-watch* mode: it parks and only
-/// joins the claim race once the claim frontier stops advancing between two parks. A lone
-/// hardware thread is best used by letting the active worker run consecutive iterations
-/// back-to-back; a helper that eagerly stole the next iteration would turn every iteration
-/// boundary into a context switch.
-/// Per-iteration telemetry counts (claims, iterations, private-arena words) accumulated
-/// in the worker's own registers and flushed to its telemetry slot exactly once, on
-/// whichever path the worker leaves its loop — `Drop` covers them all, including the
-/// error and deadlock returns. A memory RMW per iteration on the hot claim loop is
+/// The per-iteration telemetry counts (claims, iterations, private-arena words) accumulate
+/// here, in the worker's own registers, and are flushed to its telemetry slot exactly
+/// once, on whichever path the worker leaves its loop — `Drop` covers them all, including
+/// the error and deadlock returns. A memory RMW per iteration on the hot claim loop is
 /// measurable on short iteration bodies; a bulk add on exit is free.
-struct CountFlush<'a> {
+struct IterRunner<'a, T: Tier> {
+    engine: &'a Engine<'a, T>,
+    loop_image: &'a LoopImage,
+    /// Register file at loop entry; every iteration starts from this snapshot.
+    snapshot: &'a [Value],
+    sync: IterSync<'a>,
+    regs: Vec<Value>,
+    panic_at: Option<u64>,
     telem: Option<WorkerCtx<'a>>,
     claims: u64,
     iterations: u64,
     arena_words: u64,
 }
 
-impl<'a> CountFlush<'a> {
-    fn new(telem: Option<WorkerCtx<'a>>) -> CountFlush<'a> {
-        CountFlush {
-            telem,
-            claims: 0,
-            iterations: 0,
-            arena_words: 0,
-        }
-    }
-}
-
-impl Drop for CountFlush<'_> {
+impl<T: Tier> Drop for IterRunner<'_, T> {
     fn drop(&mut self) {
         if let Some(t) = self.telem {
             t.add_iter_counts(self.claims, self.iterations, self.arena_words);
@@ -440,69 +369,110 @@ impl Drop for CountFlush<'_> {
     }
 }
 
+impl<'a, T: Tier> IterRunner<'a, T> {
+    fn new(
+        engine: &'a Engine<'a, T>,
+        loop_image: &'a LoopImage,
+        snapshot: &'a [Value],
+        sync: IterSync<'a>,
+        panic_at: Option<u64>,
+        telem: Option<WorkerCtx<'a>>,
+    ) -> Self {
+        IterRunner {
+            engine,
+            loop_image,
+            snapshot,
+            sync,
+            regs: snapshot.to_vec(),
+            panic_at,
+            telem,
+            claims: 0,
+            iterations: 0,
+            arena_words: 0,
+        }
+    }
+
+    /// Runs iteration `i`, which this worker owns: restore-set registers go back to the
+    /// loop-entry snapshot, privatized induction variables are recomputed, the arena
+    /// starts fresh, and the dispatch is bracketed by the telemetry hooks.
+    fn run(
+        &mut self,
+        i: u64,
+        tier: &mut T,
+        on_control: &mut dyn FnMut(),
+    ) -> Result<IterEnd, IterError> {
+        let telem = self.telem;
+        self.claims += 1;
+        if let Some(t) = telem {
+            t.on_claim(i);
+        }
+        if self.panic_at == Some(i) {
+            panic!("injected fault: worker panic at iteration {i}");
+        }
+        for &r in &self.loop_image.restore_regs {
+            self.regs[r as usize] = self.snapshot[r as usize];
+        }
+        for (reg, step) in &self.loop_image.induction_vars {
+            let r = *reg as usize;
+            if r < self.regs.len() {
+                let base = self.snapshot[r].as_int();
+                self.regs[r] = Value::Int(base + *step * i as i64);
+            }
+        }
+        tier.reset_arena();
+        let iter_start = telem.map(|t| t.on_iter_start(i));
+        let outcome = self
+            .engine
+            .run_iteration(i, &mut self.regs, tier, &self.sync, on_control);
+        self.iterations += 1;
+        if let (Some(t), Some(t0)) = (telem, iter_start) {
+            t.on_iter_finish(i, t0);
+        }
+        outcome
+    }
+
+    /// Moves the words `tier` served privately since the last drain into this worker's
+    /// telemetry count and returns them.
+    fn drain_private_words(&mut self, tier: &mut T) -> u64 {
+        let words = tier.drain_private_words();
+        self.arena_words += words;
+        words
+    }
+}
+
+/// One worker's Phase B under the claim protocol: claim ready iterations and run them
+/// until the loop ends. `on_first_control` fires whenever an iteration of *this worker*
+/// releases control (the executor's pool-activation hook; helpers pass a no-op).
 fn phase_b_worker<T: Tier>(
     shared: &RunShared<'_>,
+    engine: &Engine<'_, T>,
     tier: &mut T,
-    helper: bool,
     on_first_control: &mut dyn FnMut(),
     telem: Option<WorkerCtx<'_>>,
-    table: Option<&IterTable<T>>,
 ) {
-    let sync = IterSync {
-        lanes: &shared.lanes,
-        sleepers: &shared.sleepers,
-        exited_at: &shared.exited_at.0,
-        spin_budget: shared.spin_budget,
-        profile: shared.profile,
-        #[cfg(feature = "telemetry")]
-        telem,
-    };
-    #[cfg(not(feature = "telemetry"))]
-    let _ = telem;
     let mask = shared.window - 1;
-    let mut counts = CountFlush::new(telem);
-    let mut regs: Vec<Value> = shared.snapshot.clone();
-    let mut idle = AdaptiveWait::with_profile(&shared.claim_sleepers, shared.profile);
-    let mut watching = helper && !shared.profile.wakes_on_progress();
-    let mut watched_frontier = u64::MAX;
+    let sync = IterSync::new(
+        &shared.lanes,
+        &shared.sleepers,
+        &shared.exited_at.0,
+        shared.executor.spin_budget,
+        telem,
+    );
+    let mut runner = IterRunner::new(
+        engine,
+        shared.loop_image,
+        &shared.snapshot,
+        sync,
+        shared.executor.panic_at,
+        telem,
+    );
+    let mut idle = AdaptiveWait::new(&shared.claim_sleepers);
     loop {
         let i = shared.next_claim.0.load(Ordering::Acquire);
-        let exited = shared.exited_at.0.load(Ordering::Acquire);
-        if exited <= i || (exited != u64::MAX && shared.published.0.load(Ordering::Acquire) == 0) {
-            // Past the exit — or the loop ended while the primary still ran solo, in which
-            // case there is nothing a helper could ever claim.
+        if shared.exited_at.0.load(Ordering::Acquire) <= i {
             return;
         }
-        if watching {
-            // The progress indicator sums the solo heartbeat and the public claim
-            // frontier: monotone, and advancing whenever any worker advances.
-            let indicator = i.wrapping_add(shared.progress.0.load(Ordering::Relaxed));
-            if indicator == watched_frontier {
-                // No progress across a whole park: the active workers are stuck or
-                // saturated — join in.
-                watching = false;
-                if shared.published.0.load(Ordering::Acquire) == 0 {
-                    // The primary is still in the solo fast path: request the protocol
-                    // and wait for it to be published (or for the loop to end).
-                    shared.join_requests.0.fetch_add(1, Ordering::SeqCst);
-                    while shared.published.0.load(Ordering::Acquire) == 0 {
-                        if shared.exited_at.0.load(Ordering::Acquire) != u64::MAX {
-                            return;
-                        }
-                        shared
-                            .claim_sleepers
-                            .sleep(std::time::Duration::from_millis(1));
-                    }
-                }
-                continue;
-            }
-            watched_frontier = indicator;
-            shared
-                .claim_sleepers
-                .sleep(std::time::Duration::from_millis(2));
-            continue;
-        }
-        if i > shared.max_iterations {
+        if i > shared.executor.max_iterations {
             shared.record_error(i, RuntimeError::IterationBudgetExceeded);
             return;
         }
@@ -524,15 +494,6 @@ fn phase_b_worker<T: Tier>(
             continue;
         }
         idle.reset();
-        counts.claims += 1;
-        if let Some(t) = telem {
-            t.on_claim(i);
-        }
-        if shared.panic_at == Some(i) {
-            panic!("injected fault: worker panic at iteration {i}");
-        }
-
-        prepare_iteration(shared.loop_image, &shared.snapshot, &mut regs, i, tier);
 
         let mut released = false;
         let mut on_control = |iteration: u64| {
@@ -540,9 +501,7 @@ fn phase_b_worker<T: Tier>(
             // and iteration i+1's releaser claimed only after observing iteration i's
             // release, so writes to the counter are totally ordered and monotone.
             shared.control.0.store(iteration + 1, Ordering::Release);
-            if shared.wake_on_progress {
-                shared.claim_sleepers.wake_all();
-            }
+            shared.claim_sleepers.wake_all();
             on_first_control();
         };
         let mut control_hook = || {
@@ -551,31 +510,15 @@ fn phase_b_worker<T: Tier>(
                 on_control(i);
             }
         };
-        let iter_start = telem.map(|t| t.on_iter_start(i));
-        let outcome = match table {
-            Some(t) => run_iteration_threaded(
-                shared.image,
-                shared.loop_image,
-                t,
-                i,
-                &mut regs,
-                tier,
-                &sync,
-                &mut control_hook,
-            ),
-            None => run_iteration(
-                shared.image,
-                shared.loop_image,
-                i,
-                &mut regs,
-                tier,
-                &sync,
-                &mut control_hook,
-            ),
-        };
-        counts.iterations += 1;
-        if let (Some(t), Some(t0)) = (telem, iter_start) {
-            t.on_iter_finish(i, t0);
+        let outcome = runner.run(i, tier, &mut control_hook);
+        if !matches!(outcome, Ok(IterEnd::Cancelled) | Err(_)) {
+            // Counting this iteration's private words is exact: exit edges originate only
+            // in prologues (Step 1), and control for iteration i+1 is released only after
+            // iteration i's prologue decided to continue — so a completed iteration is
+            // never speculative work past the loop's end (and `Returned` exits skip the
+            // reserve entirely).
+            let words = runner.drain_private_words(tier);
+            shared.private_words.fetch_add(words, Ordering::Relaxed);
         }
         match outcome {
             Ok(IterEnd::Completed) => {
@@ -584,38 +527,17 @@ fn phase_b_worker<T: Tier>(
                     // edge itself proves the next prologue may start.
                     on_control(i);
                 }
-                // Counting this iteration's private words is exact: exit edges originate
-                // only in prologues (Step 1), and control for iteration i+1 is released
-                // only after iteration i's prologue decided to continue — so a completed
-                // iteration is never speculative work past the loop's end (and `Returned`
-                // exits skip the reserve entirely).
-                let words = tier.drain_private_words();
-                counts.arena_words += words;
-                shared.private_words.fetch_add(words, Ordering::Relaxed);
                 shared.done_ring[(i & mask) as usize]
                     .0
                     .store(i + 1, Ordering::Release);
-                if shared.wake_on_progress {
-                    shared.claim_sleepers.wake_all();
-                }
+                shared.claim_sleepers.wake_all();
             }
             Ok(IterEnd::Exit { block }) => {
-                let words = tier.drain_private_words();
-                counts.arena_words += words;
-                shared.private_words.fetch_add(words, Ordering::Relaxed);
-                shared.record_exit(
-                    i,
-                    LoopExit::Edge {
-                        block,
-                        regs: regs.clone(),
-                    },
-                );
+                let regs = std::mem::take(&mut runner.regs);
+                shared.record_exit(i, LoopExit::Edge { block, regs });
                 return;
             }
             Ok(IterEnd::Returned(v)) => {
-                let words = tier.drain_private_words();
-                counts.arena_words += words;
-                shared.private_words.fetch_add(words, Ordering::Relaxed);
                 shared.record_exit(i, LoopExit::Returned(v));
                 return;
             }
@@ -624,130 +546,9 @@ fn phase_b_worker<T: Tier>(
                 return;
             }
             Err(e) => {
-                let err = shared.convert_error(i, e);
+                let err = convert_iter_error(shared.loop_image, i, e);
                 shared.record_error(i, err);
                 return;
-            }
-        }
-    }
-}
-
-/// The primary worker's solo fast path: while no helper has joined, iterations run
-/// in order with *no* claim/control/completion atomics — just the lane counters (kept so a
-/// missing `Signal` still deadlocks detectably and so late joiners inherit a consistent
-/// ring) and one relaxed heartbeat store per iteration. Returns `Some(done)` with the
-/// number of completed iterations when a helper requested the protocol (the caller
-/// publishes happened already and continues in the shared claim loop), `None` when the
-/// loop ended solo.
-fn phase_b_solo<T: Tier>(
-    shared: &RunShared<'_>,
-    tier: &mut T,
-    on_first_control: &mut dyn FnMut(),
-    telem: Option<WorkerCtx<'_>>,
-    table: Option<&IterTable<T>>,
-) -> Option<u64> {
-    let sync = IterSync {
-        lanes: &shared.lanes,
-        sleepers: &shared.sleepers,
-        exited_at: &shared.exited_at.0,
-        spin_budget: shared.spin_budget,
-        profile: shared.profile,
-        #[cfg(feature = "telemetry")]
-        telem,
-    };
-    #[cfg(not(feature = "telemetry"))]
-    let _ = telem;
-    let mut counts = CountFlush::new(telem);
-    let mut regs: Vec<Value> = shared.snapshot.clone();
-    let mut iteration = 0u64;
-    loop {
-        if iteration > shared.max_iterations {
-            shared.record_error(iteration, RuntimeError::IterationBudgetExceeded);
-            return None;
-        }
-        if shared.join_requests.0.load(Ordering::Relaxed) != 0 {
-            let words = tier.drain_private_words();
-            counts.arena_words += words;
-            shared.private_words.fetch_add(words, Ordering::Relaxed);
-            // Other workers are about to touch memory: re-establish locking before the
-            // protocol (and with it this thread's writes) is published to them.
-            tier.set_exclusive(false);
-            shared.publish_protocol(iteration);
-            return Some(iteration);
-        }
-        if shared.panic_at == Some(iteration) {
-            panic!("injected fault: worker panic at iteration {iteration}");
-        }
-        prepare_iteration(
-            shared.loop_image,
-            &shared.snapshot,
-            &mut regs,
-            iteration,
-            tier,
-        );
-        let mut control_hook = || on_first_control();
-        counts.claims += 1;
-        if let Some(t) = telem {
-            t.on_claim(iteration);
-        }
-        let iter_start = telem.map(|t| t.on_iter_start(iteration));
-        let outcome = match table {
-            Some(t) => run_iteration_threaded(
-                shared.image,
-                shared.loop_image,
-                t,
-                iteration,
-                &mut regs,
-                tier,
-                &sync,
-                &mut control_hook,
-            ),
-            None => run_iteration(
-                shared.image,
-                shared.loop_image,
-                iteration,
-                &mut regs,
-                tier,
-                &sync,
-                &mut control_hook,
-            ),
-        };
-        counts.iterations += 1;
-        if let (Some(t), Some(t0)) = (telem, iter_start) {
-            t.on_iter_finish(iteration, t0);
-        }
-        match outcome {
-            Ok(IterEnd::Completed) => {
-                shared.progress.0.store(iteration + 1, Ordering::Relaxed);
-                iteration += 1;
-            }
-            Ok(IterEnd::Exit { block }) => {
-                let words = tier.drain_private_words();
-                counts.arena_words += words;
-                shared.private_words.fetch_add(words, Ordering::Relaxed);
-                shared.record_exit(
-                    iteration,
-                    LoopExit::Edge {
-                        block,
-                        regs: regs.clone(),
-                    },
-                );
-                return None;
-            }
-            Ok(IterEnd::Returned(v)) => {
-                let words = tier.drain_private_words();
-                counts.arena_words += words;
-                shared.private_words.fetch_add(words, Ordering::Relaxed);
-                shared.record_exit(iteration, LoopExit::Returned(v));
-                return None;
-            }
-            Ok(IterEnd::Cancelled) => {
-                unreachable!("no other worker runs iterations before the protocol publishes")
-            }
-            Err(e) => {
-                let err = shared.convert_error(iteration, e);
-                shared.record_error(iteration, err);
-                return None;
             }
         }
     }
@@ -763,10 +564,6 @@ pub struct ParallelExecutor {
     pub max_iterations: u64,
     /// Deadlock budget of a blocked `Wait`, in yield-equivalent backoff units.
     pub spin_budget: u64,
-    /// Overrides the topology-derived wait profile (tests and the fuzzing oracle force
-    /// [`WaitProfile::DEDICATED`] so the full multi-worker claim protocol is exercised
-    /// even on machines with fewer hardware threads than workers).
-    pub wait_profile: Option<WaitProfile>,
     /// What the run records (see [`TelemetryMode`]); disabled by default. Reports come
     /// back through the `*_traced` entry points.
     pub telemetry: TelemetryMode,
@@ -775,9 +572,10 @@ pub struct ParallelExecutor {
     /// measured faster on this machine.
     pub dispatch_tier: DispatchTier,
     /// Hardware thread count, snapshotted once at construction. Every decision derived
-    /// from the machine's topology — worker clamping, the clamp diagnostic, the wait
-    /// profile — reads this snapshot, so a cgroup resize mid-run can never make them
-    /// disagree with each other.
+    /// from the machine's topology — worker clamping and the clamp diagnostic — reads this
+    /// snapshot, so a cgroup resize mid-run can never make them disagree with each other.
+    /// Overriding it is how the fuzzing oracle and the protocol tests run N time-sliced
+    /// workers on a host with fewer hardware threads.
     pub hardware: usize,
     /// Fault injection for robustness tests: the worker that claims this iteration
     /// panics before running it. The panic surfaces as
@@ -794,7 +592,6 @@ impl Default for ParallelExecutor {
             threads: 4,
             max_iterations: DEFAULT_MAX_ITERATIONS,
             spin_budget: DEFAULT_SPIN_BUDGET,
-            wait_profile: None,
             telemetry: TelemetryMode::Disabled,
             dispatch_tier: DispatchTier::Auto,
             hardware: detect_hardware_threads(),
@@ -834,12 +631,6 @@ impl ParallelExecutor {
     /// Overrides the loop iteration budget.
     pub fn with_max_iterations(mut self, iterations: u64) -> Self {
         self.max_iterations = iterations.max(1);
-        self
-    }
-
-    /// Overrides the wait profile (see [`ParallelExecutor::wait_profile`]).
-    pub fn with_wait_profile(mut self, profile: WaitProfile) -> Self {
-        self.wait_profile = Some(profile);
         self
     }
 
@@ -932,39 +723,30 @@ impl ParallelExecutor {
         self.run_lowered(&pimg.exec, &pimg.loop_image, args)
     }
 
-    /// The worker count the machine can actually run concurrently. When the caller did not
-    /// override the wait profile (i.e. scheduling decisions are topology-derived), workers
-    /// beyond the hardware thread count are pure overhead: they cannot execute
-    /// concurrently, so every extra worker only adds claim traffic, stall-watch wakeups
-    /// and striped-memory locking to the thread that has the CPU. This is the measured-cost
-    /// feedback loop applied to the runtime itself — the calibrated cross-thread signal
-    /// latency on a fully oversubscribed machine is effectively infinite, and the correct
-    /// response is to run the cheap in-order path. Tests and the fuzzing oracle pin a
-    /// profile explicitly and keep the full multi-worker protocol regardless.
+    /// The worker count the machine can actually run concurrently: workers beyond the
+    /// hardware thread count cannot execute concurrently, so every extra worker would only
+    /// add claim traffic and striped-memory locking to the thread that has the CPU. This
+    /// is the measured-cost feedback loop applied to the runtime itself — the calibrated
+    /// cross-thread signal latency on a fully oversubscribed machine is effectively
+    /// infinite, and the correct response is to run the cheap in-order path. Callers that
+    /// want N time-sliced workers on a smaller host regardless (the fuzzing oracle, the
+    /// protocol tests) override the [`ParallelExecutor::hardware`] snapshot.
     ///
-    /// Public so callers (the parallel-runtime bench, diagnostics) can see which requested
-    /// thread counts collapse to the same effective configuration on this machine.
+    /// Public so callers (the benchmark, diagnostics) can see which requested thread
+    /// counts collapse to the same effective configuration on this machine.
     pub fn effective_workers(&self) -> usize {
-        if self.wait_profile.is_some() {
-            return self.threads;
-        }
         self.threads.min(self.hardware.max(1))
     }
 
     /// Why [`ParallelExecutor::effective_workers`] is what it is, as a one-line
-    /// diagnostic: whether the wait-profile pin kept the requested count, the topology
-    /// fit, or the count was clamped to the hardware. Reported by the bench alongside
-    /// `effective_workers` so a collapsed measurement explains itself.
+    /// diagnostic: the requested count fit the topology, or it was clamped to the
+    /// hardware. Reported alongside `effective_workers` so a collapsed measurement
+    /// explains itself.
     pub fn clamp_reason(&self) -> String {
         // The same snapshot `effective_workers` clamps with: the diagnostic can never
         // describe a different machine than the clamp acted on.
         let hardware = self.hardware;
-        if self.wait_profile.is_some() {
-            format!(
-                "pinned wait profile keeps {} worker(s) on {} hardware thread(s)",
-                self.threads, hardware
-            )
-        } else if self.threads <= hardware {
+        if self.threads <= hardware {
             format!(
                 "{} worker(s) fit {} hardware thread(s)",
                 self.threads, hardware
@@ -997,7 +779,8 @@ impl ParallelExecutor {
         pimg: &ParallelImage,
         args: &[Value],
     ) -> (Result<Option<Value>, RuntimeError>, Option<TelemetryReport>) {
-        self.run_lowered_traced(&pimg.exec, &pimg.loop_image, args)
+        let out = self.run_parallel_out(pimg, args);
+        (out.result, out.report)
     }
 
     /// [`ParallelExecutor::run_parallel`] with the full output: result, telemetry
@@ -1013,17 +796,7 @@ impl ParallelExecutor {
         loop_image: &LoopImage,
         args: &[Value],
     ) -> Result<Option<Value>, RuntimeError> {
-        self.run_lowered_traced(image, loop_image, args).0
-    }
-
-    fn run_lowered_traced(
-        &self,
-        image: &ExecImage,
-        loop_image: &LoopImage,
-        args: &[Value],
-    ) -> (Result<Option<Value>, RuntimeError>, Option<TelemetryReport>) {
-        let out = self.run_lowered_out(image, loop_image, args);
-        (out.result, out.report)
+        self.run_lowered_out(image, loop_image, args).result
     }
 
     fn run_lowered_out(
@@ -1043,7 +816,17 @@ impl ParallelExecutor {
             if workers == 1 {
                 self.run_single(image, loop_image, args, telem.as_ref())
             } else {
-                self.run_pooled(image, loop_image, args, telem.as_ref())
+                let clamped = ParallelExecutor {
+                    threads: workers,
+                    ..*self
+                };
+                clamped.run_pooled_on(
+                    WorkerPool::global(),
+                    image,
+                    loop_image,
+                    args,
+                    telem.as_ref(),
+                )
             }
         }));
         let (mut result, memory) = match run {
@@ -1074,20 +857,62 @@ impl ParallelExecutor {
         }
     }
 
-    /// Seeds the entry register file for Phase A.
-    fn entry_regs(image: &ExecImage, loop_image: &LoopImage, args: &[Value]) -> Vec<Value> {
+    /// The paper's three phases, written once for both memory tiers: Phase A runs
+    /// sequentially from the function's entry to the loop header, `phase_b` — handed the
+    /// loop-entry register snapshot — runs the loop and reports how it ended plus how many
+    /// words its workers served from private arenas, and Phase C resumes sequentially from
+    /// the earliest iteration's exit after re-reserving those words, so every shared
+    /// address allocated later matches a sequential run of the loop.
+    fn run_phases<T: Tier>(
+        &self,
+        engine: &Engine<'_, T>,
+        image: &ExecImage,
+        loop_image: &LoopImage,
+        args: &[Value],
+        tier: &mut T,
+        phase_b: impl FnOnce(&mut T, Vec<Value>) -> Result<(LoopExit, u64), RuntimeError>,
+    ) -> Result<Option<Value>, RuntimeError> {
         let fi = image.func(loop_image.func);
         let mut regs = vec![Value::default(); fi.num_regs.max(args.len())];
         for (slot, a) in regs.iter_mut().zip(args.iter()).take(fi.num_params) {
             *slot = *a;
         }
-        regs
+        let phase_a = engine.run_flat(
+            loop_image.func,
+            fi.entry_block,
+            Some(loop_image.header),
+            &mut regs,
+            tier,
+            self.max_iterations,
+        )?;
+        if let FlatEnd::Returned(v) = phase_a {
+            // The loop was never reached.
+            return Ok(v);
+        }
+        let (block, mut regs) = match phase_b(tier, regs)? {
+            (LoopExit::Edge { block, regs }, private_words) => {
+                if private_words > 0 {
+                    tier.alloc(private_words as usize)?;
+                }
+                (block, regs)
+            }
+            (LoopExit::Returned(v), _) => return Ok(v),
+        };
+        match engine.run_flat(
+            loop_image.func,
+            block,
+            None,
+            &mut regs,
+            tier,
+            self.max_iterations,
+        )? {
+            FlatEnd::Returned(v) => Ok(v),
+            FlatEnd::ReachedStop => unreachable!("phase C has no stop block"),
+        }
     }
 
     /// Single-worker execution: the whole run happens on the calling thread against plain
-    /// (unstriped) memory — no locks, no atomic contention, no pool. Lane counters are still
-    /// honoured so a missing `Signal` deadlocks (and is reported) exactly as with more
-    /// threads.
+    /// (unstriped) memory — no locks, no atomic contention, no pool.
     fn run_single(
         &self,
         image: &ExecImage,
@@ -1095,195 +920,54 @@ impl ParallelExecutor {
         args: &[Value],
         telem_run: Option<&TelemetryRun>,
     ) -> Result<(Option<Value>, Option<Memory>), RuntimeError> {
-        let fi = image.func(loop_image.func);
-        let dispatch = self.resolved_tier();
-        // `built_flat` owns any JIT artifact; it must stay alive as long as the table
-        // (the patched head slots point into it), which its scope here guarantees.
-        let built_flat = jit::build_flat_tables::<LocalTier>(dispatch, image);
-        let flat_tables = built_flat.as_ref().map(|(t, _)| t);
+        let engine = Engine::build(self.resolved_tier(), image, Some(loop_image));
         let mut tier = LocalTier {
             memory: image.initial_memory.fresh_copy(),
             arena: PrivateArena::new(),
         };
-        let mut regs = Self::entry_regs(image, loop_image, args);
-        let phase_a = match flat_tables {
-            Some(t) => run_flat_threaded(
-                image,
-                t,
-                loop_image.func,
-                fi.entry_block,
-                Some(loop_image.header),
-                &mut regs,
-                &mut tier,
-                self.max_iterations,
-            )?,
-            None => run_flat(
-                image,
-                loop_image.func,
-                fi.entry_block,
-                Some(loop_image.header),
-                &mut regs,
-                &mut tier,
-                self.max_iterations,
-            )?,
-        };
-        match phase_a {
-            // The loop was never reached.
-            FlatEnd::Returned(v) => {
-                let memory = self.capture_memory.then_some(tier.memory);
-                return Ok((v, memory));
-            }
-            FlatEnd::ReachedStop => {}
-        }
-
         // Phase B, single worker: iterations run in order on the calling thread with no
         // claim counters, no completion ring and no parks. Lane counters are still
-        // maintained so a missing `Signal` is detected — instantly, because with no other
-        // worker an unsatisfied `Wait` can never become satisfied.
-        let lanes = SignalLanes::new(loop_image.num_phys_lanes(), 1);
-        let sleepers = Sleepers::new();
-        let exited_at = AtomicU64::new(u64::MAX);
-        let telem = telem_run.map(|r| r.ctx(0));
-        let sync = IterSync {
-            lanes: &lanes,
-            sleepers: &sleepers,
-            exited_at: &exited_at,
-            spin_budget: 0,
-            profile: WaitProfile::DEDICATED,
-            #[cfg(feature = "telemetry")]
-            telem,
-        };
-        #[cfg(not(feature = "telemetry"))]
-        let _ = telem;
-        let snapshot = regs;
-        let built_iter = jit::build_iter_table::<LocalTier>(dispatch, loop_image);
-        let iter_table = built_iter.as_ref().map(|(t, _)| t);
-        let mut counts = CountFlush::new(telem);
-        let mut iter_regs = snapshot.clone();
-        let mut iteration = 0u64;
-        let exit = loop {
-            if iteration > self.max_iterations {
-                return Err(RuntimeError::IterationBudgetExceeded);
-            }
-            if self.panic_at == Some(iteration) {
-                // Caught by `run_lowered_out`'s panic boundary on this same thread.
-                panic!("injected fault: worker panic at iteration {iteration}");
-            }
-            prepare_iteration(loop_image, &snapshot, &mut iter_regs, iteration, &mut tier);
+        // maintained so a missing `Signal` is detected — instantly (zero spin budget),
+        // because with no other worker an unsatisfied `Wait` can never become satisfied.
+        let phase_b = |tier: &mut LocalTier, snapshot: Vec<Value>| {
+            let lanes = SignalLanes::new(loop_image.num_phys_lanes(), 1);
+            let sleepers = Sleepers::new();
+            let exited_at = AtomicU64::new(u64::MAX);
             // A single worker "claims" every iteration in order, so traced runs keep the
             // claims-are-a-permutation invariant at one thread too.
-            counts.claims += 1;
-            if let Some(t) = telem {
-                t.on_claim(iteration);
-            }
-            let iter_start = telem.map(|t| t.on_iter_start(iteration));
-            let outcome = match iter_table {
-                Some(t) => run_iteration_threaded(
-                    image,
-                    loop_image,
-                    t,
-                    iteration,
-                    &mut iter_regs,
-                    &mut tier,
-                    &sync,
-                    &mut || {},
-                ),
-                None => run_iteration(
-                    image,
-                    loop_image,
-                    iteration,
-                    &mut iter_regs,
-                    &mut tier,
-                    &sync,
-                    &mut || {},
-                ),
-            };
-            counts.iterations += 1;
-            if let (Some(t), Some(t0)) = (telem, iter_start) {
-                t.on_iter_finish(iteration, t0);
-            }
-            match outcome {
-                Ok(IterEnd::Completed) => iteration += 1,
-                Ok(IterEnd::Exit { block }) => {
-                    break LoopExit::Edge {
-                        block,
-                        regs: iter_regs,
+            let telem = telem_run.map(|r| r.ctx(0));
+            let sync = IterSync::new(&lanes, &sleepers, &exited_at, 0, telem);
+            let mut runner =
+                IterRunner::new(&engine, loop_image, &snapshot, sync, self.panic_at, telem);
+            let mut iteration = 0u64;
+            let exit = loop {
+                if iteration > self.max_iterations {
+                    return Err(RuntimeError::IterationBudgetExceeded);
+                }
+                // An injected panic in `run` is caught by `run_lowered_out`'s boundary.
+                match runner.run(iteration, tier, &mut || {}) {
+                    Ok(IterEnd::Completed) => iteration += 1,
+                    Ok(IterEnd::Exit { block }) => {
+                        let regs = std::mem::take(&mut runner.regs);
+                        break LoopExit::Edge { block, regs };
                     }
+                    Ok(IterEnd::Returned(v)) => break LoopExit::Returned(v),
+                    Ok(IterEnd::Cancelled) => {
+                        unreachable!("a single worker never observes a foreign exit")
+                    }
+                    Err(e) => return Err(convert_iter_error(loop_image, iteration, e)),
                 }
-                Ok(IterEnd::Returned(v)) => break LoopExit::Returned(v),
-                Ok(IterEnd::Cancelled) => {
-                    unreachable!("a single worker never observes a foreign exit")
-                }
-                Err(e) => {
-                    return Err(convert_iter_error(loop_image, iteration, e));
-                }
-            }
+            };
+            Ok((exit, runner.drain_private_words(tier)))
         };
-        let (block, mut regs) = match exit {
-            LoopExit::Edge { block, regs } => (block, regs),
-            LoopExit::Returned(v) => {
-                let memory = self.capture_memory.then_some(tier.memory);
-                return Ok((v, memory));
-            }
-        };
-        let skipped = tier.drain_private_words();
-        counts.arena_words += skipped;
-        drop(counts);
-        if skipped > 0 {
-            tier.memory
-                .alloc(skipped as usize)
-                .map_err(ExecError::from)?;
-        }
-        let phase_c = match flat_tables {
-            Some(t) => run_flat_threaded(
-                image,
-                t,
-                loop_image.func,
-                block,
-                None,
-                &mut regs,
-                &mut tier,
-                self.max_iterations,
-            )?,
-            None => run_flat(
-                image,
-                loop_image.func,
-                block,
-                None,
-                &mut regs,
-                &mut tier,
-                self.max_iterations,
-            )?,
-        };
-        match phase_c {
-            FlatEnd::Returned(v) => {
-                let memory = self.capture_memory.then_some(tier.memory);
-                Ok((v, memory))
-            }
-            FlatEnd::ReachedStop => unreachable!("phase C has no stop block"),
-        }
+        let value = self.run_phases(&engine, image, loop_image, args, &mut tier, phase_b)?;
+        Ok((value, self.capture_memory.then_some(tier.memory)))
     }
 
-    /// Multi-worker execution over striped shared memory, with helpers activated lazily
-    /// from the persistent pool. The worker count is clamped to the hardware thread count
-    /// (see [`ParallelExecutor::effective_workers`]); callers that pinned a wait profile
-    /// keep their exact count.
-    fn run_pooled(
-        &self,
-        image: &ExecImage,
-        loop_image: &LoopImage,
-        args: &[Value],
-        telem: Option<&TelemetryRun>,
-    ) -> Result<(Option<Value>, Option<Memory>), RuntimeError> {
-        let clamped = ParallelExecutor {
-            threads: self.effective_workers(),
-            ..*self
-        };
-        clamped.run_pooled_on(WorkerPool::global(), image, loop_image, args, telem)
-    }
-
-    /// [`ParallelExecutor::run_pooled`] against an explicit pool (tests use a private pool
-    /// to observe activation behaviour). `telem`, when present, must hold at least
+    /// Multi-worker execution over striped shared memory with `self.threads` workers (the
+    /// caller clamps; see [`ParallelExecutor::effective_workers`]): the calling thread is
+    /// worker 0, helpers are activated lazily from `pool` (tests pass a private pool to
+    /// observe activation behaviour). `telem`, when present, must hold at least
     /// `self.threads` worker slots.
     pub(crate) fn run_pooled_on(
         &self,
@@ -1293,241 +977,73 @@ impl ParallelExecutor {
         args: &[Value],
         telem: Option<&TelemetryRun>,
     ) -> Result<(Option<Value>, Option<Memory>), RuntimeError> {
-        let fi = image.func(loop_image.func);
-        let dispatch = self.resolved_tier();
         let memory = ShardedMemory::from_memory(&image.initial_memory);
-        // Owns any JIT artifact; outlives every use of `flat_tables` below.
-        let built_flat = jit::build_flat_tables::<SharedTier>(dispatch, image);
-        let flat_tables = built_flat.as_ref().map(|(t, _)| t);
-        let mut tier = SharedTier {
-            shared: &memory,
-            arena: PrivateArena::new(),
-            // Phase A (and a solo Phase B prefix) run before any helper can touch memory.
-            exclusive: true,
-        };
-        let mut regs = Self::entry_regs(image, loop_image, args);
-        let phase_a = match flat_tables {
-            Some(t) => run_flat_threaded(
-                image,
-                t,
-                loop_image.func,
-                fi.entry_block,
-                Some(loop_image.header),
-                &mut regs,
-                &mut tier,
-                self.max_iterations,
-            )?,
-            None => run_flat(
-                image,
-                loop_image.func,
-                fi.entry_block,
-                Some(loop_image.header),
-                &mut regs,
-                &mut tier,
-                self.max_iterations,
-            )?,
-        };
-        match phase_a {
-            // The loop was never reached.
-            FlatEnd::Returned(v) => {
-                let captured = self
-                    .capture_memory
-                    .then(|| memory.snapshot(&image.initial_memory));
-                return Ok((v, captured));
-            }
-            FlatEnd::ReachedStop => {}
-        }
-
-        let profile = self
-            .wait_profile
-            .unwrap_or_else(|| WaitProfile::for_threads_on(self.threads, self.hardware));
-        let shared = RunShared::new(
+        // Built once, here; helpers dispatch through the same tables and native code.
+        let engine = Engine::build(self.resolved_tier(), image, Some(loop_image));
+        let mut tier = SharedTier::owner(&memory);
+        let value = self.run_phases(
+            &engine,
             image,
             loop_image,
-            regs,
-            self.threads,
-            self.max_iterations,
-            self.spin_budget,
-            self.panic_at,
-            profile,
-        );
-        let helpers = self.threads - 1;
-        let job = |worker: usize| {
-            // Helper panic boundary: record the cancellation *before* re-raising into
-            // the pool's own catch, so every other worker drains promptly (iteration 0
-            // wins the earliest-error race and zeroes `exited_at`) instead of spinning
-            // out its full deadlock budget on control that will never be released.
-            let run = catch_unwind(AssertUnwindSafe(|| {
-                let mut tier = SharedTier {
-                    shared: &memory,
-                    arena: PrivateArena::new(),
-                    exclusive: false,
+            args,
+            &mut tier,
+            |tier, snapshot| {
+                let shared = RunShared::new(loop_image, snapshot, self);
+                let helpers = self.threads - 1;
+                let job = |worker: usize| {
+                    // Helper panic boundary: record the cancellation *before* re-raising
+                    // into the pool's own catch, so every other worker drains promptly.
+                    let run = catch_unwind(AssertUnwindSafe(|| {
+                        let mut tier = SharedTier::helper(&memory);
+                        // Helpers run with pool indices 1..=helpers; slot 0 is the caller.
+                        let telem = telem.map(|r| r.ctx(worker));
+                        phase_b_worker(&shared, &engine, &mut tier, &mut || {}, telem);
+                    }));
+                    if let Err(payload) = run {
+                        shared.record_panic(worker, panic_message(payload.as_ref()));
+                        // Re-raise into the pool's catch: the pool poisons itself and
+                        // respawns its helper cohort on the next submit.
+                        resume_unwind(payload);
+                    }
                 };
-                // Each helper lowers (and, under the JIT tier, compiles) its own handler
-                // table: a single pass over the loop bytecode, far below the pool-wake
-                // cost it rides on. The artifact binding keeps any native code mapped for
-                // the whole phase.
-                let built = jit::build_iter_table(dispatch, loop_image);
-                let table = built.as_ref().map(|(t, _)| t);
-                // Helpers run with pool indices 1..=helpers; slot 0 is the calling thread.
-                phase_b_worker(
-                    &shared,
-                    &mut tier,
-                    true,
-                    &mut || {},
-                    telem.map(|r| r.ctx(worker)),
-                    table,
-                );
-            }));
-            if let Err(payload) = run {
-                shared.record_error(
-                    0,
-                    RuntimeError::WorkerPanicked {
-                        worker,
-                        message: panic_message(payload.as_ref()),
-                        tail: Vec::new(),
-                    },
-                );
-                // Re-raise into the pool's catch: the pool poisons itself and respawns
-                // its helper cohort on the next submit.
-                resume_unwind(payload);
-            }
-        };
-        {
-            // The calling thread is worker 0; helpers are activated the first time worker
-            // 0 releases control — a loop that exits from iteration 0's prologue never
-            // wakes them (the zero-iteration short-circuit).
-            let mut ticket = None;
-            let mut activate = || {
-                if ticket.is_none() && helpers > 0 {
-                    ticket = Some(pool.submit(helpers, &job));
-                }
-            };
-            // On an oversubscribed machine the primary starts in the solo fast path and
-            // switches to the shared claim loop only if a helper asks to join.
-            let primary_telem = telem.map(|r| r.ctx(0));
-            let built = jit::build_iter_table(dispatch, loop_image);
-            let table = built.as_ref().map(|(t, _)| t);
-            // Primary panic boundary: a panic on the submitting thread mid-Phase-B must
-            // record the cancellation before the ticket join below, or the helpers would
-            // wait forever on control the primary can no longer release.
-            let primary = catch_unwind(AssertUnwindSafe(|| {
-                let solo_ended = if shared.published.0.load(Ordering::Acquire) == 0 {
-                    phase_b_solo(&shared, &mut tier, &mut activate, primary_telem, table).is_none()
-                } else {
-                    false
+                // Helpers are activated the first time worker 0 releases control — a loop
+                // that exits from iteration 0's prologue never wakes them (the zero-iteration
+                // short-circuit).
+                let mut ticket = None;
+                let mut activate = || {
+                    if ticket.is_none() && helpers > 0 {
+                        ticket = Some(pool.submit(helpers, &job));
+                    }
                 };
-                if !solo_ended {
-                    // The claim protocol is public: helpers may be racing on shared memory.
-                    tier.set_exclusive(false);
-                    phase_b_worker(
-                        &shared,
-                        &mut tier,
-                        false,
-                        &mut activate,
-                        primary_telem,
-                        table,
-                    );
+                // Transition 1 of 2: before the first `pool.submit` can happen, this thread
+                // stops eliding shard locks.
+                tier.share();
+                // Primary panic boundary: a panic on the submitting thread mid-Phase-B must
+                // record the cancellation before the ticket join below, or the helpers would
+                // wait forever on control the primary can no longer release.
+                let primary = catch_unwind(AssertUnwindSafe(|| {
+                    let telem = telem.map(|r| r.ctx(0));
+                    phase_b_worker(&shared, &engine, tier, &mut activate, telem);
+                }));
+                if let Err(payload) = primary {
+                    shared.record_panic(0, panic_message(payload.as_ref()));
                 }
-            }));
-            if let Err(payload) = primary {
-                shared.record_error(
-                    0,
-                    RuntimeError::WorkerPanicked {
-                        worker: 0,
-                        message: panic_message(payload.as_ref()),
-                        tail: Vec::new(),
-                    },
-                );
-            }
-            if let Some(t) = ticket {
-                if let Err(p) = t.wait() {
-                    // The helper's own boundary already recorded the structured error
-                    // before re-raising; this fallback covers a panic that somehow
-                    // escaped outside it (record_error keeps the earliest, so a
-                    // duplicate is a no-op).
-                    shared.record_error(
-                        0,
-                        RuntimeError::WorkerPanicked {
-                            worker: p.worker,
-                            message: p.message,
-                            tail: Vec::new(),
-                        },
-                    );
+                if let Some(Err(p)) = ticket.map(|t| t.wait()) {
+                    // The helper's own boundary already recorded the structured error before
+                    // re-raising; this fallback covers a panic that somehow escaped outside
+                    // it (record_error keeps the earliest, so a duplicate is a no-op).
+                    shared.record_panic(p.worker, p.message);
                 }
-            }
-            // Every helper has left the job (the ticket join is the barrier): this thread
-            // owns memory again for Phase C.
-            tier.set_exclusive(true);
-        }
-        let value = self.finish(shared, &mut tier, flat_tables, |tier, words| {
-            tier.shared.reserve(words).map_err(ExecError::from)
-        })?;
+                // Transition 2 of 2: the ticket join is the barrier — every helper has left
+                // the job and dropped its tier — so this thread owns memory again for Phase C.
+                tier.reclaim();
+                shared.into_outcome()
+            },
+        )?;
         let captured = self
             .capture_memory
             .then(|| memory.snapshot(&image.initial_memory));
         Ok((value, captured))
-    }
-
-    /// Shared Phase B epilogue + Phase C: surface errors, re-reserve privately served
-    /// words, resume from the earliest exit.
-    fn finish<T: Tier>(
-        &self,
-        shared: RunShared<'_>,
-        tier: &mut T,
-        flat_tables: Option<&FlatTables<T>>,
-        reserve: impl FnOnce(&mut T, usize) -> Result<(), ExecError>,
-    ) -> Result<Option<Value>, RuntimeError> {
-        let image = shared.image;
-        let loop_image = shared.loop_image;
-        // Sequential semantics pick whichever loop end comes first in *iteration* order: a
-        // fault in a speculative iteration past an already-recorded exit is work sequential
-        // execution never performs and must not mask the legitimate result. An error at or
-        // before the earliest exit is real (sequential execution reaches it first).
-        let error = shared.error.into_inner();
-        let exit = shared.exit_state.into_inner();
-        if let Some((err_iter, err)) = error {
-            let exit_iter = exit.as_ref().map_or(u64::MAX, |(i, _)| *i);
-            if err_iter <= exit_iter {
-                return Err(err);
-            }
-        }
-        let (block, mut regs) = match exit {
-            Some((_, LoopExit::Edge { block, regs })) => (block, regs),
-            Some((_, LoopExit::Returned(v))) => return Ok(v),
-            None => return Err(RuntimeError::IterationBudgetExceeded),
-        };
-        // Re-reserve the privately served allocations so Phase C's shared addresses match
-        // a sequential run of the loop.
-        let skipped = shared.private_words.load(Ordering::Relaxed);
-        if skipped > 0 {
-            reserve(tier, skipped as usize)?;
-        }
-        let phase_c = match flat_tables {
-            Some(t) => run_flat_threaded(
-                image,
-                t,
-                loop_image.func,
-                block,
-                None,
-                &mut regs,
-                tier,
-                self.max_iterations,
-            )?,
-            None => run_flat(
-                image,
-                loop_image.func,
-                block,
-                None,
-                &mut regs,
-                tier,
-                self.max_iterations,
-            )?,
-        };
-        match phase_c {
-            FlatEnd::Returned(v) => Ok(v),
-            FlatEnd::ReachedStop => unreachable!("phase C has no stop block"),
-        }
     }
 }
 
@@ -1622,9 +1138,9 @@ mod tests {
     #[test]
     fn dispatch_tiers_agree_at_every_thread_count() {
         // The direct-threaded and JIT tiers must be observationally identical to the
-        // switch interpreter: same result, at every worker count, under the pinned
-        // DEDICATED profile that keeps the full claim protocol alive. (On targets
-        // without JIT support the `Jit` leg degrades to threaded — still a valid leg.)
+        // switch interpreter: same result, at every worker count — the `hardware`
+        // override keeps the full claim protocol alive on any host. (On targets without
+        // JIT support the `Jit` leg degrades to threaded — still a valid leg.)
         let (module, main, transformed) = build_accumulator(96);
         let mut machine = Machine::new(&module);
         let expected = machine.call(main, &[]).unwrap().unwrap().as_int();
@@ -1636,9 +1152,8 @@ mod tests {
                 DispatchTier::Jit,
                 DispatchTier::Auto,
             ] {
-                let executor = ParallelExecutor::new(threads)
-                    .with_wait_profile(WaitProfile::DEDICATED)
-                    .with_dispatch_tier(tier);
+                let mut executor = ParallelExecutor::new(threads).with_dispatch_tier(tier);
+                executor.hardware = threads;
                 let got = executor
                     .run_parallel(&pimg, &[])
                     .unwrap_or_else(|e| panic!("{threads}t/{tier}: {e}"))
@@ -1857,8 +1372,8 @@ mod tests {
         // The prerequisite bugfix of the service work: a worker panic during a parallel
         // run must come back as `RuntimeError::WorkerPanicked` (payload preserved, no
         // process abort), and the *next* run on the same executor — same process-wide
-        // pool — must succeed on a transparently respawned helper cohort. The DEDICATED
-        // pin keeps the full multi-worker claim protocol alive on a 1-CPU host.
+        // pool — must succeed on a transparently respawned helper cohort. The `hardware`
+        // override keeps the full multi-worker claim protocol alive on a 1-CPU host.
         let (_module, _main, transformed) = build_accumulator(64);
         let pimg = ParallelImage::lower(&transformed);
         let expected = ParallelExecutor::new(1)
@@ -1875,9 +1390,8 @@ mod tests {
                 DispatchTier::Threaded,
                 DispatchTier::Jit,
             ] {
-                let executor = ParallelExecutor::new(threads)
-                    .with_wait_profile(WaitProfile::DEDICATED)
-                    .with_dispatch_tier(tier);
+                let mut executor = ParallelExecutor::new(threads).with_dispatch_tier(tier);
+                executor.hardware = threads;
                 let faulty = executor.with_injected_panic(7);
                 match faulty.run_parallel(&pimg, &[]) {
                     Err(RuntimeError::WorkerPanicked {
@@ -1917,9 +1431,8 @@ mod tests {
         std::env::set_var("HELIX_DISABLE_JIT", "1");
         assert!(!crate::jit::jit_supported());
         for tier in [DispatchTier::Jit, DispatchTier::Auto] {
-            let executor = ParallelExecutor::new(2)
-                .with_wait_profile(WaitProfile::DEDICATED)
-                .with_dispatch_tier(tier);
+            let mut executor = ParallelExecutor::new(2).with_dispatch_tier(tier);
+            executor.hardware = 2;
             assert_ne!(executor.resolved_tier(), DispatchTier::Auto);
             let got = executor
                 .run_parallel(&pimg, &[])
@@ -1935,9 +1448,8 @@ mod tests {
     fn captured_memory_is_deterministic_across_runs() {
         let (_module, _main, transformed) = build_accumulator(48);
         let pimg = ParallelImage::lower(&transformed);
-        let executor = ParallelExecutor::new(2)
-            .with_wait_profile(WaitProfile::DEDICATED)
-            .with_capture_memory(true);
+        let mut executor = ParallelExecutor::new(2).with_capture_memory(true);
+        executor.hardware = 2;
         let first = executor.run_parallel_out(&pimg, &[]);
         let second = executor.run_parallel_out(&pimg, &[]);
         let a = first.memory.expect("captured");
@@ -1975,6 +1487,53 @@ mod tests {
                 .contains("fit 16 hardware thread(s)"),
             "diagnostic uses the snapshot: {}",
             executor.clamp_reason()
+        );
+        // The snapshot is the only thing that lifts the clamp: there is no third
+        // "pinned" state, so the diagnostic is always one of the two sentences above.
+        executor.hardware = 8;
+        assert_eq!(executor.effective_workers(), 8);
+        assert_eq!(
+            executor.clamp_reason(),
+            "8 worker(s) fit 8 hardware thread(s)"
+        );
+        executor.hardware = 7;
+        assert_eq!(executor.effective_workers(), 7);
+        assert_eq!(
+            executor.clamp_reason(),
+            "clamped 8 -> 7: only 7 hardware thread(s) available"
+        );
+    }
+
+    #[test]
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    fn jit_run_maps_executable_memory_once_not_once_per_worker() {
+        use crate::jit::exec_mem::MAPPINGS;
+        let _env = crate::jit::TEST_ENV_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        assert!(crate::jit::jit_supported());
+        let (_module, _main, transformed) = build_accumulator(64);
+        let pimg = ParallelImage::lower(&transformed);
+        let executor = ParallelExecutor::new(4).with_dispatch_tier(DispatchTier::Jit);
+        let pool = WorkerPool::new();
+        let before = MAPPINGS.with(|n| n.get());
+        executor
+            .run_pooled_on(&pool, &pimg.exec, &pimg.loop_image, &[], None)
+            .unwrap();
+        let on_submitter = MAPPINGS.with(|n| n.get()) - before;
+        assert!(on_submitter >= 1, "the run compiled native code at all");
+        // The same three pool threads that just ran the loop report how many mappings
+        // each of them has ever made.
+        assert_eq!(pool.spawned_helpers(), 3);
+        let on_helpers = AtomicU64::new(0);
+        let probe = |_ix: usize| {
+            on_helpers.fetch_add(MAPPINGS.with(|n| n.get()) as u64, Ordering::SeqCst);
+        };
+        pool.submit(3, &probe).wait().unwrap();
+        assert_eq!(
+            on_helpers.load(Ordering::SeqCst),
+            0,
+            "helpers share the submitter's engine instead of compiling their own"
         );
     }
 

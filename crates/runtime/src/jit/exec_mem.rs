@@ -48,6 +48,23 @@ pub struct ExecMem {
     sealed: bool,
 }
 
+// SAFETY: `ptr` is an anonymous private mapping this value owns exclusively (unmapped
+// only in `Drop`). Writes to it (`fill`, `seal`) need `&mut self`; through `&self` only
+// the address, the length and the `sealed` flag can be read, and once sealed the pages are
+// immutable code that any number of threads may execute at once. Moving the owner to
+// another thread moves nothing thread-affine: `munmap` may run on any thread.
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+unsafe impl Send for ExecMem {}
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+unsafe impl Sync for ExecMem {}
+
+#[cfg(test)]
+thread_local! {
+    /// Successful [`ExecMem::new`] calls made by the current thread (test observability:
+    /// the executor must map code on the submitting thread only, once per run).
+    pub(crate) static MAPPINGS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 impl ExecMem {
     /// Maps `len` bytes (rounded up to whole pages) of fresh anonymous RW memory.
@@ -71,6 +88,8 @@ impl ExecMem {
         if ptr == sys::MAP_FAILED || ptr.is_null() {
             return None;
         }
+        #[cfg(test)]
+        MAPPINGS.with(|n| n.set(n.get() + 1));
         Some(ExecMem {
             ptr: ptr.cast(),
             len,

@@ -225,7 +225,8 @@ pub(crate) static TEST_ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(()
 
 /// Keeps a patched table's native code and saved head slots alive. **Must outlive the
 /// table it was built with**: the table's rewritten head slots hold raw addresses into
-/// `parts` — the builders return the two together so scope does the enforcement.
+/// `parts` — the builders return the two together and [`crate::engine::Engine`], their
+/// only caller, owns them as one value.
 pub(crate) struct JitArtifact<T: Tier> {
     #[allow(dead_code)] // held for ownership: tables point into these allocations
     parts: Vec<(ExecMem, Box<[TOp<T>]>)>,

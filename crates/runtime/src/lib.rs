@@ -26,6 +26,8 @@
 //! * [`sharded`] — [`ShardedMemory`], lock-striped shared program memory with an atomic
 //!   bump allocator, now extended with a thread-local tier ([`PrivateArena`]) serving
 //!   allocations the privatization analysis proved iteration-private;
+//! * `engine` — one run's dispatch tables and JIT code behind `run_flat`/`run_iteration`,
+//!   built once on the submitting thread and shared by reference with every helper;
 //! * [`executor`] — [`ParallelExecutor`] orchestrates the three phases, short-circuits
 //!   zero-iteration loops to pure sequential execution, and reports deadlocks with the
 //!   owning segment and pc range straight from the image's side tables;
@@ -40,6 +42,7 @@
 //! is it actually faster? (`crates/bench/benches/parallel_runtime.rs` measures it.)
 
 pub mod calibrate;
+mod engine;
 pub mod executor;
 pub mod jit;
 pub mod lanes;
@@ -54,7 +57,7 @@ pub use executor::{ParallelExecutor, RunOutput, RuntimeError};
 pub use jit::jit_supported;
 pub use lanes::SignalLanes;
 pub use parallel_image::{LoopImage, ParallelImage, SegmentLane};
-pub use pool::{detect_hardware_threads, WaitProfile, WaitStats, WorkerPanic, WorkerPool};
+pub use pool::{detect_hardware_threads, WaitStats, WorkerPanic, WorkerPool};
 pub use sharded::{PrivateArena, ShardedMemory, PRIVATE_BASE};
 pub use telemetry::{
     Event, EventKind, ObservedSegmentCost, TelemetryMode, TelemetryReport, TelemetryRun, WorkerTail,

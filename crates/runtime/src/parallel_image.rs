@@ -30,7 +30,7 @@
 //! [`helix_ir::ImageEvaluator`]; only the accounting is gone.
 
 use crate::lanes::SignalLanes;
-use crate::pool::{AdaptiveWait, Sleepers, WaitProfile};
+use crate::pool::{AdaptiveWait, Sleepers};
 use crate::sharded::{PrivateArena, ShardedMemory, PRIVATE_BASE};
 use helix_core::TransformedProgram;
 use helix_ir::interp::{eval_binop, eval_pred, eval_unop, ExecError, MAX_CALL_DEPTH};
@@ -1543,37 +1543,110 @@ pub(crate) trait Tier {
     /// sequentially (`Memory::MAX_WORDS` is far below [`PRIVATE_BASE`]).
     fn load(&mut self, addr: i64) -> Result<Value, ExecError>;
     fn store(&mut self, addr: i64, value: Value) -> Result<(), ExecError>;
+    fn alloc(&mut self, words: usize) -> Result<i64, ExecError>;
+    /// The worker's private arena; the routing below is the same for every tier.
+    fn arena(&mut self) -> &mut PrivateArena;
     /// Access from a statically-proven privatized site: private-range addresses route to
     /// the worker's arena, everything else to shared memory.
-    fn load_private(&mut self, addr: i64) -> Result<Value, ExecError>;
-    fn store_private(&mut self, addr: i64, value: Value) -> Result<(), ExecError>;
-    fn alloc(&mut self, words: usize) -> Result<i64, ExecError>;
-    fn alloc_private(&mut self, words: usize) -> Result<i64, ExecError>;
+    #[inline]
+    fn load_private(&mut self, addr: i64) -> Result<Value, ExecError> {
+        if addr >= PRIVATE_BASE {
+            Ok(self.arena().load(addr)?)
+        } else {
+            self.load(addr)
+        }
+    }
+    #[inline]
+    fn store_private(&mut self, addr: i64, value: Value) -> Result<(), ExecError> {
+        if addr >= PRIVATE_BASE {
+            Ok(self.arena().store(addr, value)?)
+        } else {
+            self.store(addr, value)
+        }
+    }
+    #[inline]
+    fn alloc_private(&mut self, words: usize) -> Result<i64, ExecError> {
+        Ok(self.arena().alloc(words)?)
+    }
     /// Starts a new iteration: previous private allocations are dead.
-    fn reset_arena(&mut self);
+    fn reset_arena(&mut self) {
+        self.arena().reset();
+    }
     /// Words served privately since the last drain (re-reserved in shared memory).
-    fn drain_private_words(&mut self) -> u64;
-    /// Declares whether the caller is provably the only thread touching shared memory
-    /// (solo mode / sequential phases); exclusive tiers may elide locking. Default no-op
-    /// for tiers that are always exclusive.
-    fn set_exclusive(&mut self, _exclusive: bool) {}
+    fn drain_private_words(&mut self) -> u64 {
+        self.arena().drain_skipped_words()
+    }
 }
 
 /// Striped shared memory + per-worker arena: the tier of multi-threaded runs. While
-/// `exclusive` is set (sequential phases and the primary's solo mode, where this thread
-/// provably owns all of memory) shard locks are elided entirely.
+/// `exclusive` is set (the sequential phases, where this thread provably owns all of
+/// memory) shard locks are elided entirely.
+///
+/// `exclusive` is private and has exactly two transitions per run, both on the submitting
+/// thread's tier: [`SharedTier::share`] *before the first `pool.submit`* and
+/// [`SharedTier::reclaim`] *after `JobTicket::wait`*. Helper tiers ([`SharedTier::helper`])
+/// lock from creation to drop.
 pub(crate) struct SharedTier<'a> {
-    pub shared: &'a ShardedMemory,
-    pub arena: PrivateArena,
-    pub exclusive: bool,
+    shared: &'a ShardedMemory,
+    arena: PrivateArena,
+    exclusive: bool,
+}
+
+impl<'a> SharedTier<'a> {
+    /// The submitting thread's tier: it owns `shared` (Phase A) until [`SharedTier::share`].
+    pub(crate) fn owner(shared: &'a ShardedMemory) -> Self {
+        SharedTier {
+            shared,
+            arena: PrivateArena::new(),
+            exclusive: true,
+        }
+    }
+
+    /// A pool helper's tier: every access takes the shard lock.
+    pub(crate) fn helper(shared: &'a ShardedMemory) -> Self {
+        shared.open_shared_view();
+        SharedTier {
+            shared,
+            arena: PrivateArena::new(),
+            exclusive: false,
+        }
+    }
+
+    /// Gives up ownership: from here on other workers may touch memory, so this tier
+    /// locks too. Must happen before the first `pool.submit` of the run.
+    pub(crate) fn share(&mut self) {
+        debug_assert!(self.exclusive);
+        self.shared.open_shared_view();
+        self.exclusive = false;
+    }
+
+    /// Takes ownership back for Phase C. Must happen after `JobTicket::wait` returned
+    /// (or when no job was ever submitted): every helper tier is dropped by then, which
+    /// debug builds check on the next access.
+    pub(crate) fn reclaim(&mut self) {
+        debug_assert!(!self.exclusive);
+        self.shared.close_shared_view();
+        self.exclusive = true;
+    }
+}
+
+#[cfg(debug_assertions)]
+impl Drop for SharedTier<'_> {
+    fn drop(&mut self) {
+        if !self.exclusive {
+            self.shared.close_shared_view();
+        }
+    }
 }
 
 impl Tier for SharedTier<'_> {
     #[inline]
     fn load(&mut self, addr: i64) -> Result<Value, ExecError> {
         if self.exclusive {
-            // SAFETY: `exclusive` is only set while this thread provably owns the memory
-            // (before the claim protocol publishes / after the job join barrier).
+            // SAFETY: `exclusive` is set only on the submitting thread's tier and only
+            // outside the `share`..`reclaim` window, i.e. before the first `pool.submit`
+            // or after `JobTicket::wait`: no other thread has a tier on this memory
+            // (debug builds assert that no shared view is live).
             Ok(unsafe { self.shared.load_exclusive(addr) }?)
         } else {
             Ok(self.shared.load(addr)?)
@@ -1591,43 +1664,13 @@ impl Tier for SharedTier<'_> {
     }
 
     #[inline]
-    fn load_private(&mut self, addr: i64) -> Result<Value, ExecError> {
-        if addr >= PRIVATE_BASE {
-            Ok(self.arena.load(addr)?)
-        } else {
-            self.load(addr)
-        }
-    }
-
-    #[inline]
-    fn store_private(&mut self, addr: i64, value: Value) -> Result<(), ExecError> {
-        if addr >= PRIVATE_BASE {
-            Ok(self.arena.store(addr, value)?)
-        } else {
-            self.store(addr, value)
-        }
-    }
-
-    #[inline]
     fn alloc(&mut self, words: usize) -> Result<i64, ExecError> {
         Ok(self.shared.alloc(words)?)
     }
 
     #[inline]
-    fn alloc_private(&mut self, words: usize) -> Result<i64, ExecError> {
-        Ok(self.arena.alloc(words)?)
-    }
-
-    fn reset_arena(&mut self) {
-        self.arena.reset();
-    }
-
-    fn drain_private_words(&mut self) -> u64 {
-        self.arena.drain_skipped_words()
-    }
-
-    fn set_exclusive(&mut self, exclusive: bool) {
-        self.exclusive = exclusive;
+    fn arena(&mut self) -> &mut PrivateArena {
+        &mut self.arena
     }
 }
 
@@ -1650,39 +1693,13 @@ impl Tier for LocalTier {
     }
 
     #[inline]
-    fn load_private(&mut self, addr: i64) -> Result<Value, ExecError> {
-        if addr >= PRIVATE_BASE {
-            Ok(self.arena.load(addr)?)
-        } else {
-            Ok(self.memory.load(addr)?)
-        }
-    }
-
-    #[inline]
-    fn store_private(&mut self, addr: i64, value: Value) -> Result<(), ExecError> {
-        if addr >= PRIVATE_BASE {
-            Ok(self.arena.store(addr, value)?)
-        } else {
-            Ok(self.memory.store(addr, value)?)
-        }
-    }
-
-    #[inline]
     fn alloc(&mut self, words: usize) -> Result<i64, ExecError> {
         Ok(self.memory.alloc(words)?)
     }
 
     #[inline]
-    fn alloc_private(&mut self, words: usize) -> Result<i64, ExecError> {
-        Ok(self.arena.alloc(words)?)
-    }
-
-    fn reset_arena(&mut self) {
-        self.arena.reset();
-    }
-
-    fn drain_private_words(&mut self) -> u64 {
-        self.arena.drain_skipped_words()
+    fn arena(&mut self) -> &mut PrivateArena {
+        &mut self.arena
     }
 }
 
@@ -1973,13 +1990,32 @@ pub(crate) struct IterSync<'a> {
     pub exited_at: &'a AtomicU64,
     /// Spin rounds a blocked `Wait` may burn before it is declared deadlocked.
     pub spin_budget: u64,
-    /// Backoff shape of this run's wait sites.
-    pub profile: WaitProfile,
     /// This worker's telemetry handle, `None` when telemetry is disabled. Compiled out
     /// entirely without the `telemetry` feature (`run_iteration` then binds a statically
     /// `None` local, folding every recording branch away).
     #[cfg(feature = "telemetry")]
     pub telem: Option<crate::telemetry::WorkerCtx<'a>>,
+}
+
+impl<'a> IterSync<'a> {
+    pub(crate) fn new(
+        lanes: &'a SignalLanes,
+        sleepers: &'a Sleepers,
+        exited_at: &'a AtomicU64,
+        spin_budget: u64,
+        telem: Option<crate::telemetry::WorkerCtx<'a>>,
+    ) -> Self {
+        #[cfg(not(feature = "telemetry"))]
+        let _ = telem;
+        IterSync {
+            lanes,
+            sleepers,
+            exited_at,
+            spin_budget,
+            #[cfg(feature = "telemetry")]
+            telem,
+        }
+    }
 }
 
 /// How a blocking lane wait ended (the traced slow path of [`POp::Wait`]).
@@ -2004,7 +2040,7 @@ pub(crate) fn wait_blocking(
     pc: u32,
 ) -> WaitOutcome {
     let begin_ns = telem.map(|t| t.on_wait_begin(iteration, pc));
-    let mut backoff = AdaptiveWait::with_profile(sync.sleepers, sync.profile);
+    let mut backoff = AdaptiveWait::new(sync.sleepers);
     let mut polls = 0u64;
     let mut parked = false;
     let end = |outcome: WaitOutcome, backoff: &AdaptiveWait<'_>| {
@@ -2782,8 +2818,8 @@ mod tests {
             let expected = machine.call(transformed.parallel_func, &[]).unwrap();
             let exec = ExecImage::lower(&transformed.module);
             for threads in [1, 2, 4] {
-                let executor = ParallelExecutor::new(threads)
-                    .with_wait_profile(crate::pool::WaitProfile::DEDICATED);
+                let mut executor = ParallelExecutor::new(threads);
+                executor.hardware = threads;
                 let got_fused = executor
                     .run_lowered(&exec, &fused, &[])
                     .unwrap_or_else(|e| panic!("{name} fused {threads}t: {e}"));
@@ -2896,8 +2932,8 @@ mod tests {
         let mut machine = Machine::new(&transformed.module);
         let expected = machine.call(transformed.parallel_func, &[]).unwrap();
         let exec = ExecImage::lower(&transformed.module);
-        let executor =
-            ParallelExecutor::new(2).with_wait_profile(crate::pool::WaitProfile::DEDICATED);
+        let mut executor = ParallelExecutor::new(2);
+        executor.hardware = 2;
         assert_eq!(executor.run_lowered(&exec, &fused, &[]).unwrap(), expected);
         assert_eq!(executor.run_lowered(&exec, &plain, &[]).unwrap(), expected);
     }
@@ -2940,8 +2976,8 @@ mod tests {
         let expected = machine.call(transformed.parallel_func, &[]).unwrap();
         let exec = ExecImage::lower(&transformed.module);
         for threads in [1, 2, 4] {
-            let executor = ParallelExecutor::new(threads)
-                .with_wait_profile(crate::pool::WaitProfile::DEDICATED);
+            let mut executor = ParallelExecutor::new(threads);
+            executor.hardware = threads;
             assert_eq!(
                 executor.run_lowered(&exec, &fused, &[]).unwrap(),
                 expected,
@@ -3004,8 +3040,8 @@ mod tests {
         let expected = machine.call(transformed.parallel_func, &[]).unwrap();
         let exec = ExecImage::lower(&transformed.module);
         for threads in [1, 2, 4] {
-            let executor = ParallelExecutor::new(threads)
-                .with_wait_profile(crate::pool::WaitProfile::DEDICATED);
+            let mut executor = ParallelExecutor::new(threads);
+            executor.hardware = threads;
             assert_eq!(
                 executor.run_lowered(&exec, &fused, &[]).unwrap(),
                 expected,

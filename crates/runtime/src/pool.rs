@@ -16,9 +16,9 @@
 //!
 //! [`AdaptiveWait`] is the wait strategy used by workers at synchronization points: a
 //! bounded spin (cheap when the producer is one segment away), then `yield_now` (lets the
-//! producer run on an oversubscribed machine), then a timed `parking_lot` park on a shared
-//! [`Sleepers`] pad that producers poke only when someone is actually parked — one relaxed
-//! load on the signal fast path.
+//! producer run when something else holds its core), then a timed `parking_lot` park on a
+//! shared [`Sleepers`] pad that producers poke only when someone is actually parked — one
+//! relaxed load on the signal fast path.
 
 use parking_lot::{Condvar, Mutex};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -310,9 +310,9 @@ fn helper_loop(inner: &PoolInner, generation: u64) {
 
 /// The machine's hardware thread count, queried in one place.
 ///
-/// Every consumer (executor worker clamp, wait-profile choice, calibration) snapshots this
-/// once per executor/profile and threads the value through, so a mid-run cgroup resize can
-/// never make two decisions disagree about the same machine.
+/// Every consumer (executor worker clamp, its diagnostic, calibration) snapshots this once
+/// and threads the value through, so a mid-run cgroup resize can never make two decisions
+/// disagree about the same machine.
 pub fn detect_hardware_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
@@ -354,61 +354,6 @@ impl Sleepers {
     }
 }
 
-/// Backoff shape of one run's wait sites, chosen once from the machine's topology.
-///
-/// With at least as many hardware threads as workers (*dedicated*), waiters spin and yield
-/// generously before parking: the producer runs concurrently and the expected wait is short,
-/// so burning a core buys latency. With fewer hardware threads than workers
-/// (*oversubscribed* — every thread of CPU an idle waiter burns is stolen from the producer
-/// it waits for), waiters go to sleep almost immediately and park with exponentially
-/// growing timeouts.
-#[derive(Clone, Copy, Debug)]
-pub struct WaitProfile {
-    spin_limit: u32,
-    yield_limit: u32,
-    park_initial: Duration,
-    park_max: Duration,
-}
-
-impl WaitProfile {
-    /// Generous spinning: enough hardware threads for every worker.
-    pub const DEDICATED: WaitProfile = WaitProfile {
-        spin_limit: 512,
-        yield_limit: 4096,
-        park_initial: Duration::from_micros(200),
-        park_max: Duration::from_micros(800),
-    };
-
-    /// Near-immediate parking: more workers than hardware threads.
-    pub const OVERSUBSCRIBED: WaitProfile = WaitProfile {
-        spin_limit: 16,
-        yield_limit: 24,
-        park_initial: Duration::from_micros(500),
-        park_max: Duration::from_millis(8),
-    };
-
-    /// Picks the profile for `threads` workers on this machine (fresh hardware snapshot).
-    pub fn for_threads(threads: usize) -> WaitProfile {
-        Self::for_threads_on(threads, detect_hardware_threads())
-    }
-
-    /// Picks the profile for `threads` workers given an already-taken `hardware` thread
-    /// snapshot — callers that made other decisions from a snapshot pass the same one so
-    /// profile and clamp can't disagree mid-run.
-    pub fn for_threads_on(threads: usize, hardware: usize) -> WaitProfile {
-        if hardware >= threads {
-            WaitProfile::DEDICATED
-        } else {
-            WaitProfile::OVERSUBSCRIBED
-        }
-    }
-
-    /// `true` when waiters spin long enough that progress wake-ups are worth sending.
-    pub fn wakes_on_progress(&self) -> bool {
-        self.park_max <= WaitProfile::DEDICATED.park_max
-    }
-}
-
 /// Budget units charged per microsecond parked: calibrated so deadlock budgets expressed in
 /// yield-spins on the previous executor (~100ns each) detect lost signals in comparable
 /// wall-clock time whether the waiter spins or parks.
@@ -432,9 +377,13 @@ pub struct WaitStats {
 }
 
 /// Bounded spin → yield → timed park, shared by every wait site of the runtime.
+///
+/// There is one backoff shape. The executor never runs more workers than hardware threads
+/// (`ParallelExecutor::effective_workers`), so the producer a waiter is blocked on is
+/// running concurrently and the expected wait is short: spin and yield generously before
+/// parking, because burning a core buys latency.
 pub struct AdaptiveWait<'a> {
     sleepers: &'a Sleepers,
-    profile: WaitProfile,
     park: Duration,
     rounds: u32,
     charged: u64,
@@ -442,17 +391,21 @@ pub struct AdaptiveWait<'a> {
 }
 
 impl<'a> AdaptiveWait<'a> {
-    /// Creates a fresh strategy with the [`WaitProfile::DEDICATED`] shape.
-    pub fn new(sleepers: &'a Sleepers) -> Self {
-        Self::with_profile(sleepers, WaitProfile::DEDICATED)
-    }
+    /// Backoff rounds below this one spin.
+    pub const SPIN_LIMIT: u32 = 512;
+    /// Backoff rounds below this one (and at or past [`Self::SPIN_LIMIT`]) yield; later
+    /// rounds park.
+    pub const YIELD_LIMIT: u32 = 4096;
+    /// Timeout of the first park; doubles per park up to [`Self::PARK_MAX`].
+    pub const PARK_INITIAL: Duration = Duration::from_micros(200);
+    /// Longest single park.
+    pub const PARK_MAX: Duration = Duration::from_micros(800);
 
     /// Creates a fresh strategy (used once per logical wait).
-    pub fn with_profile(sleepers: &'a Sleepers, profile: WaitProfile) -> Self {
+    pub fn new(sleepers: &'a Sleepers) -> Self {
         Self {
             sleepers,
-            profile,
-            park: profile.park_initial,
+            park: Self::PARK_INITIAL,
             rounds: 0,
             charged: 0,
             stats: WaitStats::default(),
@@ -464,11 +417,11 @@ impl<'a> AdaptiveWait<'a> {
     #[inline]
     pub fn wait(&mut self) -> u64 {
         self.rounds = self.rounds.saturating_add(1);
-        if self.rounds < self.profile.spin_limit {
+        if self.rounds < Self::SPIN_LIMIT {
             std::hint::spin_loop();
             self.charged += 1;
             self.stats.spins += 1;
-        } else if self.rounds < self.profile.yield_limit {
+        } else if self.rounds < Self::YIELD_LIMIT {
             std::thread::yield_now();
             self.charged += 1;
             self.stats.yields += 1;
@@ -477,7 +430,7 @@ impl<'a> AdaptiveWait<'a> {
             self.charged += PARK_COST_PER_US * self.park.as_micros().max(1) as u64;
             self.stats.parks += 1;
             self.stats.park_us += self.park.as_micros() as u64;
-            self.park = (self.park * 2).min(self.profile.park_max);
+            self.park = (self.park * 2).min(Self::PARK_MAX);
         }
         self.charged
     }
@@ -494,7 +447,7 @@ impl<'a> AdaptiveWait<'a> {
     pub fn reset(&mut self) {
         self.rounds = 0;
         self.charged = 0;
-        self.park = self.profile.park_initial;
+        self.park = Self::PARK_INITIAL;
         self.stats = WaitStats::default();
     }
 }
@@ -655,16 +608,23 @@ mod tests {
     #[test]
     fn adaptive_wait_stats_split_by_stage() {
         let sleepers = Sleepers::new();
-        let mut wait = AdaptiveWait::with_profile(&sleepers, WaitProfile::OVERSUBSCRIBED);
-        // OVERSUBSCRIBED: 15 spins (rounds 1..16), 8 yields (16..24), then parks.
-        for _ in 0..24 {
+        let mut wait = AdaptiveWait::new(&sleepers);
+        // Rounds 1..SPIN_LIMIT spin, SPIN_LIMIT..YIELD_LIMIT yield, then parks.
+        for _ in 0..AdaptiveWait::YIELD_LIMIT {
             wait.wait();
         }
         let stats = wait.stats();
-        assert_eq!(stats.spins, 15);
-        assert_eq!(stats.yields, 8);
+        assert_eq!(stats.spins, u64::from(AdaptiveWait::SPIN_LIMIT) - 1);
+        assert_eq!(
+            stats.yields,
+            u64::from(AdaptiveWait::YIELD_LIMIT - AdaptiveWait::SPIN_LIMIT)
+        );
         assert_eq!(stats.parks, 1);
-        assert!(stats.park_us >= 500, "first park is the 500us initial");
+        assert_eq!(
+            stats.park_us,
+            AdaptiveWait::PARK_INITIAL.as_micros() as u64,
+            "first park is the initial timeout"
+        );
         wait.reset();
         assert_eq!(wait.stats(), WaitStats::default());
     }

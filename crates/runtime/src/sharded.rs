@@ -20,6 +20,8 @@
 use helix_ir::{Memory, Value};
 use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};
+#[cfg(debug_assertions)]
+use std::sync::atomic::AtomicUsize;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 
 pub use helix_ir::memory::MemoryError;
@@ -51,9 +53,13 @@ impl<T> SpinLock<T> {
     ///
     /// # Safety
     ///
-    /// The caller must guarantee no other thread accesses the value concurrently (the
-    /// runtime's solo mode: one worker provably owns all of memory until the claim
-    /// protocol is published, which happens-before any other worker's first access).
+    /// The caller must guarantee no other thread accesses the value concurrently. The
+    /// executor's lock elision rests on exactly two transitions per run: the submitting
+    /// thread owns all of memory from the start of Phase A until it gives that up *before
+    /// the first `pool.submit`* (the pool's job mutex orders every earlier write before any
+    /// helper's first access), and it owns memory again only *after `JobTicket::wait`*
+    /// returned (every helper has left the job closure, and that join orders their writes
+    /// before Phase C's reads).
     #[inline]
     unsafe fn get_exclusive(&self) -> *mut T {
         self.value.get()
@@ -245,6 +251,10 @@ pub struct ShardedMemory {
     shard_bits: u32,
     heap_base: i64,
     next_free: AtomicI64,
+    /// Live locking views (debug builds only): the guard behind the exclusive accessors'
+    /// safety contract.
+    #[cfg(debug_assertions)]
+    shared_views: AtomicUsize,
 }
 
 impl ShardedMemory {
@@ -265,6 +275,8 @@ impl ShardedMemory {
             shard_bits: shards.trailing_zeros(),
             heap_base: memory.heap_base(),
             next_free: AtomicI64::new(memory.heap_base() + memory.heap_used() as i64),
+            #[cfg(debug_assertions)]
+            shared_views: AtomicUsize::new(0),
         };
         // Seed the globals region (and any pre-run heap seeding) from the snapshot, one
         // shard lock per address chunk instead of one per word.
@@ -343,18 +355,12 @@ impl ShardedMemory {
     pub fn store(&self, address: i64, value: Value) -> Result<(), MemoryError> {
         let (shard, slot) = self.locate(address, true)?;
         let mut words = self.shards[shard].0.lock();
-        Self::store_slot(&mut words, shard, self.shards.len(), slot, value);
+        Self::store_slot(&mut words, self.shards.len(), slot, value);
         Ok(())
     }
 
     #[inline]
-    fn store_slot(
-        words: &mut Vec<Value>,
-        _shard: usize,
-        num_shards: usize,
-        slot: usize,
-        value: Value,
-    ) {
+    fn store_slot(words: &mut Vec<Value>, num_shards: usize, slot: usize, value: Value) {
         if slot >= words.len() {
             let max_per_shard = Memory::MAX_WORDS / num_shards.max(1) + (1 << CHUNK_BITS);
             let new_len = (slot + 1)
@@ -365,19 +371,49 @@ impl ShardedMemory {
         words[slot] = value;
     }
 
+    /// Declares that some thread is about to access this memory through the locking
+    /// accessors while others may too. Bookkeeping for the debug-build guard of
+    /// [`ShardedMemory::load_exclusive`]/[`ShardedMemory::store_exclusive`]; compiles to
+    /// nothing in release builds.
+    #[inline]
+    pub(crate) fn open_shared_view(&self) {
+        #[cfg(debug_assertions)]
+        self.shared_views.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Ends a view opened with [`ShardedMemory::open_shared_view`].
+    #[inline]
+    pub(crate) fn close_shared_view(&self) {
+        #[cfg(debug_assertions)]
+        self.shared_views.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    #[inline]
+    fn assert_exclusive(&self) {
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            self.shared_views.load(Ordering::SeqCst),
+            0,
+            "lock-elided access while a shared view is live"
+        );
+    }
+
     /// Lock-free read of the word at `address`.
     ///
     /// # Safety
     ///
-    /// The caller must be the only thread accessing this memory (the runtime's solo mode;
-    /// publication of the claim protocol re-establishes locking with a release/acquire
-    /// edge before any other worker touches memory).
+    /// The caller must be the only thread accessing this memory: no shared view (a
+    /// worker's locking handle on it) may be live. In the executor that is Phase A —
+    /// before the first `pool.submit` — and Phase C — after `JobTicket::wait`; nothing in
+    /// between. Debug builds assert it.
     ///
     /// # Errors
     ///
     /// Returns [`MemoryError`] for out-of-range addresses.
     pub unsafe fn load_exclusive(&self, address: i64) -> Result<Value, MemoryError> {
+        self.assert_exclusive();
         let (shard, slot) = self.locate(address, false)?;
+        // SAFETY: the caller is the only thread accessing this memory (contract above).
         let words = unsafe { &*self.shards[shard].0.get_exclusive() };
         Ok(words.get(slot).copied().unwrap_or_default())
     }
@@ -392,9 +428,11 @@ impl ShardedMemory {
     ///
     /// Returns [`MemoryError`] for out-of-range addresses.
     pub unsafe fn store_exclusive(&self, address: i64, value: Value) -> Result<(), MemoryError> {
+        self.assert_exclusive();
         let (shard, slot) = self.locate(address, true)?;
+        // SAFETY: the caller is the only thread accessing this memory (contract above).
         let words = unsafe { &mut *self.shards[shard].0.get_exclusive() };
-        Self::store_slot(words, shard, self.shards.len(), slot, value);
+        Self::store_slot(words, self.shards.len(), slot, value);
         Ok(())
     }
 
@@ -479,6 +517,18 @@ mod tests {
         assert_eq!(mem.load(5).unwrap(), Value::Int(0));
         assert!(mem.load(-1).is_err());
         assert!(mem.store(Memory::MAX_WORDS as i64, Value::Int(1)).is_err());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "lock-elided access while a shared view is live")]
+    fn exclusive_access_under_a_live_shared_view_is_caught() {
+        // The violation the executor's two transitions rule out: touching memory
+        // lock-free while a helper's locking view is still open.
+        let mem = ShardedMemory::from_memory(&Memory::new());
+        mem.open_shared_view();
+        // SAFETY: single-threaded test; the guard fires before any access happens.
+        let _ = unsafe { mem.load_exclusive(1) };
     }
 
     #[test]

@@ -154,7 +154,7 @@ impl std::fmt::Display for Event {
 /// field's doc says it follows the sampling period).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WorkerCounters {
-    /// Iterations claimed (or started, on the solo/single paths).
+    /// Iterations claimed (or started in order, on the single-worker path).
     pub claims: u64,
     /// Iteration bodies executed to any end (including cancelled/failed partial ones).
     pub iterations: u64,

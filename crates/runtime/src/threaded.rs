@@ -1441,7 +1441,7 @@ fn decode_flat_op<T: Tier>(op: &Op) -> TOp<T> {
 }
 
 /// The decoded per-iteration code array of one [`LoopImage`]. Cheap to build (one pass
-/// over the stream), so workers build their own instance.
+/// over the stream); built once per run and shared by every worker.
 pub(crate) struct IterTable<T: Tier> {
     pub(crate) ops: Vec<TOp<T>>,
 }

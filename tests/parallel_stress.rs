@@ -13,12 +13,16 @@ use helix::core::{transform, Helix, HelixConfig, TransformedProgram};
 use helix::ir::builder::{FunctionBuilder, ModuleBuilder};
 use helix::ir::{BinOp, Machine, Operand};
 use helix::profiler::profile_program_image;
-use helix::runtime::{ParallelExecutor, ParallelImage, SignalLanes, WaitProfile, WorkerPool};
+use helix::runtime::{ParallelExecutor, ParallelImage, SignalLanes, WorkerPool};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 const ITERATIONS: u64 = 10_000;
 const THREADS: usize = 6;
+
+/// The process-global worker pool is shared by every test of this binary: tests that assert
+/// on its size, or that grow it, take this lock so they cannot observe each other.
+static GLOBAL_POOL: Mutex<()> = Mutex::new(());
 
 /// One shared, deliberately unsynchronized cell: only the lane protocol orders access.
 struct RacyCell(std::cell::UnsafeCell<u64>);
@@ -120,15 +124,17 @@ fn accumulator(n: i64) -> (helix::ir::Module, helix::ir::FuncId, TransformedProg
 
 #[test]
 fn pooled_runtime_stays_deterministic_across_consecutive_executes() {
+    let _pool = GLOBAL_POOL.lock().unwrap_or_else(|e| e.into_inner());
     let (module, main, transformed) = accumulator(512);
     let mut machine = Machine::new(&module);
     let expected = machine.call(main, &[]).unwrap().unwrap().as_int();
     let pimg = ParallelImage::lower(&transformed);
-    // The dedicated profile forces the full multi-worker claim protocol (on this machine the
-    // adaptive profile may run the loop solo), and the process-global pool is reused across
-    // every call — the regression this guards is a stale counter or lane leaking from one
-    // execute into the next.
-    let executor = ParallelExecutor::new(4).with_wait_profile(WaitProfile::DEDICATED);
+    // The hardware override forces the full four-worker claim protocol (the default executor
+    // clamps to this machine's hardware threads), and the process-global pool is reused
+    // across every call — the regression this guards is a stale counter or lane leaking
+    // from one execute into the next.
+    let mut executor = ParallelExecutor::new(4);
+    executor.hardware = 4;
     let first = executor
         .run_parallel(&pimg, &[])
         .expect("first pooled run")
@@ -155,19 +161,52 @@ fn pooled_runtime_stays_deterministic_across_consecutive_executes() {
     );
 }
 
+/// The hottest candidate plan of `main` in a corpus program, transformed (placement must
+/// be sound whether or not selection would take the loop).
+fn corpus_plan(name: &str) -> (helix::ir::Module, helix::ir::FuncId, TransformedProgram) {
+    let (module, main) = helix::workloads::corpus::load(name).expect("corpus program loads");
+    let nesting = LoopNestingGraph::new(&module);
+    let profile = profile_program_image(&module, &nesting, main, &[]).unwrap();
+    let output = Helix::new(HelixConfig::i7_980x()).analyze(&module, &profile);
+    let plan = output
+        .plans
+        .values()
+        .filter(|p| p.func == main)
+        .max_by_key(|p| profile.loop_profile((p.func, p.loop_id)).cycles)
+        .expect("a loop of main has a plan");
+    let transformed = transform::apply(&module, plan);
+    (module, main, transformed)
+}
+
 #[test]
-fn oversubscribed_and_dedicated_profiles_agree() {
-    // The solo fast path (oversubscribed) and the full claim protocol (dedicated) must be
-    // observationally identical.
-    let (_module, _main, transformed) = accumulator(384);
-    let pimg = ParallelImage::lower(&transformed);
-    let dedicated = ParallelExecutor::new(4)
-        .with_wait_profile(WaitProfile::DEDICATED)
-        .run_parallel(&pimg, &[])
-        .unwrap();
-    let oversubscribed = ParallelExecutor::new(4)
-        .with_wait_profile(WaitProfile::OVERSUBSCRIBED)
-        .run_parallel(&pimg, &[])
-        .unwrap();
-    assert_eq!(dedicated, oversubscribed);
+fn more_workers_than_hardware_agree_with_the_clamped_run() {
+    let _pool = GLOBAL_POOL.lock().unwrap_or_else(|e| e.into_inner());
+    // Eight workers — more than this host has hardware threads, so time-sliced — through
+    // the one claim protocol, against the default executor (clamped to the hardware, down
+    // to the in-order single-worker path on a 1-thread host) and the sequential reference.
+    for (name, (module, main, transformed)) in [
+        ("accumulator", accumulator(384)),
+        ("pointer_chase", corpus_plan("pointer_chase")),
+    ] {
+        let expected = Machine::new(&module).call(main, &[]).unwrap();
+        let pimg = ParallelImage::lower(&transformed);
+        let mut oversubscribed = ParallelExecutor::new(8);
+        oversubscribed.hardware = 8;
+        let clamped = ParallelExecutor::new(8);
+        assert_eq!(oversubscribed.effective_workers(), 8);
+        assert!(clamped.effective_workers() <= clamped.hardware);
+        for round in 0..50 {
+            let wide = oversubscribed
+                .run_parallel(&pimg, &[])
+                .unwrap_or_else(|e| panic!("{name} round {round}, 8 workers: {e}"));
+            let narrow = clamped
+                .run_parallel(&pimg, &[])
+                .unwrap_or_else(|e| panic!("{name} round {round}, clamped: {e}"));
+            assert_eq!(wide, expected, "{name} round {round}: 8 workers diverged");
+            assert_eq!(
+                narrow, expected,
+                "{name} round {round}: clamped run diverged"
+            );
+        }
+    }
 }

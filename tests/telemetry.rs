@@ -1,4 +1,5 @@
-//! Runtime-telemetry validation under the forced `DEDICATED` wait profile.
+//! Runtime-telemetry validation with the requested worker count forced (the `hardware`
+//! override) whatever the host.
 //!
 //! Telemetry must be an *observer*: enabling it cannot change results, and the event
 //! streams it produces must be structurally well-formed — every worker's `WaitBegin`/
@@ -13,7 +14,7 @@ use helix::gen::{differential_check, generate, telemetry_violations, GenConfig, 
 use helix::ir::builder::{FunctionBuilder, ModuleBuilder};
 use helix::ir::{BinOp, Machine, Operand};
 use helix::profiler::profile_program_image;
-use helix::runtime::{DispatchTier, EventKind, ParallelExecutor, TelemetryMode, WaitProfile};
+use helix::runtime::{DispatchTier, EventKind, ParallelExecutor, TelemetryMode};
 
 /// Builds an accumulator whose loop carries a synchronized dependence (same shape as
 /// `parallel_stress.rs`): every iteration loads, mixes and stores one global cell.
@@ -61,9 +62,8 @@ fn full_traces_are_well_formed_at_every_thread_count() {
     let expected = seq.call(main, &[]).unwrap();
 
     for threads in [1usize, 2, 4, 6] {
-        let executor = ParallelExecutor::new(threads)
-            .with_wait_profile(WaitProfile::DEDICATED)
-            .with_telemetry(TelemetryMode::Full);
+        let mut executor = ParallelExecutor::new(threads).with_telemetry(TelemetryMode::Full);
+        executor.hardware = threads;
         let (run, report) = executor.run_traced(&transformed, &[]);
         let got = run.unwrap_or_else(|e| panic!("{threads} threads: {e}"));
         assert_eq!(got, expected, "telemetry changed the result at {threads}t");
@@ -111,7 +111,7 @@ fn full_traces_are_well_formed_at_every_thread_count() {
 #[test]
 fn dispatch_tiers_produce_identical_telemetry() {
     // Telemetry must be dispatch-tier-agnostic: the direct-threaded engine drives the
-    // exact same hooks as the switch interpreter. Under the forced DEDICATED profile the
+    // exact same hooks as the switch interpreter. With the worker count forced the
     // structural invariants (balanced waits, claim permutation) must hold in both tiers,
     // and with one worker — where the schedule is deterministic — the counters must be
     // *identical*, not merely well-formed.
@@ -121,10 +121,10 @@ fn dispatch_tiers_produce_identical_telemetry() {
 
     for threads in [1usize, 2, 4] {
         let run_with = |tier: DispatchTier| {
-            let executor = ParallelExecutor::new(threads)
-                .with_wait_profile(WaitProfile::DEDICATED)
+            let mut executor = ParallelExecutor::new(threads)
                 .with_telemetry(TelemetryMode::Full)
                 .with_dispatch_tier(tier);
+            executor.hardware = threads;
             let (run, report) = executor.run_traced(&transformed, &[]);
             let got = run.unwrap_or_else(|e| panic!("{threads}t/{tier}: {e}"));
             assert_eq!(
@@ -189,9 +189,8 @@ fn dispatch_tiers_produce_identical_telemetry() {
 fn sampled_mode_keeps_counters_exact_with_fewer_events() {
     let (_module, _main, transformed) = accumulator(512);
     let run_with = |mode: TelemetryMode| {
-        let executor = ParallelExecutor::new(4)
-            .with_wait_profile(WaitProfile::DEDICATED)
-            .with_telemetry(mode);
+        let mut executor = ParallelExecutor::new(4).with_telemetry(mode);
+        executor.hardware = 4;
         let (run, report) = executor.run_traced(&transformed, &[]);
         run.unwrap();
         report.expect("report")
@@ -230,7 +229,8 @@ fn sampled_mode_keeps_counters_exact_with_fewer_events() {
 #[test]
 fn disabled_telemetry_produces_no_report() {
     let (_module, _main, transformed) = accumulator(64);
-    let executor = ParallelExecutor::new(2).with_wait_profile(WaitProfile::DEDICATED);
+    let mut executor = ParallelExecutor::new(2);
+    executor.hardware = 2;
     let (run, report) = executor.run_traced(&transformed, &[]);
     run.unwrap();
     assert!(report.is_none(), "disabled telemetry must not aggregate");
@@ -238,8 +238,8 @@ fn disabled_telemetry_produces_no_report() {
 
 #[test]
 fn oracle_with_telemetry_sees_zero_divergences_across_thread_counts() {
-    // Satellite check: enabling telemetry inside the differential oracle (which pins the
-    // DEDICATED wait profile) must cause 0 divergences over a seed sweep at 1/2/4/6
+    // Satellite check: enabling telemetry inside the differential oracle (which forces
+    // the requested worker count) must cause 0 divergences over a seed sweep at 1/2/4/6
     // threads — and the oracle now also validates each traced run's event streams.
     let gen_config = GenConfig::fuzz();
     let oracle = OracleConfig {
