@@ -44,7 +44,7 @@ pub struct HelixConfig {
     pub enable_inlining: bool,
     /// Iteration-privatization analysis (see `privatize`): prove per-iteration allocations
     /// thread-private so the parallel runtime serves them from per-worker bump arenas that
-    /// bypass shared-memory striping, and drop the synchronization of dependences that only
+    /// bypass shared memory, and drop the synchronization of dependences that only
     /// touch privatized storage.
     pub enable_privatization: bool,
     /// Spin budget of the real-thread executor: how many yield-spins a `Wait` performs before

@@ -84,7 +84,7 @@ pub struct ParallelizedLoop {
     pub induction_vars: Vec<(VarId, i64)>,
     /// `Alloc` instructions the privatization analysis proved iteration-private (see
     /// [`crate::privatize`]): the parallel runtime serves them from a per-worker bump arena
-    /// instead of the striped shared memory. Empty when privatization does not apply to this
+    /// instead of the shared memory. Empty when privatization does not apply to this
     /// loop. Instruction references are relative to the *original* function; Step 7 remaps
     /// them into the parallel clone.
     pub private_allocs: BTreeSet<InstrRef>,

@@ -1,8 +1,8 @@
 //! Iteration-privatization analysis: proving per-iteration allocations thread-private.
 //!
-//! The HELIX runtime stripes program memory across lock-guarded shards
-//! (`helix_runtime::ShardedMemory`), so every load and store of every worker pays a lock
-//! round-trip even when the data is only ever touched by the iteration that allocated it.
+//! The HELIX runtime keeps program memory in one shared space of atomic cells
+//! (`helix_runtime::SharedMemory`), so every load and store of every worker goes through
+//! shared memory even when the data is only ever touched by the iteration that allocated it.
 //! Giannoula's study of irregular-application synchronization ("Accelerating Irregular
 //! Applications via Efficient Synchronization and Data Access Techniques") identifies
 //! privatized per-iteration data as one of the two levers that flip such workloads from

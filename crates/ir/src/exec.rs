@@ -8,7 +8,7 @@
 //! mechanism changed.
 //!
 //! The engine is generic over the same [`Context`] trait the tree-walker uses (so the
-//! sequential memory, the profiler and the parallel runtime's sharded shared memory all plug
+//! sequential memory, the profiler and the parallel runtime's shared memory all plug
 //! in unchanged) and over [`ImageObserver`], the lowered counterpart of
 //! [`crate::interp::Observer`]: hooks receive dense block indices and program counters, which
 //! lets profilers keep dense per-pc / per-block counters and fold them back to [`InstrRef`]s

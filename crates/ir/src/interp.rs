@@ -122,7 +122,7 @@ pub trait Context {
     /// Allocates `words` words proved thread-private by the privatization analysis
     /// ([`crate::lower::Op::PrivateAlloc`]). Sequential contexts have no private tier, so the
     /// default forwards to [`Context::alloc`]; the parallel runtime overrides this to serve
-    /// the allocation from a per-worker bump arena that bypasses shared-memory striping.
+    /// the allocation from a per-worker bump arena that bypasses shared memory.
     ///
     /// # Errors
     ///

@@ -64,10 +64,17 @@ impl Memory {
         }
     }
 
-    /// The raw word array (bulk seeding of derived memories; the live prefix is
-    /// `words()[..heap_base + heap_used]`, the tail is untouched capacity).
+    /// The raw word array (the live prefix is [`Memory::live_words`], the tail is untouched
+    /// capacity).
     pub fn words(&self) -> &[Value] {
         &self.words
+    }
+
+    /// The live prefix: the null word, the globals and the allocated heap
+    /// (`words()[..heap_base + heap_used]`). Two memories with equal live words and equal
+    /// heap bookkeeping hold the same program state, whatever their spare capacity.
+    pub fn live_words(&self) -> &[Value] {
+        &self.words[..self.next_free]
     }
 
     /// A copy sharing this memory's layout and contents but cloning only the live prefix
@@ -76,9 +83,8 @@ impl Memory {
     /// backing capacity is mostly untouched (the parallel runtime clones a memory per
     /// `execute`).
     pub fn fresh_copy(&self) -> Memory {
-        let live = (self.heap_base + self.heap_used()).min(self.words.len());
         Memory {
-            words: self.words[..live].to_vec(),
+            words: self.live_words().to_vec(),
             heap_base: self.heap_base,
             next_free: self.next_free,
         }
@@ -201,6 +207,25 @@ mod tests {
         let big = mem.alloc(Memory::DEFAULT_WORDS * 2).unwrap();
         mem.store(big, Value::Int(9)).unwrap();
         assert_eq!(mem.load(big).unwrap(), Value::Int(9));
+    }
+
+    #[test]
+    fn live_words_cover_globals_and_heap_only() {
+        let mut m = Module::new("m");
+        m.add_global_init("g", 2, vec![Value::Int(3)]);
+        let mut mem = Memory::for_module(&m);
+        assert_eq!(
+            mem.live_words(),
+            &[Value::Int(0), Value::Int(3), Value::Int(0)]
+        );
+        mem.alloc(2).unwrap();
+        assert_eq!(mem.live_words().len(), 5);
+        assert_eq!(mem.fresh_copy().live_words(), mem.live_words());
+        assert_eq!(
+            mem.fresh_copy().words().len(),
+            5,
+            "no spare capacity copied"
+        );
     }
 
     #[test]

@@ -40,7 +40,7 @@ use crate::parallel_image::{
     SharedTier, Tier,
 };
 use crate::pool::{detect_hardware_threads, panic_message, AdaptiveWait, Sleepers, WorkerPool};
-use crate::sharded::{PrivateArena, ShardedMemory};
+use crate::sharded::{PrivateArena, SharedMemory};
 use crate::telemetry::{TelemetryMode, TelemetryReport, TelemetryRun, WorkerCtx, WorkerTail};
 use crate::threaded::DispatchTier;
 use helix_core::TransformedProgram;
@@ -582,7 +582,9 @@ pub struct ParallelExecutor {
     /// [`RuntimeError::WorkerPanicked`], never as a process abort.
     pub panic_at: Option<u64>,
     /// Capture the run's final memory into [`RunOutput::memory`] (the `*_out` entry
-    /// points); off by default — snapshotting striped memory costs a full copy.
+    /// points); off by default. A capture copies the live prefix (globals + allocated
+    /// heap) only, so a 1-worker and a multi-worker run of one program capture the same
+    /// [`Memory::live_words`].
     pub capture_memory: bool,
 }
 
@@ -725,12 +727,12 @@ impl ParallelExecutor {
 
     /// The worker count the machine can actually run concurrently: workers beyond the
     /// hardware thread count cannot execute concurrently, so every extra worker would only
-    /// add claim traffic and striped-memory locking to the thread that has the CPU. This
-    /// is the measured-cost feedback loop applied to the runtime itself — the calibrated
-    /// cross-thread signal latency on a fully oversubscribed machine is effectively
-    /// infinite, and the correct response is to run the cheap in-order path. Callers that
-    /// want N time-sliced workers on a smaller host regardless (the fuzzing oracle, the
-    /// protocol tests) override the [`ParallelExecutor::hardware`] snapshot.
+    /// add claim traffic to the thread that has the CPU. This is the measured-cost feedback
+    /// loop applied to the runtime itself — the calibrated cross-thread signal latency on a
+    /// fully oversubscribed machine is effectively infinite, and the correct response is to
+    /// run the cheap in-order path. Callers that want N time-sliced workers on a smaller
+    /// host regardless (the fuzzing oracle, the protocol tests) override the
+    /// [`ParallelExecutor::hardware`] snapshot.
     ///
     /// Public so callers (the benchmark, diagnostics) can see which requested thread
     /// counts collapse to the same effective configuration on this machine.
@@ -912,7 +914,7 @@ impl ParallelExecutor {
     }
 
     /// Single-worker execution: the whole run happens on the calling thread against plain
-    /// (unstriped) memory — no locks, no atomic contention, no pool.
+    /// sequential memory — no atomics, no pool.
     fn run_single(
         &self,
         image: &ExecImage,
@@ -964,7 +966,7 @@ impl ParallelExecutor {
         Ok((value, self.capture_memory.then_some(tier.memory)))
     }
 
-    /// Multi-worker execution over striped shared memory with `self.threads` workers (the
+    /// Multi-worker execution over lock-free shared memory with `self.threads` workers (the
     /// caller clamps; see [`ParallelExecutor::effective_workers`]): the calling thread is
     /// worker 0, helpers are activated lazily from `pool` (tests pass a private pool to
     /// observe activation behaviour). `telem`, when present, must hold at least
@@ -977,10 +979,10 @@ impl ParallelExecutor {
         args: &[Value],
         telem: Option<&TelemetryRun>,
     ) -> Result<(Option<Value>, Option<Memory>), RuntimeError> {
-        let memory = ShardedMemory::from_memory(&image.initial_memory);
+        let memory = SharedMemory::from_memory(&image.initial_memory);
         // Built once, here; helpers dispatch through the same tables and native code.
         let engine = Engine::build(self.resolved_tier(), image, Some(loop_image));
-        let mut tier = SharedTier::owner(&memory);
+        let mut tier = SharedTier::new(&memory);
         let value = self.run_phases(
             &engine,
             image,
@@ -994,7 +996,7 @@ impl ParallelExecutor {
                     // Helper panic boundary: record the cancellation *before* re-raising
                     // into the pool's own catch, so every other worker drains promptly.
                     let run = catch_unwind(AssertUnwindSafe(|| {
-                        let mut tier = SharedTier::helper(&memory);
+                        let mut tier = SharedTier::new(&memory);
                         // Helpers run with pool indices 1..=helpers; slot 0 is the caller.
                         let telem = telem.map(|r| r.ctx(worker));
                         phase_b_worker(&shared, &engine, &mut tier, &mut || {}, telem);
@@ -1015,9 +1017,6 @@ impl ParallelExecutor {
                         ticket = Some(pool.submit(helpers, &job));
                     }
                 };
-                // Transition 1 of 2: before the first `pool.submit` can happen, this thread
-                // stops eliding shard locks.
-                tier.share();
                 // Primary panic boundary: a panic on the submitting thread mid-Phase-B must
                 // record the cancellation before the ticket join below, or the helpers would
                 // wait forever on control the primary can no longer release.
@@ -1034,9 +1033,6 @@ impl ParallelExecutor {
                     // it (record_error keeps the earliest, so a duplicate is a no-op).
                     shared.record_panic(p.worker, p.message);
                 }
-                // Transition 2 of 2: the ticket join is the barrier — every helper has left
-                // the job and dropped its tier — so this thread owns memory again for Phase C.
-                tier.reclaim();
                 shared.into_outcome()
             },
         )?;
@@ -1465,6 +1461,37 @@ mod tests {
         // Capture off → no snapshot.
         let off = ParallelExecutor::new(2).run_parallel_out(&pimg, &[]);
         assert!(off.memory.is_none());
+    }
+
+    #[test]
+    fn two_worker_capture_holds_the_one_worker_live_words() {
+        // The multi-worker capture walks shared memory's pages, the single-worker one
+        // clones plain memory: both must describe the same program state. `scratch_fold`
+        // re-reserves privatized words, so its heap bookkeeping is checked too.
+        let (_module, _main, accumulator) = build_accumulator(64);
+        let mut programs = vec![("accumulator", accumulator)];
+        for name in ["pointer_chase", "scratch_fold"] {
+            let (module, main) = helix_workloads::corpus::load(name).unwrap();
+            let prepared = Helix::new(HelixConfig::default())
+                .prepare(&module, main, &[], 100_000_000)
+                .unwrap();
+            programs.push((name, prepared.transformed.expect("a loop to parallelize")));
+        }
+        for (name, transformed) in programs {
+            let pimg = ParallelImage::lower(&transformed);
+            let capture = |threads: usize| {
+                let mut executor = ParallelExecutor::new(threads).with_capture_memory(true);
+                executor.hardware = threads;
+                let out = executor.run_parallel_out(&pimg, &[]);
+                (out.result.unwrap(), out.memory.expect("captured"))
+            };
+            let (one, solo) = capture(1);
+            let (two, team) = capture(2);
+            assert_eq!(one, two, "{name}: result");
+            assert_eq!(solo.heap_base(), team.heap_base(), "{name}: heap base");
+            assert_eq!(solo.heap_used(), team.heap_used(), "{name}: heap used");
+            assert_eq!(solo.live_words(), team.live_words(), "{name}: live words");
+        }
     }
 
     #[test]

@@ -55,6 +55,7 @@ pub struct ExecMem {
 // another thread moves nothing thread-affine: `munmap` may run on any thread.
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 unsafe impl Send for ExecMem {}
+// SAFETY: see `Send` above — shared references can only read, never write, the mapping.
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 unsafe impl Sync for ExecMem {}
 
@@ -75,6 +76,8 @@ impl ExecMem {
             return None;
         }
         let len = len.checked_add(4095)? & !4095;
+        // SAFETY: a fresh anonymous private mapping (null hint, fd -1, offset 0) aliases
+        // no existing Rust object; the result is checked for `MAP_FAILED` below.
         let ptr = unsafe {
             sys::mmap(
                 std::ptr::null_mut(),
@@ -103,6 +106,8 @@ impl ExecMem {
         if self.sealed || code.len() > self.len {
             return false;
         }
+        // SAFETY: `self.ptr` is our own mapping of `self.len >= code.len()` bytes, still
+        // writable because it is not sealed, and it cannot overlap `code`, a Rust slice.
         unsafe { std::ptr::copy_nonoverlapping(code.as_ptr(), self.ptr, code.len()) };
         true
     }
@@ -114,6 +119,8 @@ impl ExecMem {
         if self.sealed {
             return true;
         }
+        // SAFETY: `ptr`/`len` are exactly the mapping `new` created; dropping write access
+        // invalidates no reference, since `fill` (the only writer) needs `&mut self`.
         let ok =
             unsafe { sys::mprotect(self.ptr.cast(), self.len, sys::PROT_READ | sys::PROT_EXEC) }
                 == 0;
@@ -142,6 +149,9 @@ impl ExecMem {
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 impl Drop for ExecMem {
     fn drop(&mut self) {
+        // SAFETY: `ptr`/`len` are exactly the mapping `new` created, unmapped only here.
+        // Every `JitArtifact` owning an `ExecMem` outlives the tables whose handlers jump
+        // into it, so no native code of this mapping runs after the drop.
         unsafe {
             sys::munmap(self.ptr.cast(), self.len);
         }

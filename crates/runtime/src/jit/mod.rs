@@ -66,6 +66,11 @@ pub(crate) struct ValueLayout {
 fn value_bytes(v: Value) -> [u8; 16] {
     let mut slot = std::mem::MaybeUninit::<Value>::zeroed();
     let mut buf = [0u8; 16];
+    // SAFETY: `slot` is an aligned, writable `Value`, and the copy reads its 16 bytes
+    // (`probe_layout` checks `size_of::<Value>() == 16` before any call) into a distinct
+    // array. The one assumption is that `write` leaves the zeroed padding bytes as they
+    // were; the probe trusts no byte it reads (it demands deterministic images and
+    // disables the JIT on any surprise), and a `repr(C, u8)` `Value` would remove it.
     unsafe {
         slot.as_mut_ptr().write(v);
         std::ptr::copy_nonoverlapping(slot.as_ptr() as *const u8, buf.as_mut_ptr(), 16);
@@ -187,6 +192,9 @@ fn self_test(lay: ValueLayout) -> bool {
         return false;
     }
     let mut regs = vec![Value::Int(0); 6];
+    // SAFETY: `mem` is sealed (RX) and lives to the end of this function; `chunks[0].off`
+    // is the entry `compile_stream` emitted with the `ChunkFn` ABI, and the chunk touches
+    // registers 0..=5 only, all inside `regs`.
     let f: ChunkFn = unsafe { std::mem::transmute(mem.addr(chunks[0].off)) };
     let resume = f(regs.as_mut_ptr());
     resume == 6
@@ -237,11 +245,17 @@ pub(crate) struct JitArtifact<T: Tier> {
 /// pc; on a zero-progress side exit (resume == head pc) it executes the original op via
 /// its threaded handler instead, so dispatch always advances.
 fn h_jit<T: Tier>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, pc: usize) -> usize {
+    // SAFETY: only `compile_into` installs `h_jit`, with `op.i` the entry of a chunk it
+    // emitted with the `ChunkFn` ABI into a sealed mapping. The `JitArtifact` owning that
+    // mapping outlives this table (`Engine` holds both), and the chunk touches only
+    // registers its ops name, which lowering widened into the register file `ctx.regs`.
     let f: ChunkFn = unsafe { std::mem::transmute(op.i as usize) };
     let resume = f(ctx.regs.as_mut_ptr()) as usize;
     if resume != pc {
         return resume;
     }
+    // SAFETY: `op.j` points into the boxed originals `compile_into` stored in the same
+    // `JitArtifact`, which outlives this table and never moves its heap allocation.
     let orig = unsafe { &*(op.j as usize as *const TOp<T>) };
     (orig.h)(ctx, orig, pc)
 }
@@ -416,6 +430,8 @@ mod tests {
         assert_eq!(chunks[0].head_pc, 0);
         let mut mem = ExecMem::new(code.len()).unwrap();
         assert!(mem.fill(&code) && mem.seal());
+        // SAFETY: as in `self_test`: a sealed, live chunk entry with the `ChunkFn` ABI,
+        // whose ops name only registers the caller's `regs` holds.
         let f: ChunkFn = unsafe { std::mem::transmute(mem.addr(chunks[0].off)) };
         f(regs.as_mut_ptr()) as usize
     }

@@ -23,9 +23,9 @@
 //! * [`pool`] — a persistent, work-stealing-free [`WorkerPool`] reused across `execute`
 //!   calls (the old executor respawned OS threads per run), with an adaptive
 //!   spin → yield → park wait strategy;
-//! * [`sharded`] — [`ShardedMemory`], lock-striped shared program memory with an atomic
-//!   bump allocator, now extended with a thread-local tier ([`PrivateArena`]) serving
-//!   allocations the privatization analysis proved iteration-private;
+//! * [`sharded`] — [`SharedMemory`], one flat space of lock-free word cells with an atomic
+//!   bump allocator, plus a thread-local tier ([`PrivateArena`]) serving allocations the
+//!   privatization analysis proved iteration-private;
 //! * `engine` — one run's dispatch tables and JIT code behind `run_flat`/`run_iteration`,
 //!   built once on the submitting thread and shared by reference with every helper;
 //! * [`executor`] — [`ParallelExecutor`] orchestrates the three phases, short-circuits
@@ -40,6 +40,8 @@
 //! [`ParallelImage`]'s per-segment costs). This crate answers the correctness question —
 //! does parallel execution produce the sequential result? — and the performance question —
 //! is it actually faster? (`crates/bench/benches/parallel_runtime.rs` measures it.)
+
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod calibrate;
 mod engine;
@@ -58,7 +60,7 @@ pub use jit::jit_supported;
 pub use lanes::SignalLanes;
 pub use parallel_image::{LoopImage, ParallelImage, SegmentLane};
 pub use pool::{detect_hardware_threads, WaitStats, WorkerPanic, WorkerPool};
-pub use sharded::{PrivateArena, ShardedMemory, PRIVATE_BASE};
+pub use sharded::{PrivateArena, SharedMemory, PRIVATE_BASE};
 pub use telemetry::{
     Event, EventKind, ObservedSegmentCost, TelemetryMode, TelemetryReport, TelemetryRun, WorkerTail,
 };

@@ -31,7 +31,7 @@
 
 use crate::lanes::SignalLanes;
 use crate::pool::{AdaptiveWait, Sleepers};
-use crate::sharded::{PrivateArena, ShardedMemory, PRIVATE_BASE};
+use crate::sharded::{PrivateArena, SharedMemory, PRIVATE_BASE};
 use helix_core::TransformedProgram;
 use helix_ir::interp::{eval_binop, eval_pred, eval_unop, ExecError, MAX_CALL_DEPTH};
 use helix_ir::lower::{cost_table, CostClass};
@@ -1578,63 +1578,18 @@ pub(crate) trait Tier {
     }
 }
 
-/// Striped shared memory + per-worker arena: the tier of multi-threaded runs. While
-/// `exclusive` is set (the sequential phases, where this thread provably owns all of
-/// memory) shard locks are elided entirely.
-///
-/// `exclusive` is private and has exactly two transitions per run, both on the submitting
-/// thread's tier: [`SharedTier::share`] *before the first `pool.submit`* and
-/// [`SharedTier::reclaim`] *after `JobTicket::wait`*. Helper tiers ([`SharedTier::helper`])
-/// lock from creation to drop.
+/// Lock-free shared memory + per-worker arena: the tier of multi-threaded runs, on the
+/// submitting thread for all three phases and on every helper for Phase B.
 pub(crate) struct SharedTier<'a> {
-    shared: &'a ShardedMemory,
+    shared: &'a SharedMemory,
     arena: PrivateArena,
-    exclusive: bool,
 }
 
 impl<'a> SharedTier<'a> {
-    /// The submitting thread's tier: it owns `shared` (Phase A) until [`SharedTier::share`].
-    pub(crate) fn owner(shared: &'a ShardedMemory) -> Self {
+    pub(crate) fn new(shared: &'a SharedMemory) -> Self {
         SharedTier {
             shared,
             arena: PrivateArena::new(),
-            exclusive: true,
-        }
-    }
-
-    /// A pool helper's tier: every access takes the shard lock.
-    pub(crate) fn helper(shared: &'a ShardedMemory) -> Self {
-        shared.open_shared_view();
-        SharedTier {
-            shared,
-            arena: PrivateArena::new(),
-            exclusive: false,
-        }
-    }
-
-    /// Gives up ownership: from here on other workers may touch memory, so this tier
-    /// locks too. Must happen before the first `pool.submit` of the run.
-    pub(crate) fn share(&mut self) {
-        debug_assert!(self.exclusive);
-        self.shared.open_shared_view();
-        self.exclusive = false;
-    }
-
-    /// Takes ownership back for Phase C. Must happen after `JobTicket::wait` returned
-    /// (or when no job was ever submitted): every helper tier is dropped by then, which
-    /// debug builds check on the next access.
-    pub(crate) fn reclaim(&mut self) {
-        debug_assert!(!self.exclusive);
-        self.shared.close_shared_view();
-        self.exclusive = true;
-    }
-}
-
-#[cfg(debug_assertions)]
-impl Drop for SharedTier<'_> {
-    fn drop(&mut self) {
-        if !self.exclusive {
-            self.shared.close_shared_view();
         }
     }
 }
@@ -1642,25 +1597,12 @@ impl Drop for SharedTier<'_> {
 impl Tier for SharedTier<'_> {
     #[inline]
     fn load(&mut self, addr: i64) -> Result<Value, ExecError> {
-        if self.exclusive {
-            // SAFETY: `exclusive` is set only on the submitting thread's tier and only
-            // outside the `share`..`reclaim` window, i.e. before the first `pool.submit`
-            // or after `JobTicket::wait`: no other thread has a tier on this memory
-            // (debug builds assert that no shared view is live).
-            Ok(unsafe { self.shared.load_exclusive(addr) }?)
-        } else {
-            Ok(self.shared.load(addr)?)
-        }
+        Ok(self.shared.load(addr)?)
     }
 
     #[inline]
     fn store(&mut self, addr: i64, value: Value) -> Result<(), ExecError> {
-        if self.exclusive {
-            // SAFETY: see `load`.
-            Ok(unsafe { self.shared.store_exclusive(addr, value) }?)
-        } else {
-            Ok(self.shared.store(addr, value)?)
-        }
+        Ok(self.shared.store(addr, value)?)
     }
 
     #[inline]
@@ -1674,8 +1616,8 @@ impl Tier for SharedTier<'_> {
     }
 }
 
-/// Plain sequential memory + arena: the tier of single-threaded runs, where no access ever
-/// needs a lock.
+/// Plain sequential memory + arena: the tier of single-threaded runs, where no access
+/// needs an atomic.
 pub(crate) struct LocalTier {
     pub memory: Memory,
     pub arena: PrivateArena,
@@ -1711,6 +1653,9 @@ pub(crate) fn eval(regs: &[Value], o: Opnd) -> Value {
     match o {
         Opnd::Reg(r) => {
             debug_assert!((r as usize) < regs.len());
+            // SAFETY: `r` is an operand of lowered code, and lowering widened the
+            // function's `num_regs` past every register index its code references; every
+            // caller passes a register file of at least `num_regs` entries.
             unsafe { *regs.get_unchecked(r as usize) }
         }
         Opnd::Int(i) => Value::Int(i),
@@ -2099,11 +2044,14 @@ pub(crate) fn run_iteration<T: Tier>(
     #[inline(always)]
     fn get(regs: &[Value], r: u32) -> Value {
         debug_assert!((r as usize) < regs.len());
+        // SAFETY: as in `eval`: `r` is a register of the loop's lowered code and `regs` is
+        // the loop function's widened register file.
         unsafe { *regs.get_unchecked(r as usize) }
     }
     #[inline(always)]
     fn set(regs: &mut [Value], r: u32, v: Value) {
         debug_assert!((r as usize) < regs.len());
+        // SAFETY: as in `get`; destination registers were widened into the file too.
         unsafe {
             *regs.get_unchecked_mut(r as usize) = v;
         }

@@ -1,127 +1,33 @@
-//! Sharded shared program memory for the parallel runtime.
+//! Shared program memory for the parallel runtime, plus each worker's private tier.
 //!
-//! The first-generation executor funneled every load, store and allocation of every worker
-//! through a single `Mutex<Memory>`, so "parallel" iterations were really convoyed on one
-//! lock. [`ShardedMemory`] stripes the flat word-addressed address space across many
-//! independently locked shards: the address space is divided into fixed-size chunks
-//! (2^[`CHUNK_BITS`] words) and chunk `c` lives in shard `c % num_shards`. Iterations touching
-//! disjoint data hit disjoint shards and proceed without contention; iterations touching the
-//! same chunk serialize on exactly one shard lock, which is what the HELIX `Wait`/`Signal`
-//! protocol expects of shared locations anyway.
+//! [`SharedMemory`] is one flat word-addressed space of lock-free cells. The address space
+//! ([`Memory::MAX_WORDS`] words) maps through a fixed two-level directory: the top level has
+//! one slot per leaf, a leaf has one slot per page, and a page holds [`PAGE_WORDS`] cells.
+//! Leaves and pages are installed on first touch (one [`OnceLock`] per slot), so creating
+//! the memory costs a 2 KiB directory plus the pages the image's live prefix occupies, and a
+//! run pays only for the pages it writes. Reads of a never-installed page see zero, exactly
+//! like untouched sequential memory.
+//!
+//! A cell is a tag and a 64-bit payload, each accessed with `Relaxed` atomics — plain
+//! loads and stores on x86-64. No access takes a lock. HELIX already orders every
+//! cross-iteration dependence: a value stored by iteration `i` and loaded by a later
+//! iteration is separated by a `Signal`/`Wait` pair (release/acquire on the signal lanes),
+//! Phase A's writes reach the helpers through `pool.submit`, and the helpers' writes reach
+//! Phase C through `JobTicket::wait`. That is the paper's memory model. A program whose
+//! synchronization is wrong can observe a torn tag/payload pair — a wrong value, never
+//! undefined behaviour.
 //!
 //! Allocation is a lock-free atomic bump (compare-and-swap on the next-free pointer), so
-//! `Alloc` instructions never serialize on a shard.
-//!
-//! Memory-ordering note: a value stored by iteration `i` and loaded by iteration `i+1` is
-//! always separated by a `Signal`/`Wait` pair (release/acquire on the dependence counters),
-//! and each individual word access is additionally serialized by its shard lock, so cross-core
-//! visibility needs no further fences.
+//! `Alloc` instructions never serialize.
 
 use helix_ir::{Memory, Value};
-use std::cell::UnsafeCell;
-use std::ops::{Deref, DerefMut};
-#[cfg(debug_assertions)]
-use std::sync::atomic::AtomicUsize;
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, Ordering};
+use std::sync::OnceLock;
 
 pub use helix_ir::memory::MemoryError;
 
-/// A test-and-test-and-set spinlock with yield backoff. Shard critical sections are a few
-/// nanoseconds (one word read/written), so a futex-based mutex's lock/unlock fast path
-/// costs more than the work it protects; a spinlock halves the per-access overhead. On an
-/// oversubscribed machine a preempted holder is handled by the yield in the contended path.
-struct SpinLock<T> {
-    locked: AtomicBool,
-    value: UnsafeCell<T>,
-}
-
-// SAFETY: the lock provides exclusive access to `value` (acquire/release pairs on `locked`).
-unsafe impl<T: Send> Sync for SpinLock<T> {}
-unsafe impl<T: Send> Send for SpinLock<T> {}
-
-impl<T: Default> Default for SpinLock<T> {
-    fn default() -> Self {
-        Self {
-            locked: AtomicBool::new(false),
-            value: UnsafeCell::new(T::default()),
-        }
-    }
-}
-
-impl<T> SpinLock<T> {
-    /// Raw access to the protected value without taking the lock.
-    ///
-    /// # Safety
-    ///
-    /// The caller must guarantee no other thread accesses the value concurrently. The
-    /// executor's lock elision rests on exactly two transitions per run: the submitting
-    /// thread owns all of memory from the start of Phase A until it gives that up *before
-    /// the first `pool.submit`* (the pool's job mutex orders every earlier write before any
-    /// helper's first access), and it owns memory again only *after `JobTicket::wait`*
-    /// returned (every helper has left the job closure, and that join orders their writes
-    /// before Phase C's reads).
-    #[inline]
-    unsafe fn get_exclusive(&self) -> *mut T {
-        self.value.get()
-    }
-
-    #[inline]
-    fn lock(&self) -> SpinGuard<'_, T> {
-        loop {
-            if self
-                .locked
-                .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Relaxed)
-                .is_ok()
-            {
-                return SpinGuard { lock: self };
-            }
-            let mut spins = 0u32;
-            while self.locked.load(Ordering::Relaxed) {
-                spins += 1;
-                if spins < 64 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-        }
-    }
-}
-
-struct SpinGuard<'a, T> {
-    lock: &'a SpinLock<T>,
-}
-
-impl<T> Deref for SpinGuard<'_, T> {
-    type Target = T;
-    #[inline]
-    fn deref(&self) -> &T {
-        // SAFETY: the guard holds the lock.
-        unsafe { &*self.lock.value.get() }
-    }
-}
-
-impl<T> DerefMut for SpinGuard<'_, T> {
-    #[inline]
-    fn deref_mut(&mut self) -> &mut T {
-        // SAFETY: the guard holds the lock exclusively.
-        unsafe { &mut *self.lock.value.get() }
-    }
-}
-
-impl<T> Drop for SpinGuard<'_, T> {
-    #[inline]
-    fn drop(&mut self) {
-        self.lock.locked.store(false, Ordering::Release);
-    }
-}
-
-/// log2 of the chunk size: consecutive runs of 2^CHUNK_BITS words share a shard, preserving
-/// spatial locality for array walks while still spreading distinct regions across shards.
-pub const CHUNK_BITS: u32 = 6;
-
 /// First address of the thread-private tier. Addresses at or above this value are served by
-/// the executing worker's [`PrivateArena`] instead of the striped shared memory; the range is
+/// the executing worker's [`PrivateArena`] instead of the shared memory; the range is
 /// disjoint from every valid shared address (`Memory::MAX_WORDS` is far below it), so a
 /// single comparison routes each access. Privatized pointers never escape their iteration
 /// (see `helix_core::privatize`), so two workers handing out overlapping private addresses
@@ -129,8 +35,8 @@ pub const CHUNK_BITS: u32 = 6;
 pub const PRIVATE_BASE: i64 = 1 << 40;
 
 /// The thread-local memory tier: a per-worker bump arena serving allocations the
-/// privatization analysis proved iteration-private. Accesses hit a plain `Vec` — no shard
-/// lock, no atomics — which is the entire point: private data bypasses striping.
+/// privatization analysis proved iteration-private. Accesses hit a plain `Vec` — no
+/// atomics — which is the entire point: private data bypasses shared memory.
 ///
 /// The arena is reset at iteration start (`reset`) and its storage is reused across
 /// iterations, so a privatized allocation costs a bump, a bounds grow and a zero-fill of the
@@ -226,90 +132,98 @@ impl PrivateArena {
     }
 }
 
-/// Default number of shards (must be a power of two).
-pub const DEFAULT_SHARDS: usize = 64;
+/// log2 of [`PAGE_WORDS`].
+const PAGE_BITS: u32 = 12;
+/// log2 of the number of pages per leaf.
+const LEAF_BITS: u32 = 7;
+/// Cells per page: the unit a first touch installs.
+pub const PAGE_WORDS: usize = 1 << PAGE_BITS;
+/// Words one leaf of the directory covers.
+pub const LEAF_WORDS: usize = PAGE_WORDS << LEAF_BITS;
+/// Leaves in the top-level directory: together they cover [`Memory::MAX_WORDS`].
+const LEAVES: usize = Memory::MAX_WORDS / LEAF_WORDS;
+const _: () = assert!(LEAVES * LEAF_WORDS == Memory::MAX_WORDS);
 
-/// One lock-striped shard, cache-line aligned so neighbouring shard locks do not false-share.
-#[repr(align(64))]
-#[derive(Default)]
-struct Shard(SpinLock<Vec<Value>>);
+/// Tag of a cell holding [`Value::Float`]; every other tag is [`Value::Int`], so a
+/// zero-initialized cell reads `Int(0)`.
+const FLOAT_TAG: u8 = 1;
 
-impl std::fmt::Debug for Shard {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("Shard(..)")
+/// One word of shared memory: the [`Value`] variant and its 64-bit payload.
+#[derive(Debug, Default)]
+struct Cell {
+    tag: AtomicU8,
+    bits: AtomicU64,
+}
+
+impl Cell {
+    #[inline]
+    fn load(&self) -> Value {
+        let bits = self.bits.load(Ordering::Relaxed);
+        if self.tag.load(Ordering::Relaxed) == FLOAT_TAG {
+            Value::Float(f64::from_bits(bits))
+        } else {
+            Value::Int(bits as i64)
+        }
+    }
+
+    #[inline]
+    fn store(&self, value: Value) {
+        let (tag, bits) = match value {
+            Value::Int(i) => (0, i as u64),
+            Value::Float(f) => (FLOAT_TAG, f.to_bits()),
+        };
+        self.tag.store(tag, Ordering::Relaxed);
+        self.bits.store(bits, Ordering::Relaxed);
     }
 }
 
-/// Flat, word-addressed shared memory with lock striping by address chunk and an atomic bump
-/// allocator. The concurrent counterpart of [`Memory`].
-#[derive(Debug)]
-pub struct ShardedMemory {
-    shards: Vec<Shard>,
-    /// `num_shards - 1`; shard index = chunk & mask.
-    shard_mask: u64,
-    /// log2(num_shards), for folding a chunk index into its in-shard slot.
-    shard_bits: u32,
+type Page = [Cell; PAGE_WORDS];
+type Leaf = [OnceLock<Box<Page>>; 1 << LEAF_BITS];
+
+fn new_page() -> Box<Page> {
+    let cells: Box<[Cell]> = std::iter::repeat_with(Cell::default)
+        .take(PAGE_WORDS)
+        .collect();
+    cells.try_into().expect("exactly one page of cells")
+}
+
+/// Flat, word-addressed shared memory of lock-free cells with an atomic bump allocator.
+/// The concurrent counterpart of [`Memory`].
+pub struct SharedMemory {
+    leaves: [OnceLock<Box<Leaf>>; LEAVES],
     heap_base: i64,
     next_free: AtomicI64,
-    /// Live locking views (debug builds only): the guard behind the exclusive accessors'
-    /// safety contract.
-    #[cfg(debug_assertions)]
-    shared_views: AtomicUsize,
 }
 
-impl ShardedMemory {
-    /// Creates sharded memory initialized from a sequential [`Memory`] snapshot (typically
-    /// [`helix_ir::ExecImage::initial_memory`]): the globals region is copied, and the heap
-    /// continues from the snapshot's bump pointer.
-    pub fn from_memory(memory: &Memory) -> Self {
-        Self::with_shards(memory, DEFAULT_SHARDS)
+impl std::fmt::Debug for SharedMemory {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SharedMemory")
+            .field("heap_base", &self.heap_base)
+            .field("heap_used", &self.heap_used())
+            .finish_non_exhaustive()
     }
+}
 
-    /// Same as [`ShardedMemory::from_memory`] with an explicit shard count (rounded up to a
-    /// power of two, minimum 1).
-    pub fn with_shards(memory: &Memory, shards: usize) -> Self {
-        let shards = shards.max(1).next_power_of_two();
+impl SharedMemory {
+    /// Creates shared memory initialized from a sequential [`Memory`] snapshot (typically
+    /// [`helix_ir::ExecImage::initial_memory`]): the live prefix (globals and any pre-run
+    /// heap) is copied, and the heap continues from the snapshot's bump pointer. Pages that
+    /// hold only zeros are left uninstalled.
+    pub fn from_memory(memory: &Memory) -> Self {
         let this = Self {
-            shards: (0..shards).map(|_| Shard::default()).collect(),
-            shard_mask: shards as u64 - 1,
-            shard_bits: shards.trailing_zeros(),
+            leaves: std::array::from_fn(|_| OnceLock::new()),
             heap_base: memory.heap_base(),
             next_free: AtomicI64::new(memory.heap_base() + memory.heap_used() as i64),
-            #[cfg(debug_assertions)]
-            shared_views: AtomicUsize::new(0),
         };
-        // Seed the globals region (and any pre-run heap seeding) from the snapshot, one
-        // shard lock per address chunk instead of one per word.
-        let used = (memory.heap_base() + memory.heap_used() as i64) as usize;
-        let words = memory.words();
-        let chunk_words = 1usize << CHUNK_BITS;
-        let mut addr = 1usize;
-        while addr < used {
-            let chunk_end = ((addr >> CHUNK_BITS) + 1) << CHUNK_BITS;
-            let end = chunk_end.min(used).min(words.len());
-            if addr >= end {
-                break;
-            }
-            if words[addr..end].iter().any(|v| *v != Value::Int(0)) {
-                let (shard, slot) = this.locate(addr as i64, true).expect("seed in range");
-                let mut guard = this.shards[shard].0.lock();
-                let needed = slot + (end - addr);
-                if guard.len() < needed {
-                    let new_len = needed
-                        .next_power_of_two()
-                        .min(Memory::MAX_WORDS / this.shards.len().max(1) + chunk_words);
-                    guard.resize(new_len.max(needed), Value::default());
+        for (index, words) in memory.live_words().chunks(PAGE_WORDS).enumerate() {
+            if words.iter().any(|v| *v != Value::Int(0)) {
+                let page = this.page_or_install(index);
+                for (cell, value) in page.iter().zip(words) {
+                    cell.store(*value);
                 }
-                guard[slot..slot + (end - addr)].copy_from_slice(&words[addr..end]);
             }
-            addr = chunk_end;
         }
         this
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
     }
 
     /// Address of the first heap word.
@@ -322,18 +236,31 @@ impl ShardedMemory {
         (self.next_free.load(Ordering::Relaxed) - self.heap_base).max(0) as usize
     }
 
-    /// Splits an address into its shard index and the dense slot within that shard.
+    /// The installed page `index`, if any word of it was ever written.
     #[inline]
-    fn locate(&self, address: i64, write: bool) -> Result<(usize, usize), MemoryError> {
+    fn page(&self, index: usize) -> Option<&Page> {
+        let leaf = self.leaves[index >> LEAF_BITS].get()?;
+        leaf[index & ((1 << LEAF_BITS) - 1)]
+            .get()
+            .map(|page| &**page)
+    }
+
+    /// Page `index`, installing it (and its leaf) on first touch. Racing installers agree
+    /// on one winner; every thread then stores into the same page.
+    #[inline]
+    fn page_or_install(&self, index: usize) -> &Page {
+        let leaf = self.leaves[index >> LEAF_BITS]
+            .get_or_init(|| Box::new(std::array::from_fn(|_| OnceLock::new())));
+        leaf[index & ((1 << LEAF_BITS) - 1)].get_or_init(new_page)
+    }
+
+    #[inline]
+    fn check(address: i64, write: bool) -> Result<usize, MemoryError> {
         if address < 0 || address as usize >= Memory::MAX_WORDS {
-            return Err(MemoryError { address, write });
+            Err(MemoryError { address, write })
+        } else {
+            Ok(address as usize)
         }
-        let addr = address as u64;
-        let chunk = addr >> CHUNK_BITS;
-        let shard = (chunk & self.shard_mask) as usize;
-        let local_chunk = chunk >> self.shard_bits;
-        let slot = ((local_chunk << CHUNK_BITS) | (addr & ((1 << CHUNK_BITS) - 1))) as usize;
-        Ok((shard, slot))
     }
 
     /// Reads the word at `address`.
@@ -341,10 +268,12 @@ impl ShardedMemory {
     /// # Errors
     ///
     /// Returns [`MemoryError`] for out-of-range addresses.
+    #[inline]
     pub fn load(&self, address: i64) -> Result<Value, MemoryError> {
-        let (shard, slot) = self.locate(address, false)?;
-        let words = self.shards[shard].0.lock();
-        Ok(words.get(slot).copied().unwrap_or_default())
+        let addr = Self::check(address, false)?;
+        Ok(self
+            .page(addr >> PAGE_BITS)
+            .map_or(Value::Int(0), |page| page[addr & (PAGE_WORDS - 1)].load()))
     }
 
     /// Writes the word at `address`.
@@ -352,87 +281,10 @@ impl ShardedMemory {
     /// # Errors
     ///
     /// Returns [`MemoryError`] for out-of-range addresses.
+    #[inline]
     pub fn store(&self, address: i64, value: Value) -> Result<(), MemoryError> {
-        let (shard, slot) = self.locate(address, true)?;
-        let mut words = self.shards[shard].0.lock();
-        Self::store_slot(&mut words, self.shards.len(), slot, value);
-        Ok(())
-    }
-
-    #[inline]
-    fn store_slot(words: &mut Vec<Value>, num_shards: usize, slot: usize, value: Value) {
-        if slot >= words.len() {
-            let max_per_shard = Memory::MAX_WORDS / num_shards.max(1) + (1 << CHUNK_BITS);
-            let new_len = (slot + 1)
-                .next_power_of_two()
-                .min(max_per_shard.max(slot + 1));
-            words.resize(new_len, Value::default());
-        }
-        words[slot] = value;
-    }
-
-    /// Declares that some thread is about to access this memory through the locking
-    /// accessors while others may too. Bookkeeping for the debug-build guard of
-    /// [`ShardedMemory::load_exclusive`]/[`ShardedMemory::store_exclusive`]; compiles to
-    /// nothing in release builds.
-    #[inline]
-    pub(crate) fn open_shared_view(&self) {
-        #[cfg(debug_assertions)]
-        self.shared_views.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Ends a view opened with [`ShardedMemory::open_shared_view`].
-    #[inline]
-    pub(crate) fn close_shared_view(&self) {
-        #[cfg(debug_assertions)]
-        self.shared_views.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    #[inline]
-    fn assert_exclusive(&self) {
-        #[cfg(debug_assertions)]
-        assert_eq!(
-            self.shared_views.load(Ordering::SeqCst),
-            0,
-            "lock-elided access while a shared view is live"
-        );
-    }
-
-    /// Lock-free read of the word at `address`.
-    ///
-    /// # Safety
-    ///
-    /// The caller must be the only thread accessing this memory: no shared view (a
-    /// worker's locking handle on it) may be live. In the executor that is Phase A —
-    /// before the first `pool.submit` — and Phase C — after `JobTicket::wait`; nothing in
-    /// between. Debug builds assert it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemoryError`] for out-of-range addresses.
-    pub unsafe fn load_exclusive(&self, address: i64) -> Result<Value, MemoryError> {
-        self.assert_exclusive();
-        let (shard, slot) = self.locate(address, false)?;
-        // SAFETY: the caller is the only thread accessing this memory (contract above).
-        let words = unsafe { &*self.shards[shard].0.get_exclusive() };
-        Ok(words.get(slot).copied().unwrap_or_default())
-    }
-
-    /// Lock-free write of the word at `address`.
-    ///
-    /// # Safety
-    ///
-    /// Same exclusivity contract as [`ShardedMemory::load_exclusive`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemoryError`] for out-of-range addresses.
-    pub unsafe fn store_exclusive(&self, address: i64, value: Value) -> Result<(), MemoryError> {
-        self.assert_exclusive();
-        let (shard, slot) = self.locate(address, true)?;
-        // SAFETY: the caller is the only thread accessing this memory (contract above).
-        let words = unsafe { &mut *self.shards[shard].0.get_exclusive() };
-        Self::store_slot(words, self.shards.len(), slot, value);
+        let addr = Self::check(address, true)?;
+        self.page_or_install(addr >> PAGE_BITS)[addr & (PAGE_WORDS - 1)].store(value);
         Ok(())
     }
 
@@ -479,22 +331,29 @@ impl ShardedMemory {
     }
 
     /// Copies the live prefix (globals + allocated heap) back into a flat [`Memory`] for
-    /// inspection after a parallel run, starting from the pre-run `template` (typically
-    /// [`helix_ir::ExecImage::initial_memory`]) so the heap layout and bump pointer carry
-    /// over. Words outside the allocated prefix (raw stores past the bump pointer) are not
-    /// captured.
+    /// inspection after a parallel run. `template` must be the memory this one was created
+    /// from (typically [`helix_ir::ExecImage::initial_memory`]). The capture starts from a
+    /// live-prefix copy of it, so the heap layout and bump pointer carry over, then copies
+    /// the installed pages over it: an uninstalled page was all zeros in the template and
+    /// was never written. Words outside the allocated prefix (raw stores past the bump
+    /// pointer) are not captured.
     pub fn snapshot(&self, template: &Memory) -> Memory {
-        let mut memory = template.clone();
+        let mut memory = template.fresh_copy();
         let extra = self.heap_used().saturating_sub(template.heap_used());
         if extra > 0 {
             memory.alloc(extra).expect("snapshot heap fits");
         }
-        let used = self.heap_base + self.heap_used() as i64;
-        for addr in 1..used {
-            let value = self.load(addr).unwrap_or_default();
-            memory
-                .store(addr, value)
-                .expect("snapshot address in range");
+        let live = memory.live_words().len();
+        for index in 0..live.div_ceil(PAGE_WORDS) {
+            let Some(page) = self.page(index) else {
+                continue;
+            };
+            let base = index * PAGE_WORDS;
+            for (offset, cell) in page.iter().take(live - base).enumerate() {
+                memory
+                    .store((base + offset) as i64, cell.load())
+                    .expect("snapshot address in range");
+            }
         }
         memory
     }
@@ -507,33 +366,55 @@ mod tests {
 
     #[test]
     fn load_store_roundtrip_across_chunks() {
-        let mem = ShardedMemory::from_memory(&Memory::new());
-        for addr in [1i64, 63, 64, 65, 1000, 4096, 100_000] {
+        let mem = SharedMemory::from_memory(&Memory::new());
+        let (page, leaf) = (PAGE_WORDS as i64, LEAF_WORDS as i64);
+        let addrs = [
+            1i64,
+            63,
+            64,
+            page - 1,
+            page,
+            leaf - 1,
+            leaf,
+            7 * leaf - 1,
+            7 * leaf,
+            Memory::MAX_WORDS as i64 - 1,
+        ];
+        for addr in addrs {
             mem.store(addr, Value::Int(addr * 3)).unwrap();
         }
-        for addr in [1i64, 63, 64, 65, 1000, 4096, 100_000] {
+        for addr in addrs {
             assert_eq!(mem.load(addr).unwrap(), Value::Int(addr * 3));
         }
         assert_eq!(mem.load(5).unwrap(), Value::Int(0));
-        assert!(mem.load(-1).is_err());
-        assert!(mem.store(Memory::MAX_WORDS as i64, Value::Int(1)).is_err());
+        assert_eq!(mem.load(page + 1).unwrap(), Value::Int(0));
+        for addr in [-1, Memory::MAX_WORDS as i64] {
+            let err = mem.load(addr).unwrap_err();
+            assert_eq!((err.address, err.write), (addr, false));
+            let err = mem.store(addr, Value::Int(1)).unwrap_err();
+            assert_eq!((err.address, err.write), (addr, true));
+        }
     }
 
     #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "lock-elided access while a shared view is live")]
-    fn exclusive_access_under_a_live_shared_view_is_caught() {
-        // The violation the executor's two transitions rule out: touching memory
-        // lock-free while a helper's locking view is still open.
-        let mem = ShardedMemory::from_memory(&Memory::new());
-        mem.open_shared_view();
-        // SAFETY: single-threaded test; the guard fires before any access happens.
-        let _ = unsafe { mem.load_exclusive(1) };
+    fn never_installed_leaves_and_pages_read_zero() {
+        let mem = SharedMemory::from_memory(&Memory::new());
+        let far = 3 * LEAF_WORDS + 5 * PAGE_WORDS + 7;
+        assert_eq!(mem.load(far as i64).unwrap(), Value::Int(0));
+        assert!(mem.leaves[3].get().is_none(), "a read installed a leaf");
+        mem.store(far as i64, Value::Float(0.5)).unwrap();
+        // A never-installed page of the now-installed leaf.
+        let cold = far + PAGE_WORDS;
+        assert_eq!(mem.load(cold as i64).unwrap(), Value::Int(0));
+        assert!(
+            mem.page(cold >> PAGE_BITS).is_none(),
+            "a read installed a page"
+        );
     }
 
     #[test]
     fn alloc_is_atomic_and_disjoint() {
-        let mem = Arc::new(ShardedMemory::from_memory(&Memory::new()));
+        let mem = Arc::new(SharedMemory::from_memory(&Memory::new()));
         let mut handles = Vec::new();
         for _ in 0..4 {
             let mem = mem.clone();
@@ -557,7 +438,7 @@ mod tests {
 
     #[test]
     fn concurrent_disjoint_stores_are_preserved() {
-        let mem = Arc::new(ShardedMemory::from_memory(&Memory::new()));
+        let mem = Arc::new(SharedMemory::from_memory(&Memory::new()));
         std::thread::scope(|scope| {
             for t in 0..8i64 {
                 let mem = &mem;
@@ -600,7 +481,7 @@ mod tests {
 
     #[test]
     fn reserve_advances_the_shared_bump() {
-        let mem = ShardedMemory::from_memory(&Memory::new());
+        let mem = SharedMemory::from_memory(&Memory::new());
         let before = mem.heap_used();
         mem.reserve(7).unwrap();
         assert_eq!(mem.heap_used(), before + 7);
@@ -613,20 +494,20 @@ mod tests {
         let mut module = helix_ir::Module::new("m");
         module.add_global_init("g", 4, vec![Value::Int(7), Value::Float(1.5)]);
         let seq = Memory::for_module(&module);
-        let sharded = ShardedMemory::from_memory(&seq);
-        assert_eq!(sharded.load(1).unwrap(), Value::Int(7));
-        assert_eq!(sharded.load(2).unwrap(), Value::Float(1.5));
-        assert_eq!(sharded.load(3).unwrap(), Value::Int(0));
-        assert_eq!(sharded.heap_base(), 5);
+        let shared = SharedMemory::from_memory(&seq);
+        assert_eq!(shared.load(1).unwrap(), Value::Int(7));
+        assert_eq!(shared.load(2).unwrap(), Value::Float(1.5));
+        assert_eq!(shared.load(3).unwrap(), Value::Int(0));
+        assert_eq!(shared.heap_base(), 5);
         // The snapshot round-trips, including heap bookkeeping.
-        sharded.store(2, Value::Int(9)).unwrap();
-        let base = sharded.alloc(3).unwrap();
-        sharded.store(base, Value::Int(11)).unwrap();
-        let snap = sharded.snapshot(&seq);
+        shared.store(2, Value::Int(9)).unwrap();
+        let base = shared.alloc(3).unwrap();
+        shared.store(base, Value::Int(11)).unwrap();
+        let snap = shared.snapshot(&seq);
         assert_eq!(snap.load(1).unwrap(), Value::Int(7));
         assert_eq!(snap.load(2).unwrap(), Value::Int(9));
         assert_eq!(snap.load(base).unwrap(), Value::Int(11));
         assert_eq!(snap.heap_base(), seq.heap_base());
-        assert_eq!(snap.heap_used(), sharded.heap_used());
+        assert_eq!(snap.heap_used(), shared.heap_used());
     }
 }

@@ -183,12 +183,15 @@ pub(crate) struct TCtx<'r, T: Tier> {
 #[inline(always)]
 fn get(regs: &[Value], r: u32) -> Value {
     debug_assert!((r as usize) < regs.len());
+    // SAFETY: `r` comes from a decoded op of lowered code, which lowering widened the
+    // function's `num_regs` to cover, and `regs` holds at least `num_regs` entries.
     unsafe { *regs.get_unchecked(r as usize) }
 }
 
 #[inline(always)]
 fn set(regs: &mut [Value], r: u32, v: Value) {
     debug_assert!((r as usize) < regs.len());
+    // SAFETY: as in `get`; destination registers were widened into the file too.
     unsafe {
         *regs.get_unchecked_mut(r as usize) = v;
     }

@@ -583,27 +583,27 @@ impl SocketQueue {
     }
 }
 
-/// FNV-1a digest of final program memory: heap bounds plus every word's bit pattern
-/// (floats by `to_bits`, so the digest is exact, not approximate).
+/// Word-wise FNV-1a digest of final program memory: the heap bounds, then one step per
+/// tag (0 = int, 1 = float) and one per 64-bit payload (floats by `to_bits`, so the digest
+/// is exact) of every live word ([`Memory::live_words`]). Spare capacity is not hashed, so
+/// the digest depends only on program state, never on how many workers produced it.
 pub fn memory_digest(memory: &Memory) -> u64 {
     let mut state = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            state ^= u64::from(b);
-            state = state.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+    let mut eat = |word: u64| {
+        state ^= word;
+        state = state.wrapping_mul(0x0000_0100_0000_01b3);
     };
-    eat(&memory.heap_base().to_le_bytes());
-    eat(&(memory.heap_used() as u64).to_le_bytes());
-    for &word in memory.words() {
+    eat(memory.heap_base() as u64);
+    eat(memory.heap_used() as u64);
+    for &word in memory.live_words() {
         match word {
             Value::Int(i) => {
-                eat(&[0]);
-                eat(&i.to_le_bytes());
+                eat(0);
+                eat(i as u64);
             }
             Value::Float(f) => {
-                eat(&[1]);
-                eat(&f.to_bits().to_le_bytes());
+                eat(1);
+                eat(f.to_bits());
             }
         }
     }

@@ -3,8 +3,9 @@
 
 use std::os::unix::net::UnixStream;
 
+use helix_runtime::{ParallelExecutor, ParallelImage};
 use helix_service::{
-    CacheOutcome, Client, Fault, Op, Request, Response, ServeConfig, Server, Status,
+    memory_digest, CacheOutcome, Client, Fault, Op, Request, Response, ServeConfig, Server, Status,
 };
 
 /// A program with a DOALL-style hot loop (parallelizable) followed by a sequential
@@ -314,4 +315,37 @@ fn unix_socket_transport_serves_and_shuts_down() {
     });
     let _ = std::fs::remove_file(&socket);
     let _ = std::fs::remove_dir(&dir);
+}
+
+#[test]
+fn memory_digest_does_not_depend_on_the_worker_count() {
+    // A 1-worker run captures plain memory, a 2-worker run a snapshot of shared memory:
+    // the reply's `memory_hash` must be the same for both. The `hardware` override keeps
+    // two real workers on a 1-thread host.
+    let corpus = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../corpus");
+    let mut sources = vec![("accumulator".to_string(), doall(2654435761))];
+    for name in ["pointer_chase", "scratch_fold"] {
+        let text = std::fs::read_to_string(corpus.join(format!("{name}.hir"))).unwrap();
+        sources.push((name.to_string(), text));
+    }
+    for (name, text) in sources {
+        let module = helix_frontend::parse_and_verify(&text).unwrap();
+        let main = module.function_by_name("main").unwrap();
+        let prepared = helix_core::Helix::new(helix_core::HelixConfig::default())
+            .prepare(&module, main, &[], 100_000_000)
+            .unwrap();
+        let pimg = ParallelImage::lower(&prepared.transformed.expect("a parallel plan"));
+        let digest = |threads: usize| {
+            let mut executor = ParallelExecutor::new(threads).with_capture_memory(true);
+            executor.hardware = threads;
+            let out = executor.run_parallel_out(&pimg, &[]);
+            out.result.unwrap();
+            memory_digest(&out.memory.expect("captured"))
+        };
+        assert_eq!(
+            digest(1),
+            digest(2),
+            "{name}: 1- and 2-worker digests differ"
+        );
+    }
 }

@@ -1,7 +1,7 @@
 //! Concurrency stress tests for the new parallel-image runtime: padded signal lanes under
 //! many threads, and pooled-runtime determinism across consecutive `execute` calls.
 //!
-//! The [`helix::runtime::SignalLanes`] test mirrors `sharded_stress.rs`'s style: it hammers
+//! The [`helix::runtime::SignalLanes`] test mirrors `shared_memory_stress.rs`'s style: it hammers
 //! *one* dependence from N threads across a 10k-iteration window, with every iteration's
 //! critical section writing an unprotected shared cell. If the lane protocol (windowed
 //! `fetch_max` cells + the in-flight completion gate) ever let iteration `i` pass its `Wait`
