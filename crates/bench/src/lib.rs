@@ -14,8 +14,8 @@
 //! | `fig12_latency_misestimate` | Figure 12 — under/over-estimated signal latency |
 //! | `fig13_nesting_levels` | Figure 13 — nesting-level distribution vs. signal latency |
 //!
-//! The Criterion benches (`pipeline`, `analyses`, `figures`) measure the compile-time cost of
-//! the HELIX analyses and transformation themselves.
+//! These binaries model the paper's figures; the repository's measured numbers come from the
+//! one benchmark in `benchmarks/` (see `benchmarks/README.md` and `BENCHMARK.json`).
 
 use helix_analysis::LoopNestingGraph;
 use helix_core::{Helix, HelixConfig, HelixOutput};

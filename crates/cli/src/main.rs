@@ -25,7 +25,7 @@ use helix_core::{transform, Helix, HelixConfig, HelixOutput, PrefetchMode};
 use helix_frontend::parse_file;
 use helix_ir::{printer, ExecImage, ImageMachine, Module, Value};
 use helix_profiler::{ImageProfiler, ProgramProfile};
-use helix_runtime::{EventKind, ParallelExecutor, TelemetryMode, TelemetryReport};
+use helix_runtime::{EventKind, ParallelExecutor, ParallelImage, TelemetryMode, TelemetryReport};
 use helix_simulator::{simulate_program, SimConfig};
 use json::Json;
 use std::process::ExitCode;
@@ -576,8 +576,11 @@ fn run_parallel(module: &Module, opts: &Options) -> Result<(), CliError> {
     // `--sample 0` turns it off, `--sample 1` records every iteration.
     let executor = ParallelExecutor::from_config(threads, &config_of(opts))
         .with_telemetry(TelemetryMode::from_sample_period(opts.sample.unwrap_or(64)));
-    let (run, telemetry) = executor.run_traced(&transformed, &opts.args);
-    let parallel = run.map_err(|e| CliError::failed(format!("parallel execution failed: {e}")))?;
+    let run = executor.run_parallel_out(&ParallelImage::lower(&transformed), &opts.args);
+    let telemetry = run.report;
+    let parallel = run
+        .result
+        .map_err(|e| CliError::failed(format!("parallel execution failed: {e}")))?;
     let matches = sequential == parallel;
     if opts.json {
         let render = |v: &Option<Value>| match v {
@@ -831,7 +834,7 @@ fn cmd_trace(opts: &Options) -> Result<(), CliError> {
         .ok_or_else(|| CliError::failed("no parallelizable loop of the entry function to trace"))?;
     let key = (plan.func, plan.loop_id);
     let transformed = transform::apply(&module, plan);
-    let pimg = helix_runtime::ParallelImage::lower(&transformed);
+    let pimg = ParallelImage::lower(&transformed);
     let mode = TelemetryMode::from_sample_period(opts.sample.unwrap_or(1));
     if !mode.enabled() {
         return Err(CliError::Usage(
@@ -846,11 +849,13 @@ fn cmd_trace(opts: &Options) -> Result<(), CliError> {
     if let Some(spins) = opts.spin_budget {
         executor = executor.with_spin_budget(spins);
     }
-    let (run, report) = executor.run_parallel_traced(&pimg, &opts.args);
-    let result = run.map_err(|e| CliError::failed(format!("traced run failed: {e}")))?;
-    let report = report.ok_or_else(|| {
-        CliError::failed("telemetry is compiled out (build with the `telemetry` feature)")
-    })?;
+    let run = executor.run_parallel_out(&pimg, &opts.args);
+    let result = run
+        .result
+        .map_err(|e| CliError::failed(format!("traced run failed: {e}")))?;
+    let report = run
+        .report
+        .expect("telemetry is enabled (checked above), so a successful run has a report");
 
     let trace_path = opts.out.clone().unwrap_or_else(|| {
         let file = opts.file.as_deref().unwrap_or("trace");
@@ -1370,7 +1375,7 @@ fn cmd_simulate(opts: &Options) -> Result<(), CliError> {
                 continue;
             };
             let transformed = helix_core::transform::apply(&module, plan);
-            let pimg = helix_runtime::ParallelImage::lower(&transformed);
+            let pimg = ParallelImage::lower(&transformed);
             let lp = profile.loop_profile(*key);
             *result =
                 helix_simulator::simulate_loop_lowered(plan, &lp, &sim_config, &pimg.loop_image);

@@ -1,7 +1,8 @@
 //! Black-box tests of the `helix` binary: the `serve` daemon smoke test (50 mixed
 //! requests over the stdio batch protocol, one fault-injected panic among them) and
 //! the file-IO error paths (missing input, unwritable output — both must name the
-//! offending path) and the host-topology labels of `helix fuzz`.
+//! offending path), the host-topology labels of `helix fuzz`, and the success path of
+//! `helix trace --compare-model` (a well-formed Chrome trace plus the segment table).
 
 use std::process::{Command, Stdio};
 
@@ -226,4 +227,185 @@ fn fuzz_reports_hardware_threads_and_labels_time_sliced_counts() {
             )),
         "per-count labels missing: {json}"
     );
+}
+
+#[test]
+fn trace_with_compare_model_writes_a_chrome_trace_and_the_segment_table() {
+    let dir = std::env::temp_dir().join(format!("helix-cli-trace-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out_path = dir.join("nest_flip.trace.json");
+    let program = concat!(env!("CARGO_MANIFEST_DIR"), "/../../corpus/nest_flip.hir");
+    let output = Command::new(helix_exe())
+        .args([
+            "trace",
+            program,
+            "--threads",
+            "2",
+            "--compare-model",
+            "--out",
+        ])
+        .arg(&out_path)
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(output.status.success(), "trace failed: {output:?}");
+
+    // The checker itself rejects near-misses, so a pass below means well-formed JSON.
+    for broken in ["{\"a\":[1,]}", "{\"a\" 1}", "[1.]", "\"\\x\"", "{} {}"] {
+        assert!(parse_json(broken).is_err(), "accepted {broken}");
+    }
+    let text = std::fs::read_to_string(&out_path).unwrap();
+    let trace = parse_json(&text).unwrap_or_else(|e| panic!("trace is not JSON: {e}"));
+    let Json::Obj(fields) = trace else {
+        panic!("trace is not a JSON object")
+    };
+    match fields.iter().find(|(key, _)| key == "traceEvents") {
+        Some((_, Json::Arr(events))) => assert!(!events.is_empty(), "traceEvents is empty"),
+        other => panic!("no traceEvents array: {other:?}"),
+    }
+    assert!(
+        stdout.contains("predicted vs observed segment costs")
+            && stdout.contains("predicted (cyc)")
+            && stdout.contains("observed (cyc)"),
+        "predicted-vs-observed table missing: {stdout}"
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A JSON value, parsed just far enough to prove a file is well-formed JSON: strings,
+/// numbers, booleans and `null` are checked and then dropped; object keys stay raw.
+#[derive(Debug)]
+enum Json {
+    Scalar,
+    Arr(Vec<Json>),
+    Obj(Vec<(String, Json)>),
+}
+
+/// Parses one complete JSON document, or says at which byte it stopped being JSON.
+fn parse_json(text: &str) -> Result<Json, String> {
+    let mut parser = JsonParser {
+        s: text.as_bytes(),
+        i: 0,
+    };
+    let value = parser.value()?;
+    match parser.peek() {
+        None => Ok(value),
+        Some(_) => Err(format!("trailing bytes at {}", parser.i)),
+    }
+}
+
+struct JsonParser<'a> {
+    s: &'a [u8],
+    i: usize,
+}
+
+impl JsonParser<'_> {
+    /// The next byte after any whitespace.
+    fn peek(&mut self) -> Option<u8> {
+        while matches!(self.s.get(self.i), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.i += 1;
+        }
+        self.s.get(self.i).copied()
+    }
+
+    fn eat(&mut self, byte: u8) -> Result<(), String> {
+        if self.peek() != Some(byte) {
+            return Err(format!("expected `{}` at byte {}", byte as char, self.i));
+        }
+        self.i += 1;
+        Ok(())
+    }
+
+    /// `item (',' item)* close`, or just `close`, after the opening bracket.
+    fn seq<T>(
+        &mut self,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        self.i += 1;
+        let mut items = Vec::new();
+        while self.peek() != Some(close) {
+            if !items.is_empty() {
+                self.eat(b',')?;
+            }
+            items.push(item(self)?);
+        }
+        self.i += 1;
+        Ok(items)
+    }
+
+    fn value(&mut self) -> Result<Json, String> {
+        match self.peek() {
+            Some(b'{') => self
+                .seq(b'}', |p| {
+                    Ok((p.string()?, p.eat(b':').and_then(|()| p.value())?))
+                })
+                .map(Json::Obj),
+            Some(b'[') => self.seq(b']', Self::value).map(Json::Arr),
+            Some(b'"') => self.string().map(|_| Json::Scalar),
+            _ => {
+                let rest = &self.s[self.i..];
+                if let Some(word) = ["true", "false", "null"]
+                    .into_iter()
+                    .find(|w| rest.starts_with(w.as_bytes()))
+                {
+                    self.i += word.len();
+                    return Ok(Json::Scalar);
+                }
+                self.number()
+            }
+        }
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        self.eat(b'"')?;
+        let start = self.i;
+        loop {
+            match self.s.get(self.i) {
+                Some(b'"') => break,
+                Some(b'\\') => match self.s.get(self.i + 1) {
+                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => self.i += 2,
+                    Some(b'u')
+                        if self
+                            .s
+                            .get(self.i + 2..self.i + 6)
+                            .is_some_and(|hex| hex.iter().all(u8::is_ascii_hexdigit)) =>
+                    {
+                        self.i += 6
+                    }
+                    _ => return Err(format!("bad escape at byte {}", self.i)),
+                },
+                Some(0x20..) => self.i += 1,
+                _ => return Err(format!("bad string byte at {}", self.i)),
+            }
+        }
+        self.i += 1;
+        String::from_utf8(self.s[start..self.i - 1].to_vec()).map_err(|e| e.to_string())
+    }
+
+    fn number(&mut self) -> Result<Json, String> {
+        let start = self.i;
+        let digits = |p: &mut Self| {
+            let from = p.i;
+            while p.s.get(p.i).is_some_and(u8::is_ascii_digit) {
+                p.i += 1;
+            }
+            p.i > from
+        };
+        self.i += usize::from(self.s.get(self.i) == Some(&b'-'));
+        let mut ok = digits(self);
+        if self.s.get(self.i) == Some(&b'.') {
+            self.i += 1;
+            ok &= digits(self);
+        }
+        if matches!(self.s.get(self.i), Some(b'e' | b'E')) {
+            self.i += 1 + usize::from(matches!(self.s.get(self.i + 1), Some(b'+' | b'-')));
+            ok &= digits(self);
+        }
+        if !ok {
+            return Err(format!("not a JSON value at byte {start}"));
+        }
+        Ok(Json::Scalar)
+    }
 }

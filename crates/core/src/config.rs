@@ -40,8 +40,6 @@ pub struct HelixConfig {
     pub enable_helper_threads: bool,
     /// Step 8's code-scheduling algorithm (Figure 6) that balances signal prefetching.
     pub enable_prefetch_balancing: bool,
-    /// Step 5's method inlining of calls involved in dependences (disabled only for tests).
-    pub enable_inlining: bool,
     /// Iteration-privatization analysis (see `privatize`): prove per-iteration allocations
     /// thread-private so the parallel runtime serves them from per-worker bump arenas that
     /// bypass shared memory, and drop the synchronization of dependences that only
@@ -65,7 +63,8 @@ pub struct HelixConfig {
     /// recording sites stay dormant), `1` records every iteration's events (full tracing),
     /// `n > 1` records events on every `n`-th iteration (rounded up to a power of two)
     /// while per-worker/per-lane counters and blocking waits are always captured (the
-    /// sampled low-overhead mode gated in CI to within 2% of disabled).
+    /// sampled low-overhead mode; the benchmark reports its cost as
+    /// `runtime.telemetry_overhead`).
     pub telemetry_sample_period: u32,
 }
 
@@ -85,7 +84,6 @@ impl HelixConfig {
             enable_signal_minimization: true,
             enable_helper_threads: true,
             enable_prefetch_balancing: true,
-            enable_inlining: true,
             enable_privatization: true,
             spin_budget: 200_000_000,
             max_loop_iterations: 10_000_000,

@@ -540,7 +540,7 @@ impl SelectionTraceEntry {
 
 /// A comparison of two loop selections — one priced with baseline (paper-constant) numbers,
 /// one with measured ones. Produced by [`Helix::reselect_with_segment_costs`] and by the
-/// calibrated CLI/bench flows; the interesting rows are the *flips*, loops the measured
+/// calibrated CLI flows; the interesting rows are the *flips*, loops the measured
 /// model decides differently.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct SelectionTrace {

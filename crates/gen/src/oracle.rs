@@ -451,17 +451,13 @@ pub fn differential_check(
                     // protocol even on machines with fewer hardware threads than workers
                     // (time-sliced there): the oracle exists to hammer the concurrent
                     // path, not to run fast. `from_config` picks up
-                    // `telemetry_sample_period`, so a traced oracle additionally validates
-                    // the event streams it produces.
+                    // `telemetry_sample_period`, so a traced oracle (the only kind that gets
+                    // a report) additionally validates the event streams it produces.
                     let mut executor = ParallelExecutor::from_config(threads, &config.helix)
                         .with_dispatch_tier(config.dispatch_tier);
                     executor.hardware = threads;
-                    let (run, telemetry) = if config.helix.telemetry_sample_period > 0 {
-                        executor.run_parallel_traced(&parallel_image, &[])
-                    } else {
-                        (executor.run_parallel(&parallel_image, &[]), None)
-                    };
-                    match run {
+                    let run = executor.run_parallel_out(&parallel_image, &[]);
+                    match run.result {
                         Ok(got) => {
                             if !values_bitwise_eq(got, result) {
                                 return Err(diverged(
@@ -474,7 +470,7 @@ pub fn differential_check(
                                     ),
                                 ));
                             }
-                            if let Some(report) = &telemetry {
+                            if let Some(report) = &run.report {
                                 let violations = telemetry_violations(report);
                                 if let Some(first) = violations.first() {
                                     return Err(diverged(

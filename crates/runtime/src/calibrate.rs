@@ -275,30 +275,6 @@ impl CalibrationProfile {
         config
     }
 
-    /// Like [`CalibrationProfile::helix_config`], but priced for the configuration the
-    /// executor will *actually run* with `workers` effective workers. With one effective
-    /// worker (the executor's oversubscription collapse) nothing ever crosses a thread:
-    /// a signal is a local release store and a satisfied poll, the "word transfer" stays
-    /// in-cache, and no pool helper is woken — pricing those at the cross-thread rate
-    /// would mis-select exactly the way the paper's Figure 12 warns about, just in the
-    /// other direction.
-    pub fn helix_config_for_workers(&self, base: HelixConfig, workers: usize) -> HelixConfig {
-        if workers > 1 {
-            return self.helix_config(base);
-        }
-        let mut config = self.helix_config(base);
-        let local = self
-            .cycles(self.signal_publish_ns + self.signal_poll_ns)
-            .max(1);
-        config.signal_latency_unprefetched = local;
-        config.signal_latency_prefetched = local;
-        config.selection_signal_latency = local;
-        config.selection_signal_latency_prefetched = local;
-        config.word_transfer_latency = local;
-        config.config_overhead = local;
-        config
-    }
-
     /// The nanosecond fields in `helix-calibration v3` file order, each with its key.
     fn ns_fields(&mut self) -> [(&'static str, &mut f64); 19] {
         [

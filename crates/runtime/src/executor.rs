@@ -177,7 +177,7 @@ impl From<FlatError> for RuntimeError {
 pub struct RunOutput {
     /// The function's return value, or how the run failed.
     pub result: Result<Option<Value>, RuntimeError>,
-    /// The run's telemetry report (`None` when telemetry is disabled or compiled out).
+    /// The run's telemetry report (`None` when telemetry is disabled).
     pub report: Option<TelemetryReport>,
     /// The run's final memory, captured only when
     /// [`ParallelExecutor::capture_memory`] is set and the run succeeded. The service's
@@ -693,24 +693,6 @@ impl ParallelExecutor {
         self.run_parallel(&pimg, args)
     }
 
-    /// Same as [`ParallelExecutor::run`] with a pre-lowered whole-module image of
-    /// `program.module` (the loop portion is lowered on each call; prefer
-    /// [`ParallelExecutor::run_parallel`] for fully amortized lowering).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`RuntimeError`] if the engine faults, a signal never arrives, or the loop
-    /// exceeds the iteration budget.
-    pub fn run_image(
-        &self,
-        image: &ExecImage,
-        program: &TransformedProgram,
-        args: &[Value],
-    ) -> Result<Option<Value>, RuntimeError> {
-        let loop_image = LoopImage::build(image, program);
-        self.run_lowered(image, &loop_image, args)
-    }
-
     /// Runs a pre-lowered [`ParallelImage`]: the zero-per-run-lowering fast path.
     ///
     /// # Errors
@@ -761,28 +743,6 @@ impl ParallelExecutor {
                 hardware
             )
         }
-    }
-
-    /// [`ParallelExecutor::run`] returning the run's [`TelemetryReport`] alongside the
-    /// result (`None` when telemetry is disabled or compiled out).
-    pub fn run_traced(
-        &self,
-        program: &TransformedProgram,
-        args: &[Value],
-    ) -> (Result<Option<Value>, RuntimeError>, Option<TelemetryReport>) {
-        let pimg = ParallelImage::lower(program);
-        self.run_parallel_traced(&pimg, args)
-    }
-
-    /// [`ParallelExecutor::run_parallel`] returning the run's [`TelemetryReport`]
-    /// alongside the result (`None` when telemetry is disabled or compiled out).
-    pub fn run_parallel_traced(
-        &self,
-        pimg: &ParallelImage,
-        args: &[Value],
-    ) -> (Result<Option<Value>, RuntimeError>, Option<TelemetryReport>) {
-        let out = self.run_parallel_out(pimg, args);
-        (out.result, out.report)
     }
 
     /// [`ParallelExecutor::run_parallel`] with the full output: result, telemetry
@@ -1191,14 +1151,6 @@ mod tests {
             let again = executor.run_parallel(&pimg, &[]).unwrap().unwrap().as_int();
             assert_eq!(again, first, "pool reuse must stay deterministic");
         }
-        // The legacy pre-lowered-module entry point agrees.
-        let image = ExecImage::lower(&transformed.module);
-        let legacy = executor
-            .run_image(&image, &transformed, &[])
-            .unwrap()
-            .unwrap()
-            .as_int();
-        assert_eq!(legacy, first);
     }
 
     #[test]
@@ -1288,7 +1240,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "telemetry")]
     fn traced_deadlocks_carry_the_event_tail() {
         // Same corrupted program as above, but run with telemetry: the deadlock report
         // must carry each worker's last events, including the blocked wait itself.
@@ -1303,9 +1254,9 @@ mod tests {
         let executor = ParallelExecutor::new(2)
             .with_spin_budget(50_000)
             .with_telemetry(TelemetryMode::Full);
-        let (result, report) = executor.run_traced(&transformed, &[]);
-        assert!(report.is_some(), "traced runs produce a report");
-        match result {
+        let out = executor.run_parallel_out(&ParallelImage::lower(&transformed), &[]);
+        assert!(out.report.is_some(), "traced runs produce a report");
+        match out.result {
             Err(RuntimeError::Deadlock { tail, .. }) => {
                 assert!(!tail.is_empty(), "traced deadlock must carry worker tails");
                 let has_wait = tail.iter().any(|t| {

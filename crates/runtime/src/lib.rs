@@ -31,15 +31,15 @@
 //! * [`executor`] — [`ParallelExecutor`] orchestrates the three phases, short-circuits
 //!   zero-iteration loops to pure sequential execution, and reports deadlocks with the
 //!   owning segment and pc range straight from the image's side tables;
-//! * [`telemetry`] — per-worker event rings and stall accounting (compile-out via the
-//!   default-on `telemetry` feature, sampled low-overhead mode), aggregated into
+//! * [`telemetry`] — per-worker event rings and stall accounting (off by default at run
+//!   time, with a sampled low-overhead mode), aggregated into
 //!   per-segment run/wait/spin/park breakdowns, worker occupancy and observed segment
 //!   costs that feed back into loop selection (`docs/observability.md`).
 //!
 //! Timing is *not* modeled here — that is `helix-simulator`'s job (which reads the
 //! [`ParallelImage`]'s per-segment costs). This crate answers the correctness question —
 //! does parallel execution produce the sequential result? — and the performance question —
-//! is it actually faster? (`crates/bench/benches/parallel_runtime.rs` measures it.)
+//! is it actually faster? (the repository's one benchmark, `benchmarks/`, measures it.)
 
 #![warn(clippy::undocumented_unsafe_blocks)]
 

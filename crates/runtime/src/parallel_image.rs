@@ -1935,10 +1935,7 @@ pub(crate) struct IterSync<'a> {
     pub exited_at: &'a AtomicU64,
     /// Spin rounds a blocked `Wait` may burn before it is declared deadlocked.
     pub spin_budget: u64,
-    /// This worker's telemetry handle, `None` when telemetry is disabled. Compiled out
-    /// entirely without the `telemetry` feature (`run_iteration` then binds a statically
-    /// `None` local, folding every recording branch away).
-    #[cfg(feature = "telemetry")]
+    /// This worker's telemetry handle, `None` when telemetry is disabled.
     pub telem: Option<crate::telemetry::WorkerCtx<'a>>,
 }
 
@@ -1950,14 +1947,11 @@ impl<'a> IterSync<'a> {
         spin_budget: u64,
         telem: Option<crate::telemetry::WorkerCtx<'a>>,
     ) -> Self {
-        #[cfg(not(feature = "telemetry"))]
-        let _ = telem;
         IterSync {
             lanes,
             sleepers,
             exited_at,
             spin_budget,
-            #[cfg(feature = "telemetry")]
             telem,
         }
     }
@@ -2033,12 +2027,7 @@ pub(crate) fn run_iteration<T: Tier>(
 ) -> Result<IterEnd, IterError> {
     let code = &loop_image.pcode[..];
     let mut pc = loop_image.entry_pc as usize;
-    // This worker's telemetry handle. Without the `telemetry` feature the local is a
-    // statically-known `None` and every recording branch below folds away.
-    #[cfg(feature = "telemetry")]
     let telem = sync.telem;
-    #[cfg(not(feature = "telemetry"))]
-    let telem: Option<crate::telemetry::WorkerCtx<'_>> = None;
     // Reads are unchecked (see `eval`); writes go through `set`, also unchecked: every dst
     // register index was widened into the function's register file at lowering time.
     #[inline(always)]

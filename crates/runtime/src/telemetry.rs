@@ -5,19 +5,16 @@
 //! actually went, per segment, per lane, per worker, on the run that just happened. The
 //! design constraints, in order:
 //!
-//! 1. **Zero cost when compiled out.** The `telemetry` cargo feature (default-on) gates
-//!    every recording site behind a statically-`None` handle, so a `--no-default-features`
-//!    build folds the instrumentation away entirely.
-//! 2. **Near-zero cost when disabled at run time.** With [`TelemetryMode::Disabled`]
+//! 1. **Near-zero cost when disabled.** With [`TelemetryMode::Disabled`]
 //!    (the default) no [`TelemetryRun`] is allocated and every hook is one `Option`
 //!    discriminant test on the cold side of a wait/signal/claim — never in the straight-line
 //!    op dispatch.
-//! 3. **No shared-state writes when enabled.** Each worker records into its own
+//! 2. **No shared-state writes when enabled.** Each worker records into its own
 //!    cache-line-aligned [`WorkerSlot`]; there are *no atomics* in the recording path.
 //!    Soundness comes from ownership in time: worker `w` is the only thread that ever
 //!    writes slot `w`, and the aggregation pass reads the slots only after the pool's
 //!    job-ticket join — the same happens-before barrier the run's results already rely on.
-//! 4. **Bounded memory.** Events go into a fixed-capacity ring per worker
+//! 3. **Bounded memory.** Events go into a fixed-capacity ring per worker
 //!    ([`EVENT_RING_CAP`]); when a run overflows it the oldest events are overwritten and
 //!    the report says how many were dropped. Counters are never dropped.
 //!
@@ -55,8 +52,7 @@ pub const NO_LANE: u32 = u32::MAX;
 /// How much the runtime records during a parallel run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum TelemetryMode {
-    /// Record nothing; every hook is a single branch (or nothing at all when the
-    /// `telemetry` feature is compiled out).
+    /// Record nothing; every hook is a single branch.
     #[default]
     Disabled,
     /// Counters for every iteration; events only for iterations whose number is a multiple
@@ -253,10 +249,9 @@ pub struct TelemetryRun {
 
 impl TelemetryRun {
     /// Creates the recording state for a run with `workers` workers, or `None` when the
-    /// mode is disabled (or the `telemetry` feature is compiled out — the statically-`None`
-    /// result is what lets the instrumentation fold away).
+    /// mode is disabled.
     pub fn for_run(mode: TelemetryMode, image: &LoopImage, workers: usize) -> Option<TelemetryRun> {
-        if !cfg!(feature = "telemetry") || !mode.enabled() {
+        if !mode.enabled() {
             return None;
         }
         let num_lanes = image.num_lanes();

@@ -1493,12 +1493,7 @@ pub(crate) fn run_iteration_threaded<T: Tier>(
     sync: &IterSync<'_>,
     on_control: &mut dyn FnMut(),
 ) -> Result<IterEnd, IterError> {
-    // This worker's telemetry handle; statically `None` without the feature, exactly like
-    // `run_iteration`, so every recording branch in the handlers folds away.
-    #[cfg(feature = "telemetry")]
     let telem = sync.telem;
-    #[cfg(not(feature = "telemetry"))]
-    let telem: Option<WorkerCtx<'_>> = None;
     let mut ctx = TCtx {
         image,
         pcode: &loop_image.pcode,

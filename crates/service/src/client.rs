@@ -2,7 +2,7 @@
 //!
 //! Works over anything `Read + Write` — a `UnixStream` for the socket mode, or a
 //! child process's stdin/stdout pair for the batch mode (see
-//! [`Client::from_halves`]). Used by the CLI smoke test and the service bench.
+//! [`Client::from_halves`]). Used by the CLI smoke test and the benchmark.
 
 use std::io::{self, Read, Write};
 use std::path::Path;

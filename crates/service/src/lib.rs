@@ -18,7 +18,7 @@
 //!   execute path that turns pool worker panics into structured `panic` responses
 //!   while the daemon keeps serving (the recovery behavior the prerequisite
 //!   `helix-runtime` bugfix guarantees);
-//! * [`client`] — a small synchronous client used by tests, the bench, and scripts.
+//! * [`client`] — a small synchronous client used by tests, the benchmark, and scripts.
 //!
 //! Protocol and operational details are documented in `docs/service.md`.
 

@@ -14,7 +14,7 @@ use helix::gen::{differential_check, generate, telemetry_violations, GenConfig, 
 use helix::ir::builder::{FunctionBuilder, ModuleBuilder};
 use helix::ir::{BinOp, Machine, Operand};
 use helix::profiler::profile_program_image;
-use helix::runtime::{DispatchTier, EventKind, ParallelExecutor, TelemetryMode};
+use helix::runtime::{DispatchTier, EventKind, ParallelExecutor, ParallelImage, TelemetryMode};
 
 /// Builds an accumulator whose loop carries a synchronized dependence (same shape as
 /// `parallel_stress.rs`): every iteration loads, mixes and stores one global cell.
@@ -60,14 +60,17 @@ fn full_traces_are_well_formed_at_every_thread_count() {
     let (module, main, transformed) = accumulator(256);
     let mut seq = Machine::new(&module);
     let expected = seq.call(main, &[]).unwrap();
+    let pimg = ParallelImage::lower(&transformed);
 
     for threads in [1usize, 2, 4, 6] {
         let mut executor = ParallelExecutor::new(threads).with_telemetry(TelemetryMode::Full);
         executor.hardware = threads;
-        let (run, report) = executor.run_traced(&transformed, &[]);
-        let got = run.unwrap_or_else(|e| panic!("{threads} threads: {e}"));
+        let run = executor.run_parallel_out(&pimg, &[]);
+        let got = run
+            .result
+            .unwrap_or_else(|e| panic!("{threads} threads: {e}"));
         assert_eq!(got, expected, "telemetry changed the result at {threads}t");
-        let report = report.expect("telemetry enabled, report expected");
+        let report = run.report.expect("telemetry enabled, report expected");
         assert_eq!(report.workers.len(), executor.effective_workers());
 
         for w in &report.workers {
@@ -118,6 +121,7 @@ fn dispatch_tiers_produce_identical_telemetry() {
     let (module, main, transformed) = accumulator(256);
     let mut seq = Machine::new(&module);
     let expected = seq.call(main, &[]).unwrap();
+    let pimg = ParallelImage::lower(&transformed);
 
     for threads in [1usize, 2, 4] {
         let run_with = |tier: DispatchTier| {
@@ -125,13 +129,15 @@ fn dispatch_tiers_produce_identical_telemetry() {
                 .with_telemetry(TelemetryMode::Full)
                 .with_dispatch_tier(tier);
             executor.hardware = threads;
-            let (run, report) = executor.run_traced(&transformed, &[]);
-            let got = run.unwrap_or_else(|e| panic!("{threads}t/{tier}: {e}"));
+            let run = executor.run_parallel_out(&pimg, &[]);
+            let got = run
+                .result
+                .unwrap_or_else(|e| panic!("{threads}t/{tier}: {e}"));
             assert_eq!(
                 got, expected,
                 "{tier} tier changed the result at {threads}t"
             );
-            report.expect("telemetry enabled, report expected")
+            run.report.expect("telemetry enabled, report expected")
         };
         let switch = run_with(DispatchTier::Switch);
         let threaded = run_with(DispatchTier::Threaded);
@@ -188,12 +194,13 @@ fn dispatch_tiers_produce_identical_telemetry() {
 #[test]
 fn sampled_mode_keeps_counters_exact_with_fewer_events() {
     let (_module, _main, transformed) = accumulator(512);
+    let pimg = ParallelImage::lower(&transformed);
     let run_with = |mode: TelemetryMode| {
         let mut executor = ParallelExecutor::new(4).with_telemetry(mode);
         executor.hardware = 4;
-        let (run, report) = executor.run_traced(&transformed, &[]);
-        run.unwrap();
-        report.expect("report")
+        let run = executor.run_parallel_out(&pimg, &[]);
+        run.result.unwrap();
+        run.report.expect("report")
     };
     let full = run_with(TelemetryMode::Full);
     let sampled = run_with(TelemetryMode::Sampled(64));
@@ -231,9 +238,12 @@ fn disabled_telemetry_produces_no_report() {
     let (_module, _main, transformed) = accumulator(64);
     let mut executor = ParallelExecutor::new(2);
     executor.hardware = 2;
-    let (run, report) = executor.run_traced(&transformed, &[]);
-    run.unwrap();
-    assert!(report.is_none(), "disabled telemetry must not aggregate");
+    let run = executor.run_parallel_out(&ParallelImage::lower(&transformed), &[]);
+    run.result.unwrap();
+    assert!(
+        run.report.is_none(),
+        "disabled telemetry must not aggregate"
+    );
 }
 
 #[test]
