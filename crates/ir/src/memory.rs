@@ -4,6 +4,12 @@
 //! the next contiguous region, and heap allocations (`Alloc` instructions) bump upward from
 //! there. Addresses are plain `i64` word indices so pointer arithmetic in benchmark programs
 //! is ordinary integer arithmetic.
+//!
+//! The word array holds only what the program has touched: a fresh memory is the null word
+//! plus the globals, `alloc` and `store` grow it to the next power of two on demand (up to
+//! [`Memory::MAX_WORDS`]), and a load past its end reads `Int(0)`. So every address reads
+//! the same as in a zero-filled array of `MAX_WORDS` words, and a `clone()` of an initial
+//! memory copies its live prefix and nothing more.
 
 use crate::module::Module;
 use crate::value::Value;
@@ -32,7 +38,11 @@ impl std::fmt::Display for MemoryError {
 impl std::error::Error for MemoryError {}
 
 /// Flat, word-addressed program memory with a bump allocator.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+///
+/// Equality compares program state, not capacity: two memories are equal when their heap
+/// bounds match and every address reads the same word (words past the shorter array read
+/// `Int(0)`), whatever growth history sized their arrays.
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Memory {
     words: Vec<Value>,
     heap_base: usize,
@@ -40,17 +50,14 @@ pub struct Memory {
 }
 
 impl Memory {
-    /// Default memory capacity in words (grown on demand up to [`Memory::MAX_WORDS`]).
-    pub const DEFAULT_WORDS: usize = 1 << 16;
     /// Hard upper bound on memory size to keep runaway workloads in check.
     pub const MAX_WORDS: usize = 1 << 26;
 
-    /// Creates memory for a module: globals are laid out and initialized, and the heap starts
-    /// right after them.
+    /// Creates memory for a module: the null word and the globals, initialized, with the
+    /// heap starting right after them.
     pub fn for_module(module: &Module) -> Self {
-        let global_words = module.global_memory_words();
-        let capacity = (global_words + 1).max(Self::DEFAULT_WORDS);
-        let mut words = vec![Value::default(); capacity];
+        let heap_base = module.global_memory_words() + 1;
+        let mut words = vec![Value::default(); heap_base];
         let bases = module.global_base_addresses();
         for (global, base) in module.globals.iter().zip(&bases) {
             for (offset, value) in global.init.iter().enumerate() {
@@ -59,41 +66,29 @@ impl Memory {
         }
         Self {
             words,
-            heap_base: global_words + 1,
-            next_free: global_words + 1,
+            heap_base,
+            next_free: heap_base,
         }
     }
 
-    /// The raw word array (the live prefix is [`Memory::live_words`], the tail is untouched
-    /// capacity).
+    /// The raw word array: the live prefix ([`Memory::live_words`]) followed by whatever
+    /// the growth policy added past it (words stored beyond the bump pointer, and zeros).
     pub fn words(&self) -> &[Value] {
         &self.words
     }
 
     /// The live prefix: the null word, the globals and the allocated heap
     /// (`words()[..heap_base + heap_used]`). Two memories with equal live words and equal
-    /// heap bookkeeping hold the same program state, whatever their spare capacity.
+    /// heap bookkeeping hold the same program state unless a store went past the bump
+    /// pointer.
     pub fn live_words(&self) -> &[Value] {
         &self.words[..self.next_free]
     }
 
-    /// A copy sharing this memory's layout and contents but cloning only the live prefix
-    /// (globals + allocated heap). Reads beyond the prefix see zero and writes grow on
-    /// demand, exactly like the full copy — at a fraction of the per-run cost when the
-    /// backing capacity is mostly untouched (the parallel runtime clones a memory per
-    /// `execute`).
-    pub fn fresh_copy(&self) -> Memory {
-        Memory {
-            words: self.live_words().to_vec(),
-            heap_base: self.heap_base,
-            next_free: self.next_free,
-        }
-    }
-
-    /// Creates an empty memory with the default capacity and no globals.
+    /// Creates an empty memory: the null word alone, no globals.
     pub fn new() -> Self {
         Self {
-            words: vec![Value::default(); Self::DEFAULT_WORDS],
+            words: vec![Value::default()],
             heap_base: 1,
             next_free: 1,
         }
@@ -174,6 +169,20 @@ impl Default for Memory {
     }
 }
 
+impl PartialEq for Memory {
+    fn eq(&self, other: &Self) -> bool {
+        let (short, long) = if self.words.len() <= other.words.len() {
+            (&self.words, &other.words)
+        } else {
+            (&other.words, &self.words)
+        };
+        self.heap_base == other.heap_base
+            && self.next_free == other.next_free
+            && long[..short.len()] == short[..]
+            && long[short.len()..].iter().all(|w| *w == Value::default())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,6 +194,15 @@ mod tests {
         mem.store(100, Value::Int(42)).unwrap();
         assert_eq!(mem.load(100).unwrap(), Value::Int(42));
         assert_eq!(mem.load(101).unwrap(), Value::Int(0));
+        mem.store(100_000, Value::Int(11)).unwrap();
+        assert_eq!(mem.load(100_000).unwrap(), Value::Int(11));
+        assert_eq!(mem.load(99_999).unwrap(), Value::Int(0));
+        assert_eq!(mem.load(100_001).unwrap(), Value::Int(0));
+        assert_eq!(
+            mem.load(1 << 20).unwrap(),
+            Value::Int(0),
+            "past the grown array"
+        );
     }
 
     #[test]
@@ -203,8 +221,8 @@ mod tests {
         let b = mem.alloc(5).unwrap();
         assert_eq!(b, a + 10);
         assert_eq!(mem.heap_used(), 15);
-        // Growing past the default capacity works.
-        let big = mem.alloc(Memory::DEFAULT_WORDS * 2).unwrap();
+        // Growing far past the initial array works.
+        let big = mem.alloc(1 << 17).unwrap();
         mem.store(big, Value::Int(9)).unwrap();
         assert_eq!(mem.load(big).unwrap(), Value::Int(9));
     }
@@ -220,12 +238,25 @@ mod tests {
         );
         mem.alloc(2).unwrap();
         assert_eq!(mem.live_words().len(), 5);
-        assert_eq!(mem.fresh_copy().live_words(), mem.live_words());
-        assert_eq!(
-            mem.fresh_copy().words().len(),
-            5,
-            "no spare capacity copied"
-        );
+    }
+
+    #[test]
+    fn equality_compares_contents_not_capacity() {
+        let mut small = Memory::new();
+        small.store(2, Value::Int(4)).unwrap();
+        let mut grown = small.clone();
+        grown.store(100_000, Value::Int(1)).unwrap();
+        assert_ne!(grown, small, "a word past the shorter array");
+        assert_ne!(small, grown);
+        grown.store(100_000, Value::Int(0)).unwrap();
+        assert!(grown.words().len() > small.words().len());
+        assert_eq!(grown, small);
+        assert_eq!(small, grown);
+        grown.store(100_000, Value::Float(0.0)).unwrap();
+        assert_ne!(grown, small, "Float(0.0) is not the zero word");
+        let mut allocated = small.clone();
+        allocated.alloc(1).unwrap();
+        assert_ne!(allocated, small, "heap bounds differ");
     }
 
     #[test]
@@ -244,6 +275,7 @@ mod tests {
         assert_eq!(mem.load(base + 1).unwrap(), Value::Int(4));
         assert_eq!(mem.load(base + 2).unwrap(), Value::Int(0));
         assert_eq!(mem.heap_base(), 5);
+        assert_eq!(mem.words().len(), 5, "no padding past the globals");
     }
 
     #[test]
@@ -251,6 +283,8 @@ mod tests {
         let m = Module::new("m");
         let mem = Memory::for_module(&m);
         assert_eq!(mem.heap_base(), 1);
+        assert_eq!(mem.words().len(), 1);
+        assert_eq!(Memory::new().words().len(), 1);
         assert_eq!(mem.load(0).unwrap(), Value::Int(0));
     }
 }

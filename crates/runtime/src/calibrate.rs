@@ -427,7 +427,7 @@ fn time_kernel(image: &ExecImage, func: FuncId, reps: usize, tier: DispatchTier)
     let fi = &image.funcs[func.index()];
     let engine = Engine::build(tier, image, None);
     let mut tier = LocalTier {
-        memory: image.initial_memory.fresh_copy(),
+        memory: image.initial_memory.clone(),
         arena: PrivateArena::new(),
     };
     let mut best = Duration::MAX;

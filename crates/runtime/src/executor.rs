@@ -582,8 +582,9 @@ pub struct ParallelExecutor {
     /// [`RuntimeError::WorkerPanicked`], never as a process abort.
     pub panic_at: Option<u64>,
     /// Capture the run's final memory into [`RunOutput::memory`] (the `*_out` entry
-    /// points); off by default. A capture copies the live prefix (globals + allocated
-    /// heap) only, so a 1-worker and a multi-worker run of one program capture the same
+    /// points); off by default. A 1-worker run hands back its own memory, a clone of the
+    /// image's initial memory grown as the run allocated; a multi-worker run copies the
+    /// live prefix (globals + allocated heap) out of shared memory. Both capture the same
     /// [`Memory::live_words`].
     pub capture_memory: bool,
 }
@@ -884,7 +885,7 @@ impl ParallelExecutor {
     ) -> Result<(Option<Value>, Option<Memory>), RuntimeError> {
         let engine = Engine::build(self.resolved_tier(), image, Some(loop_image));
         let mut tier = LocalTier {
-            memory: image.initial_memory.fresh_copy(),
+            memory: image.initial_memory.clone(),
             arena: PrivateArena::new(),
         };
         // Phase B, single worker: iterations run in order on the calling thread with no

@@ -6,7 +6,8 @@
 //! Leaves and pages are installed on first touch (one [`OnceLock`] per slot), so creating
 //! the memory costs a 2 KiB directory plus the pages the image's live prefix occupies, and a
 //! run pays only for the pages it writes. Reads of a never-installed page see zero, exactly
-//! like untouched sequential memory.
+//! like reads past the end of sequential [`Memory`], whose word array holds only the null
+//! word, the globals and what the run has grown it to.
 //!
 //! A cell is a tag and a 64-bit payload, each accessed with `Relaxed` atomics — plain
 //! loads and stores on x86-64. No access takes a lock. HELIX already orders every
@@ -333,12 +334,13 @@ impl SharedMemory {
     /// Copies the live prefix (globals + allocated heap) back into a flat [`Memory`] for
     /// inspection after a parallel run. `template` must be the memory this one was created
     /// from (typically [`helix_ir::ExecImage::initial_memory`]). The capture starts from a
-    /// live-prefix copy of it, so the heap layout and bump pointer carry over, then copies
+    /// clone of it — an initial memory holds only its live prefix, so the clone copies
+    /// nothing more — and the heap layout and bump pointer carry over; it then copies
     /// the installed pages over it: an uninstalled page was all zeros in the template and
     /// was never written. Words outside the allocated prefix (raw stores past the bump
     /// pointer) are not captured.
     pub fn snapshot(&self, template: &Memory) -> Memory {
-        let mut memory = template.fresh_copy();
+        let mut memory = template.clone();
         let extra = self.heap_used().saturating_sub(template.heap_used());
         if extra > 0 {
             memory.alloc(extra).expect("snapshot heap fits");

@@ -46,19 +46,24 @@ pub fn raw_hash(source: &str, entry: &str) -> u64 {
 pub struct ServedImage {
     /// Canonical content-hash key this entry is cached under.
     pub key: u64,
-    /// Entry function id in `exec`.
+    /// Entry function id in the original module.
     pub entry: FuncId,
     /// Entry function name.
     pub entry_name: String,
-    /// Sequential engine image of the *original* module (fallback when no loop
-    /// qualified, and the oracle for differential testing).
-    pub exec: ExecImage,
-    /// Lowered parallel image of the transformed clone, when a plan exists.
-    pub parallel: Option<ParallelImage>,
+    /// The one image a job runs.
+    pub plan: ServedPlan,
     /// Was the plan chosen by the Section 2.2 selection (vs. hottest-candidate fallback)?
     pub plan_selected: bool,
     /// Wall time spent preparing this entry (profile + analyze + transform + lower).
     pub prep: Duration,
+}
+
+/// What a cache entry executes: one lowered image, never both.
+pub enum ServedPlan {
+    /// Lowered parallel image of the transformed clone: a loop qualified.
+    Parallel(Box<ParallelImage>),
+    /// Sequential engine image of the *original* module: no loop qualified.
+    Sequential(ExecImage),
 }
 
 /// Monotonic counter snapshot.
@@ -198,8 +203,7 @@ mod tests {
             key,
             entry: module.function_by_name("main").unwrap(),
             entry_name: "main".to_string(),
-            exec: ExecImage::lower(&module),
-            parallel: None,
+            plan: ServedPlan::Sequential(ExecImage::lower(&module)),
             plan_selected: false,
             prep: Duration::ZERO,
         })

@@ -27,7 +27,7 @@ pub mod client;
 pub mod protocol;
 pub mod server;
 
-pub use cache::{raw_hash, CacheStats, ImageCache, ServedImage};
+pub use cache::{raw_hash, CacheStats, ImageCache, ServedImage, ServedPlan};
 pub use client::Client;
 pub use protocol::{
     read_frame, write_frame, CacheOutcome, Fault, Op, Request, Response, Status, MAX_FRAME,

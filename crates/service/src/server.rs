@@ -26,7 +26,7 @@ use helix_runtime::{
 };
 use parking_lot::{Condvar, Mutex};
 
-use crate::cache::{raw_hash, CacheStats, ImageCache, ServedImage};
+use crate::cache::{raw_hash, CacheStats, ImageCache, ServedImage, ServedPlan};
 use crate::protocol::{
     read_frame, write_frame, CacheOutcome, Fault, Op, Request, Response, Status,
 };
@@ -259,8 +259,12 @@ impl Server {
                             key,
                             entry,
                             entry_name: req.entry.clone(),
-                            exec: ExecImage::lower(&module),
-                            parallel: prepared.transformed.as_ref().map(ParallelImage::lower),
+                            plan: match &prepared.transformed {
+                                Some(transformed) => ServedPlan::Parallel(Box::new(
+                                    ParallelImage::lower(transformed),
+                                )),
+                                None => ServedPlan::Sequential(ExecImage::lower(&module)),
+                            },
                             plan_selected: prepared.plan_selected,
                             prep: start.elapsed(),
                         });
@@ -281,8 +285,8 @@ impl Server {
 
     fn execute(&self, req: &Request, image: &ServedImage) -> Response {
         let start = Instant::now();
-        let mut resp = match &image.parallel {
-            Some(pimg) => {
+        let mut resp = match &image.plan {
+            ServedPlan::Parallel(pimg) => {
                 let threads = req.threads.unwrap_or(self.config.default_threads).max(1);
                 let budget = req.max_iterations.unwrap_or(self.config.max_iterations);
                 let mut executor = ParallelExecutor::new(threads)
@@ -309,7 +313,7 @@ impl Server {
                     Err(e) => Response::fail(req.id, Status::Error, e.to_string()),
                 }
             }
-            None => {
+            ServedPlan::Sequential(exec) => {
                 if let Fault::PanicAt(_) = req.fault {
                     return Response::fail(
                         req.id,
@@ -318,7 +322,7 @@ impl Server {
                          program qualified for parallelization",
                     );
                 }
-                let mut machine = ImageMachine::new(&image.exec);
+                let mut machine = ImageMachine::new(exec);
                 machine.set_fuel(self.config.fuel);
                 match machine.call(image.entry, &req.args) {
                     Ok(value) => {
@@ -334,10 +338,9 @@ impl Server {
             }
         };
         resp.plan = Some(
-            if image.parallel.is_some() {
-                "parallel"
-            } else {
-                "sequential"
+            match image.plan {
+                ServedPlan::Parallel(_) => "parallel",
+                ServedPlan::Sequential(_) => "sequential",
             }
             .to_string(),
         );

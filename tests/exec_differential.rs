@@ -3,7 +3,8 @@
 //! The flat-bytecode engine (`helix_ir::exec` over a lowered `ExecImage`) must be
 //! observationally identical to the reference tree-walking interpreter (`helix_ir::interp`):
 //! same return values, same [`ExecStats`] (instruction counts, cycles, loads/stores/calls,
-//! block counts), same final memory state, and — because the analysis pipeline consumes
+//! block counts), same final memory state (starting from an initial memory that holds only
+//! the null word and the globals), and — because the analysis pipeline consumes
 //! profiles — the same [`ProgramProfile`] when both engines run under their profilers.
 //!
 //! Every checked-in corpus program and every synthetic workload kernel goes through both
@@ -22,6 +23,11 @@ fn assert_engines_agree(
     args: &[Value],
 ) -> (Option<Value>, ExecStats) {
     let image = ExecImage::lower(module);
+    assert_eq!(
+        image.initial_memory.words().len() as i64,
+        image.initial_memory.heap_base(),
+        "{name}: initial memory holds more than the null word and the globals"
+    );
     let mut tree = Machine::new(module);
     let mut flat = ImageMachine::new(&image);
     let tree_result = tree
