@@ -2,7 +2,7 @@
 //!
 //! Program analyses required by the HELIX transformation (Campanoni et al., CGO 2012):
 //!
-//! * [`cfg`] — control-flow-graph utilities (predecessors, successors, reverse postorder).
+//! * [`cfg`](mod@cfg) — control-flow-graph utilities (predecessors, successors, reverse postorder).
 //! * [`dominators`] — dominator and post-dominator trees (used to find loop back edges and to
 //!   compute loop prologues in HELIX Step 1).
 //! * [`loops`] — natural loop detection and the per-function loop forest.
@@ -11,8 +11,8 @@
 //!   used to find loop boundary live variables and register dependences.
 //! * [`callgraph`] — the program call graph.
 //! * [`loop_nesting`] — the program-wide *static loop nesting graph* of Section 2.2.
-//! * [`pointer`] — an Andersen-style, flow-insensitive, interprocedural pointer analysis
-//!   standing in for the paper's "practical and accurate low-level pointer analysis" [17].
+//! * [`pointer`](mod@pointer) — an Andersen-style, flow-insensitive, interprocedural pointer analysis
+//!   standing in for the paper's "practical and accurate low-level pointer analysis" \[17\].
 //! * [`ddg`] — the per-loop data dependence graph with loop-carried classification.
 //! * [`induction`] — loop-invariant and induction-variable detection (HELIX Step 2 uses these
 //!   to avoid synchronizing dependences that do not need it).

@@ -276,11 +276,13 @@ impl Helix {
                     boundary.insert(var);
                 }
             }
-            // Defined inside and live at an exit block: live-out values.
+            // Defined inside and live at an exit block: live-out values. Basic induction
+            // variables stay in registers: the runtime recomputes them for every iteration,
+            // and Phase C resumes with the exiting iteration's registers.
             for exit in &natural.exit_blocks {
                 for v in liveness.live_in(*exit).iter() {
                     let var = VarId::new(v as u32);
-                    if defined_in_loop.contains(&var) {
+                    if defined_in_loop.contains(&var) && !induction.is_induction(var) {
                         boundary.insert(var);
                     }
                 }
@@ -465,7 +467,7 @@ impl Helix {
 
     /// Feedback-directed re-selection: re-scores every candidate plan with *measured*
     /// per-segment costs — the cycles each synchronized segment's span actually occupies in
-    /// the lowered [`helix_runtime`] iteration bytecode (post-fusion, post-privatization),
+    /// the lowered `helix_runtime` iteration bytecode (post-fusion, post-privatization),
     /// as computed by `helix_simulator::lowered_segment_costs` — and re-runs the Section 2.2
     /// selection with them.
     ///

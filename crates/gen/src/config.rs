@@ -1,6 +1,6 @@
 //! Size and shape knobs of the structured generator.
 
-/// Configuration of [`crate::generate`]: which program shapes may appear and how large the
+/// Configuration of [`crate::generate()`]: which program shapes may appear and how large the
 /// generated module may grow.
 ///
 /// Every knob is a *ceiling*; the generator draws actual sizes per seed, so a single

@@ -8,7 +8,7 @@
 //! the whole unit suite and surfaced only by chance on two corpus programs. This crate turns
 //! that class of bug into a one-command minimized reproduction:
 //!
-//! * [`generate`] — a seeded, fully deterministic structured generator emitting
+//! * [`generate()`] — a seeded, fully deterministic structured generator emitting
 //!   verifier-clean, terminating HIR modules that span the paper's hard cases: nested loop
 //!   hierarchies, loop-carried scalar and memory dependences, pointer chasing over generated
 //!   heap graphs, reductions, calls (including in-loop `ret` and bounded recursion), and

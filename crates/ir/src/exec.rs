@@ -11,7 +11,7 @@
 //! sequential memory, the profiler and the parallel runtime's shared memory all plug
 //! in unchanged) and over [`ImageObserver`], the lowered counterpart of
 //! [`crate::interp::Observer`]: hooks receive dense block indices and program counters, which
-//! lets profilers keep dense per-pc / per-block counters and fold them back to [`InstrRef`]s
+//! lets profilers keep dense per-pc / per-block counters and fold them back to [`crate::InstrRef`]s
 //! only when reporting.
 //!
 //! [`ImageMachine`] is the drop-in replacement for [`crate::interp::Machine`]: engine plus a

@@ -85,6 +85,11 @@ impl Memory {
         &self.words[..self.next_free]
     }
 
+    /// The live prefix, writable in place (see [`Memory::live_words`]).
+    pub fn live_words_mut(&mut self) -> &mut [Value] {
+        &mut self.words[..self.next_free]
+    }
+
     /// Creates an empty memory: the null word alone, no globals.
     pub fn new() -> Self {
         Self {

@@ -9,13 +9,21 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dynamically typed 64-bit value.
+///
+/// `#[repr(C, u8)]` fixes the layout the runtime's JIT writes into register files: a `u8`
+/// tag at offset 0 (`Int` = 0, `Float` = 1, declaration order), then the 8-byte payload at
+/// offset 8, 16 bytes in all.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[repr(C, u8)]
 pub enum Value {
     /// A 64-bit signed integer. Addresses and booleans (0/1) are represented as integers.
     Int(i64),
     /// A 64-bit IEEE-754 float.
     Float(f64),
 }
+
+const _: () = assert!(std::mem::size_of::<Value>() == 16);
+const _: () = assert!(std::mem::align_of::<Value>() == 8);
 
 impl Value {
     /// The canonical `true` value.

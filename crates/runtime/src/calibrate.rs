@@ -21,9 +21,8 @@
 
 use crate::engine::Engine;
 use crate::lanes::SignalLanes;
-use crate::parallel_image::LocalTier;
 use crate::pool::WorkerPool;
-use crate::sharded::PrivateArena;
+use crate::sharded::{SharedMemory, WorkerMemory};
 use crate::threaded::DispatchTier;
 use helix_core::HelixConfig;
 use helix_ir::builder::{FunctionBuilder, ModuleBuilder};
@@ -426,15 +425,13 @@ fn kernel_image(kind: Kernel, body_ops: usize) -> (ExecImage, FuncId) {
 fn time_kernel(image: &ExecImage, func: FuncId, reps: usize, tier: DispatchTier) -> Duration {
     let fi = &image.funcs[func.index()];
     let engine = Engine::build(tier, image, None);
-    let mut tier = LocalTier {
-        memory: image.initial_memory.clone(),
-        arena: PrivateArena::new(),
-    };
+    let memory = SharedMemory::from_memory(&image.initial_memory);
+    let mut mem = WorkerMemory::new(&memory);
     let mut best = Duration::MAX;
     for _ in 0..reps {
         let mut regs = vec![Value::default(); fi.num_regs];
         let start = Instant::now();
-        let result = engine.run_flat(func, fi.entry_block, None, &mut regs, &mut tier, u64::MAX);
+        let result = engine.run_flat(func, fi.entry_block, None, &mut regs, &mut mem, u64::MAX);
         let _ = std::hint::black_box(result);
         best = best.min(start.elapsed());
     }

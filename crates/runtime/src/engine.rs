@@ -11,23 +11,24 @@
 
 use crate::jit::{self, JitArtifact};
 use crate::parallel_image::{
-    run_flat, run_iteration, FlatEnd, FlatError, IterEnd, IterError, IterSync, LoopImage, Tier,
+    run_flat, run_iteration, FlatEnd, FlatError, IterEnd, IterError, IterSync, LoopImage,
 };
+use crate::sharded::WorkerMemory;
 use crate::threaded::{
     run_flat_threaded, run_iteration_threaded, DispatchTier, FlatTables, IterTable,
 };
 use helix_ir::{ExecImage, FuncId, Value};
 
-pub(crate) struct Engine<'a, T: Tier> {
+pub(crate) struct Engine<'a> {
     image: &'a ExecImage,
     /// Absent for engines that only run flat code (calibration kernels).
     loop_image: Option<&'a LoopImage>,
     /// Both `None` for the switch tier, which dispatches the streams directly.
-    flat: Option<(FlatTables<T>, Option<JitArtifact<T>>)>,
-    iter: Option<(IterTable<T>, Option<JitArtifact<T>>)>,
+    flat: Option<(FlatTables, Option<JitArtifact>)>,
+    iter: Option<(IterTable, Option<JitArtifact>)>,
 }
 
-impl<'a, T: Tier> Engine<'a, T> {
+impl<'a> Engine<'a> {
     /// Lowers (and under the JIT tier compiles) `image`'s flat streams and, when given,
     /// `loop_image`'s iteration stream for the already-resolved `tier`.
     pub(crate) fn build(
@@ -51,7 +52,7 @@ impl<'a, T: Tier> Engine<'a, T> {
         start_block: u32,
         stop_block: Option<u32>,
         regs: &mut Vec<Value>,
-        tier: &mut T,
+        mem: &mut WorkerMemory<'_>,
         budget: u64,
     ) -> Result<FlatEnd, FlatError> {
         match &self.flat {
@@ -62,18 +63,10 @@ impl<'a, T: Tier> Engine<'a, T> {
                 start_block,
                 stop_block,
                 regs,
-                tier,
+                mem,
                 budget,
             ),
-            None => run_flat(
-                self.image,
-                func,
-                start_block,
-                stop_block,
-                regs,
-                tier,
-                budget,
-            ),
+            None => run_flat(self.image, func, start_block, stop_block, regs, mem, budget),
         }
     }
 
@@ -83,7 +76,7 @@ impl<'a, T: Tier> Engine<'a, T> {
         &self,
         iteration: u64,
         regs: &mut Vec<Value>,
-        tier: &mut T,
+        mem: &mut WorkerMemory<'_>,
         sync: &IterSync<'_>,
         on_control: &mut dyn FnMut(),
     ) -> Result<IterEnd, IterError> {
@@ -92,10 +85,10 @@ impl<'a, T: Tier> Engine<'a, T> {
             .expect("engine was built without a loop image");
         match &self.iter {
             Some((table, _)) => run_iteration_threaded(
-                self.image, loop_image, table, iteration, regs, tier, sync, on_control,
+                self.image, loop_image, table, iteration, regs, mem, sync, on_control,
             ),
             None => run_iteration(
-                self.image, loop_image, iteration, regs, tier, sync, on_control,
+                self.image, loop_image, iteration, regs, mem, sync, on_control,
             ),
         }
     }

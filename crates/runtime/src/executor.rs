@@ -29,18 +29,17 @@
 //! * cross-iteration dependences synchronize through cache-line-padded, windowed
 //!   [`SignalLanes`] instead of a dense false-sharing counter array;
 //! * allocations proved iteration-private are served from each worker's
-//!   [`PrivateArena`]; the words skipped in shared memory are re-reserved after the loop so
-//!   every shared address stays bitwise-identical to a sequential run.
+//!   [`crate::sharded::PrivateArena`]; the words skipped in shared memory are re-reserved
+//!   after the loop so every shared address stays bitwise-identical to a sequential run.
 
 use crate::calibrate::CalibrationProfile;
 use crate::engine::Engine;
 use crate::lanes::{PaddedCounter, SignalLanes};
 use crate::parallel_image::{
-    FlatEnd, FlatError, IterEnd, IterError, IterSync, LocalTier, LoopImage, ParallelImage,
-    SharedTier, Tier,
+    FlatEnd, FlatError, IterEnd, IterError, IterSync, LoopImage, ParallelImage,
 };
 use crate::pool::{detect_hardware_threads, panic_message, AdaptiveWait, Sleepers, WorkerPool};
-use crate::sharded::{PrivateArena, SharedMemory};
+use crate::sharded::{SharedMemory, WorkerMemory};
 use crate::telemetry::{TelemetryMode, TelemetryReport, TelemetryRun, WorkerCtx, WorkerTail};
 use crate::threaded::DispatchTier;
 use helix_core::TransformedProgram;
@@ -347,8 +346,8 @@ fn convert_iter_error(loop_image: &LoopImage, iteration: u64, e: IterError) -> R
 /// once, on whichever path the worker leaves its loop — `Drop` covers them all, including
 /// the error and deadlock returns. A memory RMW per iteration on the hot claim loop is
 /// measurable on short iteration bodies; a bulk add on exit is free.
-struct IterRunner<'a, T: Tier> {
-    engine: &'a Engine<'a, T>,
+struct IterRunner<'a> {
+    engine: &'a Engine<'a>,
     loop_image: &'a LoopImage,
     /// Register file at loop entry; every iteration starts from this snapshot.
     snapshot: &'a [Value],
@@ -361,7 +360,7 @@ struct IterRunner<'a, T: Tier> {
     arena_words: u64,
 }
 
-impl<T: Tier> Drop for IterRunner<'_, T> {
+impl Drop for IterRunner<'_> {
     fn drop(&mut self) {
         if let Some(t) = self.telem {
             t.add_iter_counts(self.claims, self.iterations, self.arena_words);
@@ -369,9 +368,9 @@ impl<T: Tier> Drop for IterRunner<'_, T> {
     }
 }
 
-impl<'a, T: Tier> IterRunner<'a, T> {
+impl<'a> IterRunner<'a> {
     fn new(
-        engine: &'a Engine<'a, T>,
+        engine: &'a Engine<'a>,
         loop_image: &'a LoopImage,
         snapshot: &'a [Value],
         sync: IterSync<'a>,
@@ -398,7 +397,7 @@ impl<'a, T: Tier> IterRunner<'a, T> {
     fn run(
         &mut self,
         i: u64,
-        tier: &mut T,
+        mem: &mut WorkerMemory<'_>,
         on_control: &mut dyn FnMut(),
     ) -> Result<IterEnd, IterError> {
         let telem = self.telem;
@@ -419,11 +418,11 @@ impl<'a, T: Tier> IterRunner<'a, T> {
                 self.regs[r] = Value::Int(base + *step * i as i64);
             }
         }
-        tier.reset_arena();
+        mem.reset_arena();
         let iter_start = telem.map(|t| t.on_iter_start(i));
         let outcome = self
             .engine
-            .run_iteration(i, &mut self.regs, tier, &self.sync, on_control);
+            .run_iteration(i, &mut self.regs, mem, &self.sync, on_control);
         self.iterations += 1;
         if let (Some(t), Some(t0)) = (telem, iter_start) {
             t.on_iter_finish(i, t0);
@@ -431,10 +430,10 @@ impl<'a, T: Tier> IterRunner<'a, T> {
         outcome
     }
 
-    /// Moves the words `tier` served privately since the last drain into this worker's
+    /// Moves the words `mem` served privately since the last drain into this worker's
     /// telemetry count and returns them.
-    fn drain_private_words(&mut self, tier: &mut T) -> u64 {
-        let words = tier.drain_private_words();
+    fn drain_private_words(&mut self, mem: &mut WorkerMemory<'_>) -> u64 {
+        let words = mem.drain_private_words();
         self.arena_words += words;
         words
     }
@@ -443,10 +442,10 @@ impl<'a, T: Tier> IterRunner<'a, T> {
 /// One worker's Phase B under the claim protocol: claim ready iterations and run them
 /// until the loop ends. `on_first_control` fires whenever an iteration of *this worker*
 /// releases control (the executor's pool-activation hook; helpers pass a no-op).
-fn phase_b_worker<T: Tier>(
+fn phase_b_worker(
     shared: &RunShared<'_>,
-    engine: &Engine<'_, T>,
-    tier: &mut T,
+    engine: &Engine<'_>,
+    mem: &mut WorkerMemory<'_>,
     on_first_control: &mut dyn FnMut(),
     telem: Option<WorkerCtx<'_>>,
 ) {
@@ -510,14 +509,14 @@ fn phase_b_worker<T: Tier>(
                 on_control(i);
             }
         };
-        let outcome = runner.run(i, tier, &mut control_hook);
+        let outcome = runner.run(i, mem, &mut control_hook);
         if !matches!(outcome, Ok(IterEnd::Cancelled) | Err(_)) {
             // Counting this iteration's private words is exact: exit edges originate only
             // in prologues (Step 1), and control for iteration i+1 is released only after
             // iteration i's prologue decided to continue — so a completed iteration is
             // never speculative work past the loop's end (and `Returned` exits skip the
             // reserve entirely).
-            let words = runner.drain_private_words(tier);
+            let words = runner.drain_private_words(mem);
             shared.private_words.fetch_add(words, Ordering::Relaxed);
         }
         match outcome {
@@ -820,20 +819,20 @@ impl ParallelExecutor {
         }
     }
 
-    /// The paper's three phases, written once for both memory tiers: Phase A runs
-    /// sequentially from the function's entry to the loop header, `phase_b` — handed the
-    /// loop-entry register snapshot — runs the loop and reports how it ended plus how many
-    /// words its workers served from private arenas, and Phase C resumes sequentially from
-    /// the earliest iteration's exit after re-reserving those words, so every shared
+    /// The paper's three phases over one [`WorkerMemory`], the submitting thread's: Phase
+    /// A runs sequentially from the function's entry to the loop header, `phase_b` — handed
+    /// the loop-entry register snapshot — runs the loop and reports how it ended plus how
+    /// many words its workers served from private arenas, and Phase C resumes sequentially
+    /// from the earliest iteration's exit after re-reserving those words, so every shared
     /// address allocated later matches a sequential run of the loop.
-    fn run_phases<T: Tier>(
+    fn run_phases<'m>(
         &self,
-        engine: &Engine<'_, T>,
+        engine: &Engine<'_>,
         image: &ExecImage,
         loop_image: &LoopImage,
         args: &[Value],
-        tier: &mut T,
-        phase_b: impl FnOnce(&mut T, Vec<Value>) -> Result<(LoopExit, u64), RuntimeError>,
+        mem: &mut WorkerMemory<'m>,
+        phase_b: impl FnOnce(&mut WorkerMemory<'m>, Vec<Value>) -> Result<(LoopExit, u64), RuntimeError>,
     ) -> Result<Option<Value>, RuntimeError> {
         let fi = image.func(loop_image.func);
         let mut regs = vec![Value::default(); fi.num_regs.max(args.len())];
@@ -845,17 +844,17 @@ impl ParallelExecutor {
             fi.entry_block,
             Some(loop_image.header),
             &mut regs,
-            tier,
+            mem,
             self.max_iterations,
         )?;
         if let FlatEnd::Returned(v) = phase_a {
             // The loop was never reached.
             return Ok(v);
         }
-        let (block, mut regs) = match phase_b(tier, regs)? {
+        let (block, mut regs) = match phase_b(mem, regs)? {
             (LoopExit::Edge { block, regs }, private_words) => {
                 if private_words > 0 {
-                    tier.alloc(private_words as usize)?;
+                    mem.alloc(private_words as usize).map_err(ExecError::from)?;
                 }
                 (block, regs)
             }
@@ -866,7 +865,7 @@ impl ParallelExecutor {
             block,
             None,
             &mut regs,
-            tier,
+            mem,
             self.max_iterations,
         )? {
             FlatEnd::Returned(v) => Ok(v),
@@ -874,8 +873,9 @@ impl ParallelExecutor {
         }
     }
 
-    /// Single-worker execution: the whole run happens on the calling thread against plain
-    /// sequential memory — no atomics, no pool.
+    /// Single-worker execution: the whole run happens on the calling thread — no pool, no
+    /// claim protocol — over the same [`SharedMemory`] a multi-worker run uses, captured
+    /// the same way.
     fn run_single(
         &self,
         image: &ExecImage,
@@ -883,16 +883,14 @@ impl ParallelExecutor {
         args: &[Value],
         telem_run: Option<&TelemetryRun>,
     ) -> Result<(Option<Value>, Option<Memory>), RuntimeError> {
+        let memory = SharedMemory::from_memory(&image.initial_memory);
         let engine = Engine::build(self.resolved_tier(), image, Some(loop_image));
-        let mut tier = LocalTier {
-            memory: image.initial_memory.clone(),
-            arena: PrivateArena::new(),
-        };
+        let mut mem = WorkerMemory::new(&memory);
         // Phase B, single worker: iterations run in order on the calling thread with no
         // claim counters, no completion ring and no parks. Lane counters are still
         // maintained so a missing `Signal` is detected — instantly (zero spin budget),
         // because with no other worker an unsatisfied `Wait` can never become satisfied.
-        let phase_b = |tier: &mut LocalTier, snapshot: Vec<Value>| {
+        let phase_b = |mem: &mut WorkerMemory<'_>, snapshot: Vec<Value>| {
             let lanes = SignalLanes::new(loop_image.num_phys_lanes(), 1);
             let sleepers = Sleepers::new();
             let exited_at = AtomicU64::new(u64::MAX);
@@ -908,7 +906,7 @@ impl ParallelExecutor {
                     return Err(RuntimeError::IterationBudgetExceeded);
                 }
                 // An injected panic in `run` is caught by `run_lowered_out`'s boundary.
-                match runner.run(iteration, tier, &mut || {}) {
+                match runner.run(iteration, mem, &mut || {}) {
                     Ok(IterEnd::Completed) => iteration += 1,
                     Ok(IterEnd::Exit { block }) => {
                         let regs = std::mem::take(&mut runner.regs);
@@ -921,10 +919,13 @@ impl ParallelExecutor {
                     Err(e) => return Err(convert_iter_error(loop_image, iteration, e)),
                 }
             };
-            Ok((exit, runner.drain_private_words(tier)))
+            Ok((exit, runner.drain_private_words(mem)))
         };
-        let value = self.run_phases(&engine, image, loop_image, args, &mut tier, phase_b)?;
-        Ok((value, self.capture_memory.then_some(tier.memory)))
+        let value = self.run_phases(&engine, image, loop_image, args, &mut mem, phase_b)?;
+        let captured = self
+            .capture_memory
+            .then(|| memory.snapshot(&image.initial_memory));
+        Ok((value, captured))
     }
 
     /// Multi-worker execution over lock-free shared memory with `self.threads` workers (the
@@ -943,24 +944,24 @@ impl ParallelExecutor {
         let memory = SharedMemory::from_memory(&image.initial_memory);
         // Built once, here; helpers dispatch through the same tables and native code.
         let engine = Engine::build(self.resolved_tier(), image, Some(loop_image));
-        let mut tier = SharedTier::new(&memory);
+        let mut mem = WorkerMemory::new(&memory);
         let value = self.run_phases(
             &engine,
             image,
             loop_image,
             args,
-            &mut tier,
-            |tier, snapshot| {
+            &mut mem,
+            |mem, snapshot| {
                 let shared = RunShared::new(loop_image, snapshot, self);
                 let helpers = self.threads - 1;
                 let job = |worker: usize| {
                     // Helper panic boundary: record the cancellation *before* re-raising
                     // into the pool's own catch, so every other worker drains promptly.
                     let run = catch_unwind(AssertUnwindSafe(|| {
-                        let mut tier = SharedTier::new(&memory);
+                        let mut mem = WorkerMemory::new(&memory);
                         // Helpers run with pool indices 1..=helpers; slot 0 is the caller.
                         let telem = telem.map(|r| r.ctx(worker));
-                        phase_b_worker(&shared, &engine, &mut tier, &mut || {}, telem);
+                        phase_b_worker(&shared, &engine, &mut mem, &mut || {}, telem);
                     }));
                     if let Err(payload) = run {
                         shared.record_panic(worker, panic_message(payload.as_ref()));
@@ -983,7 +984,7 @@ impl ParallelExecutor {
                 // wait forever on control the primary can no longer release.
                 let primary = catch_unwind(AssertUnwindSafe(|| {
                     let telem = telem.map(|r| r.ctx(0));
-                    phase_b_worker(&shared, &engine, tier, &mut activate, telem);
+                    phase_b_worker(&shared, &engine, mem, &mut activate, telem);
                 }));
                 if let Err(payload) = primary {
                     shared.record_panic(0, panic_message(payload.as_ref()));
@@ -1417,9 +1418,9 @@ mod tests {
 
     #[test]
     fn two_worker_capture_holds_the_one_worker_live_words() {
-        // The multi-worker capture walks shared memory's pages, the single-worker one
-        // clones plain memory: both must describe the same program state. `scratch_fold`
-        // re-reserves privatized words, so its heap bookkeeping is checked too.
+        // Both captures walk the pages of the run's shared memory, filled by one worker or
+        // by two: they must describe the same program state. `scratch_fold` re-reserves
+        // privatized words, so its heap bookkeeping is checked too.
         let (_module, _main, accumulator) = build_accumulator(64);
         let mut programs = vec![("accumulator", accumulator)];
         for name in ["pointer_chase", "scratch_fold"] {

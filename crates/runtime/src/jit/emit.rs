@@ -6,8 +6,8 @@
 //! Every compiled chunk is one `extern "C" fn(regs: *mut Value) -> u64` function:
 //!
 //! * `rdi` stays pinned on the guest register slab for the whole chunk (guest register
-//!   `r` lives at `rdi + 16*r`, tag byte and payload word at the probed
-//!   [`ValueLayout`] offsets);
+//!   `r` lives at `rdi + 16*r`, tag byte and payload word at the
+//!   [`VALUE_LAYOUT`] offsets);
 //! * the return value is the **resume pc**: the slot after the last executed op on the
 //!   normal path, or the slot of the op whose operands fell outside the compiled fast
 //!   path (a *side exit* — e.g. a float where the integer template was emitted). The
@@ -30,7 +30,7 @@
 //! or are never included in a chunk — the fuzz oracle holds the tiers to bitwise
 //! agreement either way.
 
-use super::ValueLayout;
+use super::VALUE_LAYOUT;
 use crate::parallel_image::POp;
 use helix_ir::{BinOp, Pred, UnOp, Value};
 
@@ -381,20 +381,19 @@ enum Src {
     Imm(Value),
 }
 
-/// Per-chunk emission state: the layout constants plus the lazily created side-exit
-/// labels (one per source pc, shared by every check in that op's template).
+/// Per-chunk emission state: the lazily created side-exit labels (one per source pc,
+/// shared by every check in that op's template).
 struct Emit {
-    lay: ValueLayout,
     exits: Vec<(usize, Label)>,
 }
 
 impl Emit {
     fn tag_of(&self, r: u32) -> i32 {
-        r as i32 * 16 + self.lay.tag_off
+        r as i32 * 16 + VALUE_LAYOUT.tag_off
     }
 
     fn pay_of(&self, r: u32) -> i32 {
-        r as i32 * 16 + self.lay.pay_off
+        r as i32 * 16 + VALUE_LAYOUT.pay_off
     }
 
     fn exit(&mut self, a: &mut Asm, pc: usize) -> Label {
@@ -409,7 +408,7 @@ impl Emit {
     /// `jne exit(pc)` unless the tag byte of guest `r` is the integer tag.
     fn require_int(&mut self, a: &mut Asm, r: u32, pc: usize) {
         let tag = self.tag_of(r);
-        let tag_int = self.lay.tag_int;
+        let tag_int = VALUE_LAYOUT.tag_int;
         let l = self.exit(a, pc);
         a.cmp_tag(tag, tag_int);
         a.jcc(CC_NE, l);
@@ -418,13 +417,13 @@ impl Emit {
     /// Writes `rax` (+ the int tag) into guest `dst`.
     fn store_int(&mut self, a: &mut Asm, dst: u32) {
         a.store64(self.pay_of(dst), RAX);
-        a.store_tag(self.tag_of(dst), self.lay.tag_int);
+        a.store_tag(self.tag_of(dst), VALUE_LAYOUT.tag_int);
     }
 
     /// Writes `xmm0` (+ the float tag) into guest `dst`.
     fn store_float(&mut self, a: &mut Asm, dst: u32) {
         a.movsd_store(self.pay_of(dst), 0);
-        a.store_tag(self.tag_of(dst), self.lay.tag_float);
+        a.store_tag(self.tag_of(dst), VALUE_LAYOUT.tag_float);
     }
 
     /// Loads `src` into integer scratch `reg` (tags already verified / imm known int).
@@ -443,7 +442,7 @@ impl Emit {
                 // Runtime tag dispatch: cvtsi2sd for Int, movsd for Float.
                 let f = a.label();
                 let done = a.label();
-                a.cmp_tag(self.tag_of(r), self.lay.tag_int);
+                a.cmp_tag(self.tag_of(r), VALUE_LAYOUT.tag_int);
                 a.jcc(CC_NE, f);
                 a.cvtsi2sd_mem(xmm, self.pay_of(r));
                 a.jmp(done);
@@ -585,11 +584,11 @@ impl Emit {
         let flt = a.label();
         let done = a.label();
         if let Src::Reg(r) = lhs {
-            a.cmp_tag(self.tag_of(r), self.lay.tag_int);
+            a.cmp_tag(self.tag_of(r), VALUE_LAYOUT.tag_int);
             a.jcc(CC_NE, flt);
         }
         if let Src::Reg(r) = rhs {
-            a.cmp_tag(self.tag_of(r), self.lay.tag_int);
+            a.cmp_tag(self.tag_of(r), VALUE_LAYOUT.tag_int);
             a.jcc(CC_NE, flt);
         }
         self.load_int(a, RAX, lhs);
@@ -631,9 +630,9 @@ impl Emit {
                 a.movabs(RAX, v.to_bits());
                 a.store64(self.pay_of(*dst), RAX);
                 let tag = if v.is_float() {
-                    self.lay.tag_float
+                    VALUE_LAYOUT.tag_float
                 } else {
-                    self.lay.tag_int
+                    VALUE_LAYOUT.tag_int
                 };
                 a.store_tag(self.tag_of(*dst), tag);
             }
@@ -642,7 +641,7 @@ impl Emit {
                     // Int: wrapping negate. Float: flip the sign bit (exactly `-f`).
                     let flt = a.label();
                     let done = a.label();
-                    a.cmp_tag(self.tag_of(*src), self.lay.tag_int);
+                    a.cmp_tag(self.tag_of(*src), VALUE_LAYOUT.tag_int);
                     a.jcc(CC_NE, flt);
                     a.load64(RAX, self.pay_of(*src));
                     a.grp_f7(3, RAX); // neg rax
@@ -653,7 +652,7 @@ impl Emit {
                     a.movabs(RCX, 1u64 << 63);
                     a.alu(0x31, RAX, RCX); // xor rax, rcx
                     a.store64(self.pay_of(*dst), RAX);
-                    a.store_tag(self.tag_of(*dst), self.lay.tag_float);
+                    a.store_tag(self.tag_of(*dst), VALUE_LAYOUT.tag_float);
                     a.bind(done);
                 }
                 UnOp::Not => {
@@ -816,7 +815,7 @@ fn slot_width(s: &Slot) -> usize {
 /// Compiles every profitable straight-line run of `slots` into one code blob. Returns
 /// the machine code and the chunk index (head slot → entry offset). A chunk must cover
 /// at least two constituent ops — a single op gains nothing over its threaded handler.
-pub(crate) fn compile_stream(slots: &[Slot], lay: ValueLayout) -> (Vec<u8>, Vec<Chunk>) {
+pub(crate) fn compile_stream(slots: &[Slot]) -> (Vec<u8>, Vec<Chunk>) {
     let mut a = Asm::new();
     let mut chunks = Vec::new();
     let mut pc = 0;
@@ -856,10 +855,7 @@ pub(crate) fn compile_stream(slots: &[Slot], lay: ValueLayout) -> (Vec<u8>, Vec<
         }
         // Emit the chunk: body, normal epilogue, then the side-exit stubs.
         let off = a.here();
-        let mut e = Emit {
-            lay,
-            exits: Vec::new(),
-        };
+        let mut e = Emit { exits: Vec::new() };
         let mut cur = head;
         while cur < end {
             match &slots[cur] {

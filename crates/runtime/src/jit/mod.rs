@@ -35,25 +35,28 @@
 //!
 //! ## Degrading cleanly
 //!
-//! [`jit_supported`] gates everything: the target must be Linux x86-64, the runtime probe
-//! of [`Value`]'s (unspecified, `repr(Rust)`) layout must succeed, a compiled self-test
-//! chunk must produce the interpreter's exact results, and `HELIX_DISABLE_JIT=1` must not
-//! be set. When any of that fails, the builders hand back plain threaded tables — the
-//! `Jit` tier silently *is* the threaded tier there (see `docs/jit.md`).
+//! [`jit_supported`] gates everything: the target must be Linux x86-64, a compiled
+//! self-test chunk — written against `VALUE_LAYOUT`, the layout `#[repr(C, u8)]` fixes
+//! for [`Value`] — must produce the interpreter's exact results, and `HELIX_DISABLE_JIT=1`
+//! must not be set. When any of that fails, the builders hand back plain threaded tables —
+//! the `Jit` tier silently *is* the threaded tier there (see `docs/jit.md`).
 
 mod emit;
 pub(crate) mod exec_mem;
 
-use crate::parallel_image::{specialize_op, LoopImage, Tier};
+use crate::parallel_image::{specialize_op, LoopImage};
 use crate::threaded::{DispatchTier, FlatTables, Handler, IterTable, TCtx, TOp};
 use emit::{compile_stream, Slot};
 pub use exec_mem::ExecMem;
 use helix_ir::{ExecImage, Op, Value};
 use std::sync::OnceLock;
 
-/// The probed memory layout of [`Value`] (`repr(Rust)`, so discovered at run time and
-/// verified, never assumed): a 16-byte slot with a one-byte discriminant and an 8-byte
-/// payload. Emitted code writes exactly the tag byte and the payload word.
+/// Where a [`Value`] keeps its variant and payload. `Value` is `#[repr(C, u8)]`, so this
+/// is a fact of the type, not a guess: a `u8` tag at offset 0 holding the variant's index
+/// in declaration order (`Int` = 0, `Float` = 1), then the payload at offset 8, the
+/// alignment of its 8-byte fields, in a 16-byte slot (`helix_ir::value` asserts size and
+/// alignment at compile time). Emitted code writes exactly the tag byte and the payload
+/// word.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct ValueLayout {
     pub tag_off: i32,
@@ -62,87 +65,22 @@ pub(crate) struct ValueLayout {
     pub tag_float: u8,
 }
 
-/// Reads the raw bytes of a `Value` written over a zeroed 16-byte slot.
-fn value_bytes(v: Value) -> [u8; 16] {
-    let mut slot = std::mem::MaybeUninit::<Value>::zeroed();
-    let mut buf = [0u8; 16];
-    // SAFETY: `slot` is an aligned, writable `Value`, and the copy reads its 16 bytes
-    // (`probe_layout` checks `size_of::<Value>() == 16` before any call) into a distinct
-    // array. The one assumption is that `write` leaves the zeroed padding bytes as they
-    // were; the probe trusts no byte it reads (it demands deterministic images and
-    // disables the JIT on any surprise), and a `repr(C, u8)` `Value` would remove it.
-    unsafe {
-        slot.as_mut_ptr().write(v);
-        std::ptr::copy_nonoverlapping(slot.as_ptr() as *const u8, buf.as_mut_ptr(), 16);
-    }
-    buf
-}
-
-/// Discovers where the discriminant and payload live by diffing written values, with
-/// consistency checks at every step; any surprise (niche packing, moved padding,
-/// non-deterministic bytes) returns `None` and disables the JIT rather than guessing.
-fn probe_layout() -> Option<ValueLayout> {
-    if std::mem::size_of::<Value>() != 16 || std::mem::align_of::<Value>() > 16 {
-        return None;
-    }
-    // Byte images must be deterministic for the diffs below to mean anything.
-    if value_bytes(Value::Int(0x5A)) != value_bytes(Value::Int(0x5A)) {
-        return None;
-    }
-    // Payload: the bytes that differ between two Ints must be one aligned 8-byte word.
-    let a = value_bytes(Value::Int(0));
-    let b = value_bytes(Value::Int(-1));
-    let diff: Vec<usize> = (0..16).filter(|&k| a[k] != b[k]).collect();
-    if diff.len() != 8
-        || !diff[0].is_multiple_of(8)
-        || diff != (diff[0]..diff[0] + 8).collect::<Vec<_>>()
-    {
-        return None;
-    }
-    let pay = diff[0];
-    let pattern = 0x0123_4567_89AB_CDEFi64;
-    let int_img = value_bytes(Value::Int(pattern));
-    if int_img[pay..pay + 8] != pattern.to_le_bytes() {
-        return None;
-    }
-    // Tag: with identical payload bits, Int and Float must differ in exactly one byte.
-    let flt_img = value_bytes(Value::Float(f64::from_bits(pattern as u64)));
-    let tdiff: Vec<usize> = (0..16)
-        .filter(|&k| k < pay || k >= pay + 8)
-        .filter(|&k| int_img[k] != flt_img[k])
-        .collect();
-    if tdiff.len() != 1 {
-        return None;
-    }
-    let tag = tdiff[0];
-    let (tag_int, tag_float) = (int_img[tag], flt_img[tag]);
-    if tag_int == tag_float
-        || value_bytes(Value::Int(7))[tag] != tag_int
-        || value_bytes(Value::Float(2.5))[tag] != tag_float
-    {
-        return None;
-    }
-    Some(ValueLayout {
-        tag_off: tag as i32,
-        pay_off: pay as i32,
-        tag_int,
-        tag_float,
-    })
-}
-
-/// The cached layout probe.
-fn layout() -> Option<ValueLayout> {
-    static LAYOUT: OnceLock<Option<ValueLayout>> = OnceLock::new();
-    *LAYOUT.get_or_init(probe_layout)
-}
+/// The layout of `#[repr(C, u8)]` [`Value`] (see [`ValueLayout`]).
+pub(crate) const VALUE_LAYOUT: ValueLayout = ValueLayout {
+    tag_off: 0,
+    pay_off: 8,
+    tag_int: 0,
+    tag_float: 1,
+};
 
 /// The chunk calling convention (see the module docs).
 type ChunkFn = extern "C" fn(*mut Value) -> u64;
 
 /// End-to-end machinery check: compile one chunk exercising integer, float-promoting and
 /// edge-case arithmetic, execute it, and demand the interpreter's exact results. Runs
-/// once; a failure (however unlikely once [`probe_layout`] passed) disables the JIT.
-fn self_test(lay: ValueLayout) -> bool {
+/// once; a failure (executable memory refused, or code that disagrees with
+/// [`VALUE_LAYOUT`]) disables the JIT.
+fn self_test() -> bool {
     use crate::parallel_image::POp;
     use helix_ir::BinOp;
     let slots = [
@@ -180,7 +118,7 @@ fn self_test(lay: ValueLayout) -> bool {
         }),
         Slot::Bar,
     ];
-    let (code, chunks) = compile_stream(&slots, lay);
+    let (code, chunks) = compile_stream(&slots);
     if chunks.len() != 1 || chunks[0].head_pc != 0 {
         return false;
     }
@@ -211,7 +149,7 @@ fn self_test(lay: ValueLayout) -> bool {
 
 /// Whether the JIT tier can actually emit and run native code here. `HELIX_DISABLE_JIT=1`
 /// is consulted on every call (so a process can flip it); the target gate and the
-/// probe/self-test verdict are cached. When this is `false`, `DispatchTier::Jit` (and an
+/// self-test verdict are cached. When this is `false`, `DispatchTier::Jit` (and an
 /// `Auto` resolution to it) degrades to the threaded tier — never a panic.
 pub fn jit_supported() -> bool {
     if !cfg!(all(target_os = "linux", target_arch = "x86_64")) {
@@ -221,7 +159,7 @@ pub fn jit_supported() -> bool {
         return false;
     }
     static SUPPORT: OnceLock<bool> = OnceLock::new();
-    *SUPPORT.get_or_init(|| layout().is_some_and(self_test))
+    *SUPPORT.get_or_init(self_test)
 }
 
 /// Serializes tests that toggle `HELIX_DISABLE_JIT` against tests that assert on
@@ -235,16 +173,16 @@ pub(crate) static TEST_ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(()
 /// table it was built with**: the table's rewritten head slots hold raw addresses into
 /// `parts` — the builders return the two together and [`crate::engine::Engine`], their
 /// only caller, owns them as one value.
-pub(crate) struct JitArtifact<T: Tier> {
+pub(crate) struct JitArtifact {
     #[allow(dead_code)] // held for ownership: tables point into these allocations
-    parts: Vec<(ExecMem, Box<[TOp<T>]>)>,
+    parts: Vec<(ExecMem, Box<[TOp]>)>,
 }
 
 /// The trampoline installed on each chunk head: `i` = native entry address, `j` = address
 /// of the saved original [`TOp`] (inside the [`JitArtifact`]). Returns the chunk's resume
 /// pc; on a zero-progress side exit (resume == head pc) it executes the original op via
 /// its threaded handler instead, so dispatch always advances.
-fn h_jit<T: Tier>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, pc: usize) -> usize {
+fn h_jit(ctx: &mut TCtx<'_, '_>, op: &TOp, pc: usize) -> usize {
     // SAFETY: only `compile_into` installs `h_jit`, with `op.i` the entry of a chunk it
     // emitted with the `ChunkFn` ABI into a sealed mapping. The `JitArtifact` owning that
     // mapping outlives this table (`Engine` holds both), and the chunk touches only
@@ -256,19 +194,15 @@ fn h_jit<T: Tier>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, pc: usize) -> usize {
     }
     // SAFETY: `op.j` points into the boxed originals `compile_into` stored in the same
     // `JitArtifact`, which outlives this table and never moves its heap allocation.
-    let orig = unsafe { &*(op.j as usize as *const TOp<T>) };
+    let orig = unsafe { &*(op.j as usize as *const TOp) };
     (orig.h)(ctx, orig, pc)
 }
 
 /// Compiles the chunks of one op stream and patches their head slots in `ops`. Returns
 /// the ownership bundle, or `None` when there is nothing worth compiling (or the kernel
 /// refused executable memory) — in which case `ops` is left fully unpatched.
-fn compile_into<T: Tier>(
-    ops: &mut [TOp<T>],
-    slots: &[Slot],
-    lay: ValueLayout,
-) -> Option<(ExecMem, Box<[TOp<T>]>)> {
-    let (code, chunks) = compile_stream(slots, lay);
+fn compile_into(ops: &mut [TOp], slots: &[Slot]) -> Option<(ExecMem, Box<[TOp]>)> {
+    let (code, chunks) = compile_stream(slots);
     if chunks.is_empty() {
         return None;
     }
@@ -278,12 +212,12 @@ fn compile_into<T: Tier>(
     }
     // Box the originals first: the patched slots point at these heap addresses, which
     // stay put when the artifact moves.
-    let orig: Box<[TOp<T>]> = chunks.iter().map(|c| ops[c.head_pc]).collect();
+    let orig: Box<[TOp]> = chunks.iter().map(|c| ops[c.head_pc]).collect();
     for (k, c) in chunks.iter().enumerate() {
         let slot = &mut ops[c.head_pc];
-        slot.h = h_jit::<T> as Handler<T>;
+        slot.h = h_jit as Handler;
         slot.i = mem.addr(c.off) as i64;
-        slot.j = &orig[k] as *const TOp<T> as i64;
+        slot.j = &orig[k] as *const TOp as i64;
     }
     Some((mem, orig))
 }
@@ -291,27 +225,25 @@ fn compile_into<T: Tier>(
 /// Builds the per-iteration dispatch table for a resolved tier: `None` for the switch
 /// tier (no table at all), a plain threaded table for `Threaded` (and for `Jit` when
 /// unsupported or nothing compiled), or a chunk-patched table plus its [`JitArtifact`].
-pub(crate) fn build_iter_table<T: Tier>(
+pub(crate) fn build_iter_table(
     tier: DispatchTier,
     loop_image: &LoopImage,
-) -> Option<(IterTable<T>, Option<JitArtifact<T>>)> {
+) -> Option<(IterTable, Option<JitArtifact>)> {
     if tier == DispatchTier::Switch {
         return None;
     }
     let mut table = IterTable::build(loop_image);
     let mut artifact = None;
     if tier == DispatchTier::Jit && jit_supported() {
-        if let Some(lay) = layout() {
-            // Iteration streams pass through as-is: sync and control ops bound chunks,
-            // and in-chunk side exits resume on the (unpatched) interior slots.
-            let slots: Vec<Slot> = loop_image
-                .pcode
-                .iter()
-                .map(|p| Slot::Op(p.clone()))
-                .collect();
-            if let Some(part) = compile_into(&mut table.ops, &slots, lay) {
-                artifact = Some(JitArtifact { parts: vec![part] });
-            }
+        // Iteration streams pass through as-is: sync and control ops bound chunks, and
+        // in-chunk side exits resume on the (unpatched) interior slots.
+        let slots: Vec<Slot> = loop_image
+            .pcode
+            .iter()
+            .map(|p| Slot::Op(p.clone()))
+            .collect();
+        if let Some(part) = compile_into(&mut table.ops, &slots) {
+            artifact = Some(JitArtifact { parts: vec![part] });
         }
     }
     Some((table, artifact))
@@ -334,22 +266,20 @@ fn flat_slot(op: &Op) -> Slot {
 
 /// [`build_iter_table`]'s analogue for the flat engine (phase A/C, callees, calibration
 /// kernels): per-function chunk compilation over the whole image.
-pub(crate) fn build_flat_tables<T: Tier>(
+pub(crate) fn build_flat_tables(
     tier: DispatchTier,
     image: &ExecImage,
-) -> Option<(FlatTables<T>, Option<JitArtifact<T>>)> {
+) -> Option<(FlatTables, Option<JitArtifact>)> {
     if tier == DispatchTier::Switch {
         return None;
     }
     let mut tables = FlatTables::build(image);
     let mut parts = Vec::new();
     if tier == DispatchTier::Jit && jit_supported() {
-        if let Some(lay) = layout() {
-            for (k, f) in image.funcs.iter().enumerate() {
-                let slots: Vec<Slot> = f.code.iter().map(flat_slot).collect();
-                if let Some(part) = compile_into(&mut tables.funcs[k], &slots, lay) {
-                    parts.push(part);
-                }
+        for (k, f) in image.funcs.iter().enumerate() {
+            let slots: Vec<Slot> = f.code.iter().map(flat_slot).collect();
+            if let Some(part) = compile_into(&mut tables.funcs[k], &slots) {
+                parts.push(part);
             }
         }
     }
@@ -401,12 +331,22 @@ mod tests {
         assert_ne!(perms_of(region).as_deref(), Some("r-xp"));
     }
 
+    /// The payload offsets are checked here through references into the payload; the tag
+    /// byte and its values are checked end to end by `self_test`, behind `jit_supported`.
     #[test]
-    fn layout_probe_succeeds_on_this_target() {
+    fn value_layout_constant_matches_the_type() {
         let _env = TEST_ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let lay = layout().expect("Value layout probe");
-        assert_eq!(lay.pay_off % 8, 0);
-        assert_ne!(lay.tag_int, lay.tag_float);
+        for v in [Value::Int(-3), Value::Float(2.5)] {
+            let base = &v as *const Value as usize;
+            let payload = match &v {
+                Value::Int(i) => i as *const i64 as usize,
+                Value::Float(f) => f as *const f64 as usize,
+            };
+            assert_eq!(payload - base, VALUE_LAYOUT.pay_off as usize, "{v:?}");
+        }
+        assert_eq!(VALUE_LAYOUT.tag_off, 0);
+        assert_eq!((VALUE_LAYOUT.tag_int, VALUE_LAYOUT.tag_float), (0, 1));
+        assert_eq!(std::mem::size_of::<Option<Value>>(), 16);
         assert!(jit_supported());
     }
 
@@ -425,7 +365,7 @@ mod tests {
     fn run_chunk(slots: Vec<Slot>, regs: &mut [Value]) -> usize {
         let mut slots = slots;
         slots.extend([Slot::Bar, Slot::Bar, Slot::Bar]);
-        let (code, chunks) = compile_stream(&slots, layout().unwrap());
+        let (code, chunks) = compile_stream(&slots);
         assert_eq!(chunks.len(), 1, "expected exactly one chunk");
         assert_eq!(chunks[0].head_pc, 0);
         let mut mem = ExecMem::new(code.len()).unwrap();
@@ -740,7 +680,6 @@ mod tests {
     /// single coverable ops are not worth a chunk either.
     #[test]
     fn unprofitable_and_unterminated_runs_are_left_to_the_threaded_handlers() {
-        let lay = layout().unwrap();
         let no_bar = vec![
             Slot::Op(POp::MovI {
                 dst: 0,
@@ -751,7 +690,7 @@ mod tests {
                 v: Value::Int(2),
             }),
         ];
-        let (_, chunks) = compile_stream(&no_bar, lay);
+        let (_, chunks) = compile_stream(&no_bar);
         assert!(chunks.is_empty(), "no resume slot → no chunk");
         let single = vec![
             Slot::Op(POp::MovI {
@@ -760,7 +699,7 @@ mod tests {
             }),
             Slot::Bar,
         ];
-        let (_, chunks) = compile_stream(&single, lay);
+        let (_, chunks) = compile_stream(&single);
         assert!(chunks.is_empty(), "one op → not worth a chunk");
     }
 }

@@ -24,8 +24,9 @@
 //!   calls (the old executor respawned OS threads per run), with an adaptive
 //!   spin → yield → park wait strategy;
 //! * [`sharded`] — [`SharedMemory`], one flat space of lock-free word cells with an atomic
-//!   bump allocator, plus a thread-local tier ([`PrivateArena`]) serving allocations the
-//!   privatization analysis proved iteration-private;
+//!   bump allocator that every run, at any worker count, reads and writes, plus each
+//!   worker's [`PrivateArena`] serving allocations the privatization analysis proved
+//!   iteration-private;
 //! * `engine` — one run's dispatch tables and JIT code behind `run_flat`/`run_iteration`,
 //!   built once on the submitting thread and shared by reference with every helper;
 //! * [`executor`] — [`ParallelExecutor`] orchestrates the three phases, short-circuits

@@ -31,13 +31,11 @@
 
 use crate::lanes::SignalLanes;
 use crate::pool::{AdaptiveWait, Sleepers};
-use crate::sharded::{PrivateArena, SharedMemory, PRIVATE_BASE};
+use crate::sharded::{MemoryError, WorkerMemory};
 use helix_core::TransformedProgram;
 use helix_ir::interp::{eval_binop, eval_pred, eval_unop, ExecError, MAX_CALL_DEPTH};
 use helix_ir::lower::{cost_table, CostClass};
-use helix_ir::{
-    BinOp, BlockId, CostModel, DepId, ExecImage, FuncId, InstrRef, Memory, Op, Opnd, Value,
-};
+use helix_ir::{BinOp, BlockId, CostModel, DepId, ExecImage, FuncId, InstrRef, Op, Opnd, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -1537,114 +1535,6 @@ pub(crate) fn specialize_op(op: &Op, private_ok: bool) -> POp {
 // The lean engine.
 // ---------------------------------------------------------------------------
 
-/// A worker's memory stack: the shared tier plus its private arena.
-pub(crate) trait Tier {
-    /// Shared-memory access: a private-range address faults exactly as it would
-    /// sequentially (`Memory::MAX_WORDS` is far below [`PRIVATE_BASE`]).
-    fn load(&mut self, addr: i64) -> Result<Value, ExecError>;
-    fn store(&mut self, addr: i64, value: Value) -> Result<(), ExecError>;
-    fn alloc(&mut self, words: usize) -> Result<i64, ExecError>;
-    /// The worker's private arena; the routing below is the same for every tier.
-    fn arena(&mut self) -> &mut PrivateArena;
-    /// Access from a statically-proven privatized site: private-range addresses route to
-    /// the worker's arena, everything else to shared memory.
-    #[inline]
-    fn load_private(&mut self, addr: i64) -> Result<Value, ExecError> {
-        if addr >= PRIVATE_BASE {
-            Ok(self.arena().load(addr)?)
-        } else {
-            self.load(addr)
-        }
-    }
-    #[inline]
-    fn store_private(&mut self, addr: i64, value: Value) -> Result<(), ExecError> {
-        if addr >= PRIVATE_BASE {
-            Ok(self.arena().store(addr, value)?)
-        } else {
-            self.store(addr, value)
-        }
-    }
-    #[inline]
-    fn alloc_private(&mut self, words: usize) -> Result<i64, ExecError> {
-        Ok(self.arena().alloc(words)?)
-    }
-    /// Starts a new iteration: previous private allocations are dead.
-    fn reset_arena(&mut self) {
-        self.arena().reset();
-    }
-    /// Words served privately since the last drain (re-reserved in shared memory).
-    fn drain_private_words(&mut self) -> u64 {
-        self.arena().drain_skipped_words()
-    }
-}
-
-/// Lock-free shared memory + per-worker arena: the tier of multi-threaded runs, on the
-/// submitting thread for all three phases and on every helper for Phase B.
-pub(crate) struct SharedTier<'a> {
-    shared: &'a SharedMemory,
-    arena: PrivateArena,
-}
-
-impl<'a> SharedTier<'a> {
-    pub(crate) fn new(shared: &'a SharedMemory) -> Self {
-        SharedTier {
-            shared,
-            arena: PrivateArena::new(),
-        }
-    }
-}
-
-impl Tier for SharedTier<'_> {
-    #[inline]
-    fn load(&mut self, addr: i64) -> Result<Value, ExecError> {
-        Ok(self.shared.load(addr)?)
-    }
-
-    #[inline]
-    fn store(&mut self, addr: i64, value: Value) -> Result<(), ExecError> {
-        Ok(self.shared.store(addr, value)?)
-    }
-
-    #[inline]
-    fn alloc(&mut self, words: usize) -> Result<i64, ExecError> {
-        Ok(self.shared.alloc(words)?)
-    }
-
-    #[inline]
-    fn arena(&mut self) -> &mut PrivateArena {
-        &mut self.arena
-    }
-}
-
-/// Plain sequential memory + arena: the tier of single-threaded runs, where no access
-/// needs an atomic.
-pub(crate) struct LocalTier {
-    pub memory: Memory,
-    pub arena: PrivateArena,
-}
-
-impl Tier for LocalTier {
-    #[inline]
-    fn load(&mut self, addr: i64) -> Result<Value, ExecError> {
-        Ok(self.memory.load(addr)?)
-    }
-
-    #[inline]
-    fn store(&mut self, addr: i64, value: Value) -> Result<(), ExecError> {
-        Ok(self.memory.store(addr, value)?)
-    }
-
-    #[inline]
-    fn alloc(&mut self, words: usize) -> Result<i64, ExecError> {
-        Ok(self.memory.alloc(words)?)
-    }
-
-    #[inline]
-    fn arena(&mut self) -> &mut PrivateArena {
-        &mut self.arena
-    }
-}
-
 /// Evaluates a pre-resolved operand. Reads are unchecked like the instrumented engine's:
 /// lowering widens the register file to cover every referenced index, and every caller sizes
 /// `regs` to the function's `num_regs`.
@@ -1700,13 +1590,13 @@ impl From<ExecError> for FlatError {
 ///
 /// `budget` bounds top-level block transitions (the caller's runaway-loop guard); callee
 /// blocks are unmetered, like the instrumented executor's phase stepping.
-pub(crate) fn run_flat<T: Tier>(
+pub(crate) fn run_flat(
     image: &ExecImage,
     func: FuncId,
     start_block: u32,
     stop_block: Option<u32>,
     regs: &mut Vec<Value>,
-    tier: &mut T,
+    mem: &mut WorkerMemory<'_>,
     budget: u64,
 ) -> Result<FlatEnd, FlatError> {
     let mut f = &image.funcs[func.index()];
@@ -1766,9 +1656,9 @@ pub(crate) fn run_flat<T: Tier>(
             }
             Op::Load { dst, addr, offset } => {
                 let base = eval(&local_regs, *addr).as_int();
-                match tier.load(base + offset) {
+                match mem.load(base + offset) {
                     Ok(v) => local_regs[*dst as usize] = v,
-                    Err(e) => break 'run Err(FlatError::Exec(e)),
+                    Err(e) => break 'run Err(FlatError::Exec(e.into())),
                 }
                 pc += 1;
             }
@@ -1779,24 +1669,24 @@ pub(crate) fn run_flat<T: Tier>(
             } => {
                 let base = eval(&local_regs, *addr).as_int();
                 let v = eval(&local_regs, *value);
-                if let Err(e) = tier.store(base + offset, v) {
-                    break 'run Err(FlatError::Exec(e));
+                if let Err(e) = mem.store(base + offset, v) {
+                    break 'run Err(FlatError::Exec(e.into()));
                 }
                 pc += 1;
             }
             Op::Alloc { dst, words } => {
                 let n = eval(&local_regs, *words).as_int().max(0) as usize;
-                match tier.alloc(n) {
+                match mem.alloc(n) {
                     Ok(base) => local_regs[*dst as usize] = Value::Int(base),
-                    Err(e) => break 'run Err(FlatError::Exec(e)),
+                    Err(e) => break 'run Err(FlatError::Exec(e.into())),
                 }
                 pc += 1;
             }
             Op::PrivateAlloc { dst, words } => {
                 let n = eval(&local_regs, *words).as_int().max(0) as usize;
-                match tier.alloc_private(n) {
+                match mem.alloc_private(n) {
                     Ok(base) => local_regs[*dst as usize] = Value::Int(base),
-                    Err(e) => break 'run Err(FlatError::Exec(e)),
+                    Err(e) => break 'run Err(FlatError::Exec(e.into())),
                 }
                 pc += 1;
             }
@@ -1927,6 +1817,12 @@ impl From<ExecError> for IterError {
     }
 }
 
+impl From<MemoryError> for IterError {
+    fn from(e: MemoryError) -> Self {
+        IterError::Exec(e.into())
+    }
+}
+
 /// Shared synchronization handles the iteration runner needs.
 pub(crate) struct IterSync<'a> {
     pub lanes: &'a SignalLanes,
@@ -2016,12 +1912,12 @@ pub(crate) fn wait_blocking(
 /// when the iteration's prologue completes (at most once per iteration from inside the code;
 /// the caller must also release control when the iteration completes without entering the
 /// body).
-pub(crate) fn run_iteration<T: Tier>(
+pub(crate) fn run_iteration(
     image: &ExecImage,
     loop_image: &LoopImage,
     iteration: u64,
     regs: &mut [Value],
-    tier: &mut T,
+    mem: &mut WorkerMemory<'_>,
     sync: &IterSync<'_>,
     on_control: &mut dyn FnMut(),
 ) -> Result<IterEnd, IterError> {
@@ -2132,15 +2028,15 @@ pub(crate) fn run_iteration<T: Tier>(
                 let base = get(regs, *addr).as_int();
                 let a = base + offset;
                 let v = if *private_ok {
-                    tier.load_private(a)?
+                    mem.load_private(a)?
                 } else {
-                    tier.load(a)?
+                    mem.load(a)?
                 };
                 set(regs, *dst, v);
                 pc += 1;
             }
             POp::LoadA { dst, addr } => {
-                set(regs, *dst, tier.load(*addr)?);
+                set(regs, *dst, mem.load(*addr)?);
                 pc += 1;
             }
             POp::StoreRR {
@@ -2153,9 +2049,9 @@ pub(crate) fn run_iteration<T: Tier>(
                 let a = base + offset;
                 let v = get(regs, *value);
                 if *private_ok {
-                    tier.store_private(a, v)?;
+                    mem.store_private(a, v)?;
                 } else {
-                    tier.store(a, v)?;
+                    mem.store(a, v)?;
                 }
                 pc += 1;
             }
@@ -2168,38 +2064,38 @@ pub(crate) fn run_iteration<T: Tier>(
                 let base = get(regs, *addr).as_int();
                 let a = base + offset;
                 if *private_ok {
-                    tier.store_private(a, *value)?;
+                    mem.store_private(a, *value)?;
                 } else {
-                    tier.store(a, *value)?;
+                    mem.store(a, *value)?;
                 }
                 pc += 1;
             }
             POp::StoreAR { addr, value } => {
-                tier.store(*addr, get(regs, *value))?;
+                mem.store(*addr, get(regs, *value))?;
                 pc += 1;
             }
             POp::StoreAI { addr, value } => {
-                tier.store(*addr, *value)?;
+                mem.store(*addr, *value)?;
                 pc += 1;
             }
             POp::AllocR { dst, words } => {
                 let n = get(regs, *words).as_int().max(0) as usize;
-                set(regs, *dst, Value::Int(tier.alloc(n)?));
+                set(regs, *dst, Value::Int(mem.alloc(n)?));
                 pc += 1;
             }
             POp::AllocI { dst, words } => {
                 let n = (*words).max(0) as usize;
-                set(regs, *dst, Value::Int(tier.alloc(n)?));
+                set(regs, *dst, Value::Int(mem.alloc(n)?));
                 pc += 1;
             }
             POp::PrivateAllocR { dst, words } => {
                 let n = get(regs, *words).as_int().max(0) as usize;
-                set(regs, *dst, Value::Int(tier.alloc_private(n)?));
+                set(regs, *dst, Value::Int(mem.alloc_private(n)?));
                 pc += 1;
             }
             POp::PrivateAllocI { dst, words } => {
                 let n = (*words).max(0) as usize;
-                set(regs, *dst, Value::Int(tier.alloc_private(n)?));
+                set(regs, *dst, Value::Int(mem.alloc_private(n)?));
                 pc += 1;
             }
             POp::Wait { lane } => {
@@ -2243,7 +2139,7 @@ pub(crate) fn run_iteration<T: Tier>(
                     image.funcs[call.func as usize].entry_block,
                     None,
                     &mut callee_regs,
-                    tier,
+                    mem,
                     u64::MAX,
                 )
                 .map_err(|e| match e {
@@ -2361,7 +2257,7 @@ pub(crate) fn run_iteration<T: Tier>(
                 ld_on_lhs,
                 dst,
             } => {
-                let l = tier.load(*laddr)?;
+                let l = mem.load(*laddr)?;
                 set(regs, *ld, l);
                 let o = get(regs, *other);
                 let v = if *ld_on_lhs {
@@ -2381,7 +2277,7 @@ pub(crate) fn run_iteration<T: Tier>(
             } => {
                 let v = eval_binop(*op, get(regs, *lhs), get(regs, *rhs));
                 set(regs, *dst, v);
-                tier.store(*saddr, v)?;
+                mem.store(*saddr, v)?;
                 pc += 2;
             }
             POp::StoreIdx {
@@ -2396,7 +2292,7 @@ pub(crate) fn run_iteration<T: Tier>(
                 // dst and float-rounded address the sequential engine would).
                 let v = eval_binop(BinOp::Add, Value::Int(*base), get(regs, *idx));
                 set(regs, *dst, v);
-                tier.store(v.as_int() + offset, get(regs, *value))?;
+                mem.store(v.as_int() + offset, get(regs, *value))?;
                 pc += 2;
             }
             POp::RmwA {
@@ -2408,7 +2304,7 @@ pub(crate) fn run_iteration<T: Tier>(
                 dst,
                 saddr,
             } => {
-                let l = tier.load(*laddr)?;
+                let l = mem.load(*laddr)?;
                 set(regs, *ld, l);
                 let o = get(regs, *other);
                 let v = if *ld_on_lhs {
@@ -2417,7 +2313,7 @@ pub(crate) fn run_iteration<T: Tier>(
                     eval_binop(*op, o, l)
                 };
                 set(regs, *dst, v);
-                tier.store(*saddr, v)?;
+                mem.store(*saddr, v)?;
                 pc += 3;
             }
             POp::RmwR {
@@ -2436,9 +2332,9 @@ pub(crate) fn run_iteration<T: Tier>(
                 let base = get(regs, *addr).as_int();
                 let a = base + offset;
                 let l = if *private_ok {
-                    tier.load_private(a)?
+                    mem.load_private(a)?
                 } else {
-                    tier.load(a)?
+                    mem.load(a)?
                 };
                 set(regs, *ld, l);
                 let o = get(regs, *other);
@@ -2449,9 +2345,9 @@ pub(crate) fn run_iteration<T: Tier>(
                 };
                 set(regs, *dst, v);
                 if *private_ok {
-                    tier.store_private(a, v)?;
+                    mem.store_private(a, v)?;
                 } else {
-                    tier.store(a, v)?;
+                    mem.store(a, v)?;
                 }
                 pc += 3;
             }

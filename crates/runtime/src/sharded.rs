@@ -1,4 +1,4 @@
-//! Shared program memory for the parallel runtime, plus each worker's private tier.
+//! Program memory for the parallel runtime: one shared tier and each worker's private one.
 //!
 //! [`SharedMemory`] is one flat word-addressed space of lock-free cells. The address space
 //! ([`Memory::MAX_WORDS`] words) maps through a fixed two-level directory: the top level has
@@ -8,6 +8,14 @@
 //! run pays only for the pages it writes. Reads of a never-installed page see zero, exactly
 //! like reads past the end of sequential [`Memory`], whose word array holds only the null
 //! word, the globals and what the run has grown it to.
+//!
+//! Every run uses it, whatever its worker count: Phase A, every iteration and Phase C read
+//! and write the one memory, as in the paper. Each worker reaches it through a
+//! `WorkerMemory`, which adds the worker's [`PrivateArena`] and a page cursor: the last
+//! installed page the worker touched, so a run of accesses to one page skips the two
+//! directory lookups. An installed page never moves or goes away while the memory lives,
+//! so the cursor is a plain reference; a read of an uninstalled page caches nothing, so a
+//! page another worker installs later is seen on the next access.
 //!
 //! A cell is a tag and a 64-bit payload, each accessed with `Relaxed` atomics — plain
 //! loads and stores on x86-64. No access takes a lock. HELIX already orders every
@@ -35,7 +43,7 @@ pub use helix_ir::memory::MemoryError;
 /// is harmless — each routes to its own arena.
 pub const PRIVATE_BASE: i64 = 1 << 40;
 
-/// The thread-local memory tier: a per-worker bump arena serving allocations the
+/// A worker's private memory: a per-worker bump arena serving allocations the
 /// privatization analysis proved iteration-private. Accesses hit a plain `Vec` — no
 /// atomics — which is the entire point: private data bypasses shared memory.
 ///
@@ -345,19 +353,113 @@ impl SharedMemory {
         if extra > 0 {
             memory.alloc(extra).expect("snapshot heap fits");
         }
-        let live = memory.live_words().len();
-        for index in 0..live.div_ceil(PAGE_WORDS) {
-            let Some(page) = self.page(index) else {
-                continue;
-            };
-            let base = index * PAGE_WORDS;
-            for (offset, cell) in page.iter().take(live - base).enumerate() {
-                memory
-                    .store((base + offset) as i64, cell.load())
-                    .expect("snapshot address in range");
+        for (index, words) in memory.live_words_mut().chunks_mut(PAGE_WORDS).enumerate() {
+            if let Some(page) = self.page(index) {
+                for (word, cell) in words.iter_mut().zip(page) {
+                    *word = cell.load();
+                }
             }
         }
         memory
+    }
+}
+
+/// One worker's memory: the run's [`SharedMemory`] through a page cursor, plus the
+/// worker's [`PrivateArena`]. Phase A, Phase C and a 1-worker run use the submitting
+/// thread's; each pool helper builds its own for Phase B.
+pub(crate) struct WorkerMemory<'a> {
+    shared: &'a SharedMemory,
+    /// The last installed page this worker loaded from or stored to, by page index.
+    page: Option<(usize, &'a Page)>,
+    arena: PrivateArena,
+}
+
+impl<'a> WorkerMemory<'a> {
+    pub(crate) fn new(shared: &'a SharedMemory) -> Self {
+        WorkerMemory {
+            shared,
+            page: None,
+            arena: PrivateArena::new(),
+        }
+    }
+
+    /// Reads the shared word at `address`. A private-range address faults exactly as it
+    /// would sequentially ([`Memory::MAX_WORDS`] is far below [`PRIVATE_BASE`]).
+    #[inline]
+    pub(crate) fn load(&mut self, address: i64) -> Result<Value, MemoryError> {
+        let addr = SharedMemory::check(address, false)?;
+        let index = addr >> PAGE_BITS;
+        let page = match self.page {
+            Some((cached, page)) if cached == index => page,
+            _ => match self.shared.page(index) {
+                Some(page) => {
+                    self.page = Some((index, page));
+                    page
+                }
+                None => return Ok(Value::Int(0)),
+            },
+        };
+        Ok(page[addr & (PAGE_WORDS - 1)].load())
+    }
+
+    /// Writes the shared word at `address`, installing its page on first touch.
+    #[inline]
+    pub(crate) fn store(&mut self, address: i64, value: Value) -> Result<(), MemoryError> {
+        let addr = SharedMemory::check(address, true)?;
+        let index = addr >> PAGE_BITS;
+        let page = match self.page {
+            Some((cached, page)) if cached == index => page,
+            _ => {
+                let page = self.shared.page_or_install(index);
+                self.page = Some((index, page));
+                page
+            }
+        };
+        page[addr & (PAGE_WORDS - 1)].store(value);
+        Ok(())
+    }
+
+    /// Bump-allocates `words` shared words (see [`SharedMemory::alloc`]).
+    #[inline]
+    pub(crate) fn alloc(&mut self, words: usize) -> Result<i64, MemoryError> {
+        self.shared.alloc(words)
+    }
+
+    /// Load from a statically-proven privatized site: private-range addresses route to
+    /// the worker's arena, everything else to shared memory.
+    #[inline]
+    pub(crate) fn load_private(&mut self, address: i64) -> Result<Value, MemoryError> {
+        if address >= PRIVATE_BASE {
+            self.arena.load(address)
+        } else {
+            self.load(address)
+        }
+    }
+
+    /// Store from a statically-proven privatized site, routed like `load_private`.
+    #[inline]
+    pub(crate) fn store_private(&mut self, address: i64, value: Value) -> Result<(), MemoryError> {
+        if address >= PRIVATE_BASE {
+            self.arena.store(address, value)
+        } else {
+            self.store(address, value)
+        }
+    }
+
+    /// Allocates `words` words in the worker's private arena.
+    #[inline]
+    pub(crate) fn alloc_private(&mut self, words: usize) -> Result<i64, MemoryError> {
+        self.arena.alloc(words)
+    }
+
+    /// Starts a new iteration: previous private allocations are dead.
+    pub(crate) fn reset_arena(&mut self) {
+        self.arena.reset();
+    }
+
+    /// Words served privately since the last drain (re-reserved in shared memory).
+    pub(crate) fn drain_private_words(&mut self) -> u64 {
+        self.arena.drain_skipped_words()
     }
 }
 
@@ -412,6 +514,28 @@ mod tests {
             mem.page(cold >> PAGE_BITS).is_none(),
             "a read installed a page"
         );
+    }
+
+    #[test]
+    fn cursors_see_pages_other_workers_install_and_cross_page_boundaries() {
+        let mem = SharedMemory::from_memory(&Memory::new());
+        let (mut a, mut b) = (WorkerMemory::new(&mem), WorkerMemory::new(&mem));
+        let cold = 5 * PAGE_WORDS as i64 + 3;
+        assert_eq!(a.load(cold).unwrap(), Value::Int(0));
+        assert!(a.page.is_none(), "a read of an uninstalled page was cached");
+        b.store(cold, Value::Float(2.5)).unwrap();
+        assert_eq!(a.load(cold).unwrap(), Value::Float(2.5));
+        // Neighbouring words on either side of a page boundary, through one cursor.
+        let edge = 6 * PAGE_WORDS as i64;
+        b.store(edge - 1, Value::Int(11)).unwrap();
+        b.store(edge, Value::Int(12)).unwrap();
+        b.store(edge - 1, Value::Int(13)).unwrap();
+        for (addr, want) in [(edge - 1, 13), (edge, 12), (edge + 1, 0), (edge - 1, 13)] {
+            assert_eq!(a.load(addr).unwrap(), Value::Int(want), "address {addr}");
+        }
+        assert_eq!(mem.load(edge).unwrap(), Value::Int(12));
+        // The cursor never masks the range check.
+        assert!(a.load(-1).is_err() && a.store(Memory::MAX_WORDS as i64, Value::Int(1)).is_err());
     }
 
     #[test]

@@ -24,8 +24,9 @@
 
 use crate::parallel_image::{
     eval, prepare_callee_regs, run_flat, specialize_op, wait_blocking, FlatEnd, FlatError, IterEnd,
-    IterError, IterSync, LoopImage, POp, Tier, WaitOutcome, PC_END_ITER, PC_EXIT,
+    IterError, IterSync, LoopImage, POp, WaitOutcome, PC_END_ITER, PC_EXIT,
 };
+use crate::sharded::WorkerMemory;
 use crate::telemetry::{WorkerCtx, NO_LANE};
 use helix_ir::interp::{eval_binop, eval_pred, eval_unop, ExecError, MAX_CALL_DEPTH};
 use helix_ir::{BinOp, BlockId, ExecImage, FuncId, Op, Opnd, Pred, UnOp, Value};
@@ -82,13 +83,14 @@ const DONE: usize = usize::MAX;
 const SWITCH: usize = usize::MAX - 1;
 
 /// A handler executes one decoded op and returns the next pc (or a sentinel).
-pub(crate) type Handler<T> = for<'r> fn(&mut TCtx<'r, T>, &TOp<T>, usize) -> usize;
+pub(crate) type Handler = for<'r, 'm> fn(&mut TCtx<'r, 'm>, &TOp, usize) -> usize;
 
 /// One decoded op: a handler pointer plus a flat field bag the decoder filled for it.
 /// Field meaning is per-handler (documented at each decode site); unused fields are zero.
 /// No `Box`, no enum tag — dispatch reads exactly one cache line ahead.
-pub(crate) struct TOp<T: Tier> {
-    pub(crate) h: Handler<T>,
+#[derive(Clone, Copy)]
+pub(crate) struct TOp {
+    pub(crate) h: Handler,
     a: u32,
     b: u32,
     c: u32,
@@ -103,19 +105,8 @@ pub(crate) struct TOp<T: Tier> {
     w: Value,
 }
 
-// `TOp` is a bag of `Copy` fields for every `T` (the handler is a plain fn pointer), but
-// a derive would demand `T: Copy`; the JIT patcher copies head slots aside before
-// rewriting them, so spell the impls out.
-impl<T: Tier> Clone for TOp<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<T: Tier> Copy for TOp<T> {}
-
-impl<T: Tier> TOp<T> {
-    fn new(h: Handler<T>) -> TOp<T> {
+impl TOp {
+    fn new(h: Handler) -> TOp {
         TOp {
             h,
             a: 0,
@@ -152,13 +143,13 @@ enum FlatHalt {
 /// The mutable state threaded handlers operate on. Code arrays live *outside* this struct
 /// (in the dispatch loop) so a handler borrowing its own `TOp` never conflicts with the
 /// `&mut TCtx` it also receives.
-pub(crate) struct TCtx<'r, T: Tier> {
+pub(crate) struct TCtx<'r, 'm> {
     image: &'r ExecImage,
     /// The specialized iteration stream (for the rare boxed ops a `TOp` cannot carry:
     /// `SelectB`, `CallB`, `SignalMulti`). Empty in flat mode.
     pcode: &'r [POp],
     pub(crate) regs: &'r mut Vec<Value>,
-    tier: &'r mut T,
+    mem: &'r mut WorkerMemory<'m>,
     iteration: u64,
     sync: Option<&'r IterSync<'r>>,
     on_control: Option<&'r mut (dyn FnMut() + 'r)>,
@@ -197,13 +188,13 @@ fn set(regs: &mut [Value], r: u32, v: Value) {
     }
 }
 
-/// Propagates a tier (memory) error out of a handler: record the fault, end the run.
-macro_rules! tier_try {
+/// Propagates a memory error out of a handler: record the fault, end the run.
+macro_rules! mem_try {
     ($ctx:expr, $e:expr) => {
         match $e {
             Ok(v) => v,
             Err(e) => {
-                $ctx.fault = Some(e);
+                $ctx.fault = Some(e.into());
                 return DONE;
             }
         }
@@ -258,66 +249,66 @@ macro_rules! zun {
 }
 zun!(ZNeg => Neg, ZNot => Not, ZToFloat => ToFloat, ZToInt => ToInt);
 
-/// Selects the `$h::<$t, Z>` instantiation matching a runtime [`BinOp`].
+/// Selects the `$h::<Z>` instantiation matching a runtime [`BinOp`].
 macro_rules! by_binop {
-    ($op:expr, $h:ident, $t:ident) => {
+    ($op:expr, $h:ident) => {
         match $op {
-            BinOp::Add => $h::<$t, ZAdd> as Handler<$t>,
-            BinOp::Sub => $h::<$t, ZSub> as Handler<$t>,
-            BinOp::Mul => $h::<$t, ZMul> as Handler<$t>,
-            BinOp::Div => $h::<$t, ZDiv> as Handler<$t>,
-            BinOp::Rem => $h::<$t, ZRem> as Handler<$t>,
-            BinOp::And => $h::<$t, ZAnd> as Handler<$t>,
-            BinOp::Or => $h::<$t, ZOr> as Handler<$t>,
-            BinOp::Xor => $h::<$t, ZXor> as Handler<$t>,
-            BinOp::Shl => $h::<$t, ZShl> as Handler<$t>,
-            BinOp::Shr => $h::<$t, ZShr> as Handler<$t>,
-            BinOp::Min => $h::<$t, ZMin> as Handler<$t>,
-            BinOp::Max => $h::<$t, ZMax> as Handler<$t>,
+            BinOp::Add => $h::<ZAdd> as Handler,
+            BinOp::Sub => $h::<ZSub> as Handler,
+            BinOp::Mul => $h::<ZMul> as Handler,
+            BinOp::Div => $h::<ZDiv> as Handler,
+            BinOp::Rem => $h::<ZRem> as Handler,
+            BinOp::And => $h::<ZAnd> as Handler,
+            BinOp::Or => $h::<ZOr> as Handler,
+            BinOp::Xor => $h::<ZXor> as Handler,
+            BinOp::Shl => $h::<ZShl> as Handler,
+            BinOp::Shr => $h::<ZShr> as Handler,
+            BinOp::Min => $h::<ZMin> as Handler,
+            BinOp::Max => $h::<ZMax> as Handler,
         }
     };
 }
 
 /// [`by_binop!`] for handlers that also take a `const P: bool` (private-route) parameter.
 macro_rules! by_binop_b {
-    ($op:expr, $h:ident, $t:ident, $b:literal) => {
+    ($op:expr, $h:ident, $b:literal) => {
         match $op {
-            BinOp::Add => $h::<$t, ZAdd, $b> as Handler<$t>,
-            BinOp::Sub => $h::<$t, ZSub, $b> as Handler<$t>,
-            BinOp::Mul => $h::<$t, ZMul, $b> as Handler<$t>,
-            BinOp::Div => $h::<$t, ZDiv, $b> as Handler<$t>,
-            BinOp::Rem => $h::<$t, ZRem, $b> as Handler<$t>,
-            BinOp::And => $h::<$t, ZAnd, $b> as Handler<$t>,
-            BinOp::Or => $h::<$t, ZOr, $b> as Handler<$t>,
-            BinOp::Xor => $h::<$t, ZXor, $b> as Handler<$t>,
-            BinOp::Shl => $h::<$t, ZShl, $b> as Handler<$t>,
-            BinOp::Shr => $h::<$t, ZShr, $b> as Handler<$t>,
-            BinOp::Min => $h::<$t, ZMin, $b> as Handler<$t>,
-            BinOp::Max => $h::<$t, ZMax, $b> as Handler<$t>,
+            BinOp::Add => $h::<ZAdd, $b> as Handler,
+            BinOp::Sub => $h::<ZSub, $b> as Handler,
+            BinOp::Mul => $h::<ZMul, $b> as Handler,
+            BinOp::Div => $h::<ZDiv, $b> as Handler,
+            BinOp::Rem => $h::<ZRem, $b> as Handler,
+            BinOp::And => $h::<ZAnd, $b> as Handler,
+            BinOp::Or => $h::<ZOr, $b> as Handler,
+            BinOp::Xor => $h::<ZXor, $b> as Handler,
+            BinOp::Shl => $h::<ZShl, $b> as Handler,
+            BinOp::Shr => $h::<ZShr, $b> as Handler,
+            BinOp::Min => $h::<ZMin, $b> as Handler,
+            BinOp::Max => $h::<ZMax, $b> as Handler,
         }
     };
 }
 
 macro_rules! by_pred {
-    ($op:expr, $h:ident, $t:ident) => {
+    ($op:expr, $h:ident) => {
         match $op {
-            Pred::Eq => $h::<$t, ZEq> as Handler<$t>,
-            Pred::Ne => $h::<$t, ZNe> as Handler<$t>,
-            Pred::Lt => $h::<$t, ZLt> as Handler<$t>,
-            Pred::Le => $h::<$t, ZLe> as Handler<$t>,
-            Pred::Gt => $h::<$t, ZGt> as Handler<$t>,
-            Pred::Ge => $h::<$t, ZGe> as Handler<$t>,
+            Pred::Eq => $h::<ZEq> as Handler,
+            Pred::Ne => $h::<ZNe> as Handler,
+            Pred::Lt => $h::<ZLt> as Handler,
+            Pred::Le => $h::<ZLe> as Handler,
+            Pred::Gt => $h::<ZGt> as Handler,
+            Pred::Ge => $h::<ZGe> as Handler,
         }
     };
 }
 
 macro_rules! by_unop {
-    ($op:expr, $h:ident, $t:ident) => {
+    ($op:expr, $h:ident) => {
         match $op {
-            UnOp::Neg => $h::<$t, ZNeg> as Handler<$t>,
-            UnOp::Not => $h::<$t, ZNot> as Handler<$t>,
-            UnOp::ToFloat => $h::<$t, ZToFloat> as Handler<$t>,
-            UnOp::ToInt => $h::<$t, ZToInt> as Handler<$t>,
+            UnOp::Neg => $h::<ZNeg> as Handler,
+            UnOp::Not => $h::<ZNot> as Handler,
+            UnOp::ToFloat => $h::<ZToFloat> as Handler,
+            UnOp::ToInt => $h::<ZToInt> as Handler,
         }
     };
 }
@@ -329,11 +320,11 @@ macro_rules! by_unop {
 /// Runs decoded code until a handler returns [`DONE`]. `tables` holds per-function code
 /// arrays for flat mode ([`SWITCH`] reloads from it); iteration mode passes `&[]` and
 /// never switches.
-fn dispatch<'c, T: Tier>(
-    tables: &'c [Vec<TOp<T>>],
-    mut code: &'c [TOp<T>],
+fn dispatch<'c>(
+    tables: &'c [Vec<TOp>],
+    mut code: &'c [TOp],
     mut pc: usize,
-    ctx: &mut TCtx<'_, T>,
+    ctx: &mut TCtx<'_, '_>,
 ) {
     loop {
         let op = &code[pc];
@@ -357,150 +348,150 @@ fn dispatch<'c, T: Tier>(
 // ---------------------------------------------------------------------------
 
 /// `a=dst b=src`
-fn h_mov_r<T: Tier>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, pc: usize) -> usize {
+fn h_mov_r(ctx: &mut TCtx<'_, '_>, op: &TOp, pc: usize) -> usize {
     let v = get(ctx.regs, op.b);
     set(ctx.regs, op.a, v);
     pc + 1
 }
 
 /// `a=dst v=imm`
-fn h_mov_i<T: Tier>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, pc: usize) -> usize {
+fn h_mov_i(ctx: &mut TCtx<'_, '_>, op: &TOp, pc: usize) -> usize {
     set(ctx.regs, op.a, op.v);
     pc + 1
 }
 
 /// `a=dst b=src`
-fn h_un_r<T: Tier, U: CUn>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, pc: usize) -> usize {
+fn h_un_r<U: CUn>(ctx: &mut TCtx<'_, '_>, op: &TOp, pc: usize) -> usize {
     let v = eval_unop(U::OP, get(ctx.regs, op.b));
     set(ctx.regs, op.a, v);
     pc + 1
 }
 
 /// `a=dst b=lhs c=rhs`
-fn h_bin_rr<T: Tier, Z: CBin>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, pc: usize) -> usize {
+fn h_bin_rr<Z: CBin>(ctx: &mut TCtx<'_, '_>, op: &TOp, pc: usize) -> usize {
     let v = eval_binop(Z::OP, get(ctx.regs, op.b), get(ctx.regs, op.c));
     set(ctx.regs, op.a, v);
     pc + 1
 }
 
 /// `a=dst b=lhs v=rhs`
-fn h_bin_ri<T: Tier, Z: CBin>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, pc: usize) -> usize {
+fn h_bin_ri<Z: CBin>(ctx: &mut TCtx<'_, '_>, op: &TOp, pc: usize) -> usize {
     let v = eval_binop(Z::OP, get(ctx.regs, op.b), op.v);
     set(ctx.regs, op.a, v);
     pc + 1
 }
 
 /// `a=dst b=rhs v=lhs`
-fn h_bin_ir<T: Tier, Z: CBin>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, pc: usize) -> usize {
+fn h_bin_ir<Z: CBin>(ctx: &mut TCtx<'_, '_>, op: &TOp, pc: usize) -> usize {
     let v = eval_binop(Z::OP, op.v, get(ctx.regs, op.b));
     set(ctx.regs, op.a, v);
     pc + 1
 }
 
 /// `a=dst b=lhs c=rhs`
-fn h_cmp_rr<T: Tier, P: CPred>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, pc: usize) -> usize {
+fn h_cmp_rr<P: CPred>(ctx: &mut TCtx<'_, '_>, op: &TOp, pc: usize) -> usize {
     let v = Value::from_bool(eval_pred(P::OP, get(ctx.regs, op.b), get(ctx.regs, op.c)));
     set(ctx.regs, op.a, v);
     pc + 1
 }
 
 /// `a=dst b=lhs v=rhs`
-fn h_cmp_ri<T: Tier, P: CPred>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, pc: usize) -> usize {
+fn h_cmp_ri<P: CPred>(ctx: &mut TCtx<'_, '_>, op: &TOp, pc: usize) -> usize {
     let v = Value::from_bool(eval_pred(P::OP, get(ctx.regs, op.b), op.v));
     set(ctx.regs, op.a, v);
     pc + 1
 }
 
 /// `a=dst b=rhs v=lhs`
-fn h_cmp_ir<T: Tier, P: CPred>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, pc: usize) -> usize {
+fn h_cmp_ir<P: CPred>(ctx: &mut TCtx<'_, '_>, op: &TOp, pc: usize) -> usize {
     let v = Value::from_bool(eval_pred(P::OP, op.v, get(ctx.regs, op.b)));
     set(ctx.regs, op.a, v);
     pc + 1
 }
 
 /// `a=dst b=addr i=offset`, `P` = private route proven
-fn h_load_r<T: Tier, const P: bool>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, pc: usize) -> usize {
+fn h_load_r<const P: bool>(ctx: &mut TCtx<'_, '_>, op: &TOp, pc: usize) -> usize {
     let a = get(ctx.regs, op.b).as_int() + op.i;
     let v = if P {
-        tier_try!(ctx, ctx.tier.load_private(a))
+        mem_try!(ctx, ctx.mem.load_private(a))
     } else {
-        tier_try!(ctx, ctx.tier.load(a))
+        mem_try!(ctx, ctx.mem.load(a))
     };
     set(ctx.regs, op.a, v);
     pc + 1
 }
 
 /// `a=dst i=addr`
-fn h_load_a<T: Tier>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, pc: usize) -> usize {
-    let v = tier_try!(ctx, ctx.tier.load(op.i));
+fn h_load_a(ctx: &mut TCtx<'_, '_>, op: &TOp, pc: usize) -> usize {
+    let v = mem_try!(ctx, ctx.mem.load(op.i));
     set(ctx.regs, op.a, v);
     pc + 1
 }
 
 /// `a=addr b=value i=offset`
-fn h_store_rr<T: Tier, const P: bool>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, pc: usize) -> usize {
+fn h_store_rr<const P: bool>(ctx: &mut TCtx<'_, '_>, op: &TOp, pc: usize) -> usize {
     let a = get(ctx.regs, op.a).as_int() + op.i;
     let v = get(ctx.regs, op.b);
     if P {
-        tier_try!(ctx, ctx.tier.store_private(a, v));
+        mem_try!(ctx, ctx.mem.store_private(a, v));
     } else {
-        tier_try!(ctx, ctx.tier.store(a, v));
+        mem_try!(ctx, ctx.mem.store(a, v));
     }
     pc + 1
 }
 
 /// `a=addr i=offset v=value`
-fn h_store_ri<T: Tier, const P: bool>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, pc: usize) -> usize {
+fn h_store_ri<const P: bool>(ctx: &mut TCtx<'_, '_>, op: &TOp, pc: usize) -> usize {
     let a = get(ctx.regs, op.a).as_int() + op.i;
     if P {
-        tier_try!(ctx, ctx.tier.store_private(a, op.v));
+        mem_try!(ctx, ctx.mem.store_private(a, op.v));
     } else {
-        tier_try!(ctx, ctx.tier.store(a, op.v));
+        mem_try!(ctx, ctx.mem.store(a, op.v));
     }
     pc + 1
 }
 
 /// `a=value i=addr`
-fn h_store_ar<T: Tier>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, pc: usize) -> usize {
+fn h_store_ar(ctx: &mut TCtx<'_, '_>, op: &TOp, pc: usize) -> usize {
     let v = get(ctx.regs, op.a);
-    tier_try!(ctx, ctx.tier.store(op.i, v));
+    mem_try!(ctx, ctx.mem.store(op.i, v));
     pc + 1
 }
 
 /// `i=addr v=value`
-fn h_store_ai<T: Tier>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, pc: usize) -> usize {
-    tier_try!(ctx, ctx.tier.store(op.i, op.v));
+fn h_store_ai(ctx: &mut TCtx<'_, '_>, op: &TOp, pc: usize) -> usize {
+    mem_try!(ctx, ctx.mem.store(op.i, op.v));
     pc + 1
 }
 
 /// `a=dst b=words`
-fn h_alloc_r<T: Tier>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, pc: usize) -> usize {
+fn h_alloc_r(ctx: &mut TCtx<'_, '_>, op: &TOp, pc: usize) -> usize {
     let n = get(ctx.regs, op.b).as_int().max(0) as usize;
-    let base = tier_try!(ctx, ctx.tier.alloc(n));
+    let base = mem_try!(ctx, ctx.mem.alloc(n));
     set(ctx.regs, op.a, Value::Int(base));
     pc + 1
 }
 
 /// `a=dst i=words`
-fn h_alloc_i<T: Tier>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, pc: usize) -> usize {
+fn h_alloc_i(ctx: &mut TCtx<'_, '_>, op: &TOp, pc: usize) -> usize {
     let n = op.i.max(0) as usize;
-    let base = tier_try!(ctx, ctx.tier.alloc(n));
+    let base = mem_try!(ctx, ctx.mem.alloc(n));
     set(ctx.regs, op.a, Value::Int(base));
     pc + 1
 }
 
 /// `a=dst b=words`
-fn h_palloc_r<T: Tier>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, pc: usize) -> usize {
+fn h_palloc_r(ctx: &mut TCtx<'_, '_>, op: &TOp, pc: usize) -> usize {
     let n = get(ctx.regs, op.b).as_int().max(0) as usize;
-    let base = tier_try!(ctx, ctx.tier.alloc_private(n));
+    let base = mem_try!(ctx, ctx.mem.alloc_private(n));
     set(ctx.regs, op.a, Value::Int(base));
     pc + 1
 }
 
 /// `a=dst i=words`
-fn h_palloc_i<T: Tier>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, pc: usize) -> usize {
+fn h_palloc_i(ctx: &mut TCtx<'_, '_>, op: &TOp, pc: usize) -> usize {
     let n = op.i.max(0) as usize;
-    let base = tier_try!(ctx, ctx.tier.alloc_private(n));
+    let base = mem_try!(ctx, ctx.mem.alloc_private(n));
     set(ctx.regs, op.a, Value::Int(base));
     pc + 1
 }
@@ -508,7 +499,7 @@ fn h_palloc_i<T: Tier>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, pc: usize) -> usize {
 // --- fused superinstructions (straight-line bodies, one dispatch per window) ---
 
 /// `a=lhs b=d1 c=d2 o1 o2 v=i1 w=i2` — `d1 = lhs o1 i1; d2 = d1 o2 i2`
-fn h_chain_ii<T: Tier>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, pc: usize) -> usize {
+fn h_chain_ii(ctx: &mut TCtx<'_, '_>, op: &TOp, pc: usize) -> usize {
     let x = eval_binop(op.o1, get(ctx.regs, op.a), op.v);
     set(ctx.regs, op.b, x);
     set(ctx.regs, op.c, eval_binop(op.o2, x, op.w));
@@ -516,7 +507,7 @@ fn h_chain_ii<T: Tier>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, pc: usize) -> usize {
 }
 
 /// `a=lhs b=d1 c=d2 d=d3 o1 o2 o3 v=i1 w=i2 i=i3` (integer immediates)
-fn h_chain3_ii<T: Tier>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, pc: usize) -> usize {
+fn h_chain3_ii(ctx: &mut TCtx<'_, '_>, op: &TOp, pc: usize) -> usize {
     let x = eval_binop(op.o1, get(ctx.regs, op.a), op.v);
     set(ctx.regs, op.b, x);
     let y = eval_binop(op.o2, x, op.w);
@@ -526,7 +517,7 @@ fn h_chain3_ii<T: Tier>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, pc: usize) -> usize 
 }
 
 /// `a=lhs b=d1 c=d2 d=d3 o1 o2 o3 v=f1 w=f2 i=f3.to_bits()` (float immediates)
-fn h_chain3_ff<T: Tier>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, pc: usize) -> usize {
+fn h_chain3_ff(ctx: &mut TCtx<'_, '_>, op: &TOp, pc: usize) -> usize {
     let x = eval_binop(op.o1, get(ctx.regs, op.a), op.v);
     set(ctx.regs, op.b, x);
     let y = eval_binop(op.o2, x, op.w);
@@ -537,7 +528,7 @@ fn h_chain3_ff<T: Tier>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, pc: usize) -> usize 
 }
 
 /// `a=lhs b=rhs c=d1 d=d2 o1 o2 v=i2` — `d1 = lhs o1 rhs; d2 = d1 o2 i2`
-fn h_chain_ri<T: Tier>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, pc: usize) -> usize {
+fn h_chain_ri(ctx: &mut TCtx<'_, '_>, op: &TOp, pc: usize) -> usize {
     let x = eval_binop(op.o1, get(ctx.regs, op.a), get(ctx.regs, op.b));
     set(ctx.regs, op.c, x);
     set(ctx.regs, op.d, eval_binop(op.o2, x, op.v));
@@ -545,8 +536,8 @@ fn h_chain_ri<T: Tier>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, pc: usize) -> usize {
 }
 
 /// `a=ld b=other c=dst e=ld_on_lhs i=laddr` — `ld = load laddr; dst = ld Z other`
-fn h_load_a_bin<T: Tier, Z: CBin>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, pc: usize) -> usize {
-    let l = tier_try!(ctx, ctx.tier.load(op.i));
+fn h_load_a_bin<Z: CBin>(ctx: &mut TCtx<'_, '_>, op: &TOp, pc: usize) -> usize {
+    let l = mem_try!(ctx, ctx.mem.load(op.i));
     set(ctx.regs, op.a, l);
     let o = get(ctx.regs, op.b);
     let v = if op.e != 0 {
@@ -559,27 +550,27 @@ fn h_load_a_bin<T: Tier, Z: CBin>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, pc: usize)
 }
 
 /// `a=lhs b=rhs c=dst i=saddr` — `dst = lhs Z rhs; store saddr <- dst`
-fn h_bin_store_a<T: Tier, Z: CBin>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, pc: usize) -> usize {
+fn h_bin_store_a<Z: CBin>(ctx: &mut TCtx<'_, '_>, op: &TOp, pc: usize) -> usize {
     let v = eval_binop(Z::OP, get(ctx.regs, op.a), get(ctx.regs, op.b));
     set(ctx.regs, op.c, v);
-    tier_try!(ctx, ctx.tier.store(op.i, v));
+    mem_try!(ctx, ctx.mem.store(op.i, v));
     pc + 2
 }
 
 /// `a=idx b=dst c=value i=base j=offset` — the array-store idiom. Mirrors the unfused
 /// BinIR+StoreRR pair exactly: the add goes through `eval_binop` so a float index register
 /// produces the same float-typed dst and float-rounded address.
-fn h_store_idx<T: Tier>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, pc: usize) -> usize {
+fn h_store_idx(ctx: &mut TCtx<'_, '_>, op: &TOp, pc: usize) -> usize {
     let v = eval_binop(BinOp::Add, Value::Int(op.i), get(ctx.regs, op.a));
     set(ctx.regs, op.b, v);
     let val = get(ctx.regs, op.c);
-    tier_try!(ctx, ctx.tier.store(v.as_int() + op.j, val));
+    mem_try!(ctx, ctx.mem.store(v.as_int() + op.j, val));
     pc + 2
 }
 
 /// `a=ld b=other c=dst e=ld_on_lhs i=laddr j=saddr` — absolute-address read-modify-write
-fn h_rmw_a<T: Tier, Z: CBin>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, pc: usize) -> usize {
-    let l = tier_try!(ctx, ctx.tier.load(op.i));
+fn h_rmw_a<Z: CBin>(ctx: &mut TCtx<'_, '_>, op: &TOp, pc: usize) -> usize {
+    let l = mem_try!(ctx, ctx.mem.load(op.i));
     set(ctx.regs, op.a, l);
     let o = get(ctx.regs, op.b);
     let v = if op.e != 0 {
@@ -588,7 +579,7 @@ fn h_rmw_a<T: Tier, Z: CBin>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, pc: usize) -> u
         eval_binop(Z::OP, o, l)
     };
     set(ctx.regs, op.c, v);
-    tier_try!(ctx, ctx.tier.store(op.j, v));
+    mem_try!(ctx, ctx.mem.store(op.j, v));
     pc + 3
 }
 
@@ -596,16 +587,12 @@ fn h_rmw_a<T: Tier, Z: CBin>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, pc: usize) -> u
 /// The address register is provably unmodified by the window (fusion guards
 /// `ld != addr && dst != addr`), so computing the address once is bitwise what the unfused
 /// load/store pair would do.
-fn h_rmw_r<T: Tier, Z: CBin, const P: bool>(
-    ctx: &mut TCtx<'_, T>,
-    op: &TOp<T>,
-    pc: usize,
-) -> usize {
+fn h_rmw_r<Z: CBin, const P: bool>(ctx: &mut TCtx<'_, '_>, op: &TOp, pc: usize) -> usize {
     let a = get(ctx.regs, op.a).as_int() + op.i;
     let l = if P {
-        tier_try!(ctx, ctx.tier.load_private(a))
+        mem_try!(ctx, ctx.mem.load_private(a))
     } else {
-        tier_try!(ctx, ctx.tier.load(a))
+        mem_try!(ctx, ctx.mem.load(a))
     };
     set(ctx.regs, op.b, l);
     let o = get(ctx.regs, op.c);
@@ -616,21 +603,21 @@ fn h_rmw_r<T: Tier, Z: CBin, const P: bool>(
     };
     set(ctx.regs, op.d, v);
     if P {
-        tier_try!(ctx, ctx.tier.store_private(a, v));
+        mem_try!(ctx, ctx.mem.store_private(a, v));
     } else {
-        tier_try!(ctx, ctx.tier.store(a, v));
+        mem_try!(ctx, ctx.mem.store(a, v));
     }
     pc + 3
 }
 
 /// `a=block` — missing terminator (both modes; the runner maps the fault).
-fn h_trap<T: Tier>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, _pc: usize) -> usize {
+fn h_trap(ctx: &mut TCtx<'_, '_>, op: &TOp, _pc: usize) -> usize {
     ctx.fault = Some(ExecError::MissingTerminator(BlockId::new(op.a)));
     DONE
 }
 
 /// Flat-mode `Wait`/`Signal`: no-ops, like `run_flat`'s treatment.
-fn h_nop<T: Tier>(_ctx: &mut TCtx<'_, T>, _op: &TOp<T>, pc: usize) -> usize {
+fn h_nop(_ctx: &mut TCtx<'_, '_>, _op: &TOp, pc: usize) -> usize {
     pc + 1
 }
 
@@ -639,7 +626,7 @@ fn h_nop<T: Tier>(_ctx: &mut TCtx<'_, T>, _op: &TOp<T>, pc: usize) -> usize {
 // ---------------------------------------------------------------------------
 
 /// `a=lane` — the synchronized-segment entry wait.
-fn h_wait<T: Tier>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, pc: usize) -> usize {
+fn h_wait(ctx: &mut TCtx<'_, '_>, op: &TOp, pc: usize) -> usize {
     let sync = ctx.sync.expect("iteration handler outside iteration mode");
     let lane_ix = op.a as usize;
     if !sync.lanes.poll(lane_ix, ctx.iteration) {
@@ -665,7 +652,7 @@ fn h_wait<T: Tier>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, pc: usize) -> usize {
 }
 
 /// `a=lane` — the segment-exit signal.
-fn h_signal_lane<T: Tier>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, pc: usize) -> usize {
+fn h_signal_lane(ctx: &mut TCtx<'_, '_>, op: &TOp, pc: usize) -> usize {
     let sync = ctx.sync.expect("iteration handler outside iteration mode");
     sync.lanes.signal(op.a as usize, ctx.iteration);
     sync.sleepers.wake_all();
@@ -676,7 +663,7 @@ fn h_signal_lane<T: Tier>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, pc: usize) -> usiz
 }
 
 /// Prologue completed: release the next iteration.
-fn h_signal_control<T: Tier>(ctx: &mut TCtx<'_, T>, _op: &TOp<T>, pc: usize) -> usize {
+fn h_signal_control(ctx: &mut TCtx<'_, '_>, _op: &TOp, pc: usize) -> usize {
     if let Some(f) = ctx.on_control.as_mut() {
         f();
     }
@@ -684,7 +671,7 @@ fn h_signal_control<T: Tier>(ctx: &mut TCtx<'_, T>, _op: &TOp<T>, pc: usize) -> 
 }
 
 /// Coalesced multi-lane signal; lanes live in the boxed `POp` at `pc`.
-fn h_signal_multi<T: Tier>(ctx: &mut TCtx<'_, T>, _op: &TOp<T>, pc: usize) -> usize {
+fn h_signal_multi(ctx: &mut TCtx<'_, '_>, _op: &TOp, pc: usize) -> usize {
     let pcode = ctx.pcode;
     let POp::SignalMulti { lanes, width } = &pcode[pc] else {
         unreachable!("decoder installs h_signal_multi only on SignalMulti")
@@ -706,7 +693,7 @@ fn h_signal_multi<T: Tier>(ctx: &mut TCtx<'_, T>, _op: &TOp<T>, pc: usize) -> us
 }
 
 /// Select; operands live in the boxed `POp` at `pc`.
-fn h_select_iter<T: Tier>(ctx: &mut TCtx<'_, T>, _op: &TOp<T>, pc: usize) -> usize {
+fn h_select_iter(ctx: &mut TCtx<'_, '_>, _op: &TOp, pc: usize) -> usize {
     let pcode = ctx.pcode;
     let POp::SelectB(data) = &pcode[pc] else {
         unreachable!("decoder installs h_select_iter only on SelectB")
@@ -723,7 +710,7 @@ fn h_select_iter<T: Tier>(ctx: &mut TCtx<'_, T>, _op: &TOp<T>, pc: usize) -> usi
 /// Call out of the iteration; call data lives in the boxed `POp` at `pc`. Callees run on
 /// the switch engine (calls are rare in iteration code, and this keeps the callee
 /// semantics identical to the reference tier by construction).
-fn h_call_iter<T: Tier>(ctx: &mut TCtx<'_, T>, _op: &TOp<T>, pc: usize) -> usize {
+fn h_call_iter(ctx: &mut TCtx<'_, '_>, _op: &TOp, pc: usize) -> usize {
     let image = ctx.image;
     let pcode = ctx.pcode;
     let POp::CallB(call) = &pcode[pc] else {
@@ -738,7 +725,7 @@ fn h_call_iter<T: Tier>(ctx: &mut TCtx<'_, T>, _op: &TOp<T>, pc: usize) -> usize
         image.funcs[call.func as usize].entry_block,
         None,
         &mut callee_regs,
-        ctx.tier,
+        ctx.mem,
         u64::MAX,
     ) {
         Ok(FlatEnd::Returned(v)) => {
@@ -757,24 +744,24 @@ fn h_call_iter<T: Tier>(ctx: &mut TCtx<'_, T>, _op: &TOp<T>, pc: usize) -> usize
 }
 
 /// `a=pc` — internal jump.
-fn h_jump_iter<T: Tier>(_ctx: &mut TCtx<'_, T>, op: &TOp<T>, _pc: usize) -> usize {
+fn h_jump_iter(_ctx: &mut TCtx<'_, '_>, op: &TOp, _pc: usize) -> usize {
     op.a as usize
 }
 
-fn h_end_iter<T: Tier>(ctx: &mut TCtx<'_, T>, _op: &TOp<T>, _pc: usize) -> usize {
+fn h_end_iter(ctx: &mut TCtx<'_, '_>, _op: &TOp, _pc: usize) -> usize {
     ctx.end_iter = Some(Ok(IterEnd::Completed));
     DONE
 }
 
 /// `a=block`
-fn h_exit_jump<T: Tier>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, _pc: usize) -> usize {
+fn h_exit_jump(ctx: &mut TCtx<'_, '_>, op: &TOp, _pc: usize) -> usize {
     ctx.end_iter = Some(Ok(IterEnd::Exit { block: op.a }));
     DONE
 }
 
 /// Resolves an iteration branch edge: sentinel targets end the iteration.
 #[inline(always)]
-fn iter_edge<T: Tier>(ctx: &mut TCtx<'_, T>, target: u32, block: u32) -> usize {
+fn iter_edge(ctx: &mut TCtx<'_, '_>, target: u32, block: u32) -> usize {
     match target {
         PC_END_ITER => {
             ctx.end_iter = Some(Ok(IterEnd::Completed));
@@ -789,7 +776,7 @@ fn iter_edge<T: Tier>(ctx: &mut TCtx<'_, T>, target: u32, block: u32) -> usize {
 }
 
 /// `a=cond b=then_pc c=else_pc d=then_block e=else_block`
-fn h_branch_iter<T: Tier>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, _pc: usize) -> usize {
+fn h_branch_iter(ctx: &mut TCtx<'_, '_>, op: &TOp, _pc: usize) -> usize {
     let (target, block) = if get(ctx.regs, op.a).as_bool() {
         (op.b, op.d)
     } else {
@@ -799,20 +786,20 @@ fn h_branch_iter<T: Tier>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, _pc: usize) -> usi
 }
 
 /// `a=src`
-fn h_ret_r_iter<T: Tier>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, _pc: usize) -> usize {
+fn h_ret_r_iter(ctx: &mut TCtx<'_, '_>, op: &TOp, _pc: usize) -> usize {
     ctx.end_iter = Some(Ok(IterEnd::Returned(Some(get(ctx.regs, op.a)))));
     DONE
 }
 
 /// `e=has_value v=value`
-fn h_ret_i_iter<T: Tier>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, _pc: usize) -> usize {
+fn h_ret_i_iter(ctx: &mut TCtx<'_, '_>, op: &TOp, _pc: usize) -> usize {
     let v = (op.e != 0).then_some(op.v);
     ctx.end_iter = Some(Ok(IterEnd::Returned(v)));
     DONE
 }
 
 /// `a=dst b=lhs c=then_pc d=else_pc i=then_block j=else_block v=imm` — fused cmp+branch.
-fn h_cmpbr_ri<T: Tier, P: CPred>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, _pc: usize) -> usize {
+fn h_cmpbr_ri<P: CPred>(ctx: &mut TCtx<'_, '_>, op: &TOp, _pc: usize) -> usize {
     let taken = eval_pred(P::OP, get(ctx.regs, op.b), op.v);
     set(ctx.regs, op.a, Value::from_bool(taken));
     let (target, block) = if taken {
@@ -824,7 +811,7 @@ fn h_cmpbr_ri<T: Tier, P: CPred>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, _pc: usize)
 }
 
 /// `a=dst b=lhs c=rhs d=then_pc e=else_pc i=then_block j=else_block`
-fn h_cmpbr_rr<T: Tier, P: CPred>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, _pc: usize) -> usize {
+fn h_cmpbr_rr<P: CPred>(ctx: &mut TCtx<'_, '_>, op: &TOp, _pc: usize) -> usize {
     let taken = eval_pred(P::OP, get(ctx.regs, op.b), get(ctx.regs, op.c));
     set(ctx.regs, op.a, Value::from_bool(taken));
     let (target, block) = if taken {
@@ -842,7 +829,7 @@ fn h_cmpbr_rr<T: Tier, P: CPred>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, _pc: usize)
 /// Resolves a flat top-level block transition: stop-block and budget checks apply only
 /// outside callees, like `run_flat`.
 #[inline(always)]
-fn flat_edge<T: Tier>(ctx: &mut TCtx<'_, T>, target: u32, block: u32) -> usize {
+fn flat_edge(ctx: &mut TCtx<'_, '_>, target: u32, block: u32) -> usize {
     if ctx.frames.is_empty() {
         if ctx.stop_block == Some(block) {
             ctx.end_flat = Some(FlatHalt::ReachedStop);
@@ -858,12 +845,12 @@ fn flat_edge<T: Tier>(ctx: &mut TCtx<'_, T>, target: u32, block: u32) -> usize {
 }
 
 /// `a=target b=block`
-fn h_jump_flat<T: Tier>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, _pc: usize) -> usize {
+fn h_jump_flat(ctx: &mut TCtx<'_, '_>, op: &TOp, _pc: usize) -> usize {
     flat_edge(ctx, op.a, op.b)
 }
 
 /// `a=cond b=then_pc c=else_pc d=then_block e=else_block`
-fn h_branch_flat<T: Tier>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, _pc: usize) -> usize {
+fn h_branch_flat(ctx: &mut TCtx<'_, '_>, op: &TOp, _pc: usize) -> usize {
     let (target, block) = if get(ctx.regs, op.a).as_bool() {
         (op.b, op.d)
     } else {
@@ -873,7 +860,7 @@ fn h_branch_flat<T: Tier>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, _pc: usize) -> usi
 }
 
 /// Select; operands live in the original `Op` stream at `pc`.
-fn h_select_flat<T: Tier>(ctx: &mut TCtx<'_, T>, _op: &TOp<T>, pc: usize) -> usize {
+fn h_select_flat(ctx: &mut TCtx<'_, '_>, _op: &TOp, pc: usize) -> usize {
     let image = ctx.image;
     let Op::Select {
         dst,
@@ -895,7 +882,7 @@ fn h_select_flat<T: Tier>(ctx: &mut TCtx<'_, T>, _op: &TOp<T>, pc: usize) -> usi
 
 /// Call; args live in the original `Op` stream at `pc`. Pushes a frame and switches code
 /// arrays via the `SWITCH` sentinel.
-fn h_call_flat<T: Tier>(ctx: &mut TCtx<'_, T>, _op: &TOp<T>, pc: usize) -> usize {
+fn h_call_flat(ctx: &mut TCtx<'_, '_>, _op: &TOp, pc: usize) -> usize {
     let image = ctx.image;
     let Op::Call {
         dst,
@@ -928,7 +915,7 @@ fn h_call_flat<T: Tier>(ctx: &mut TCtx<'_, T>, _op: &TOp<T>, pc: usize) -> usize
 
 /// Shared return path: pop a frame or end the run.
 #[inline(always)]
-fn ret_flat<T: Tier>(ctx: &mut TCtx<'_, T>, v: Option<Value>) -> usize {
+fn ret_flat(ctx: &mut TCtx<'_, '_>, v: Option<Value>) -> usize {
     match ctx.frames.pop() {
         None => {
             ctx.end_flat = Some(FlatHalt::Returned(v));
@@ -947,13 +934,13 @@ fn ret_flat<T: Tier>(ctx: &mut TCtx<'_, T>, v: Option<Value>) -> usize {
 }
 
 /// `a=src`
-fn h_ret_r_flat<T: Tier>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, _pc: usize) -> usize {
+fn h_ret_r_flat(ctx: &mut TCtx<'_, '_>, op: &TOp, _pc: usize) -> usize {
     let v = Some(get(ctx.regs, op.a));
     ret_flat(ctx, v)
 }
 
 /// `e=has_value v=value`
-fn h_ret_i_flat<T: Tier>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, _pc: usize) -> usize {
+fn h_ret_i_flat(ctx: &mut TCtx<'_, '_>, op: &TOp, _pc: usize) -> usize {
     let v = (op.e != 0).then_some(op.v);
     ret_flat(ctx, v)
 }
@@ -966,40 +953,40 @@ fn h_ret_i_flat<T: Tier>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, _pc: usize) -> usiz
 
 /// Decodes a mode-independent data op; `None` for control ops and the boxed shapes
 /// handled per mode.
-fn decode_data<T: Tier>(p: &POp) -> Option<TOp<T>> {
+fn decode_data(p: &POp) -> Option<TOp> {
     Some(match p {
         POp::MovR { dst, src } => TOp {
             a: *dst,
             b: *src,
-            ..TOp::new(h_mov_r::<T>)
+            ..TOp::new(h_mov_r)
         },
         POp::MovI { dst, v } => TOp {
             a: *dst,
             v: *v,
-            ..TOp::new(h_mov_i::<T>)
+            ..TOp::new(h_mov_i)
         },
         POp::UnR { dst, op, src } => TOp {
             a: *dst,
             b: *src,
-            ..TOp::new(by_unop!(*op, h_un_r, T))
+            ..TOp::new(by_unop!(*op, h_un_r))
         },
         POp::BinRR { dst, op, lhs, rhs } => TOp {
             a: *dst,
             b: *lhs,
             c: *rhs,
-            ..TOp::new(by_binop!(*op, h_bin_rr, T))
+            ..TOp::new(by_binop!(*op, h_bin_rr))
         },
         POp::BinRI { dst, op, lhs, rhs } => TOp {
             a: *dst,
             b: *lhs,
             v: *rhs,
-            ..TOp::new(by_binop!(*op, h_bin_ri, T))
+            ..TOp::new(by_binop!(*op, h_bin_ri))
         },
         POp::BinIR { dst, op, lhs, rhs } => TOp {
             a: *dst,
             b: *rhs,
             v: *lhs,
-            ..TOp::new(by_binop!(*op, h_bin_ir, T))
+            ..TOp::new(by_binop!(*op, h_bin_ir))
         },
         POp::CmpRR {
             dst,
@@ -1010,7 +997,7 @@ fn decode_data<T: Tier>(p: &POp) -> Option<TOp<T>> {
             a: *dst,
             b: *lhs,
             c: *rhs,
-            ..TOp::new(by_pred!(*pred, h_cmp_rr, T))
+            ..TOp::new(by_pred!(*pred, h_cmp_rr))
         },
         POp::CmpRI {
             dst,
@@ -1021,7 +1008,7 @@ fn decode_data<T: Tier>(p: &POp) -> Option<TOp<T>> {
             a: *dst,
             b: *lhs,
             v: *rhs,
-            ..TOp::new(by_pred!(*pred, h_cmp_ri, T))
+            ..TOp::new(by_pred!(*pred, h_cmp_ri))
         },
         POp::CmpIR {
             dst,
@@ -1032,7 +1019,7 @@ fn decode_data<T: Tier>(p: &POp) -> Option<TOp<T>> {
             a: *dst,
             b: *rhs,
             v: *lhs,
-            ..TOp::new(by_pred!(*pred, h_cmp_ir, T))
+            ..TOp::new(by_pred!(*pred, h_cmp_ir))
         },
         POp::LoadR {
             dst,
@@ -1044,15 +1031,15 @@ fn decode_data<T: Tier>(p: &POp) -> Option<TOp<T>> {
             b: *addr,
             i: *offset,
             ..TOp::new(if *private_ok {
-                h_load_r::<T, true> as Handler<T>
+                h_load_r::<true> as Handler
             } else {
-                h_load_r::<T, false> as Handler<T>
+                h_load_r::<false> as Handler
             })
         },
         POp::LoadA { dst, addr } => TOp {
             a: *dst,
             i: *addr,
-            ..TOp::new(h_load_a::<T>)
+            ..TOp::new(h_load_a)
         },
         POp::StoreRR {
             addr,
@@ -1064,9 +1051,9 @@ fn decode_data<T: Tier>(p: &POp) -> Option<TOp<T>> {
             b: *value,
             i: *offset,
             ..TOp::new(if *private_ok {
-                h_store_rr::<T, true> as Handler<T>
+                h_store_rr::<true> as Handler
             } else {
-                h_store_rr::<T, false> as Handler<T>
+                h_store_rr::<false> as Handler
             })
         },
         POp::StoreRI {
@@ -1079,40 +1066,40 @@ fn decode_data<T: Tier>(p: &POp) -> Option<TOp<T>> {
             i: *offset,
             v: *value,
             ..TOp::new(if *private_ok {
-                h_store_ri::<T, true> as Handler<T>
+                h_store_ri::<true> as Handler
             } else {
-                h_store_ri::<T, false> as Handler<T>
+                h_store_ri::<false> as Handler
             })
         },
         POp::StoreAR { addr, value } => TOp {
             a: *value,
             i: *addr,
-            ..TOp::new(h_store_ar::<T>)
+            ..TOp::new(h_store_ar)
         },
         POp::StoreAI { addr, value } => TOp {
             i: *addr,
             v: *value,
-            ..TOp::new(h_store_ai::<T>)
+            ..TOp::new(h_store_ai)
         },
         POp::AllocR { dst, words } => TOp {
             a: *dst,
             b: *words,
-            ..TOp::new(h_alloc_r::<T>)
+            ..TOp::new(h_alloc_r)
         },
         POp::AllocI { dst, words } => TOp {
             a: *dst,
             i: *words,
-            ..TOp::new(h_alloc_i::<T>)
+            ..TOp::new(h_alloc_i)
         },
         POp::PrivateAllocR { dst, words } => TOp {
             a: *dst,
             b: *words,
-            ..TOp::new(h_palloc_r::<T>)
+            ..TOp::new(h_palloc_r)
         },
         POp::PrivateAllocI { dst, words } => TOp {
             a: *dst,
             i: *words,
-            ..TOp::new(h_palloc_i::<T>)
+            ..TOp::new(h_palloc_i)
         },
         POp::BinChainII {
             lhs,
@@ -1130,7 +1117,7 @@ fn decode_data<T: Tier>(p: &POp) -> Option<TOp<T>> {
             o2: *op2,
             v: *i1,
             w: *i2,
-            ..TOp::new(h_chain_ii::<T>)
+            ..TOp::new(h_chain_ii)
         },
         POp::BinChain3II {
             lhs,
@@ -1154,7 +1141,7 @@ fn decode_data<T: Tier>(p: &POp) -> Option<TOp<T>> {
             v: Value::Int(*i1),
             w: Value::Int(*i2),
             i: *i3,
-            ..TOp::new(h_chain3_ii::<T>)
+            ..TOp::new(h_chain3_ii)
         },
         POp::BinChain3FF {
             lhs,
@@ -1178,7 +1165,7 @@ fn decode_data<T: Tier>(p: &POp) -> Option<TOp<T>> {
             v: Value::Float(*f1),
             w: Value::Float(*f2),
             i: f3.to_bits() as i64,
-            ..TOp::new(h_chain3_ff::<T>)
+            ..TOp::new(h_chain3_ff)
         },
         POp::BinChainRI {
             lhs,
@@ -1196,7 +1183,7 @@ fn decode_data<T: Tier>(p: &POp) -> Option<TOp<T>> {
             o1: *op1,
             o2: *op2,
             v: *i2,
-            ..TOp::new(h_chain_ri::<T>)
+            ..TOp::new(h_chain_ri)
         },
         POp::LoadABin {
             laddr,
@@ -1211,7 +1198,7 @@ fn decode_data<T: Tier>(p: &POp) -> Option<TOp<T>> {
             c: *dst,
             e: *ld_on_lhs as u32,
             i: *laddr,
-            ..TOp::new(by_binop!(*op, h_load_a_bin, T))
+            ..TOp::new(by_binop!(*op, h_load_a_bin))
         },
         POp::BinStoreA {
             op,
@@ -1224,7 +1211,7 @@ fn decode_data<T: Tier>(p: &POp) -> Option<TOp<T>> {
             b: *rhs,
             c: *dst,
             i: *saddr,
-            ..TOp::new(by_binop!(*op, h_bin_store_a, T))
+            ..TOp::new(by_binop!(*op, h_bin_store_a))
         },
         POp::StoreIdx {
             base,
@@ -1238,7 +1225,7 @@ fn decode_data<T: Tier>(p: &POp) -> Option<TOp<T>> {
             c: *value,
             i: *base,
             j: *offset,
-            ..TOp::new(h_store_idx::<T>)
+            ..TOp::new(h_store_idx)
         },
         POp::RmwA {
             laddr,
@@ -1255,7 +1242,7 @@ fn decode_data<T: Tier>(p: &POp) -> Option<TOp<T>> {
             e: *ld_on_lhs as u32,
             i: *laddr,
             j: *saddr,
-            ..TOp::new(by_binop!(*op, h_rmw_a, T))
+            ..TOp::new(by_binop!(*op, h_rmw_a))
         },
         POp::RmwR {
             addr,
@@ -1274,45 +1261,45 @@ fn decode_data<T: Tier>(p: &POp) -> Option<TOp<T>> {
             e: *ld_on_lhs as u32,
             i: *offset,
             ..TOp::new(if *private_ok {
-                by_binop_b!(*op, h_rmw_r, T, true)
+                by_binop_b!(*op, h_rmw_r, true)
             } else {
-                by_binop_b!(*op, h_rmw_r, T, false)
+                by_binop_b!(*op, h_rmw_r, false)
             })
         },
         POp::Trap { block } => TOp {
             a: *block,
-            ..TOp::new(h_trap::<T>)
+            ..TOp::new(h_trap)
         },
         _ => return None,
     })
 }
 
 /// Decodes one specialized iteration op.
-fn decode_iter_op<T: Tier>(p: &POp) -> TOp<T> {
+fn decode_iter_op(p: &POp) -> TOp {
     if let Some(t) = decode_data(p) {
         return t;
     }
     match p {
-        POp::SelectB(_) => TOp::new(h_select_iter::<T>),
-        POp::CallB(_) => TOp::new(h_call_iter::<T>),
+        POp::SelectB(_) => TOp::new(h_select_iter),
+        POp::CallB(_) => TOp::new(h_call_iter),
         POp::Wait { lane } => TOp {
             a: *lane,
-            ..TOp::new(h_wait::<T>)
+            ..TOp::new(h_wait)
         },
         POp::SignalLane { lane } => TOp {
             a: *lane,
-            ..TOp::new(h_signal_lane::<T>)
+            ..TOp::new(h_signal_lane)
         },
-        POp::SignalControl => TOp::new(h_signal_control::<T>),
-        POp::SignalMulti { .. } => TOp::new(h_signal_multi::<T>),
+        POp::SignalControl => TOp::new(h_signal_control),
+        POp::SignalMulti { .. } => TOp::new(h_signal_multi),
         POp::Jump { pc } => TOp {
             a: *pc,
-            ..TOp::new(h_jump_iter::<T>)
+            ..TOp::new(h_jump_iter)
         },
-        POp::EndIter => TOp::new(h_end_iter::<T>),
+        POp::EndIter => TOp::new(h_end_iter),
         POp::ExitJump { block } => TOp {
             a: *block,
-            ..TOp::new(h_exit_jump::<T>)
+            ..TOp::new(h_exit_jump)
         },
         POp::Branch {
             cond,
@@ -1326,16 +1313,16 @@ fn decode_iter_op<T: Tier>(p: &POp) -> TOp<T> {
             c: *else_pc,
             d: *then_block,
             e: *else_block,
-            ..TOp::new(h_branch_iter::<T>)
+            ..TOp::new(h_branch_iter)
         },
         POp::RetR { src } => TOp {
             a: *src,
-            ..TOp::new(h_ret_r_iter::<T>)
+            ..TOp::new(h_ret_r_iter)
         },
         POp::RetI { v } => TOp {
             e: v.is_some() as u32,
             v: v.unwrap_or_default(),
-            ..TOp::new(h_ret_i_iter::<T>)
+            ..TOp::new(h_ret_i_iter)
         },
         POp::CmpBrRI {
             dst,
@@ -1354,7 +1341,7 @@ fn decode_iter_op<T: Tier>(p: &POp) -> TOp<T> {
             i: *then_block as i64,
             j: *else_block as i64,
             v: *imm,
-            ..TOp::new(by_pred!(*pred, h_cmpbr_ri, T))
+            ..TOp::new(by_pred!(*pred, h_cmpbr_ri))
         },
         POp::CmpBrRR {
             dst,
@@ -1373,7 +1360,7 @@ fn decode_iter_op<T: Tier>(p: &POp) -> TOp<T> {
             e: *else_pc,
             i: *then_block as i64,
             j: *else_block as i64,
-            ..TOp::new(by_pred!(*pred, h_cmpbr_rr, T))
+            ..TOp::new(by_pred!(*pred, h_cmpbr_rr))
         },
         _ => unreachable!("decode_data covers every remaining POp"),
     }
@@ -1383,15 +1370,15 @@ fn decode_iter_op<T: Tier>(p: &POp) -> TOp<T> {
 /// specializer (with `private_ok = false`, matching `run_flat`'s shared-route accesses);
 /// control ops decode straight from the [`Op`] so block fields survive for the stop-block
 /// and budget checks. No fusion in flat mode — same as `run_flat`.
-fn decode_flat_op<T: Tier>(op: &Op) -> TOp<T> {
+fn decode_flat_op(op: &Op) -> TOp {
     match op {
-        Op::Wait { .. } | Op::Signal { .. } => TOp::new(h_nop::<T>),
-        Op::Select { .. } => TOp::new(h_select_flat::<T>),
-        Op::Call { .. } => TOp::new(h_call_flat::<T>),
+        Op::Wait { .. } | Op::Signal { .. } => TOp::new(h_nop),
+        Op::Select { .. } => TOp::new(h_select_flat),
+        Op::Call { .. } => TOp::new(h_call_flat),
         Op::Jump { pc, block } => TOp {
             a: *pc,
             b: *block,
-            ..TOp::new(h_jump_flat::<T>)
+            ..TOp::new(h_jump_flat)
         },
         Op::Branch {
             cond,
@@ -1406,7 +1393,7 @@ fn decode_flat_op<T: Tier>(op: &Op) -> TOp<T> {
                 c: *else_pc,
                 d: *then_block,
                 e: *else_block,
-                ..TOp::new(h_branch_flat::<T>)
+                ..TOp::new(h_branch_flat)
             },
             imm => {
                 // Constant condition: the branch folds to its taken edge.
@@ -1418,25 +1405,25 @@ fn decode_flat_op<T: Tier>(op: &Op) -> TOp<T> {
                 TOp {
                     a: pc,
                     b: block,
-                    ..TOp::new(h_jump_flat::<T>)
+                    ..TOp::new(h_jump_flat)
                 }
             }
         },
         Op::Ret { value } => match value {
             Some(Opnd::Reg(r)) => TOp {
                 a: *r,
-                ..TOp::new(h_ret_r_flat::<T>)
+                ..TOp::new(h_ret_r_flat)
             },
             Some(imm) => TOp {
                 e: 1,
                 v: eval(&[], *imm),
-                ..TOp::new(h_ret_i_flat::<T>)
+                ..TOp::new(h_ret_i_flat)
             },
-            None => TOp::new(h_ret_i_flat::<T>),
+            None => TOp::new(h_ret_i_flat),
         },
         Op::Trap { block } => TOp {
             a: *block,
-            ..TOp::new(h_trap::<T>)
+            ..TOp::new(h_trap)
         },
         data => decode_data(&specialize_op(data, false))
             .expect("every non-control Op specializes to a data POp"),
@@ -1445,12 +1432,12 @@ fn decode_flat_op<T: Tier>(op: &Op) -> TOp<T> {
 
 /// The decoded per-iteration code array of one [`LoopImage`]. Cheap to build (one pass
 /// over the stream); built once per run and shared by every worker.
-pub(crate) struct IterTable<T: Tier> {
-    pub(crate) ops: Vec<TOp<T>>,
+pub(crate) struct IterTable {
+    pub(crate) ops: Vec<TOp>,
 }
 
-impl<T: Tier> IterTable<T> {
-    pub(crate) fn build(loop_image: &LoopImage) -> IterTable<T> {
+impl IterTable {
+    pub(crate) fn build(loop_image: &LoopImage) -> IterTable {
         IterTable {
             ops: loop_image.pcode.iter().map(decode_iter_op).collect(),
         }
@@ -1459,12 +1446,12 @@ impl<T: Tier> IterTable<T> {
 
 /// Decoded whole-function code arrays of an [`ExecImage`] (flat engine: Phase A/C and
 /// callee bodies), parallel to `image.funcs`.
-pub(crate) struct FlatTables<T: Tier> {
-    pub(crate) funcs: Vec<Vec<TOp<T>>>,
+pub(crate) struct FlatTables {
+    pub(crate) funcs: Vec<Vec<TOp>>,
 }
 
-impl<T: Tier> FlatTables<T> {
-    pub(crate) fn build(image: &ExecImage) -> FlatTables<T> {
+impl FlatTables {
+    pub(crate) fn build(image: &ExecImage) -> FlatTables {
         FlatTables {
             funcs: image
                 .funcs
@@ -1483,13 +1470,13 @@ impl<T: Tier> FlatTables<T> {
 /// identical observable semantics (the fuzz oracle and the telemetry parity test hold the
 /// two to bitwise agreement).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_iteration_threaded<T: Tier>(
+pub(crate) fn run_iteration_threaded(
     image: &ExecImage,
     loop_image: &LoopImage,
-    table: &IterTable<T>,
+    table: &IterTable,
     iteration: u64,
     regs: &mut Vec<Value>,
-    tier: &mut T,
+    mem: &mut WorkerMemory<'_>,
     sync: &IterSync<'_>,
     on_control: &mut dyn FnMut(),
 ) -> Result<IterEnd, IterError> {
@@ -1498,7 +1485,7 @@ pub(crate) fn run_iteration_threaded<T: Tier>(
         image,
         pcode: &loop_image.pcode,
         regs,
-        tier,
+        mem,
         iteration,
         sync: Some(sync),
         on_control: Some(on_control),
@@ -1513,7 +1500,7 @@ pub(crate) fn run_iteration_threaded<T: Tier>(
         end_iter: None,
         end_flat: None,
     };
-    dispatch::<T>(&[], &table.ops, loop_image.entry_pc as usize, &mut ctx);
+    dispatch(&[], &table.ops, loop_image.entry_pc as usize, &mut ctx);
     if let Some(e) = ctx.fault {
         return Err(IterError::Exec(e));
     }
@@ -1523,14 +1510,14 @@ pub(crate) fn run_iteration_threaded<T: Tier>(
 /// [`crate::parallel_image::run_flat`] on the threaded tier: identical contract (stop
 /// block, budget metering, unwind-to-bottom register hand-back).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_flat_threaded<T: Tier>(
+pub(crate) fn run_flat_threaded(
     image: &ExecImage,
-    tables: &FlatTables<T>,
+    tables: &FlatTables,
     func: FuncId,
     start_block: u32,
     stop_block: Option<u32>,
     regs: &mut Vec<Value>,
-    tier: &mut T,
+    mem: &mut WorkerMemory<'_>,
     budget: u64,
 ) -> Result<FlatEnd, FlatError> {
     let f = &image.funcs[func.index()];
@@ -1545,7 +1532,7 @@ pub(crate) fn run_flat_threaded<T: Tier>(
         image,
         pcode: &[],
         regs,
-        tier,
+        mem,
         iteration: 0,
         sync: None,
         on_control: None,
@@ -1560,7 +1547,7 @@ pub(crate) fn run_flat_threaded<T: Tier>(
         end_iter: None,
         end_flat: None,
     };
-    dispatch::<T>(&tables.funcs, &tables.funcs[func.index()], entry, &mut ctx);
+    dispatch(&tables.funcs, &tables.funcs[func.index()], entry, &mut ctx);
     let TCtx {
         frames,
         fault,

@@ -319,11 +319,19 @@ fn unix_socket_transport_serves_and_shuts_down() {
 
 #[test]
 fn memory_digest_does_not_depend_on_the_worker_count() {
-    // A 1-worker run captures plain memory, a 2-worker run a snapshot of shared memory:
-    // the reply's `memory_hash` must be the same for both. The `hardware` override keeps
-    // two real workers on a 1-thread host.
+    // Every worker count runs on shared memory and captures it with the same snapshot, so
+    // the captured memory — and the reply's `memory_hash` — must be the same at 1 and 2
+    // workers, including for a raw store past the heap before the loop. The `hardware`
+    // override keeps two real workers on a 1-thread host.
     let corpus = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../corpus");
-    let mut sources = vec![("accumulator".to_string(), doall(2654435761))];
+    let far_store = doall(2654435761).replace(
+        "bb0: (entry)\n",
+        "bb0: (entry)\n  %v7 = const 50000\n  store [%v7 + 0], 7\n",
+    );
+    let mut sources = vec![
+        ("accumulator".to_string(), doall(2654435761)),
+        ("far_store".to_string(), far_store),
+    ];
     for name in ["pointer_chase", "scratch_fold"] {
         let text = std::fs::read_to_string(corpus.join(format!("{name}.hir"))).unwrap();
         sources.push((name.to_string(), text));
@@ -335,16 +343,19 @@ fn memory_digest_does_not_depend_on_the_worker_count() {
             .prepare(&module, main, &[], 100_000_000)
             .unwrap();
         let pimg = ParallelImage::lower(&prepared.transformed.expect("a parallel plan"));
-        let digest = |threads: usize| {
+        let capture = |threads: usize| {
             let mut executor = ParallelExecutor::new(threads).with_capture_memory(true);
             executor.hardware = threads;
             let out = executor.run_parallel_out(&pimg, &[]);
             out.result.unwrap();
-            memory_digest(&out.memory.expect("captured"))
+            out.memory.expect("captured")
         };
+        let (one, two) = (capture(1), capture(2));
+        // `assert!`, not `assert_eq!`: a mismatch would print every captured word.
+        assert!(one == two, "{name}: 1- and 2-worker memories differ");
         assert_eq!(
-            digest(1),
-            digest(2),
+            memory_digest(&one),
+            memory_digest(&two),
             "{name}: 1- and 2-worker digests differ"
         );
     }

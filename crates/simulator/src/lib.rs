@@ -12,7 +12,7 @@
 //! when an SMT helper thread prefetched it); everything else overlaps freely.
 //!
 //! [`simulate_loop`] times one parallelized loop; [`simulate_program`] combines the selected
-//! loops of a [`HelixOutput`] with the profile's serial portions to produce whole-program
+//! loops of a [`helix_core::HelixOutput`] with the profile's serial portions to produce whole-program
 //! speedups (Figure 9), and its ablation switches reproduce Figure 10.
 
 pub mod sim;

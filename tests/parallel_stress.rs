@@ -11,7 +11,7 @@
 use helix::analysis::LoopNestingGraph;
 use helix::core::{transform, Helix, HelixConfig, TransformedProgram};
 use helix::ir::builder::{FunctionBuilder, ModuleBuilder};
-use helix::ir::{BinOp, Machine, Operand};
+use helix::ir::{BinOp, Machine, Operand, Value};
 use helix::profiler::profile_program_image;
 use helix::runtime::{ParallelExecutor, ParallelImage, SignalLanes, WorkerPool};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -208,5 +208,58 @@ fn more_workers_than_hardware_agree_with_the_clamped_run() {
                 "{name} round {round}: clamped run diverged"
             );
         }
+    }
+}
+
+/// A loop whose basic induction variable is read after the loop. Phase C must resume with
+/// the exiting iteration's registers: demoting `%v0` to a frame slot would make the header
+/// and the body read an unsynchronized slot instead of the per-iteration register, which
+/// at two workers both skewed `acc` and, now and then, the returned `%v0`.
+#[test]
+fn induction_variable_read_after_the_loop_matches_the_single_worker_run() {
+    const SOURCE: &str = "module iv_live_out
+global @g0 \"acc\" [1 words]
+func main(0 params, 4 vars) {
+bb0: (entry)
+  %v0 = copy 0
+  br bb1
+bb1:
+  %v1 = cmp.lt %v0, 1000
+  condbr %v1, bb2, bb4
+bb2:
+  %v2 = load [@g0 + 0]
+  %v3 = add %v2, %v0
+  store [@g0 + 0], %v3
+  br bb3
+bb3:
+  %v0 = add %v0, 1
+  br bb1
+bb4:
+  ret %v0
+}
+";
+    let module = helix::frontend::parse_and_verify(SOURCE).unwrap();
+    let main = module.function_by_name("main").unwrap();
+    let prepared = Helix::new(HelixConfig::default())
+        .prepare(&module, main, &[], 100_000_000)
+        .unwrap();
+    let pimg = ParallelImage::lower(&prepared.transformed.expect("a parallel plan"));
+    let run = |threads: usize| {
+        let mut executor = ParallelExecutor::new(threads).with_capture_memory(true);
+        executor.hardware = threads;
+        let out = executor.run_parallel_out(&pimg, &[]);
+        (out.result.unwrap(), out.memory.expect("captured"))
+    };
+    let (value, memory) = run(1);
+    assert_eq!(value, Some(Value::Int(1000)));
+    assert_eq!(memory.load(1).unwrap(), Value::Int(499_500));
+    for round in 0..200 {
+        let (got, got_memory) = run(2);
+        assert_eq!(got, value, "round {round}: return value");
+        assert_eq!(
+            got_memory.live_words(),
+            memory.live_words(),
+            "round {round}: memory"
+        );
     }
 }
