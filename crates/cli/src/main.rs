@@ -556,11 +556,9 @@ fn run_parallel(module: &Module, opts: &Options) -> Result<(), CliError> {
     let threads = single_thread_count(opts)?;
     let (_nesting, profile, entry, image) = profiled(module, opts)?;
     let output = Helix::new(config_of(opts)).analyze(module, &profile);
-    let plan = output
-        .selected_plans()
-        .into_iter()
-        .filter(|p| p.func == entry)
-        .max_by_key(|p| profile.loop_profile((p.func, p.loop_id)).cycles)
+    let (plan, _selected) = output
+        .hottest_plan(entry, &profile)
+        .filter(|(_, selected)| *selected)
         .ok_or_else(|| {
             CliError::failed("no loop of the entry function was selected for parallelization")
         })?;
@@ -817,20 +815,8 @@ fn cmd_trace(opts: &Options) -> Result<(), CliError> {
     let (_nesting, profile, entry, _image) = profiled(&module, opts)?;
     let config = config_of(opts);
     let output = Helix::new(config).analyze(&module, &profile);
-    // The hottest selected plan of the entry (what `run --parallel` executes), falling back
-    // to the hottest candidate: an unprofitable loop can still be traced and compared.
-    let plan = output
-        .selected_plans()
-        .into_iter()
-        .filter(|p| p.func == entry)
-        .max_by_key(|p| profile.loop_profile((p.func, p.loop_id)).cycles)
-        .or_else(|| {
-            output
-                .plans
-                .values()
-                .filter(|p| p.func == entry)
-                .max_by_key(|p| profile.loop_profile((p.func, p.loop_id)).cycles)
-        })
+    let (plan, _selected) = output
+        .hottest_plan(entry, &profile)
         .ok_or_else(|| CliError::failed("no parallelizable loop of the entry function to trace"))?;
     let key = (plan.func, plan.loop_id);
     let transformed = transform::apply(&module, plan);
@@ -1134,7 +1120,7 @@ fn cmd_parallelize_calibrated(opts: &Options, module: &Module) -> Result<(), Cli
     let measured_helix = Helix::new(measured_config).with_cost_model(calibration.cost_model());
     let measured_out = measured_helix.analyze(module, &profile);
     // Feedback step: re-score every candidate plan with the per-segment costs of its
-    // actual lowered ParallelImage (post-fusion, post-coalescing) and re-select.
+    // actual lowered ParallelImage (post-fusion) and re-select.
     let (final_selection, _) = helix_simulator::feedback_selection(
         module,
         &profile,

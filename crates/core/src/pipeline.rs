@@ -188,20 +188,17 @@ impl Helix {
     ) -> Result<PreparedProgram, helix_ir::interp::ExecError> {
         let key = content_hash(module, &module.function(entry).name);
         let (profile, output) = self.profile_and_analyze(module, entry, args, fuel)?;
-        let hottest = |keys: &mut dyn Iterator<Item = LoopKey>| -> Option<LoopKey> {
-            keys.filter(|(func, _)| *func == entry)
-                .max_by_key(|k| profile.loop_profile(*k).cycles)
-        };
-        let selected = hottest(&mut output.selection.selected.iter().copied());
-        let plan_key = selected.or_else(|| hottest(&mut output.plans.keys().copied()));
-        let transformed = plan_key.map(|k| crate::transform::apply(module, &output.plans[&k]));
+        let chosen = output.hottest_plan(entry, &profile);
+        let transformed = chosen.map(|(plan, _)| crate::transform::apply(module, plan));
+        let plan_key = chosen.map(|(plan, _)| (plan.func, plan.loop_id));
+        let plan_selected = chosen.is_some_and(|(_, selected)| selected);
         Ok(PreparedProgram {
             key,
             profile,
             output,
             transformed,
             plan_key,
-            plan_selected: selected.is_some(),
+            plan_selected,
         })
     }
 
@@ -580,6 +577,29 @@ impl SelectionTrace {
 }
 
 impl HelixOutput {
+    /// The plan the tools run for `entry`: its hottest selected plan, else its hottest
+    /// candidate plan (an unprofitable loop can still be traced, served and fuzzed), ranked
+    /// by profiled cycles. The flag is true when the plan was selected. `None` when no
+    /// candidate loop of `entry` exists.
+    pub fn hottest_plan(
+        &self,
+        entry: helix_ir::FuncId,
+        profile: &ProgramProfile,
+    ) -> Option<(&ParallelizedLoop, bool)> {
+        let hottest = |selected_only: bool| {
+            self.plans
+                .iter()
+                .filter(|(key, _)| key.0 == entry)
+                .filter(|(key, _)| !selected_only || self.selection.is_selected(**key))
+                .max_by_key(|(key, _)| profile.loop_profile(**key).cycles)
+                .map(|(_, plan)| plan)
+        };
+        match hottest(true) {
+            Some(plan) => Some((plan, true)),
+            None => hottest(false).map(|plan| (plan, false)),
+        }
+    }
+
     /// The plans of the selected loops.
     pub fn selected_plans(&self) -> Vec<&ParallelizedLoop> {
         self.selection

@@ -421,24 +421,10 @@ pub fn differential_check(
     let mut parallel_runs = 0;
     let mut parallel_skipped = true;
     if config.check_parallel && !has_sync {
-        let profile = &image_profile;
-        // Prefer the hottest *selected* plan (what `helix run --parallel` would execute),
-        // but fall back to the hottest candidate plan of the entry: Wait/Signal placement
-        // must be sound for every plan, profitable or not, and the fallback roughly
-        // triples the fraction of seeds that exercise the real-thread executor.
-        let plan = output
-            .selected_plans()
-            .into_iter()
-            .filter(|p| p.func == entry)
-            .max_by_key(|p| profile.loop_profile((p.func, p.loop_id)).cycles)
-            .or_else(|| {
-                output
-                    .plans
-                    .values()
-                    .filter(|p| p.func == entry)
-                    .max_by_key(|p| profile.loop_profile((p.func, p.loop_id)).cycles)
-            });
-        if let Some(plan) = plan {
+        // The fallback to an unselected candidate matters here: Wait/Signal placement must be
+        // sound for every plan, profitable or not, and the fallback roughly triples the
+        // fraction of seeds that exercise the real-thread executor.
+        if let Some((plan, _selected)) = output.hottest_plan(entry, &image_profile) {
             parallel_skipped = false;
             let transformed = transform::apply(module, plan);
             // Lower once; every run below dispatches the same immutable image (the

@@ -1,27 +1,23 @@
 //! The flat-bytecode execution engine.
 //!
-//! [`ImageEvaluator`] dispatches over an [`ExecImage`]'s contiguous op stream instead of
+//! [`ImageMachine`] dispatches over an [`ExecImage`]'s contiguous op stream instead of
 //! re-walking the `Instr` tree: operands are pre-resolved, branches jump straight to program
 //! counters, and cycle charging is one table lookup. Semantics — instruction counts, cycle
 //! totals, fuel accounting, error behaviour, memory effects — are bit-identical to
-//! [`crate::interp::Evaluator`] (enforced by `tests/exec_differential.rs`); only the dispatch
-//! mechanism changed.
+//! [`crate::interp::Machine`] (enforced by `tests/exec_differential.rs`); only the dispatch
+//! mechanism changed. Like the tree-walker, it owns a private [`Memory`], cloned from the
+//! image.
 //!
-//! The engine is generic over the same [`Context`] trait the tree-walker uses (so the
-//! sequential memory, the profiler and the parallel runtime's shared memory all plug
-//! in unchanged) and over [`ImageObserver`], the lowered counterpart of
+//! Its hooks go through [`ImageObserver`], the lowered counterpart of
 //! [`crate::interp::Observer`]: hooks receive dense block indices and program counters, which
 //! lets profilers keep dense per-pc / per-block counters and fold them back to [`crate::InstrRef`]s
 //! only when reporting.
-//!
-//! [`ImageMachine`] is the drop-in replacement for [`crate::interp::Machine`]: engine plus a
-//! private [`Memory`] cloned from the image.
 
 use crate::cost::CostModel;
-use crate::ids::{DepId, FuncId};
+use crate::ids::FuncId;
 use crate::instr::BinOp;
-use crate::interp::{eval_binop, eval_pred, eval_unop, Context, ExecError, ExecStats};
-use crate::interp::{SequentialContext, DEFAULT_FUEL, MAX_CALL_DEPTH};
+use crate::interp::{eval_binop, eval_pred, eval_unop, ExecError, ExecStats};
+use crate::interp::{DEFAULT_FUEL, MAX_CALL_DEPTH};
 use crate::lower::{cost_table, CostClass, ExecImage, FuncImage, Op, Opnd, NUM_COST_CLASSES};
 use crate::memory::Memory;
 use crate::value::Value;
@@ -49,102 +45,82 @@ pub struct NullImageObserver;
 
 impl ImageObserver for NullImageObserver {}
 
-/// What happened after executing one basic block via [`ImageEvaluator::exec_block`].
-#[derive(Clone, Debug, PartialEq)]
-pub enum BlockOutcome {
-    /// Control transfers to the block with this dense index.
-    Jump(u32),
-    /// The function returned.
-    Return(Option<Value>),
-}
-
-/// Executes flat bytecode against a [`Context`].
+/// A self-contained sequential bytecode machine: flat dispatch over an [`ExecImage`] plus a
+/// private [`Memory`] cloned from the image. The drop-in counterpart of
+/// [`crate::interp::Machine`].
 #[derive(Debug)]
-pub struct ImageEvaluator<'i> {
+pub struct ImageMachine<'i> {
     image: &'i ExecImage,
-    cost: CostModel,
     cost_table: [u64; NUM_COST_CLASSES],
     fuel: u64,
-    /// Statistics accumulated across all calls made through this evaluator.
-    pub stats: ExecStats,
+    stats: ExecStats,
+    memory: Memory,
 }
 
-impl<'i> ImageEvaluator<'i> {
-    /// Creates an evaluator with the default (i7-980X) cost model and default fuel.
+impl<'i> ImageMachine<'i> {
+    /// Creates a machine for `image` with the default (i7-980X) cost model and default fuel.
     pub fn new(image: &'i ExecImage) -> Self {
         Self::with_cost(image, CostModel::default())
     }
 
-    /// Creates an evaluator with an explicit cost model.
+    /// Creates a machine with an explicit cost model.
     pub fn with_cost(image: &'i ExecImage, cost: CostModel) -> Self {
         Self {
             image,
-            cost,
             cost_table: cost_table(&cost),
             fuel: DEFAULT_FUEL,
             stats: ExecStats::default(),
+            memory: image.initial_memory.clone(),
         }
     }
 
-    /// Sets the remaining instruction budget.
+    /// Sets the instruction budget.
     pub fn set_fuel(&mut self, fuel: u64) {
         self.fuel = fuel;
     }
 
-    /// Returns the remaining instruction budget.
-    pub fn fuel(&self) -> u64 {
-        self.fuel
-    }
-
-    /// Returns the image being executed.
-    pub fn image(&self) -> &'i ExecImage {
-        self.image
-    }
-
-    /// Returns the cost model in use.
-    pub fn cost_model(&self) -> CostModel {
-        self.cost
-    }
-
-    /// Calls `func` with `args`, driving `ctx` and reporting events to `obs`.
+    /// Calls `func` with `args`.
     ///
     /// # Errors
     ///
-    /// Returns an [`ExecError`] on memory faults, fuel exhaustion, stack overflow, malformed
-    /// control flow, or synchronization failures reported by the context.
-    pub fn call<C, O>(
+    /// Returns an [`ExecError`] on faults, fuel exhaustion or malformed IR.
+    pub fn call(&mut self, func: FuncId, args: &[Value]) -> Result<Option<Value>, ExecError> {
+        self.exec_function(func, args, &mut NullImageObserver)
+    }
+
+    /// Calls `func` with `args`, reporting events to `obs`.
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`ExecError`] on faults, fuel exhaustion or malformed IR.
+    pub fn call_observed<O: ImageObserver + ?Sized>(
         &mut self,
         func: FuncId,
         args: &[Value],
-        ctx: &mut C,
         obs: &mut O,
-    ) -> Result<Option<Value>, ExecError>
-    where
-        C: Context + ?Sized,
-        O: ImageObserver + ?Sized,
-    {
-        self.exec_function(func, args, ctx, obs, 0)
+    ) -> Result<Option<Value>, ExecError> {
+        self.exec_function(func, args, obs)
+    }
+
+    /// Execution statistics accumulated so far.
+    pub fn stats(&self) -> ExecStats {
+        self.stats
+    }
+
+    /// The machine's memory (for inspecting program results).
+    pub fn memory(&self) -> &Memory {
+        &self.memory
     }
 
     /// Executes a whole function call with an *explicit* frame stack — guest calls never
     /// recurse on the native stack, so [`MAX_CALL_DEPTH`]-deep guest recursion is safe
-    /// regardless of the host's stack size or build profile. `depth` is the guest call depth
-    /// this invocation starts at (non-zero when invoked from a block-stepping context).
-    fn exec_function<C, O>(
+    /// regardless of the host's stack size or build profile.
+    fn exec_function<O: ImageObserver + ?Sized>(
         &mut self,
         func: FuncId,
         args: &[Value],
-        ctx: &mut C,
         obs: &mut O,
-        depth: usize,
-    ) -> Result<Option<Value>, ExecError>
-    where
-        C: Context + ?Sized,
-        O: ImageObserver + ?Sized,
-    {
-        if depth > MAX_CALL_DEPTH {
-            return Err(ExecError::StackOverflow);
-        }
+    ) -> Result<Option<Value>, ExecError> {
         let mut func = func;
         let mut f: &FuncImage = &self.image.funcs[func.index()];
         let mut regs = vec![Value::Int(0); f.num_regs.max(args.len())];
@@ -156,7 +132,7 @@ impl<'i> ImageEvaluator<'i> {
         obs.on_block_enter(func, f.entry_block);
         let mut pc = f.block_start(f.entry_block) as usize;
         loop {
-            match self.step(func, f, pc, &mut regs, ctx, obs)? {
+            match self.step(func, f, pc, &mut regs, obs)? {
                 StepOutcome::Next => pc += 1,
                 StepOutcome::Jump { target_pc, block } => {
                     self.stats.blocks += 1;
@@ -164,7 +140,7 @@ impl<'i> ImageEvaluator<'i> {
                     pc = target_pc as usize;
                 }
                 StepOutcome::Call { callee, args, dst } => {
-                    if depth + frames.len() + 1 > MAX_CALL_DEPTH {
+                    if frames.len() + 1 > MAX_CALL_DEPTH {
                         return Err(ExecError::StackOverflow);
                     }
                     frames.push(CallFrame {
@@ -205,79 +181,20 @@ impl<'i> ImageEvaluator<'i> {
         }
     }
 
-    /// Executes the ops of one block of `func` against `ctx`, mutating `regs`, and reports
-    /// what happened. This is the block-stepping entry point the parallel runtime uses to
-    /// drive prologue/body blocks under its own control-flow policy.
-    ///
-    /// `regs` is grown to the function's register file size if needed. Unlike
-    /// [`ImageEvaluator::call`], no block-entry statistics are recorded for `block` itself
-    /// (the caller decides what a "block entry" means in its execution model); calls made by
-    /// the block's ops do execute fully, with normal accounting.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`ExecError`] on faults, fuel exhaustion, or malformed control flow.
-    pub fn exec_block<C, O>(
-        &mut self,
-        func: FuncId,
-        block: u32,
-        regs: &mut Vec<Value>,
-        ctx: &mut C,
-        obs: &mut O,
-    ) -> Result<BlockOutcome, ExecError>
-    where
-        C: Context + ?Sized,
-        O: ImageObserver + ?Sized,
-    {
-        let f: &FuncImage = &self.image.funcs[func.index()];
-        if regs.len() < f.num_regs {
-            regs.resize(f.num_regs, Value::Int(0));
-        }
-        let (start, end) = f.block_range[block as usize];
-        let mut pc = start as usize;
-        while pc < end as usize {
-            match self.step(func, f, pc, regs, ctx, obs)? {
-                StepOutcome::Next => pc += 1,
-                StepOutcome::Jump { block, .. } => return Ok(BlockOutcome::Jump(block)),
-                StepOutcome::Return(v) => return Ok(BlockOutcome::Return(v)),
-                StepOutcome::Call { callee, args, dst } => {
-                    let ret = self.exec_function(callee, &args, ctx, obs, 1)?;
-                    if let Some(d) = dst {
-                        regs[d as usize] = ret.unwrap_or_default();
-                    }
-                    let cycles = self.cost_table[CostClass::Call as usize];
-                    self.stats.cycles += cycles;
-                    obs.on_op(func, pc as u32, cycles);
-                    pc += 1;
-                }
-            }
-        }
-        Err(ExecError::MissingTerminator(crate::ids::BlockId::new(
-            block,
-        )))
-    }
-
     /// Executes the single op at `pc`, charging fuel/cycles and reporting events, exactly
     /// mirroring one iteration of the tree-walker's instruction loop.
     ///
-    /// `inline(always)` specializes the dispatch into both hot loops ([`Self::exec_function`]
-    /// and [`Self::exec_block`]); without it the per-op call overhead erases the gain from
-    /// flat dispatch.
+    /// `inline(always)` specializes the dispatch into the hot loop ([`Self::exec_function`]);
+    /// without it the per-op call overhead erases the gain from flat dispatch.
     #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    fn step<C, O>(
+    fn step<O: ImageObserver + ?Sized>(
         &mut self,
         func: FuncId,
         f: &FuncImage,
         pc: usize,
         regs: &mut [Value],
-        ctx: &mut C,
         obs: &mut O,
-    ) -> Result<StepOutcome, ExecError>
-    where
-        C: Context + ?Sized,
-        O: ImageObserver + ?Sized,
-    {
+    ) -> Result<StepOutcome, ExecError> {
         let op = &f.code[pc];
         if let Op::Trap { block } = op {
             // Synthesized for missing terminators: abort without consuming fuel, like the
@@ -343,7 +260,7 @@ impl<'i> ImageEvaluator<'i> {
             }
             Op::Load { dst, addr, offset } => {
                 let base = eval(regs, *addr).as_int();
-                regs[*dst as usize] = ctx.load(base + offset)?;
+                regs[*dst as usize] = self.memory.load(base + offset)?;
                 self.stats.loads += 1;
                 cycles = self.cost_table[CostClass::Load as usize];
                 StepOutcome::Next
@@ -355,20 +272,22 @@ impl<'i> ImageEvaluator<'i> {
             } => {
                 let base = eval(regs, *addr).as_int();
                 let v = eval(regs, *value);
-                ctx.store(base + offset, v)?;
+                self.memory.store(base + offset, v)?;
                 self.stats.stores += 1;
                 cycles = self.cost_table[CostClass::Store as usize];
                 StepOutcome::Next
             }
             Op::Alloc { dst, words } => {
                 let n = eval(regs, *words).as_int().max(0) as usize;
-                regs[*dst as usize] = Value::Int(ctx.alloc(n)?);
+                regs[*dst as usize] = Value::Int(self.memory.alloc(n)?);
                 cycles = self.cost_table[CostClass::Alloc as usize];
                 StepOutcome::Next
             }
             Op::PrivateAlloc { dst, words } => {
                 let n = eval(regs, *words).as_int().max(0) as usize;
-                regs[*dst as usize] = Value::Int(ctx.alloc_private(n)?);
+                // Sequential execution has no private tier: a private allocation is an
+                // ordinary one.
+                regs[*dst as usize] = Value::Int(self.memory.alloc(n)?);
                 cycles = self.cost_table[CostClass::Alloc as usize];
                 StepOutcome::Next
             }
@@ -389,14 +308,14 @@ impl<'i> ImageEvaluator<'i> {
                     dst: *dst,
                 });
             }
-            Op::Wait { dep } => {
+            // Synchronization is a no-op sequentially; it is only counted and charged.
+            Op::Wait { .. } => {
                 self.stats.waits += 1;
-                cycles = self.cost_table[CostClass::Wait as usize] + ctx.wait(DepId::new(*dep))?;
+                cycles = self.cost_table[CostClass::Wait as usize];
                 StepOutcome::Next
             }
-            Op::Signal { dep } => {
+            Op::Signal { .. } => {
                 self.stats.signals += 1;
-                ctx.signal(DepId::new(*dep))?;
                 cycles = self.cost_table[CostClass::Signal as usize];
                 StepOutcome::Next
             }
@@ -442,15 +361,15 @@ impl<'i> ImageEvaluator<'i> {
     }
 }
 
-/// What a single [`ImageEvaluator::step`] did with control flow.
+/// What a single [`ImageMachine::step`] did with control flow.
 enum StepOutcome {
     Next,
     Jump {
         target_pc: u32,
         block: u32,
     },
-    /// A call op was reached: the caller pushes a frame (or recurses once, from a
-    /// block-stepping context) and performs the post-return accounting.
+    /// A call op was reached: the caller pushes a frame and performs the post-return
+    /// accounting.
     Call {
         callee: FuncId,
         args: Vec<Value>,
@@ -459,7 +378,7 @@ enum StepOutcome {
     Return(Option<Value>),
 }
 
-/// One suspended guest frame of [`ImageEvaluator::exec_function`]'s explicit call stack.
+/// One suspended guest frame of [`ImageMachine::exec_function`]'s explicit call stack.
 struct CallFrame {
     func: FuncId,
     /// pc of the call op to resume after (accounting happens on resume).
@@ -471,8 +390,8 @@ struct CallFrame {
 /// Evaluates a pre-resolved operand against the register file.
 ///
 /// Safety of the unchecked read: lowering widens [`FuncImage::num_regs`] to cover every
-/// register index the code references, and both execution entry points allocate/resize the
-/// register file to at least `num_regs`, so `r` is always in bounds.
+/// register index the code references, and [`ImageMachine::exec_function`] allocates every
+/// register file with at least `num_regs` slots, so `r` is always in bounds.
 #[inline(always)]
 fn eval(regs: &[Value], o: Opnd) -> Value {
     match o {
@@ -485,80 +404,10 @@ fn eval(regs: &[Value], o: Opnd) -> Value {
     }
 }
 
-/// A self-contained sequential bytecode machine: engine + private memory cloned from the
-/// image. The drop-in counterpart of [`crate::interp::Machine`].
-#[derive(Debug)]
-pub struct ImageMachine<'i> {
-    evaluator: ImageEvaluator<'i>,
-    context: SequentialContext,
-}
-
-impl<'i> ImageMachine<'i> {
-    /// Creates a machine for `image` with the default cost model.
-    pub fn new(image: &'i ExecImage) -> Self {
-        Self::with_cost(image, CostModel::default())
-    }
-
-    /// Creates a machine with an explicit cost model.
-    pub fn with_cost(image: &'i ExecImage, cost: CostModel) -> Self {
-        Self {
-            evaluator: ImageEvaluator::with_cost(image, cost),
-            context: SequentialContext {
-                memory: image.initial_memory.clone(),
-            },
-        }
-    }
-
-    /// Sets the instruction budget.
-    pub fn set_fuel(&mut self, fuel: u64) {
-        self.evaluator.set_fuel(fuel);
-    }
-
-    /// Calls `func` with `args`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`ExecError`] on faults, fuel exhaustion or malformed IR.
-    pub fn call(&mut self, func: FuncId, args: &[Value]) -> Result<Option<Value>, ExecError> {
-        self.evaluator
-            .call(func, args, &mut self.context, &mut NullImageObserver)
-    }
-
-    /// Calls `func` with `args`, reporting events to `obs`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`ExecError`] on faults, fuel exhaustion or malformed IR.
-    pub fn call_observed<O: ImageObserver + ?Sized>(
-        &mut self,
-        func: FuncId,
-        args: &[Value],
-        obs: &mut O,
-    ) -> Result<Option<Value>, ExecError> {
-        self.evaluator.call(func, args, &mut self.context, obs)
-    }
-
-    /// Execution statistics accumulated so far.
-    pub fn stats(&self) -> ExecStats {
-        self.evaluator.stats
-    }
-
-    /// The machine's memory (for inspecting program results).
-    pub fn memory(&self) -> &Memory {
-        &self.context.memory
-    }
-
-    /// Mutable access to the machine's memory (for seeding inputs).
-    pub fn memory_mut(&mut self) -> &mut Memory {
-        &mut self.context.memory
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
-    use crate::ids::BlockId;
     use crate::instr::{BinOp, Operand, Pred};
     use crate::interp::Machine;
     use crate::module::Module;
@@ -687,37 +536,5 @@ mod tests {
         assert_eq!(obs.cycles, m.stats().cycles);
         assert!(obs.calls > 0);
         assert!(obs.returns > obs.calls);
-    }
-
-    #[test]
-    fn exec_block_steps_through_a_function() {
-        // Drive fib's control flow manually through exec_block, mirroring what the parallel
-        // runtime does for loop blocks.
-        let mut module = Module::new("m");
-        let mut b = FunctionBuilder::new("sum3", 1);
-        let n = b.param(0);
-        let exit = b.new_block();
-        let s = b.binary_to_new(BinOp::Mul, Operand::Var(n), Operand::int(3));
-        b.br(exit);
-        b.switch_to(exit);
-        b.ret(Some(Operand::Var(s)));
-        let f = module.add_function(b.finish());
-        let image = ExecImage::lower(&module);
-        let mut ev = ImageEvaluator::new(&image);
-        let mut ctx = SequentialContext::default();
-        let mut regs = vec![Value::Int(14)];
-        let fi = image.func(f);
-        let mut block = fi.entry_block;
-        let result = loop {
-            match ev
-                .exec_block(f, block, &mut regs, &mut ctx, &mut NullImageObserver)
-                .unwrap()
-            {
-                BlockOutcome::Jump(next) => block = next,
-                BlockOutcome::Return(v) => break v,
-            }
-        };
-        assert_eq!(result.unwrap().as_int(), 42);
-        let _ = BlockId::new(0);
     }
 }

@@ -1,13 +1,9 @@
 //! Sequential IR interpreter.
 //!
-//! The interpreter is split in two layers:
-//!
-//! * [`Evaluator`] executes IR against an abstract [`Context`], which supplies memory and the
-//!   semantics of the HELIX `Wait`/`Signal` pseudo-instructions. This is what the profiler,
-//!   the timing simulator and the real-thread runtime build on.
-//! * [`Machine`] is the plain sequential machine: a private [`Memory`] plus no-op
-//!   synchronization, suitable for running whole benchmark programs and for checking that the
-//!   HELIX transformation preserves program semantics.
+//! [`Machine`] walks the `Instr` tree against a private [`Memory`], with the HELIX
+//! `Wait`/`Signal` pseudo-instructions counted but otherwise no-ops. It is the reference the
+//! bytecode engines are checked against, and how the tools check that the HELIX
+//! transformation preserves program semantics.
 //!
 //! Every executed instruction is charged cycles according to a [`CostModel`], and an
 //! [`Observer`] receives a callback per block entry and per instruction, which is how the
@@ -15,7 +11,7 @@
 
 use crate::cost::CostModel;
 use crate::function::Function;
-use crate::ids::{BlockId, DepId, FuncId, InstrRef};
+use crate::ids::{BlockId, FuncId, InstrRef};
 use crate::instr::{BinOp, Instr, Operand, Pred, UnOp};
 use crate::memory::{Memory, MemoryError};
 use crate::module::Module;
@@ -40,8 +36,6 @@ pub enum ExecError {
     StackOverflow,
     /// A block ended without a terminator (the function does not verify).
     MissingTerminator(BlockId),
-    /// A `Wait` could not be satisfied (only possible in parallel execution contexts).
-    Synchronization(String),
 }
 
 impl fmt::Display for ExecError {
@@ -51,7 +45,6 @@ impl fmt::Display for ExecError {
             ExecError::FuelExhausted => write!(f, "instruction budget exhausted"),
             ExecError::StackOverflow => write!(f, "call stack overflow"),
             ExecError::MissingTerminator(b) => write!(f, "block {b} has no terminator"),
-            ExecError::Synchronization(s) => write!(f, "synchronization error: {s}"),
         }
     }
 }
@@ -69,7 +62,7 @@ impl From<MemoryError> for ExecError {
 pub struct ExecStats {
     /// Dynamic instruction count.
     pub instrs: u64,
-    /// Total cycles charged by the cost model (including stall cycles reported by the context).
+    /// Total cycles charged by the cost model.
     pub cycles: u64,
     /// Dynamic load count.
     pub loads: u64,
@@ -99,90 +92,7 @@ impl ExecStats {
     }
 }
 
-/// Environment an [`Evaluator`] executes against: memory plus synchronization semantics.
-pub trait Context {
-    /// Reads a memory word.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for invalid addresses.
-    fn load(&mut self, addr: i64) -> Result<Value, ExecError>;
-    /// Writes a memory word.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for invalid addresses.
-    fn store(&mut self, addr: i64, value: Value) -> Result<(), ExecError>;
-    /// Allocates `words` words and returns the base address.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the allocation cannot be satisfied.
-    fn alloc(&mut self, words: usize) -> Result<i64, ExecError>;
-    /// Allocates `words` words proved thread-private by the privatization analysis
-    /// ([`crate::lower::Op::PrivateAlloc`]). Sequential contexts have no private tier, so the
-    /// default forwards to [`Context::alloc`]; the parallel runtime overrides this to serve
-    /// the allocation from a per-worker bump arena that bypasses shared memory.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the allocation cannot be satisfied.
-    fn alloc_private(&mut self, words: usize) -> Result<i64, ExecError> {
-        self.alloc(words)
-    }
-    /// Executes a `Wait` on `dep`, returning any extra stall cycles beyond the local cost.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if synchronization fails (e.g. a disconnected peer in a parallel run).
-    fn wait(&mut self, dep: DepId) -> Result<u64, ExecError>;
-    /// Executes a `Signal` on `dep`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if synchronization fails.
-    fn signal(&mut self, dep: DepId) -> Result<(), ExecError>;
-}
-
-/// The sequential context: private memory, no-op synchronization.
-#[derive(Debug, Default)]
-pub struct SequentialContext {
-    /// The backing memory.
-    pub memory: Memory,
-}
-
-impl SequentialContext {
-    /// Creates a context whose memory is initialized from the module's globals.
-    pub fn for_module(module: &Module) -> Self {
-        Self {
-            memory: Memory::for_module(module),
-        }
-    }
-}
-
-impl Context for SequentialContext {
-    fn load(&mut self, addr: i64) -> Result<Value, ExecError> {
-        Ok(self.memory.load(addr)?)
-    }
-
-    fn store(&mut self, addr: i64, value: Value) -> Result<(), ExecError> {
-        Ok(self.memory.store(addr, value)?)
-    }
-
-    fn alloc(&mut self, words: usize) -> Result<i64, ExecError> {
-        Ok(self.memory.alloc(words)?)
-    }
-
-    fn wait(&mut self, _dep: DepId) -> Result<u64, ExecError> {
-        Ok(0)
-    }
-
-    fn signal(&mut self, _dep: DepId) -> Result<(), ExecError> {
-        Ok(())
-    }
-}
-
-/// Receives callbacks as the evaluator executes code.
+/// Receives callbacks as the interpreter executes code.
 ///
 /// All methods have empty default implementations so implementors override only what they
 /// need (the profiler uses block-entry and instruction events; tests use call events).
@@ -203,24 +113,25 @@ pub struct NullObserver;
 
 impl Observer for NullObserver {}
 
-/// Executes IR functions against a [`Context`].
+/// A self-contained sequential machine: the tree-walking interpreter plus a private memory
+/// initialized from the module's globals.
 #[derive(Debug)]
-pub struct Evaluator<'m> {
+pub struct Machine<'m> {
     module: &'m Module,
     cost: CostModel,
     global_bases: Vec<i64>,
     fuel: u64,
-    /// Statistics accumulated across all calls made through this evaluator.
-    pub stats: ExecStats,
+    stats: ExecStats,
+    memory: Memory,
 }
 
-impl<'m> Evaluator<'m> {
-    /// Creates an evaluator with the default (i7-980X) cost model and default fuel.
+impl<'m> Machine<'m> {
+    /// Creates a machine for `module` with the default (i7-980X) cost model and default fuel.
     pub fn new(module: &'m Module) -> Self {
         Self::with_cost(module, CostModel::default())
     }
 
-    /// Creates an evaluator with an explicit cost model.
+    /// Creates a machine with an explicit cost model.
     pub fn with_cost(module: &'m Module, cost: CostModel) -> Self {
         Self {
             module,
@@ -228,47 +139,50 @@ impl<'m> Evaluator<'m> {
             global_bases: module.global_base_addresses(),
             fuel: DEFAULT_FUEL,
             stats: ExecStats::default(),
+            memory: Memory::for_module(module),
         }
     }
 
-    /// Sets the remaining instruction budget.
+    /// Sets the instruction budget.
     pub fn set_fuel(&mut self, fuel: u64) {
         self.fuel = fuel;
     }
 
-    /// Returns the remaining instruction budget.
-    pub fn fuel(&self) -> u64 {
-        self.fuel
-    }
-
-    /// Returns the module being executed.
-    pub fn module(&self) -> &'m Module {
-        self.module
-    }
-
-    /// Returns the cost model in use.
-    pub fn cost_model(&self) -> CostModel {
-        self.cost
-    }
-
-    /// Calls `func` with `args`, driving `ctx` and reporting events to `obs`.
+    /// Calls `func` with `args`.
     ///
     /// # Errors
     ///
-    /// Returns an [`ExecError`] on memory faults, fuel exhaustion, stack overflow, malformed
-    /// control flow, or synchronization failures reported by the context.
-    pub fn call(
+    /// Returns an [`ExecError`] on faults, fuel exhaustion or malformed IR.
+    pub fn call(&mut self, func: FuncId, args: &[Value]) -> Result<Option<Value>, ExecError> {
+        self.exec_function(func, args, &mut NullObserver, 0)
+    }
+
+    /// Calls `func` with `args`, reporting events to `obs`.
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`ExecError`] on faults, fuel exhaustion or malformed IR.
+    pub fn call_observed(
         &mut self,
         func: FuncId,
         args: &[Value],
-        ctx: &mut dyn Context,
         obs: &mut dyn Observer,
     ) -> Result<Option<Value>, ExecError> {
-        self.exec_function(func, args, ctx, obs, 0)
+        self.exec_function(func, args, obs, 0)
+    }
+
+    /// Execution statistics accumulated so far.
+    pub fn stats(&self) -> ExecStats {
+        self.stats
+    }
+
+    /// The machine's memory (for inspecting program results in tests and examples).
+    pub fn memory(&self) -> &Memory {
+        &self.memory
     }
 
     /// Evaluates an operand against a register file.
-    pub fn eval_operand(&self, regs: &[Value], op: Operand) -> Value {
+    fn eval_operand(&self, regs: &[Value], op: Operand) -> Value {
         match op {
             Operand::Var(v) => regs.get(v.index()).copied().unwrap_or_default(),
             Operand::ConstInt(i) => Value::Int(i),
@@ -281,7 +195,6 @@ impl<'m> Evaluator<'m> {
         &mut self,
         func: FuncId,
         args: &[Value],
-        ctx: &mut dyn Context,
         obs: &mut dyn Observer,
         depth: usize,
     ) -> Result<Option<Value>, ExecError> {
@@ -306,7 +219,7 @@ impl<'m> Evaluator<'m> {
                 }
                 self.fuel -= 1;
                 self.stats.instrs += 1;
-                let mut cycles = self.cost.cost(instr);
+                let cycles = self.cost.cost(instr);
                 match instr {
                     Instr::Const { dst, value } | Instr::Copy { dst, src: value } => {
                         regs[dst.index()] = self.eval_operand(&regs, *value);
@@ -346,7 +259,7 @@ impl<'m> Evaluator<'m> {
                     }
                     Instr::Load { dst, addr, offset } => {
                         let base = self.eval_operand(&regs, *addr).as_int();
-                        regs[dst.index()] = ctx.load(base + offset)?;
+                        regs[dst.index()] = self.memory.load(base + offset)?;
                         self.stats.loads += 1;
                     }
                     Instr::Store {
@@ -356,31 +269,26 @@ impl<'m> Evaluator<'m> {
                     } => {
                         let base = self.eval_operand(&regs, *addr).as_int();
                         let v = self.eval_operand(&regs, *value);
-                        ctx.store(base + offset, v)?;
+                        self.memory.store(base + offset, v)?;
                         self.stats.stores += 1;
                     }
                     Instr::Alloc { dst, words } => {
                         let n = self.eval_operand(&regs, *words).as_int().max(0) as usize;
-                        regs[dst.index()] = Value::Int(ctx.alloc(n)?);
+                        regs[dst.index()] = Value::Int(self.memory.alloc(n)?);
                     }
                     Instr::Call { dst, callee, args } => {
                         let actuals: Vec<Value> =
                             args.iter().map(|a| self.eval_operand(&regs, *a)).collect();
                         self.stats.calls += 1;
                         obs.on_call(func, InstrRef::new(block, idx), *callee);
-                        let ret = self.exec_function(*callee, &actuals, ctx, obs, depth + 1)?;
+                        let ret = self.exec_function(*callee, &actuals, obs, depth + 1)?;
                         if let Some(d) = dst {
                             regs[d.index()] = ret.unwrap_or_default();
                         }
                     }
-                    Instr::Wait { dep } => {
-                        self.stats.waits += 1;
-                        cycles += ctx.wait(*dep)?;
-                    }
-                    Instr::Signal { dep } => {
-                        self.stats.signals += 1;
-                        ctx.signal(*dep)?;
-                    }
+                    // Synchronization is a no-op sequentially; it is only counted.
+                    Instr::Wait { .. } => self.stats.waits += 1,
+                    Instr::Signal { .. } => self.stats.signals += 1,
                     Instr::Br { target } => {
                         next = Some(*target);
                     }
@@ -510,77 +418,11 @@ pub fn eval_pred(pred: Pred, a: Value, b: Value) -> bool {
     }
 }
 
-/// A self-contained sequential machine: evaluator + private memory.
-#[derive(Debug)]
-pub struct Machine<'m> {
-    evaluator: Evaluator<'m>,
-    context: SequentialContext,
-}
-
-impl<'m> Machine<'m> {
-    /// Creates a machine for `module` with the default cost model.
-    pub fn new(module: &'m Module) -> Self {
-        Self::with_cost(module, CostModel::default())
-    }
-
-    /// Creates a machine with an explicit cost model.
-    pub fn with_cost(module: &'m Module, cost: CostModel) -> Self {
-        Self {
-            evaluator: Evaluator::with_cost(module, cost),
-            context: SequentialContext::for_module(module),
-        }
-    }
-
-    /// Sets the instruction budget.
-    pub fn set_fuel(&mut self, fuel: u64) {
-        self.evaluator.set_fuel(fuel);
-    }
-
-    /// Calls `func` with `args`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`ExecError`] on faults, fuel exhaustion or malformed IR.
-    pub fn call(&mut self, func: FuncId, args: &[Value]) -> Result<Option<Value>, ExecError> {
-        self.evaluator
-            .call(func, args, &mut self.context, &mut NullObserver)
-    }
-
-    /// Calls `func` with `args`, reporting events to `obs`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`ExecError`] on faults, fuel exhaustion or malformed IR.
-    pub fn call_observed(
-        &mut self,
-        func: FuncId,
-        args: &[Value],
-        obs: &mut dyn Observer,
-    ) -> Result<Option<Value>, ExecError> {
-        self.evaluator.call(func, args, &mut self.context, obs)
-    }
-
-    /// Execution statistics accumulated so far.
-    pub fn stats(&self) -> ExecStats {
-        self.evaluator.stats
-    }
-
-    /// The machine's memory (for inspecting program results in tests and examples).
-    pub fn memory(&self) -> &Memory {
-        &self.context.memory
-    }
-
-    /// Mutable access to the machine's memory (for seeding inputs).
-    pub fn memory_mut(&mut self) -> &mut Memory {
-        &mut self.context.memory
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
-    use crate::ids::VarId;
+    use crate::ids::{DepId, VarId};
     use crate::instr::Operand;
 
     fn fib_module() -> (Module, FuncId) {

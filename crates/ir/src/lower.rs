@@ -123,8 +123,8 @@ pub enum Op {
     /// `dst = alloc(words)` for an allocation the privatization analysis proved
     /// thread-private: the parallel runtime serves it from a per-worker bump arena instead of
     /// shared memory. [`ExecImage::lower`] never emits this variant — only the parallel-image
-    /// re-lowering does — and sequential contexts treat it exactly like [`Op::Alloc`]
-    /// (see [`crate::interp::Context::alloc_private`]).
+    /// re-lowering does — and [`crate::exec::ImageMachine`] treats it exactly like
+    /// [`Op::Alloc`].
     PrivateAlloc {
         /// Destination register receiving the base address.
         dst: u32,
@@ -291,8 +291,7 @@ impl FuncImage {
 
 /// An immutable, execution-ready lowering of a whole module.
 ///
-/// Build one with [`ExecImage::lower`]; execute it with [`crate::exec::ImageEvaluator`] or
-/// [`crate::exec::ImageMachine`]. The image borrows nothing from the module, so it can be
+/// Build one with [`ExecImage::lower`]; execute it with [`crate::exec::ImageMachine`]. The image borrows nothing from the module, so it can be
 /// shared freely across worker threads.
 #[derive(Clone, Debug)]
 pub struct ExecImage {

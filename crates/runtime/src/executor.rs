@@ -231,7 +231,7 @@ impl<'a> RunShared<'a> {
         let window = (executor.threads * 2).next_power_of_two().max(8);
         Self {
             loop_image,
-            lanes: SignalLanes::new(loop_image.num_phys_lanes(), window),
+            lanes: SignalLanes::new(loop_image.num_lanes(), window),
             sleepers: Sleepers::new(),
             claim_sleepers: Sleepers::new(),
             control: PaddedCounter::new(),
@@ -310,15 +310,11 @@ impl<'a> RunShared<'a> {
 }
 
 /// Converts an iteration-runner error into the precise runtime error, resolving the
-/// blocked `Wait`'s *logical* lane through the image's side tables (the runner reports the
-/// physical — possibly coalesced — lane row it was polling; `code[pc]` still carries the
-/// logical lane of the owning segment).
+/// blocked `Wait`'s segment through the image's side tables.
 fn convert_iter_error(loop_image: &LoopImage, iteration: u64, e: IterError) -> RuntimeError {
     match e {
         IterError::Exec(e) => RuntimeError::Exec(e),
         IterError::Deadlock { lane, pc, observed } => {
-            // No fallback through the logical table: indexing it with a physical
-            // (coalesced) row id would attribute the deadlock to an unrelated segment.
             let (dep, segment, segment_pc_range) = match loop_image.lane_at(pc) {
                 Some(info) => (info.dep, info.segment, info.pc_range()),
                 None => (DepId::new(lane), 0, (pc, pc)),
@@ -564,7 +560,7 @@ pub struct ParallelExecutor {
     /// Deadlock budget of a blocked `Wait`, in yield-equivalent backoff units.
     pub spin_budget: u64,
     /// What the run records (see [`TelemetryMode`]); disabled by default. Reports come
-    /// back through the `*_traced` entry points.
+    /// back in [`RunOutput::report`].
     pub telemetry: TelemetryMode,
     /// Which dispatch engine runs the bytecode (see [`DispatchTier`]). The default,
     /// [`DispatchTier::Auto`], asks the process-wide [`CalibrationProfile`] which tier
@@ -581,10 +577,10 @@ pub struct ParallelExecutor {
     /// [`RuntimeError::WorkerPanicked`], never as a process abort.
     pub panic_at: Option<u64>,
     /// Capture the run's final memory into [`RunOutput::memory`] (the `*_out` entry
-    /// points); off by default. A 1-worker run hands back its own memory, a clone of the
-    /// image's initial memory grown as the run allocated; a multi-worker run copies the
-    /// live prefix (globals + allocated heap) out of shared memory. Both capture the same
-    /// [`Memory::live_words`].
+    /// points); off by default. Every worker count captures the same way:
+    /// [`SharedMemory::snapshot`] copies the live prefix (globals + allocated heap) out of
+    /// the run's shared memory, so the capture holds the same [`Memory::live_words`] a
+    /// sequential run would.
     pub capture_memory: bool,
 }
 
@@ -891,7 +887,7 @@ impl ParallelExecutor {
         // maintained so a missing `Signal` is detected — instantly (zero spin budget),
         // because with no other worker an unsatisfied `Wait` can never become satisfied.
         let phase_b = |mem: &mut WorkerMemory<'_>, snapshot: Vec<Value>| {
-            let lanes = SignalLanes::new(loop_image.num_phys_lanes(), 1);
+            let lanes = SignalLanes::new(loop_image.num_lanes(), 1);
             let sleepers = Sleepers::new();
             let exited_at = AtomicU64::new(u64::MAX);
             // A single worker "claims" every iteration in order, so traced runs keep the

@@ -1,11 +1,8 @@
 //! The [`ParallelImage`]: a [`TransformedProgram`] lowered once into an execution-ready form
 //! the parallel runtime dispatches directly.
 //!
-//! The first-generation executor block-stepped the generic [`helix_ir::ImageEvaluator`]
-//! through the loop, re-deriving everything per block per iteration: set-membership tests
-//! ("is this block still in the loop?", "did we just leave the prologue?") on `BTreeSet`s,
-//! sync-point resolution through a modulo over a dense counter array, plus the engine's own
-//! fuel/statistics/cost accounting on every op. [`LoopImage::build`] does all of that
+//! [`LoopImage::build`] resolves everything the hot loop would otherwise re-derive per
+//! block per iteration — loop membership, the prologue→body transition, sync-point lanes —
 //! *once*, at lowering time:
 //!
 //! * the loop's blocks (prologue + body) are re-laid-out into one contiguous op stream
@@ -27,7 +24,7 @@
 //! no fuel, no statistics, no observers and no cycle charging — the production dispatch loop
 //! of the runtime, as opposed to the instrumented engine used for profiling. Its semantics
 //! (value evaluation, memory faults, call depth, missing terminators) are identical to
-//! [`helix_ir::ImageEvaluator`]; only the accounting is gone.
+//! [`helix_ir::ImageMachine`]; only the accounting is gone.
 
 use crate::lanes::SignalLanes;
 use crate::pool::{AdaptiveWait, Sleepers};
@@ -99,18 +96,10 @@ pub struct LoopImage {
     pub pc_to_ref: Vec<InstrRef>,
     /// Source block (dense index) of each op, parallel to `code`.
     pub pc_block: Vec<u32>,
-    /// One entry per *logical* signal lane (synchronized dependence), indexed by the lane
-    /// number carried by `Wait`/`Signal` ops in [`LoopImage::code`].
+    /// One entry per signal lane (synchronized dependence), indexed by the lane number
+    /// carried by `Wait`/`Signal` ops in [`LoopImage::code`] and the specialized `pcode`
+    /// stream; each lane owns one row of the runtime's [`crate::lanes::SignalLanes`].
     pub lanes: Vec<SegmentLane>,
-    /// Physical lane row of each logical lane. Lanes whose signal ops always appear in the
-    /// same adjacent runs are *coalesced* onto one physical row: between two adjacent
-    /// signals nothing executes, so publishing them through one counter is observationally
-    /// identical — and each synchronized segment then pays one cross-thread store (and one
-    /// waker wake) per iteration instead of k. The specialized [`LoopImage::pcode`] stream
-    /// carries physical lanes; `code` keeps logical ones for diagnostics.
-    pub phys_of: Vec<u32>,
-    /// Number of physical lane rows (`<= lanes.len()`).
-    pub num_phys: usize,
     /// Privatized basic induction variables `(register, step)`: each worker recomputes them
     /// from the iteration number instead of synchronizing them.
     pub induction_vars: Vec<(u32, i64)>,
@@ -128,10 +117,9 @@ impl LoopImage {
         Self::build_with_fusion(image, program, true)
     }
 
-    /// [`LoopImage::build`] with superinstruction fusion and signal coalescing made
-    /// optional: `fuse = false` produces the plain one-op-per-dispatch image (identity
-    /// physical lane mapping), the reference the differential tests compare fused
-    /// execution against.
+    /// [`LoopImage::build`] with superinstruction fusion made optional: `fuse = false`
+    /// produces the plain one-op-per-dispatch image, the reference the differential tests
+    /// compare fused execution against.
     pub fn build_with_fusion(
         image: &ExecImage,
         program: &TransformedProgram,
@@ -293,42 +281,7 @@ impl LoopImage {
             .map(|(op, r)| specialize_op(op, program.private_accesses.contains(r)))
             .collect();
 
-        // Signal coalescing. A *run* is a maximal sequence of adjacent non-control Signal
-        // ops within one block; nothing executes between the ops of a run, so all of its
-        // publications are observationally simultaneous. Two logical lanes whose signals
-        // appear in exactly the same runs can therefore share one physical counter, and
-        // each run collapses to a single multi-publish dispatch with one wake.
-        let runs = signal_runs(&code, &pc_block);
-        let (phys_of, num_phys) = if fuse {
-            coalesce_lanes(&code, &runs, lanes.len())
-        } else {
-            ((0..lanes.len() as u32).collect(), lanes.len())
-        };
-        for p in pcode.iter_mut() {
-            match p {
-                POp::Wait { lane } | POp::SignalLane { lane } => {
-                    *lane = phys_of[*lane as usize];
-                }
-                _ => {}
-            }
-        }
         if fuse {
-            for (start, end) in &runs {
-                if end - start >= 2 {
-                    let mut distinct: Vec<u32> = Vec::new();
-                    for p in &pcode[*start..*end] {
-                        if let POp::SignalLane { lane } = p {
-                            if !distinct.contains(lane) {
-                                distinct.push(*lane);
-                            }
-                        }
-                    }
-                    pcode[*start] = POp::SignalMulti {
-                        lanes: distinct.into_boxed_slice(),
-                        width: (end - start) as u32,
-                    };
-                }
-            }
             fuse_superinstructions(&mut pcode, &pc_block);
         }
         let restore_regs = compute_restore_regs(&code, &pc_block, &induction_vars, fi.num_regs);
@@ -342,8 +295,6 @@ impl LoopImage {
             pc_to_ref,
             pc_block,
             lanes,
-            phys_of,
-            num_phys,
             induction_vars,
             private_words_per_iter,
             dropped_sync_ops,
@@ -358,11 +309,8 @@ impl LoopImage {
         let mut cri = 0;
         let mut lab = 0;
         let mut bsa = 0;
-        let mut sidx = 0;
         let mut rmw = 0;
-        let mut rmwr = 0;
         let mut cmpbr = 0;
-        let mut smulti = 0;
         for p in &self.pcode {
             match p {
                 POp::BinChainII { .. } => c2 += 1,
@@ -371,23 +319,16 @@ impl LoopImage {
                 POp::BinChainRI { .. } => cri += 1,
                 POp::LoadABin { .. } => lab += 1,
                 POp::BinStoreA { .. } => bsa += 1,
-                POp::StoreIdx { .. } => sidx += 1,
                 POp::RmwA { .. } => rmw += 1,
-                POp::RmwR { .. } => rmwr += 1,
                 POp::CmpBrRI { .. } | POp::CmpBrRR { .. } => cmpbr += 1,
-                POp::SignalMulti { .. } => smulti += 1,
                 _ => {}
             }
         }
         format!(
-            "chain2 {c2} chain3 {c3} chain3f {c3f} chainRI {cri} loadbin {lab} binstore {bsa}              storeidx {sidx} rmw {rmw} rmwr {rmwr} cmpbr {cmpbr} sigmulti {smulti} / {} ops",
+            "chain2 {c2} chain3 {c3} chain3f {c3f} chainRI {cri} loadbin {lab} binstore {bsa} \
+             rmw {rmw} cmpbr {cmpbr} / {} ops",
             self.pcode.len()
         )
-    }
-
-    /// Number of physical signal-lane rows the runtime must allocate (after coalescing).
-    pub fn num_phys_lanes(&self) -> usize {
-        self.num_phys.max(1)
     }
 
     /// Number of signal lanes (synchronized dependences).
@@ -440,61 +381,6 @@ impl LoopImage {
     }
 }
 
-/// The maximal runs of adjacent non-control `Signal` ops (same block), as `[start, end)`
-/// pc ranges. Length-1 runs are included so every lane belongs to at least one run.
-fn signal_runs(code: &[Op], pc_block: &[u32]) -> Vec<(usize, usize)> {
-    let is_signal = |pc: usize| matches!(&code[pc], Op::Signal { dep } if *dep != CONTROL_DEP);
-    let mut runs = Vec::new();
-    let mut pc = 0usize;
-    while pc < code.len() {
-        if is_signal(pc) {
-            let start = pc;
-            while pc < code.len() && pc_block[pc] == pc_block[start] && is_signal(pc) {
-                pc += 1;
-            }
-            runs.push((start, pc));
-        } else {
-            pc += 1;
-        }
-    }
-    runs
-}
-
-/// Groups logical lanes into physical rows: lanes whose signal ops appear in exactly the
-/// same set of runs share a row (see [`LoopImage::phys_of`] for the soundness argument).
-/// A lane with no signal at all keeps a private row — it would merge with nothing
-/// meaningfully, and sharing could mask its missing-signal deadlock.
-fn coalesce_lanes(code: &[Op], runs: &[(usize, usize)], num_logical: usize) -> (Vec<u32>, usize) {
-    let mut run_sets: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); num_logical];
-    for (rid, (start, end)) in runs.iter().enumerate() {
-        for op in &code[*start..*end] {
-            if let Op::Signal { dep } = op {
-                if *dep != CONTROL_DEP {
-                    run_sets[*dep as usize].insert(rid);
-                }
-            }
-        }
-    }
-    let mut phys_of: Vec<u32> = vec![0; num_logical];
-    let mut class_of: BTreeMap<Vec<usize>, u32> = BTreeMap::new();
-    let mut num_phys = 0u32;
-    for (lane, set) in run_sets.iter().enumerate() {
-        if set.is_empty() {
-            phys_of[lane] = num_phys;
-            num_phys += 1;
-            continue;
-        }
-        let key: Vec<usize> = set.iter().copied().collect();
-        let phys = *class_of.entry(key).or_insert_with(|| {
-            let p = num_phys;
-            num_phys += 1;
-            p
-        });
-        phys_of[lane] = phys;
-    }
-    (phys_of, num_phys as usize)
-}
-
 /// Superinstruction fusion over the specialized stream: value-producing ops whose results
 /// feed the immediately following op(s) collapse into one dispatch. Only the *head* slot of
 /// a fused window is rewritten; every interior slot keeps its original op, so control flow
@@ -512,16 +398,13 @@ fn coalesce_lanes(code: &[Op], runs: &[(usize, usize)], num_logical: usize) -> (
 /// Patterns, tried in priority order at each pc (windows do not overlap):
 ///
 /// 1. **RMW** `load-abs; bin; store-abs` (width 3) — the canonical synchronized-segment
-///    body (`acc = acc ⊕ x`): one dispatch for the whole read-modify-write — and its
-///    register-addressed twin `load (addr+off); bin; store (addr+off)` (the
-///    pointer-walking accumulation), guarded so the window provably cannot modify the
-///    address register.
+///    body (`acc = acc ⊕ x`): one dispatch for the whole read-modify-write.
 /// 2. **Immediate chains** (width 3 then 2) — runs of `dst = prev op imm` ops, the ALU
 ///    round shape of hash/blend kernels (all-int *and* all-float triples), plus the
 ///    `RR;RI` pair.
 /// 3. **load+op** (width 2) — an absolute load feeding the next binary op.
 /// 4. **op+store** (width 2) — a binary op whose result the next op stores to an absolute
-///    address, and the array-store idiom `slot = base + index; store slot <- value`.
+///    address.
 /// 5. **compare+branch** (width 2) — the loop-latch idiom.
 fn fuse_superinstructions(pcode: &mut [POp], pc_block: &[u32]) {
     let len = pcode.len();
@@ -565,51 +448,6 @@ fn fuse_at(pcode: &mut [POp], pc_block: &[u32], pc: usize) -> usize {
                             ld_on_lhs,
                             dst,
                             saddr,
-                        };
-                        return 3;
-                    }
-                }
-            }
-        }
-    }
-
-    // 1b. Register-addressed RMW: `ld = load (addr+off); bin consuming ld; store
-    // (addr+off) <- dst` — the pointer-walking accumulation. The fused body computes the
-    // address once, which is only sound when neither write of the window can touch the
-    // address register (`ld != addr && dst != addr`) and load and store agree on the
-    // offset and privatization route.
-    if same_block(pc + 2) {
-        if let POp::LoadR {
-            dst: ld,
-            addr,
-            offset,
-            private_ok,
-        } = pcode[pc]
-        {
-            if let Some((op, other, ld_on_lhs, dst)) = rr_consumes(&pcode[pc + 1], ld) {
-                if let POp::StoreRR {
-                    addr: saddr,
-                    offset: soffset,
-                    value,
-                    private_ok: sprivate,
-                } = pcode[pc + 2]
-                {
-                    if saddr == addr
-                        && soffset == offset
-                        && sprivate == private_ok
-                        && value == dst
-                        && ld != addr
-                        && dst != addr
-                    {
-                        pcode[pc] = POp::RmwR {
-                            addr,
-                            offset,
-                            ld,
-                            op,
-                            other,
-                            ld_on_lhs,
-                            dst,
-                            private_ok,
                         };
                         return 3;
                     }
@@ -761,36 +599,6 @@ fn fuse_at(pcode: &mut [POp], pc_block: &[u32], pc: usize) -> usize {
                     dst,
                 };
                 return 2;
-            }
-        }
-    }
-
-    // 4b. The array-store idiom: `slot = base + index; store slot+offset <- value`.
-    if same_block(pc + 1) {
-        if let POp::BinIR {
-            dst,
-            op: BinOp::Add,
-            lhs: Value::Int(base),
-            rhs: idx,
-        } = pcode[pc]
-        {
-            if let POp::StoreRR {
-                addr,
-                offset,
-                value,
-                private_ok: false,
-            } = pcode[pc + 1]
-            {
-                if addr == dst && value != dst {
-                    pcode[pc] = POp::StoreIdx {
-                        base,
-                        idx,
-                        dst,
-                        offset,
-                        value,
-                    };
-                    return 2;
-                }
             }
         }
     }
@@ -1218,14 +1026,6 @@ pub(crate) enum POp {
         dst: u32,
         saddr: i64,
     },
-    /// `dst = base + idx; store dst+offset <- value` — the array-store idiom (width 2).
-    StoreIdx {
-        base: i64,
-        idx: u32,
-        dst: u32,
-        offset: i64,
-        value: u32,
-    },
     /// `ld = load laddr; dst = ld op other; store saddr <- dst` (width 3) — the
     /// read-modify-write at the heart of a typical synchronized segment.
     RmwA {
@@ -1236,26 +1036,6 @@ pub(crate) enum POp {
         ld_on_lhs: bool,
         dst: u32,
         saddr: i64,
-    },
-    /// `ld = load (addr+offset); dst = ld op other; store (addr+offset) <- dst` (width 3)
-    /// — the register-addressed read-modify-write (pointer-walking accumulations). Sound
-    /// only when the load/bin provably leave the address register unmodified
-    /// (`ld != addr && dst != addr`), so the fused body may compute the address once.
-    RmwR {
-        addr: u32,
-        offset: i64,
-        ld: u32,
-        op: BinOp,
-        other: u32,
-        ld_on_lhs: bool,
-        dst: u32,
-        private_ok: bool,
-    },
-    /// Publishes several signal lanes with one dispatch and one wake (width
-    /// `lanes.len()`), produced by coalescing a run of adjacent end-of-segment signals.
-    SignalMulti {
-        lanes: Box<[u32]>,
-        width: u32,
     },
     /// `dst = lhs pred imm; branch on dst` (the loop-latch idiom).
     CmpBrRI {
@@ -1290,14 +1070,9 @@ impl POp {
             | POp::BinChainRI { .. }
             | POp::LoadABin { .. }
             | POp::BinStoreA { .. }
-            | POp::StoreIdx { .. }
             | POp::CmpBrRI { .. }
             | POp::CmpBrRR { .. } => 2,
-            POp::BinChain3II { .. }
-            | POp::BinChain3FF { .. }
-            | POp::RmwA { .. }
-            | POp::RmwR { .. } => 3,
-            POp::SignalMulti { width, .. } => *width as usize,
+            POp::BinChain3II { .. } | POp::BinChain3FF { .. } | POp::RmwA { .. } => 3,
             _ => 1,
         }
     }
@@ -2280,21 +2055,6 @@ pub(crate) fn run_iteration(
                 mem.store(*saddr, v)?;
                 pc += 2;
             }
-            POp::StoreIdx {
-                base,
-                idx,
-                dst,
-                offset,
-                value,
-            } => {
-                // Mirror the unfused BinIR+StoreRR pair exactly: the add goes through
-                // eval_binop (a float index register must produce the same float-typed
-                // dst and float-rounded address the sequential engine would).
-                let v = eval_binop(BinOp::Add, Value::Int(*base), get(regs, *idx));
-                set(regs, *dst, v);
-                mem.store(v.as_int() + offset, get(regs, *value))?;
-                pc += 2;
-            }
             POp::RmwA {
                 laddr,
                 ld,
@@ -2315,56 +2075,6 @@ pub(crate) fn run_iteration(
                 set(regs, *dst, v);
                 mem.store(*saddr, v)?;
                 pc += 3;
-            }
-            POp::RmwR {
-                addr,
-                offset,
-                ld,
-                op,
-                other,
-                ld_on_lhs,
-                dst,
-                private_ok,
-            } => {
-                // The address register is provably unmodified by the window (fusion
-                // guards `ld != addr && dst != addr`), so computing the address once is
-                // bitwise what the unfused load/store pair would do.
-                let base = get(regs, *addr).as_int();
-                let a = base + offset;
-                let l = if *private_ok {
-                    mem.load_private(a)?
-                } else {
-                    mem.load(a)?
-                };
-                set(regs, *ld, l);
-                let o = get(regs, *other);
-                let v = if *ld_on_lhs {
-                    eval_binop(*op, l, o)
-                } else {
-                    eval_binop(*op, o, l)
-                };
-                set(regs, *dst, v);
-                if *private_ok {
-                    mem.store_private(a, v)?;
-                } else {
-                    mem.store(a, v)?;
-                }
-                pc += 3;
-            }
-            POp::SignalMulti { lanes, width } => {
-                for lane in lanes.iter() {
-                    sync.lanes.signal(*lane as usize, iteration);
-                }
-                sync.sleepers.wake_all();
-                if let Some(t) = telem {
-                    // The fused window covers the constituent logical signal pcs.
-                    for k in pc..pc + *width as usize {
-                        if t.lane_of(k as u32) != crate::telemetry::NO_LANE {
-                            t.on_signal(iteration, k as u32);
-                        }
-                    }
-                }
-                pc += *width as usize;
             }
             POp::CmpBrRI {
                 dst,
@@ -2496,51 +2206,6 @@ mod tests {
         (module, main)
     }
 
-    /// A loop whose two global accumulators live in different branch arms: two sequential
-    /// segments that survive Step 6 merging, with frontier signals meeting at the join.
-    fn two_segment_witness() -> (Module, FuncId) {
-        let mut mb = ModuleBuilder::new("two_segs");
-        let a = mb.add_global("a", 1);
-        let b = mb.add_global("b", 1);
-        let mut fb = FunctionBuilder::new("main", 0);
-        let lh = fb.counted_loop(Operand::int(0), Operand::int(32), 1);
-        let mixed = fb.binary_to_new(
-            helix_ir::BinOp::Mul,
-            Operand::Var(lh.induction_var),
-            Operand::int(3),
-        );
-        let bit = fb.binary_to_new(
-            helix_ir::BinOp::And,
-            Operand::Var(lh.induction_var),
-            Operand::int(1),
-        );
-        let ie = fb.if_else(Operand::Var(bit));
-        let ca = fb.new_var();
-        fb.load(ca, Operand::Global(a), 0);
-        let na = fb.binary_to_new(helix_ir::BinOp::Add, Operand::Var(ca), Operand::Var(mixed));
-        fb.store(Operand::Global(a), 0, Operand::Var(na));
-        fb.br(ie.join);
-        fb.switch_to(ie.else_bb);
-        let cb = fb.new_var();
-        fb.load(cb, Operand::Global(b), 0);
-        let nb = fb.binary_to_new(helix_ir::BinOp::Xor, Operand::Var(cb), Operand::Var(mixed));
-        fb.store(Operand::Global(b), 0, Operand::Var(nb));
-        fb.br(ie.join);
-        fb.switch_to(ie.join);
-        fb.br(lh.latch);
-        fb.switch_to(lh.exit);
-        let ra = fb.new_var();
-        fb.load(ra, Operand::Global(a), 0);
-        let rb = fb.new_var();
-        fb.load(rb, Operand::Global(b), 0);
-        let sum = fb.binary_to_new(helix_ir::BinOp::Add, Operand::Var(ra), Operand::Var(rb));
-        fb.ret(Some(Operand::Var(sum)));
-        mb.add_function(fb.finish());
-        let module = mb.finish();
-        let main = module.function_by_name("main").unwrap();
-        (module, main)
-    }
-
     #[test]
     fn fusion_produces_chains_and_rmw_superinstructions() {
         let (module, main) = chain_accumulator();
@@ -2603,25 +2268,22 @@ mod tests {
                     );
                 }
                 // Never across a segment's [first, last] sync boundary: a window either
-                // lies entirely inside the open span or entirely outside it, and only
-                // signal-coalescing windows may contain sync ops at all.
-                let is_multi = matches!(fused.pcode[pc], POp::SignalMulti { .. });
+                // lies entirely inside the open span or entirely outside it, and no window
+                // contains a sync op at all.
                 for lane in &fused.lanes {
                     let (first, last) = (lane.first_pc as usize, lane.last_pc as usize);
                     for &boundary in &[first, last] {
                         assert!(
-                            !(pc < boundary && boundary < end) || is_multi,
+                            !(pc < boundary && boundary < end),
                             "{name}: window {pc}..{end} straddles sync pc {boundary}"
                         );
                     }
                 }
-                if !is_multi {
-                    for k in pc..end {
-                        assert!(
-                            !matches!(fused.code[k], Op::Wait { .. } | Op::Signal { .. }),
-                            "{name}: non-signal window {pc}..{end} swallowed a sync op"
-                        );
-                    }
+                for k in pc..end {
+                    assert!(
+                        !matches!(fused.code[k], Op::Wait { .. } | Op::Signal { .. }),
+                        "{name}: window {pc}..{end} swallowed a sync op"
+                    );
                 }
             }
         }
@@ -2637,7 +2299,6 @@ mod tests {
             assert_eq!(fused.code.len(), plain.code.len());
             assert_eq!(fused.lanes.len(), plain.lanes.len());
             assert_eq!(fused.entry_pc, plain.entry_pc);
-            assert!(fused.num_phys_lanes() <= plain.num_phys_lanes());
         }
     }
 
@@ -2663,112 +2324,6 @@ mod tests {
                 assert_eq!(got_plain, expected, "{name} plain diverged at {threads}t");
             }
         }
-    }
-
-    #[test]
-    fn adjacent_signals_coalesce_into_one_publish() {
-        // Two synchronized segments whose Step 4 placement ends at the shared latch emit
-        // adjacent end-of-iteration signals: they must share a physical lane row (one
-        // cross-thread store) or at least collapse into one SignalMulti dispatch.
-        let mut found_multi_or_merge = false;
-        for (_name, module, main) in helix_workloads::corpus::load_all().expect("corpus") {
-            let Some((_t, fused, _plain)) = lower_both(&module, main) else {
-                continue;
-            };
-            if fused.num_phys_lanes() < fused.lanes.len()
-                || fused
-                    .pcode
-                    .iter()
-                    .any(|p| matches!(p, POp::SignalMulti { .. }))
-            {
-                found_multi_or_merge = true;
-            }
-            // The mapping must stay a function onto [0, num_phys).
-            for &p in &fused.phys_of {
-                assert!((p as usize) < fused.num_phys.max(1));
-            }
-        }
-        // The corpus currently carries single-segment plans; build a two-segment witness:
-        // two accumulators updated in *different branch arms* (so Step 6 cannot merge their
-        // non-touching segments), whose frontier signal points both land at the join block
-        // — the adjacent-signal shape.
-        let (module, main) = two_segment_witness();
-        if let Some((_t, fused, plain)) = lower_both(&module, main) {
-            if fused.lanes.len() >= 2 {
-                assert!(
-                    fused.num_phys_lanes() < plain.num_phys_lanes()
-                        || fused
-                            .pcode
-                            .iter()
-                            .any(|p| matches!(p, POp::SignalMulti { .. })),
-                    "two latch-adjacent segments must coalesce"
-                );
-                found_multi_or_merge = true;
-            }
-        }
-        assert!(
-            found_multi_or_merge,
-            "no coalescing opportunity found anywhere"
-        );
-    }
-
-    #[test]
-    fn store_idx_fusion_preserves_float_index_semantics() {
-        // `slot = out_base + f` with a *float* index register: the fused StoreIdx must
-        // keep the float-typed dst register and the float-rounded address the unfused
-        // BinIR+StoreRR pair produces (an early fused version truncated the index to an
-        // integer before the add — a bitwise divergence the differential oracle counts
-        // as a soundness bug).
-        let mut mb = ModuleBuilder::new("fidx");
-        let out = mb.add_global("out", 16);
-        let acc = mb.add_global("acc", 1);
-        let mut fb = FunctionBuilder::new("main", 0);
-        let lh = fb.counted_loop(Operand::int(0), Operand::int(8), 1);
-        // The synchronized accumulator segment comes *first*, so Theorem 1 covers the
-        // out-store's dependence: no Wait lands before the store and the
-        // address-computation + store pair stays adjacent (fusable).
-        let cur = fb.new_var();
-        fb.load(cur, Operand::Global(acc), 0);
-        let next = fb.binary_to_new(
-            helix_ir::BinOp::Add,
-            Operand::Var(cur),
-            Operand::Var(lh.induction_var),
-        );
-        fb.store(Operand::Global(acc), 0, Operand::Var(next));
-        let f = fb.unary_to_new(helix_ir::UnOp::ToFloat, Operand::Var(lh.induction_var));
-        let half = fb.binary_to_new(helix_ir::BinOp::Mul, Operand::Var(f), Operand::float(0.75));
-        let slot = fb.binary_to_new(
-            helix_ir::BinOp::Add,
-            Operand::Global(out),
-            Operand::Var(half),
-        );
-        fb.store(Operand::Var(slot), 0, Operand::Var(lh.induction_var));
-        fb.br(lh.latch);
-        fb.switch_to(lh.exit);
-        let mut sum = fb.load_to_new(Operand::Global(acc), 0);
-        for k in 0..6i64 {
-            let w = fb.load_to_new(Operand::Global(out), k);
-            sum = fb.binary_to_new(helix_ir::BinOp::Xor, Operand::Var(sum), Operand::Var(w));
-        }
-        fb.ret(Some(Operand::Var(sum)));
-        mb.add_function(fb.finish());
-        let module = mb.finish();
-        let main = module.function_by_name("main").unwrap();
-        let (transformed, fused, plain) = lower_both(&module, main).expect("plan exists");
-        assert!(
-            fused
-                .pcode
-                .iter()
-                .any(|p| matches!(p, POp::StoreIdx { .. })),
-            "the float-indexed store must still fuse"
-        );
-        let mut machine = Machine::new(&transformed.module);
-        let expected = machine.call(transformed.parallel_func, &[]).unwrap();
-        let exec = ExecImage::lower(&transformed.module);
-        let mut executor = ParallelExecutor::new(2);
-        executor.hardware = 2;
-        assert_eq!(executor.run_lowered(&exec, &fused, &[]).unwrap(), expected);
-        assert_eq!(executor.run_lowered(&exec, &plain, &[]).unwrap(), expected);
     }
 
     #[test]
@@ -2803,70 +2358,6 @@ mod tests {
                 .iter()
                 .any(|p| matches!(p, POp::BinChain3FF { .. })),
             "the all-float immediate triple must fuse: {}",
-            fused.fusion_summary()
-        );
-        let mut machine = Machine::new(&transformed.module);
-        let expected = machine.call(transformed.parallel_func, &[]).unwrap();
-        let exec = ExecImage::lower(&transformed.module);
-        for threads in [1, 2, 4] {
-            let mut executor = ParallelExecutor::new(threads);
-            executor.hardware = threads;
-            assert_eq!(
-                executor.run_lowered(&exec, &fused, &[]).unwrap(),
-                expected,
-                "fused diverged at {threads}t"
-            );
-            assert_eq!(
-                executor.run_lowered(&exec, &plain, &[]).unwrap(),
-                expected,
-                "plain diverged at {threads}t"
-            );
-        }
-    }
-
-    #[test]
-    fn register_addressed_rmw_fuses_and_matches_unfused() {
-        // A histogram-style accumulation through a register-held address
-        // (`out[iv & 3] ^= x`): `slot = base + bit; ld = load slot; bin; store slot <- dst`
-        // must fuse the load/bin/store tail into a width-3 RmwR, and run bitwise like the
-        // unfused window at every thread count.
-        let mut mb = ModuleBuilder::new("rmwr");
-        let out = mb.add_global("out", 4);
-        let mut fb = FunctionBuilder::new("main", 0);
-        let lh = fb.counted_loop(Operand::int(0), Operand::int(64), 1);
-        let x = fb.binary_to_new(
-            helix_ir::BinOp::Mul,
-            Operand::Var(lh.induction_var),
-            Operand::int(2654435761),
-        );
-        let bit = fb.binary_to_new(
-            helix_ir::BinOp::And,
-            Operand::Var(lh.induction_var),
-            Operand::int(3),
-        );
-        let slot = fb.binary_to_new(
-            helix_ir::BinOp::Add,
-            Operand::Global(out),
-            Operand::Var(bit),
-        );
-        let cur = fb.load_to_new(Operand::Var(slot), 0);
-        let next = fb.binary_to_new(helix_ir::BinOp::Xor, Operand::Var(cur), Operand::Var(x));
-        fb.store(Operand::Var(slot), 0, Operand::Var(next));
-        fb.br(lh.latch);
-        fb.switch_to(lh.exit);
-        let mut sum = fb.load_to_new(Operand::Global(out), 0);
-        for k in 1..4i64 {
-            let w = fb.load_to_new(Operand::Global(out), k);
-            sum = fb.binary_to_new(helix_ir::BinOp::Add, Operand::Var(sum), Operand::Var(w));
-        }
-        fb.ret(Some(Operand::Var(sum)));
-        mb.add_function(fb.finish());
-        let module = mb.finish();
-        let main = module.function_by_name("main").unwrap();
-        let (transformed, fused, plain) = lower_both(&module, main).expect("plan exists");
-        assert!(
-            fused.pcode.iter().any(|p| matches!(p, POp::RmwR { .. })),
-            "the register-addressed RMW must fuse: {}",
             fused.fusion_summary()
         );
         let mut machine = Machine::new(&transformed.module);

@@ -27,7 +27,7 @@ use crate::parallel_image::{
     IterError, IterSync, LoopImage, POp, WaitOutcome, PC_END_ITER, PC_EXIT,
 };
 use crate::sharded::WorkerMemory;
-use crate::telemetry::{WorkerCtx, NO_LANE};
+use crate::telemetry::WorkerCtx;
 use helix_ir::interp::{eval_binop, eval_pred, eval_unop, ExecError, MAX_CALL_DEPTH};
 use helix_ir::{BinOp, BlockId, ExecImage, FuncId, Op, Opnd, Pred, UnOp, Value};
 
@@ -146,7 +146,7 @@ enum FlatHalt {
 pub(crate) struct TCtx<'r, 'm> {
     image: &'r ExecImage,
     /// The specialized iteration stream (for the rare boxed ops a `TOp` cannot carry:
-    /// `SelectB`, `CallB`, `SignalMulti`). Empty in flat mode.
+    /// `SelectB`, `CallB`). Empty in flat mode.
     pcode: &'r [POp],
     pub(crate) regs: &'r mut Vec<Value>,
     mem: &'r mut WorkerMemory<'m>,
@@ -265,26 +265,6 @@ macro_rules! by_binop {
             BinOp::Shr => $h::<ZShr> as Handler,
             BinOp::Min => $h::<ZMin> as Handler,
             BinOp::Max => $h::<ZMax> as Handler,
-        }
-    };
-}
-
-/// [`by_binop!`] for handlers that also take a `const P: bool` (private-route) parameter.
-macro_rules! by_binop_b {
-    ($op:expr, $h:ident, $b:literal) => {
-        match $op {
-            BinOp::Add => $h::<ZAdd, $b> as Handler,
-            BinOp::Sub => $h::<ZSub, $b> as Handler,
-            BinOp::Mul => $h::<ZMul, $b> as Handler,
-            BinOp::Div => $h::<ZDiv, $b> as Handler,
-            BinOp::Rem => $h::<ZRem, $b> as Handler,
-            BinOp::And => $h::<ZAnd, $b> as Handler,
-            BinOp::Or => $h::<ZOr, $b> as Handler,
-            BinOp::Xor => $h::<ZXor, $b> as Handler,
-            BinOp::Shl => $h::<ZShl, $b> as Handler,
-            BinOp::Shr => $h::<ZShr, $b> as Handler,
-            BinOp::Min => $h::<ZMin, $b> as Handler,
-            BinOp::Max => $h::<ZMax, $b> as Handler,
         }
     };
 }
@@ -557,17 +537,6 @@ fn h_bin_store_a<Z: CBin>(ctx: &mut TCtx<'_, '_>, op: &TOp, pc: usize) -> usize 
     pc + 2
 }
 
-/// `a=idx b=dst c=value i=base j=offset` — the array-store idiom. Mirrors the unfused
-/// BinIR+StoreRR pair exactly: the add goes through `eval_binop` so a float index register
-/// produces the same float-typed dst and float-rounded address.
-fn h_store_idx(ctx: &mut TCtx<'_, '_>, op: &TOp, pc: usize) -> usize {
-    let v = eval_binop(BinOp::Add, Value::Int(op.i), get(ctx.regs, op.a));
-    set(ctx.regs, op.b, v);
-    let val = get(ctx.regs, op.c);
-    mem_try!(ctx, ctx.mem.store(v.as_int() + op.j, val));
-    pc + 2
-}
-
 /// `a=ld b=other c=dst e=ld_on_lhs i=laddr j=saddr` — absolute-address read-modify-write
 fn h_rmw_a<Z: CBin>(ctx: &mut TCtx<'_, '_>, op: &TOp, pc: usize) -> usize {
     let l = mem_try!(ctx, ctx.mem.load(op.i));
@@ -580,33 +549,6 @@ fn h_rmw_a<Z: CBin>(ctx: &mut TCtx<'_, '_>, op: &TOp, pc: usize) -> usize {
     };
     set(ctx.regs, op.c, v);
     mem_try!(ctx, ctx.mem.store(op.j, v));
-    pc + 3
-}
-
-/// `a=addr b=ld c=other d=dst e=ld_on_lhs i=offset` — register-addressed read-modify-write.
-/// The address register is provably unmodified by the window (fusion guards
-/// `ld != addr && dst != addr`), so computing the address once is bitwise what the unfused
-/// load/store pair would do.
-fn h_rmw_r<Z: CBin, const P: bool>(ctx: &mut TCtx<'_, '_>, op: &TOp, pc: usize) -> usize {
-    let a = get(ctx.regs, op.a).as_int() + op.i;
-    let l = if P {
-        mem_try!(ctx, ctx.mem.load_private(a))
-    } else {
-        mem_try!(ctx, ctx.mem.load(a))
-    };
-    set(ctx.regs, op.b, l);
-    let o = get(ctx.regs, op.c);
-    let v = if op.e != 0 {
-        eval_binop(Z::OP, l, o)
-    } else {
-        eval_binop(Z::OP, o, l)
-    };
-    set(ctx.regs, op.d, v);
-    if P {
-        mem_try!(ctx, ctx.mem.store_private(a, v));
-    } else {
-        mem_try!(ctx, ctx.mem.store(a, v));
-    }
     pc + 3
 }
 
@@ -668,28 +610,6 @@ fn h_signal_control(ctx: &mut TCtx<'_, '_>, _op: &TOp, pc: usize) -> usize {
         f();
     }
     pc + 1
-}
-
-/// Coalesced multi-lane signal; lanes live in the boxed `POp` at `pc`.
-fn h_signal_multi(ctx: &mut TCtx<'_, '_>, _op: &TOp, pc: usize) -> usize {
-    let pcode = ctx.pcode;
-    let POp::SignalMulti { lanes, width } = &pcode[pc] else {
-        unreachable!("decoder installs h_signal_multi only on SignalMulti")
-    };
-    let sync = ctx.sync.expect("iteration handler outside iteration mode");
-    for lane in lanes.iter() {
-        sync.lanes.signal(*lane as usize, ctx.iteration);
-    }
-    sync.sleepers.wake_all();
-    if let Some(t) = ctx.telem {
-        // The fused window covers the constituent logical signal pcs.
-        for k in pc..pc + *width as usize {
-            if t.lane_of(k as u32) != NO_LANE {
-                t.on_signal(ctx.iteration, k as u32);
-            }
-        }
-    }
-    pc + *width as usize
 }
 
 /// Select; operands live in the boxed `POp` at `pc`.
@@ -1213,20 +1133,6 @@ fn decode_data(p: &POp) -> Option<TOp> {
             i: *saddr,
             ..TOp::new(by_binop!(*op, h_bin_store_a))
         },
-        POp::StoreIdx {
-            base,
-            idx,
-            dst,
-            offset,
-            value,
-        } => TOp {
-            a: *idx,
-            b: *dst,
-            c: *value,
-            i: *base,
-            j: *offset,
-            ..TOp::new(h_store_idx)
-        },
         POp::RmwA {
             laddr,
             ld,
@@ -1243,28 +1149,6 @@ fn decode_data(p: &POp) -> Option<TOp> {
             i: *laddr,
             j: *saddr,
             ..TOp::new(by_binop!(*op, h_rmw_a))
-        },
-        POp::RmwR {
-            addr,
-            offset,
-            ld,
-            op,
-            other,
-            ld_on_lhs,
-            dst,
-            private_ok,
-        } => TOp {
-            a: *addr,
-            b: *ld,
-            c: *other,
-            d: *dst,
-            e: *ld_on_lhs as u32,
-            i: *offset,
-            ..TOp::new(if *private_ok {
-                by_binop_b!(*op, h_rmw_r, true)
-            } else {
-                by_binop_b!(*op, h_rmw_r, false)
-            })
         },
         POp::Trap { block } => TOp {
             a: *block,
@@ -1291,7 +1175,6 @@ fn decode_iter_op(p: &POp) -> TOp {
             ..TOp::new(h_signal_lane)
         },
         POp::SignalControl => TOp::new(h_signal_control),
-        POp::SignalMulti { .. } => TOp::new(h_signal_multi),
         POp::Jump { pc } => TOp {
             a: *pc,
             ..TOp::new(h_jump_iter)

@@ -52,8 +52,6 @@ pub struct ServedImage {
     pub entry_name: String,
     /// The one image a job runs.
     pub plan: ServedPlan,
-    /// Was the plan chosen by the Section 2.2 selection (vs. hottest-candidate fallback)?
-    pub plan_selected: bool,
     /// Wall time spent preparing this entry (profile + analyze + transform + lower).
     pub prep: Duration,
 }
@@ -204,7 +202,6 @@ mod tests {
             entry: module.function_by_name("main").unwrap(),
             entry_name: "main".to_string(),
             plan: ServedPlan::Sequential(ExecImage::lower(&module)),
-            plan_selected: false,
             prep: Duration::ZERO,
         })
     }

@@ -265,7 +265,6 @@ impl Server {
                                 )),
                                 None => ServedPlan::Sequential(ExecImage::lower(&module)),
                             },
-                            plan_selected: prepared.plan_selected,
                             prep: start.elapsed(),
                         });
                         (self.cache.insert(raw, image), CacheOutcome::Miss)

@@ -179,3 +179,54 @@ fn nest_flip_selection_flips_between_paper_and_measured_costs() {
         with_paper_choice.speedup
     );
 }
+
+/// Every fused superinstruction form the runtime keeps must fire on some plan: a form no
+/// program reaches is dead code in the switch engine, the threaded decoder and its
+/// handlers. Lowers every candidate plan (selected or not) of the corpus programs, the SPEC
+/// stand-ins and a few `GenConfig::small()` seeds that carry the op+store shape, and
+/// counts each form through `LoopImage::fusion_summary`.
+#[test]
+fn every_fused_form_fires_on_some_plan() {
+    use helix::gen::{generate, GenConfig};
+    use helix::runtime::ParallelImage;
+    use std::collections::BTreeMap;
+
+    let mut programs = helix::workloads::load_corpus().expect("corpus loads");
+    for bench in helix::workloads::all_benchmarks() {
+        let (module, main) = bench.build();
+        programs.push((format!("spec/{}", bench.name), module, main));
+    }
+    for seed in [5, 8, 17] {
+        let g = generate(seed, &GenConfig::small());
+        programs.push((format!("small/{seed}"), g.module, g.main));
+    }
+    let helix_driver = Helix::new(HelixConfig::i7_980x());
+    let mut counts: BTreeMap<String, u64> = BTreeMap::new();
+    let mut plans = 0;
+    for (name, module, main) in &programs {
+        let (_profile, output) = helix_driver
+            .profile_and_analyze(module, *main, &[], helix::ir::interp::DEFAULT_FUEL)
+            .unwrap_or_else(|e| panic!("{name}: profiling failed: {e}"));
+        for plan in output.plans.values() {
+            let image = ParallelImage::lower(&transform::apply(module, plan));
+            plans += 1;
+            let summary = image.loop_image.fusion_summary();
+            let fields = summary.split(" / ").next().expect("summary has counts");
+            let words: Vec<&str> = fields.split_whitespace().collect();
+            for pair in words.chunks(2) {
+                let n: u64 = pair[1].parse().expect("count after each form name");
+                *counts.entry(pair[0].to_string()).or_default() += n;
+            }
+        }
+    }
+    assert!(plans >= 100, "only {plans} plans lowered");
+    let never: Vec<&String> = counts
+        .iter()
+        .filter(|(_, n)| **n == 0)
+        .map(|(k, _)| k)
+        .collect();
+    assert!(
+        never.is_empty(),
+        "fused forms no plan reaches: {never:?} (counts over {plans} plans: {counts:?})"
+    );
+}
