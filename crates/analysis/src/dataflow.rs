@@ -10,10 +10,25 @@ use helix_ir::BlockId;
 use serde::{Deserialize, Serialize};
 
 /// A fixed-size bit set.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(PartialEq, Eq, Serialize, Deserialize)]
 pub struct BitSet {
     words: Vec<u64>,
     len: usize,
+}
+
+impl Clone for BitSet {
+    fn clone(&self) -> Self {
+        Self {
+            words: self.words.clone(),
+            len: self.len,
+        }
+    }
+
+    /// Reuses `self`'s word buffer, so the data-flow passes copy without allocating.
+    fn clone_from(&mut self, source: &Self) {
+        self.words.clone_from(&source.words);
+        self.len = source.len;
+    }
 }
 
 impl std::fmt::Debug for BitSet {
@@ -193,23 +208,57 @@ impl DataflowResult {
 }
 
 /// Solves a gen/kill problem by iterating to a fixed point over the CFG.
+///
+/// Every reachable block's gen and kill sets are computed once, before the first pass; the
+/// passes then only apply them.
 pub fn solve(problem: &dyn GenKill, cfg: &Cfg) -> DataflowResult {
     let n = cfg.num_blocks();
     let universe = problem.universe();
-    let init = match problem.meet() {
+    let direction = problem.direction();
+    let meet = problem.meet();
+    let init = match meet {
         Meet::Union => BitSet::new(universe),
         Meet::Intersection => BitSet::full(universe),
     };
     let mut input = vec![init.clone(); n];
     let mut output = vec![init; n];
 
-    // Iteration order: RPO for forward, reverse RPO for backward.
-    let order: Vec<BlockId> = match problem.direction() {
-        Direction::Forward => cfg.rpo.clone(),
-        Direction::Backward => cfg.rpo.iter().rev().copied().collect(),
+    // Iteration order: RPO for forward, reverse RPO for backward. Each entry carries the
+    // block's neighbours on the input side, whether the boundary value applies to it (the
+    // entry/exit blocks, even when they have neighbours, e.g. a loop header whose only
+    // predecessors include the entry path), and its gen and kill sets.
+    struct Transfer<'c> {
+        block: usize,
+        neighbors: &'c [BlockId],
+        is_boundary: bool,
+        gen: BitSet,
+        kill: BitSet,
+    }
+    let transfer = |block: BlockId| {
+        let (neighbors, is_boundary) = match direction {
+            Direction::Forward => (cfg.preds(block), block == cfg.entry),
+            Direction::Backward => (cfg.succs(block), cfg.exits.contains(&block)),
+        };
+        Transfer {
+            block: block.index(),
+            neighbors,
+            is_boundary,
+            gen: problem.gen_set(block),
+            kill: problem.kill_set(block),
+        }
+    };
+    let order: Vec<Transfer<'_>> = match direction {
+        Direction::Forward => cfg.rpo.iter().map(|&b| transfer(b)).collect(),
+        Direction::Backward => cfg.rpo.iter().rev().map(|&b| transfer(b)).collect(),
     };
     let boundary = problem.boundary();
+    let meet_with = |acc: &mut BitSet, other: &BitSet| match meet {
+        Meet::Union => acc.union_with(other),
+        Meet::Intersection => acc.intersect_with(other),
+    };
 
+    let mut in_val = BitSet::new(universe);
+    let mut out_val = BitSet::new(universe);
     let mut changed = true;
     let mut iterations = 0usize;
     while changed {
@@ -219,53 +268,26 @@ pub fn solve(problem: &dyn GenKill, cfg: &Cfg) -> DataflowResult {
         if iterations > n + 10 {
             break;
         }
-        for &block in &order {
-            let neighbors: Vec<BlockId> = match problem.direction() {
-                Direction::Forward => cfg.preds(block).to_vec(),
-                Direction::Backward => cfg.succs(block).to_vec(),
-            };
-            let mut in_val = if neighbors.is_empty() {
-                boundary.clone()
-            } else {
-                let mut acc = match problem.meet() {
-                    Meet::Union => BitSet::new(universe),
-                    Meet::Intersection => BitSet::full(universe),
-                };
-                for nb in &neighbors {
-                    match problem.meet() {
-                        Meet::Union => {
-                            acc.union_with(&output[nb.index()]);
-                        }
-                        Meet::Intersection => {
-                            acc.intersect_with(&output[nb.index()]);
-                        }
-                    }
-                }
-                acc
-            };
-            // Boundary also applies to the entry/exit blocks even if they have neighbors
-            // (e.g. a loop header whose only predecessors include the entry path).
-            let is_boundary_block = match problem.direction() {
-                Direction::Forward => block == cfg.entry,
-                Direction::Backward => cfg.exits.contains(&block),
-            };
-            if is_boundary_block {
-                match problem.meet() {
-                    Meet::Union => {
-                        in_val.union_with(&boundary);
-                    }
-                    Meet::Intersection => {
-                        in_val.intersect_with(&boundary);
+        for t in &order {
+            match t.neighbors.split_first() {
+                None => in_val.clone_from(&boundary),
+                Some((first, rest)) => {
+                    in_val.clone_from(&output[first.index()]);
+                    for nb in rest {
+                        meet_with(&mut in_val, &output[nb.index()]);
                     }
                 }
             }
-            let mut out_val = in_val.clone();
-            out_val.subtract(&problem.kill_set(block));
-            out_val.union_with(&problem.gen_set(block));
-            if in_val != input[block.index()] || out_val != output[block.index()] {
+            if t.is_boundary {
+                meet_with(&mut in_val, &boundary);
+            }
+            out_val.clone_from(&in_val);
+            out_val.subtract(&t.kill);
+            out_val.union_with(&t.gen);
+            if in_val != input[t.block] || out_val != output[t.block] {
                 changed = true;
-                input[block.index()] = in_val;
-                output[block.index()] = out_val;
+                input[t.block].clone_from(&in_val);
+                output[t.block].clone_from(&out_val);
             }
         }
     }
@@ -395,6 +417,56 @@ mod tests {
         fn boundary(&self) -> BitSet {
             BitSet::new(self.n)
         }
+    }
+
+    /// Reachability that counts how often the engine asks for each block's gen and kill sets.
+    struct Counting {
+        n: usize,
+        gen_calls: std::cell::RefCell<Vec<usize>>,
+        kill_calls: std::cell::RefCell<Vec<usize>>,
+    }
+    impl GenKill for Counting {
+        fn universe(&self) -> usize {
+            self.n
+        }
+        fn direction(&self) -> Direction {
+            Direction::Forward
+        }
+        fn meet(&self) -> Meet {
+            Meet::Union
+        }
+        fn gen_set(&self, block: BlockId) -> BitSet {
+            self.gen_calls.borrow_mut()[block.index()] += 1;
+            Reachability { n: self.n }.gen_set(block)
+        }
+        fn kill_set(&self, block: BlockId) -> BitSet {
+            self.kill_calls.borrow_mut()[block.index()] += 1;
+            BitSet::new(self.n)
+        }
+    }
+
+    #[test]
+    fn gen_and_kill_are_computed_once_per_block() {
+        // A loop needs more than one pass to converge; each pass must reuse the sets.
+        let mut b = FunctionBuilder::new("l", 1);
+        let n = b.param(0);
+        let lh = b.counted_loop(Operand::int(0), Operand::Var(n), 1);
+        b.br(lh.latch);
+        b.switch_to(lh.exit);
+        b.ret(None);
+        let f = b.finish();
+        let cfg = Cfg::new(&f);
+        let blocks = cfg.num_blocks();
+        let problem = Counting {
+            n: blocks,
+            gen_calls: std::cell::RefCell::new(vec![0; blocks]),
+            kill_calls: std::cell::RefCell::new(vec![0; blocks]),
+        };
+        let res = solve(&problem, &cfg);
+        // The latch's fact flows around the back edge into the header.
+        assert!(res.input_of(lh.header).contains(lh.latch.index()));
+        assert_eq!(*problem.gen_calls.borrow(), vec![1; blocks]);
+        assert_eq!(*problem.kill_calls.borrow(), vec![1; blocks]);
     }
 
     #[test]

@@ -79,11 +79,25 @@ impl LoopDdg {
         loop_id: LoopId,
         pointers: &PointerAnalysis,
     ) -> Self {
+        let reaching = ReachingDefs::new(module.function(func), cfg);
+        Self::compute_with(module, func, cfg, forest, loop_id, pointers, &reaching)
+    }
+
+    /// [`LoopDdg::compute`] over the function's already solved reaching definitions, so that
+    /// the loops of one function share one solution.
+    pub fn compute_with(
+        module: &Module,
+        func: FuncId,
+        cfg: &Cfg,
+        forest: &LoopForest,
+        loop_id: LoopId,
+        pointers: &PointerAnalysis,
+        reaching: &ReachingDefs,
+    ) -> Self {
         let function = module.function(func);
         let natural = forest.get(loop_id);
         let header = natural.header;
         let in_loop = |b: BlockId| natural.contains(b);
-        let reaching = ReachingDefs::new(function, cfg);
 
         let mut deps = Vec::new();
 
@@ -92,6 +106,9 @@ impl LoopDdg {
         for &use_ref in &loop_refs {
             let instr = function.instr(use_ref);
             for var in instr.uses() {
+                // Whether the use can see a value from the previous iteration depends on the
+                // use alone, not on the definition: ask at most once.
+                let mut upward_exposed = None;
                 for def_id in reaching.reaching_defs_at(function, use_ref, var) {
                     let def = reaching.defs[def_id];
                     if !in_loop(def.at.block) {
@@ -107,7 +124,9 @@ impl LoopDdg {
                         .latches
                         .iter()
                         .any(|l| reaching.reaching_out(*l).contains(def_id))
-                        && Self::upward_exposed_from_header(cfg, function, natural, use_ref, var);
+                        && *upward_exposed.get_or_insert_with(|| {
+                            Self::upward_exposed_from_header(cfg, function, natural, use_ref, var)
+                        });
                     if !intra && !carried {
                         continue;
                     }

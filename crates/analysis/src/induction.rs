@@ -37,50 +37,57 @@ impl InductionInfo {
     /// Computes invariants and basic induction variables for loop `loop_id` of `function`.
     pub fn compute(function: &Function, _cfg: &Cfg, forest: &LoopForest, loop_id: LoopId) -> Self {
         let natural = forest.get(loop_id);
-        let in_loop = |r: &InstrRef| natural.contains(r.block);
+        let loop_instrs: Vec<(InstrRef, &Instr)> = natural
+            .blocks
+            .iter()
+            .flat_map(|&b| {
+                let instrs = function.block(b).instrs.iter().enumerate();
+                instrs.map(move |(i, instr)| (InstrRef::new(b, i), instr))
+            })
+            .collect();
 
         // Collect, per register, the definitions inside the loop.
         let mut defs_in_loop: BTreeMap<VarId, Vec<InstrRef>> = BTreeMap::new();
-        for (at, instr) in function.instr_refs() {
-            if !in_loop(&at) {
-                continue;
-            }
+        for &(at, instr) in &loop_instrs {
             if let Some(d) = instr.dst() {
                 defs_in_loop.entry(d).or_default().push(at);
             }
         }
 
         // 1. Invariant registers: never defined inside the loop, or defined only by invariant
-        //    instructions. Iterate to a fixed point.
+        //    instructions. Iterate to a fixed point; each pass visits, in block order, the
+        //    pure loop instructions not yet proven invariant.
         let mut invariant_vars: BTreeSet<VarId> = (0..function.num_vars as u32)
             .map(VarId::new)
             .filter(|v| !defs_in_loop.contains_key(v))
             .collect();
         let mut invariant_instrs: BTreeSet<InstrRef> = BTreeSet::new();
+        let mut pending: Vec<(InstrRef, &Instr)> = loop_instrs
+            .into_iter()
+            .filter(|(_, instr)| instr.is_pure())
+            .collect();
         let mut changed = true;
         while changed {
             changed = false;
-            for (at, instr) in function.instr_refs() {
-                if !in_loop(&at) || invariant_instrs.contains(&at) || !instr.is_pure() {
-                    continue;
-                }
+            pending.retain(|&(at, instr)| {
                 let operands_invariant = instr.operands().iter().all(|op| match op {
                     Operand::Var(v) => invariant_vars.contains(v),
                     _ => true,
                 });
                 if !operands_invariant {
-                    continue;
+                    return true;
                 }
                 // The destination must have this as its only in-loop definition to be an
                 // invariant *register* (the instruction itself is invariant regardless).
                 invariant_instrs.insert(at);
                 changed = true;
                 if let Some(d) = instr.dst() {
-                    if defs_in_loop.get(&d).map(Vec::len) == Some(1) && invariant_vars.insert(d) {
-                        changed = true;
+                    if defs_in_loop.get(&d).map(Vec::len) == Some(1) {
+                        invariant_vars.insert(d);
                     }
                 }
-            }
+                false
+            });
         }
 
         // 2. Basic induction variables: exactly one in-loop definition of the form

@@ -9,7 +9,7 @@
 use crate::cfg::Cfg;
 use crate::dataflow::{solve, BitSet, DataflowResult, Direction, GenKill, Meet};
 use helix_ir::{BlockId, Function, InstrRef, VarId};
-use std::collections::HashMap;
+use std::collections::HashSet;
 
 /// One static definition of a register.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -25,15 +25,17 @@ pub struct Definition {
 pub struct ReachingDefs {
     /// All static definitions, indexed by definition id (bit index).
     pub defs: Vec<Definition>,
-    defs_of_var: HashMap<VarId, Vec<usize>>,
+    /// Definition ids of each register, ascending, indexed by register index.
+    defs_of_var: Vec<Vec<usize>>,
     result: DataflowResult,
 }
 
 struct Problem<'a> {
     function: &'a Function,
     defs: &'a [Definition],
-    defs_of_var: &'a HashMap<VarId, Vec<usize>>,
-    def_ids_by_block: HashMap<BlockId, Vec<usize>>,
+    defs_of_var: &'a [Vec<usize>],
+    /// Definition ids of each block, in instruction order, indexed by block index.
+    def_ids_by_block: Vec<Vec<usize>>,
 }
 
 impl GenKill for Problem<'_> {
@@ -48,29 +50,20 @@ impl GenKill for Problem<'_> {
     }
     fn gen_set(&self, block: BlockId) -> BitSet {
         // The last definition of each variable in the block survives.
-        let mut gen = BitSet::new(self.defs.len());
-        let mut last_def_of: HashMap<VarId, usize> = HashMap::new();
-        if let Some(ids) = self.def_ids_by_block.get(&block) {
-            for &d in ids {
-                last_def_of.insert(self.defs[d].var, d);
+        let mut gen = BitSet::new(self.universe());
+        let mut seen: HashSet<VarId> = HashSet::new();
+        for &d in self.def_ids_by_block[block.index()].iter().rev() {
+            if seen.insert(self.defs[d].var) {
+                gen.insert(d);
             }
-        }
-        for (_, d) in last_def_of {
-            gen.insert(d);
         }
         gen
     }
     fn kill_set(&self, block: BlockId) -> BitSet {
-        let mut kill = BitSet::new(self.defs.len());
-        let mut vars_defined: Vec<VarId> = Vec::new();
+        let mut kill = BitSet::new(self.universe());
         for instr in &self.function.block(block).instrs {
             if let Some(v) = instr.dst() {
-                vars_defined.push(v);
-            }
-        }
-        for v in vars_defined {
-            if let Some(ids) = self.defs_of_var.get(&v) {
-                for &d in ids {
+                for &d in &self.defs_of_var[v.index()] {
                     kill.insert(d);
                 }
             }
@@ -83,14 +76,17 @@ impl ReachingDefs {
     /// Runs the analysis on `function`.
     pub fn new(function: &Function, cfg: &Cfg) -> Self {
         let mut defs = Vec::new();
-        let mut defs_of_var: HashMap<VarId, Vec<usize>> = HashMap::new();
-        let mut def_ids_by_block: HashMap<BlockId, Vec<usize>> = HashMap::new();
+        let mut defs_of_var = vec![Vec::new(); function.num_vars];
+        let mut def_ids_by_block = vec![Vec::new(); function.blocks.len()];
         for (at, instr) in function.instr_refs() {
             if let Some(var) = instr.dst() {
                 let id = defs.len();
                 defs.push(Definition { var, at });
-                defs_of_var.entry(var).or_default().push(id);
-                def_ids_by_block.entry(at.block).or_default().push(id);
+                if defs_of_var.len() <= var.index() {
+                    defs_of_var.resize(var.index() + 1, Vec::new());
+                }
+                defs_of_var[var.index()].push(id);
+                def_ids_by_block[at.block.index()].push(id);
             }
         }
         let problem = Problem {
@@ -109,7 +105,7 @@ impl ReachingDefs {
 
     /// Definition ids of register `var`.
     pub fn defs_of(&self, var: VarId) -> &[usize] {
-        self.defs_of_var.get(&var).map(Vec::as_slice).unwrap_or(&[])
+        self.defs_of_var.get(var.index()).map_or(&[], Vec::as_slice)
     }
 
     /// The set of definition ids reaching the entry of `block`.
@@ -123,29 +119,31 @@ impl ReachingDefs {
     }
 
     /// Returns the definitions of `var` that reach the *use site* `at` (accounting for
-    /// redefinitions earlier in the same block).
+    /// redefinitions earlier in the same block), in ascending id order.
     pub fn reaching_defs_at(&self, function: &Function, at: InstrRef, var: VarId) -> Vec<usize> {
-        let mut live: Vec<usize> = self
-            .reaching_in(at.block)
-            .iter()
-            .filter(|&d| self.defs[d].var == var)
-            .collect();
-        // Walk the block up to (not including) the use and apply kills/gens.
-        for (i, instr) in function.block(at.block).instrs.iter().enumerate() {
-            if i >= at.index {
-                break;
+        let instrs = &function.block(at.block).instrs;
+        let before = &instrs[..at.index.min(instrs.len())];
+        match before.iter().rposition(|instr| instr.dst() == Some(var)) {
+            // The last redefinition before the use in its own block shadows everything else.
+            Some(index) => {
+                let here = InstrRef::new(at.block, index);
+                let def = self
+                    .defs_of(var)
+                    .iter()
+                    .copied()
+                    .find(|&d| self.defs[d].at == here)
+                    .expect("definition must be registered");
+                vec![def]
             }
-            if instr.dst() == Some(var) {
-                live.clear();
-                live.push(
-                    self.defs
-                        .iter()
-                        .position(|d| d.at == InstrRef::new(at.block, i) && d.var == var)
-                        .expect("definition must be registered"),
-                );
+            None => {
+                let reaching = self.reaching_in(at.block);
+                self.defs_of(var)
+                    .iter()
+                    .copied()
+                    .filter(|&d| reaching.contains(d))
+                    .collect()
             }
         }
-        live
     }
 }
 

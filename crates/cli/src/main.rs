@@ -1430,6 +1430,32 @@ fn cmd_simulate(opts: &Options) -> Result<(), CliError> {
     Ok(())
 }
 
+/// A fuzz sweep's parallel-stage totals.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct ParallelTally {
+    /// Seeds that reached the parallel executor.
+    eligible: u64,
+    /// Parallel executions performed.
+    runs: u64,
+}
+
+impl ParallelTally {
+    /// Counts one seed's oracle outcome. A seed that diverged in the parallel stage reached
+    /// the executor, and the runs it completed before (and including) the divergence count.
+    fn record(&mut self, outcome: &Result<helix_gen::OracleReport, helix_gen::Divergence>) {
+        match outcome {
+            Ok(report) => {
+                self.runs += report.parallel_runs as u64;
+                self.eligible += u64::from(!report.parallel_skipped);
+            }
+            Err(divergence) => {
+                self.runs += divergence.parallel_runs as u64;
+                self.eligible += u64::from(divergence.kind.is_parallel());
+            }
+        }
+    }
+}
+
 /// `helix fuzz`: run a seed range of generated programs through the differential oracle,
 /// shrink and dump any divergence as a `.hir` repro, and fail if anything diverged.
 fn cmd_fuzz(opts: &Options) -> Result<(), CliError> {
@@ -1480,18 +1506,15 @@ fn cmd_fuzz(opts: &Options) -> Result<(), CliError> {
     let mut divergences: Vec<(u64, String)> = Vec::new();
     let mut repro_paths: Vec<String> = Vec::new();
     let mut total_instrs: u64 = 0;
-    let mut parallel_runs: u64 = 0;
-    let mut parallel_eligible: u64 = 0;
+    let mut parallel = ParallelTally::default();
     let mut errored: u64 = 0;
     for seed in opts.seed_start..opts.seed_start.saturating_add(opts.seeds) {
         let gp = generate(seed, &gen_config);
         total_instrs += gp.module.instr_count() as u64;
-        match differential_check(&gp.module, gp.main, &oracle) {
+        let outcome = differential_check(&gp.module, gp.main, &oracle);
+        parallel.record(&outcome);
+        match outcome {
             Ok(report) => {
-                parallel_runs += report.parallel_runs as u64;
-                if !report.parallel_skipped {
-                    parallel_eligible += 1;
-                }
                 if report.errored {
                     errored += 1;
                 }
@@ -1568,8 +1591,8 @@ fn cmd_fuzz(opts: &Options) -> Result<(), CliError> {
                     ])
                 })),
             ),
-            ("parallel_eligible_seeds", Json::uint(parallel_eligible)),
-            ("parallel_runs", Json::uint(parallel_runs)),
+            ("parallel_eligible_seeds", Json::uint(parallel.eligible)),
+            ("parallel_runs", Json::uint(parallel.runs)),
             ("errored_seeds", Json::uint(errored)),
             ("divergences", Json::uint(divergences.len() as u64)),
             ("repros", Json::array(diverged)),
@@ -1585,8 +1608,8 @@ fn cmd_fuzz(opts: &Options) -> Result<(), CliError> {
             opts.seed_start.saturating_add(opts.seeds),
             opts.gen_config,
             total_instrs,
-            parallel_eligible,
-            parallel_runs,
+            parallel.eligible,
+            parallel.runs,
             errored,
         );
         let counts: Vec<String> = oracle
@@ -1772,4 +1795,43 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         cache.evictions,
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::ParallelTally;
+    use helix_gen::{Divergence, DivergenceKind, OracleReport};
+
+    #[test]
+    fn a_parallel_divergence_counts_as_eligible_with_its_runs() {
+        let mut tally = ParallelTally::default();
+        tally.record(&Ok(OracleReport {
+            parallel_runs: 8,
+            parallel_skipped: false,
+            ..OracleReport::default()
+        }));
+        tally.record(&Ok(OracleReport {
+            parallel_skipped: true,
+            ..OracleReport::default()
+        }));
+        // The sweep's only failure diverged on its third parallel run.
+        tally.record(&Err(Divergence {
+            kind: DivergenceKind::ParallelResult,
+            detail: "2 threads: sequential=1 parallel=2".into(),
+            parallel_runs: 3,
+        }));
+        // An earlier stage never reached the executor.
+        tally.record(&Err(Divergence {
+            kind: DivergenceKind::Profile,
+            detail: "profiles differ between engines".into(),
+            parallel_runs: 0,
+        }));
+        assert_eq!(
+            tally,
+            ParallelTally {
+                eligible: 2,
+                runs: 11
+            }
+        );
+    }
 }

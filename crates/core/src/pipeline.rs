@@ -9,11 +9,13 @@ use crate::plan::ParallelizedLoop;
 use crate::schedule::schedule_prefetching;
 use crate::segments::build_segments;
 use crate::selection::{DynamicLoopGraph, LoopSelection};
-use helix_analysis::{Cfg, InductionInfo, Liveness, LoopDdg, LoopNestingGraph, PointerAnalysis};
-use helix_ir::{CostModel, Instr, Module, VarId};
+use helix_analysis::{
+    Cfg, InductionInfo, Liveness, LoopDdg, LoopNestingGraph, PointerAnalysis, ReachingDefs,
+};
+use helix_ir::{CostModel, FuncId, Function, Instr, Module, VarId};
 use helix_profiler::{LoopKey, ProgramProfile};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Per-benchmark statistics in the shape of the paper's Table 1.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -159,7 +161,7 @@ impl Helix {
         let mut profiler = helix_profiler::ImageProfiler::new(&image, &nesting);
         machine.call_observed(entry, args, &mut profiler)?;
         let profile = profiler.finish();
-        let output = self.analyze(module, &profile);
+        let output = self.analyze_with(module, &profile, &nesting);
         Ok((profile, output))
     }
 
@@ -205,7 +207,16 @@ impl Helix {
     /// Runs Steps 1–8 on every profiled candidate loop of `module` and selects the loops to
     /// parallelize using the Section 2.2 algorithm.
     pub fn analyze(&self, module: &Module, profile: &ProgramProfile) -> HelixOutput {
-        let nesting = LoopNestingGraph::new(module);
+        self.analyze_with(module, profile, &LoopNestingGraph::new(module))
+    }
+
+    /// [`Helix::analyze`] with the module's loop nesting graph already built.
+    fn analyze_with(
+        &self,
+        module: &Module,
+        profile: &ProgramProfile,
+        nesting: &LoopNestingGraph,
+    ) -> HelixOutput {
         let pointers = PointerAnalysis::new(module);
         let cost = self.cost;
 
@@ -214,6 +225,7 @@ impl Helix {
         let mut loop_carried_fraction = BTreeMap::new();
         let mut nesting_depth = BTreeMap::new();
         let mut loads_per_iteration = BTreeMap::new();
+        let mut function_facts: HashMap<FuncId, FunctionFacts> = HashMap::new();
 
         for node in nesting.iter() {
             let key: LoopKey = (node.func, node.loop_id);
@@ -221,16 +233,27 @@ impl Helix {
                 continue;
             }
             let function = module.function(node.func);
-            let cfg = Cfg::new(function);
+            let facts: &FunctionFacts = function_facts
+                .entry(node.func)
+                .or_insert_with(|| FunctionFacts::new(function));
+            let cfg = &facts.cfg;
             let forest = &nesting.forests[&node.func];
-            let norm = NormalizedLoop::compute(function, &cfg, forest, node.loop_id);
-            let ddg = LoopDdg::compute(module, node.func, &cfg, forest, node.loop_id, &pointers);
-            let induction = InductionInfo::compute(function, &cfg, forest, node.loop_id);
+            let norm = NormalizedLoop::compute(function, cfg, forest, node.loop_id);
+            let ddg = LoopDdg::compute_with(
+                module,
+                node.func,
+                cfg,
+                forest,
+                node.loop_id,
+                &pointers,
+                &facts.reaching,
+            );
+            let induction = InductionInfo::compute(function, cfg, forest, node.loop_id);
 
             // Steps 2–4.
             let mut segments = build_segments(
                 function,
-                &cfg,
+                cfg,
                 forest,
                 node.loop_id,
                 &norm,
@@ -250,7 +273,7 @@ impl Helix {
             if self.config.enable_signal_minimization {
                 minimize_signals_with(
                     function,
-                    &cfg,
+                    cfg,
                     forest,
                     node.loop_id,
                     &mut segments,
@@ -258,7 +281,6 @@ impl Helix {
                 );
             }
             // Loop-boundary live variables (live-ins, live-outs, iteration live-ins).
-            let liveness = Liveness::new(function, &cfg);
             let natural = forest.get(node.loop_id);
             let mut boundary: BTreeSet<VarId> = BTreeSet::new();
             let defined_in_loop: BTreeSet<VarId> = natural
@@ -267,7 +289,7 @@ impl Helix {
                 .flat_map(|b| function.block(*b).instrs.iter().filter_map(Instr::dst))
                 .collect();
             // Live into the header but defined outside: live-in values.
-            for v in liveness.live_in(natural.header).iter() {
+            for v in facts.liveness.live_in(natural.header).iter() {
                 let var = VarId::new(v as u32);
                 if !defined_in_loop.contains(&var) {
                     boundary.insert(var);
@@ -277,7 +299,7 @@ impl Helix {
             // variables stay in registers: the runtime recomputes them for every iteration,
             // and Phase C resumes with the exiting iteration's registers.
             for exit in &natural.exit_blocks {
-                for v in liveness.live_in(*exit).iter() {
+                for v in facts.liveness.live_in(*exit).iter() {
                     let var = VarId::new(v as u32);
                     if defined_in_loop.contains(&var) && !induction.is_induction(var) {
                         boundary.insert(var);
@@ -415,7 +437,7 @@ impl Helix {
 
         // Loop selection: saved time computed with the *selection* signal latencies.
         let saved = self.selection_saved_time(&model_inputs);
-        let mut graph = DynamicLoopGraph::build(&nesting, profile, &saved);
+        let mut graph = DynamicLoopGraph::build(nesting, profile, &saved);
         graph.propagate_max_saved_time();
         let selection = graph.select();
 
@@ -511,6 +533,28 @@ impl Helix {
         let selection = graph.select();
         let trace = SelectionTrace::compare(&output.selection, &selection);
         (selection, trace)
+    }
+}
+
+/// The data-flow facts [`Helix::analyze`] solves once per function and shares between that
+/// function's candidate loops. Everything else it computes (normalization, the dependence
+/// graph, induction variables, segments) is per loop.
+struct FunctionFacts {
+    cfg: Cfg,
+    reaching: ReachingDefs,
+    liveness: Liveness,
+}
+
+impl FunctionFacts {
+    fn new(function: &Function) -> Self {
+        let cfg = Cfg::new(function);
+        let reaching = ReachingDefs::new(function, &cfg);
+        let liveness = Liveness::new(function, &cfg);
+        Self {
+            cfg,
+            reaching,
+            liveness,
+        }
     }
 }
 

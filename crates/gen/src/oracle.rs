@@ -80,6 +80,9 @@ pub struct Divergence {
     pub kind: DivergenceKind,
     /// Human-readable description with both sides of the disagreement.
     pub detail: String,
+    /// Parallel executions performed, the diverging one included (0 when an earlier stage
+    /// diverged).
+    pub parallel_runs: usize,
 }
 
 /// The oracle stages that can report a divergence.
@@ -111,6 +114,16 @@ pub enum DivergenceKind {
 }
 
 impl DivergenceKind {
+    /// Is this a divergence of the parallel stage (the seed reached the parallel executor)?
+    pub fn is_parallel(self) -> bool {
+        matches!(
+            self,
+            DivergenceKind::ParallelResult
+                | DivergenceKind::ParallelError
+                | DivergenceKind::Telemetry
+        )
+    }
+
     /// Short machine-friendly name (used in repro filenames and JSON reports).
     pub fn name(self) -> &'static str {
         match self {
@@ -156,6 +169,7 @@ fn diverged(kind: DivergenceKind, detail: impl Into<String>) -> Divergence {
     Divergence {
         kind,
         detail: detail.into(),
+        parallel_runs: 0,
     }
 }
 
@@ -446,34 +460,41 @@ pub fn differential_check(
                     match run.result {
                         Ok(got) => {
                             if !values_bitwise_eq(got, result) {
-                                return Err(diverged(
-                                    DivergenceKind::ParallelResult,
-                                    format!(
-                                        "{} threads: sequential={} parallel={}",
-                                        threads,
-                                        show(&result),
-                                        show(&got)
-                                    ),
-                                ));
+                                return Err(Divergence {
+                                    parallel_runs,
+                                    ..diverged(
+                                        DivergenceKind::ParallelResult,
+                                        format!(
+                                            "{} threads: sequential={} parallel={}",
+                                            threads,
+                                            show(&result),
+                                            show(&got)
+                                        ),
+                                    )
+                                });
                             }
                             if let Some(report) = &run.report {
                                 let violations = telemetry_violations(report);
                                 if let Some(first) = violations.first() {
-                                    return Err(diverged(
-                                        DivergenceKind::Telemetry,
-                                        format!(
-                                            "{threads} threads: {first} ({} violations total)",
-                                            violations.len()
-                                        ),
-                                    ));
+                                    let total = violations.len();
+                                    let detail = format!(
+                                        "{threads} threads: {first} ({total} violations total)"
+                                    );
+                                    return Err(Divergence {
+                                        parallel_runs,
+                                        ..diverged(DivergenceKind::Telemetry, detail)
+                                    });
                                 }
                             }
                         }
                         Err(e) => {
-                            return Err(diverged(
-                                DivergenceKind::ParallelError,
-                                format!("{threads} threads: {e}"),
-                            ));
+                            return Err(Divergence {
+                                parallel_runs,
+                                ..diverged(
+                                    DivergenceKind::ParallelError,
+                                    format!("{threads} threads: {e}"),
+                                )
+                            });
                         }
                     }
                 }

@@ -59,15 +59,12 @@ pub struct ImageMachine<'i> {
 
 impl<'i> ImageMachine<'i> {
     /// Creates a machine for `image` with the default (i7-980X) cost model and default fuel.
+    /// Its cycles are `cost_table(&CostModel::default())`, the table the bytecode profiler
+    /// prices blocks with.
     pub fn new(image: &'i ExecImage) -> Self {
-        Self::with_cost(image, CostModel::default())
-    }
-
-    /// Creates a machine with an explicit cost model.
-    pub fn with_cost(image: &'i ExecImage, cost: CostModel) -> Self {
         Self {
             image,
-            cost_table: cost_table(&cost),
+            cost_table: cost_table(&CostModel::default()),
             fuel: DEFAULT_FUEL,
             stats: ExecStats::default(),
             memory: image.initial_memory.clone(),

@@ -3,21 +3,30 @@
 //! [`ImageProfiler`] is the lowered counterpart of [`crate::Profiler`]: it observes a
 //! [`helix_ir::ImageMachine`] run through the [`ImageObserver`] hooks and produces the same
 //! [`ProgramProfile`] the tree-walking profiler does — but instead of hashing an [`InstrRef`]
-//! per dynamic instruction it keeps *dense* per-pc execution/cycle counters (folded back to
-//! `InstrRef`s once, in [`ImageProfiler::finish`]) and per-block loop-header lookups indexed
-//! by dense block id.
+//! per dynamic instruction it counts *block entries* in a dense `[func][block]` array and
+//! ignores [`ImageObserver::on_op`]. Every entry of a block runs the same ops (from its first
+//! op up to its first branch or return), so [`ImageProfiler::finish`] expands the block
+//! counts into per-op counts and cycles once, and folds those back to `InstrRef`s.
 //!
 //! Inclusive cycle attribution (per call site and per active loop) uses entry/exit deltas of
 //! the running total instead of touching every pending frame and active loop on every
 //! instruction: a frame entered at total `t0` and left at `t1` accumulated exactly `t1 - t0`
-//! inclusive cycles. The per-event work is O(1) instead of O(stack depth), and the resulting
-//! profile is identical (addition is commutative; `tests/exec_differential.rs` asserts
-//! equality against the tree-walking profiler over the whole corpus).
+//! inclusive cycles. On each block entry, after the loop push/pop, the block's precomputed
+//! cycle total is added at once. That is exact, because every delta is taken at a block
+//! entry, a call or a return, and no loop of the block's own frame starts or stops between
+//! the block's entry and any of its ops. A call op's cycles land before the callee's frame is
+//! pushed, so they stay outside the callee's inclusive delta, just as when the engine charges
+//! them after the return. The per-event work is O(1) instead of O(stack depth), and the
+//! resulting profile is identical (`tests/exec_differential.rs` asserts equality against the
+//! tree-walking profiler over the corpus, the workloads and generated programs).
 
-use crate::profile::{FunctionProfile, LoopKey, ProgramProfile};
+use crate::profile::{FunctionProfile, LoopKey, LoopProfile, ProgramProfile};
 use helix_analysis::{LoopForest, LoopId, LoopNestingGraph};
 use helix_ir::interp::ExecError;
-use helix_ir::{BlockId, ExecImage, FuncId, ImageMachine, ImageObserver, InstrRef, Module, Value};
+use helix_ir::lower::{cost_table, FuncImage, Op};
+use helix_ir::{
+    BlockId, CostModel, ExecImage, FuncId, ImageMachine, ImageObserver, InstrRef, Module, Value,
+};
 use std::collections::HashMap;
 
 /// One entry of the active-loop stack.
@@ -41,23 +50,32 @@ struct Frame {
     cycles_at_push: u64,
 }
 
+/// What one entry of a block executes: the ops `block_start..end` and their summed cycles.
+#[derive(Clone, Copy, Debug)]
+struct BlockRun {
+    end: u32,
+    cycles: u64,
+}
+
 /// The profiling observer for the bytecode engine. Attach to an
 /// [`ImageMachine::call_observed`] run, or use [`profile_image`] / [`profile_program_image`].
 #[derive(Debug)]
 pub struct ImageProfiler<'i> {
     image: &'i ExecImage,
-    forests: HashMap<FuncId, LoopForest>,
+    /// Per function, its loop forest (dense, indexed by function id).
+    forests: Vec<Option<&'i LoopForest>>,
     /// Per function, the loop whose header each block is (dense, indexed by block id).
     header_of: Vec<Vec<Option<LoopId>>>,
-    /// Dense per-pc execution counts, indexed `[func][pc]`.
-    counts: Vec<Vec<u64>>,
-    /// Dense per-pc exclusive cycles, indexed `[func][pc]`.
-    op_cycles: Vec<Vec<u64>>,
+    /// Per function, what one entry of each block runs (dense, indexed by block id).
+    runs: Vec<Vec<BlockRun>>,
+    /// Dense per-block entry counts, indexed `[func][block]`.
+    block_counts: Vec<Vec<u64>>,
     /// Per-function invocation counts.
     invocations: Vec<u64>,
     /// Inclusive callee cycles per call site, flushed when frames pop.
     callsite_cycles: HashMap<FuncId, HashMap<InstrRef, u64>>,
-    loops: HashMap<LoopKey, crate::profile::LoopProfile>,
+    /// Dense per-loop profiles, indexed `[func][loop]`; a loop ran iff it was invoked.
+    loops: Vec<Vec<LoopProfile>>,
     dynamic_edges: std::collections::BTreeSet<(LoopKey, LoopKey)>,
     dynamic_roots: std::collections::BTreeSet<LoopKey>,
     total_cycles: u64,
@@ -68,17 +86,43 @@ pub struct ImageProfiler<'i> {
     active_loops: Vec<ActiveLoop>,
 }
 
+/// The ops one entry of `block` executes and their cycles under `table`. Control leaves a
+/// block at its first jump, branch or return, and a synthesized `Trap` aborts before it is
+/// charged, so neither it nor anything after it counts.
+fn block_run(f: &FuncImage, block: u32, table: &[u64]) -> BlockRun {
+    let (start, end) = f.block_range[block as usize];
+    let mut run = BlockRun { end, cycles: 0 };
+    for pc in start..end {
+        let op = &f.code[pc as usize];
+        if matches!(op, Op::Trap { .. }) {
+            run.end = pc;
+            break;
+        }
+        run.cycles += table[f.cost_class[pc as usize] as usize];
+        if matches!(op, Op::Jump { .. } | Op::Branch { .. } | Op::Ret { .. }) {
+            run.end = pc + 1;
+            break;
+        }
+    }
+    run
+}
+
 impl<'i> ImageProfiler<'i> {
-    /// Creates a profiler for `image`, reusing the loop forests of a pre-computed nesting
-    /// graph.
-    pub fn new(image: &'i ExecImage, nesting: &LoopNestingGraph) -> Self {
-        let forests = nesting.forests.clone();
+    /// Creates a profiler for `image`, borrowing the loop forests of a pre-computed nesting
+    /// graph. Block cycles are priced with the cost table [`ImageMachine`] charges.
+    pub fn new(image: &'i ExecImage, nesting: &'i LoopNestingGraph) -> Self {
+        let mut forests = vec![None; image.funcs.len()];
+        let mut loops = vec![Vec::new(); image.funcs.len()];
         let mut header_of: Vec<Vec<Option<LoopId>>> = image
             .funcs
             .iter()
             .map(|f| vec![None; f.num_blocks()])
             .collect();
-        for (func, forest) in &forests {
+        for (func, forest) in &nesting.forests {
+            if let Some(slot) = forests.get_mut(func.index()) {
+                *slot = Some(forest);
+                loops[func.index()] = vec![LoopProfile::default(); forest.len()];
+            }
             if let Some(headers) = header_of.get_mut(func.index()) {
                 for l in forest.iter() {
                     if let Some(slot) = headers.get_mut(l.header.index()) {
@@ -87,14 +131,27 @@ impl<'i> ImageProfiler<'i> {
                 }
             }
         }
+        let table = cost_table(&CostModel::default());
         Self {
             forests,
             header_of,
-            counts: image.funcs.iter().map(|f| vec![0; f.code.len()]).collect(),
-            op_cycles: image.funcs.iter().map(|f| vec![0; f.code.len()]).collect(),
+            runs: image
+                .funcs
+                .iter()
+                .map(|f| {
+                    (0..f.num_blocks() as u32)
+                        .map(|b| block_run(f, b, &table))
+                        .collect()
+                })
+                .collect(),
+            block_counts: image
+                .funcs
+                .iter()
+                .map(|f| vec![0; f.num_blocks()])
+                .collect(),
             invocations: vec![0; image.funcs.len()],
             callsite_cycles: HashMap::new(),
-            loops: HashMap::new(),
+            loops,
             dynamic_edges: std::collections::BTreeSet::new(),
             dynamic_roots: std::collections::BTreeSet::new(),
             total_cycles: 0,
@@ -106,7 +163,13 @@ impl<'i> ImageProfiler<'i> {
         }
     }
 
-    /// Consumes the profiler and folds the dense counters into a [`ProgramProfile`].
+    /// Consumes the profiler and expands the block counts into a [`ProgramProfile`].
+    ///
+    /// The profile is exact for a run that returned. A run that faulted or ran out of fuel
+    /// stopped inside its last block, but that block was counted in full on entry; its profile
+    /// over-counts the block's unexecuted tail. Every caller discards such a profile: the run
+    /// returns `Err` before `finish` is reached ([`profile_image`],
+    /// `helix_core::Helix::profile_and_analyze`, the CLI's `profiled`).
     pub fn finish(mut self) -> ProgramProfile {
         // Flush attribution for anything still live (an errored run leaves frames and loops
         // on the stack; the tree-walking profiler attributed their cycles eagerly).
@@ -126,26 +189,30 @@ impl<'i> ImageProfiler<'i> {
         self.outside_cycles += self.total_cycles - self.outside_since;
         self.outside_since = self.total_cycles;
 
+        let table = cost_table(&CostModel::default());
         let mut functions: HashMap<FuncId, FunctionProfile> = HashMap::new();
-        for (idx, counts) in self.counts.iter().enumerate() {
+        for (idx, block_counts) in self.block_counts.iter().enumerate() {
             let func = FuncId::new(idx as u32);
             let invocations = self.invocations[idx];
             let callsites = self.callsite_cycles.remove(&func).unwrap_or_default();
-            let any_count = counts.iter().any(|&c| c > 0);
-            if invocations == 0 && !any_count && callsites.is_empty() {
-                continue;
-            }
             let fi = &self.image.funcs[idx];
             let mut fp = FunctionProfile {
                 invocations,
                 ..FunctionProfile::default()
             };
-            for (pc, &count) in counts.iter().enumerate() {
-                if count > 0 {
-                    let entry = fp.instrs.entry(fi.pc_to_ref[pc]).or_default();
-                    entry.count += count;
-                    entry.cycles += self.op_cycles[idx][pc];
+            for (block, &count) in block_counts.iter().enumerate() {
+                if count == 0 {
+                    continue;
                 }
+                let start = fi.block_range[block].0;
+                for pc in start..self.runs[idx][block].end {
+                    let entry = fp.instrs.entry(fi.pc_to_ref[pc as usize]).or_default();
+                    entry.count += count;
+                    entry.cycles += count * table[fi.cost_class[pc as usize] as usize];
+                }
+            }
+            if invocations == 0 && fp.instrs.is_empty() && callsites.is_empty() {
+                continue;
             }
             fp.callsite_cycles = callsites;
             functions.insert(func, fp);
@@ -156,9 +223,17 @@ impl<'i> ImageProfiler<'i> {
             functions.entry(func).or_default().callsite_cycles = callsites;
         }
 
+        let mut loops = HashMap::new();
+        for (func, profiles) in self.loops.iter().enumerate() {
+            for (lid, profile) in profiles.iter().enumerate() {
+                if profile.invocations > 0 {
+                    loops.insert((FuncId::new(func as u32), LoopId(lid as u32)), *profile);
+                }
+            }
+        }
         ProgramProfile {
             functions,
-            loops: self.loops,
+            loops,
             dynamic_edges: self.dynamic_edges,
             dynamic_roots: self.dynamic_roots,
             total_cycles: self.total_cycles,
@@ -177,6 +252,10 @@ impl<'i> ImageProfiler<'i> {
         }
     }
 
+    fn loop_mut(&mut self, (func, lid): LoopKey) -> &mut LoopProfile {
+        &mut self.loops[func.index()][lid.index()]
+    }
+
     fn current_frame_index(&self) -> usize {
         self.frames.len().saturating_sub(1)
     }
@@ -186,7 +265,7 @@ impl<'i> ImageProfiler<'i> {
         let Some(top) = self.active_loops.pop() else {
             return;
         };
-        self.loops.entry(top.key).or_default().cycles += self.total_cycles - top.cycles_at_entry;
+        self.loop_mut(top.key).cycles += self.total_cycles - top.cycles_at_entry;
         if self.active_loops.is_empty() {
             self.outside_since = self.total_cycles;
         }
@@ -201,11 +280,8 @@ impl<'i> ImageProfiler<'i> {
             }
             let (f, lid) = top.key;
             debug_assert_eq!(f, func);
-            let still_inside = self
-                .forests
-                .get(&f)
-                .map(|forest| forest.get(lid).contains(block))
-                .unwrap_or(false);
+            let still_inside =
+                self.forests[f.index()].is_some_and(|forest| forest.get(lid).contains(block));
             if still_inside {
                 break;
             }
@@ -228,7 +304,7 @@ impl ImageObserver for ImageProfiler<'_> {
                 .unwrap_or(false);
             if is_new_iteration_of_top {
                 // A back edge into the header completes one iteration.
-                self.loops.entry(key).or_default().iterations += 1;
+                self.loop_mut(key).iterations += 1;
             } else {
                 match self.active_loops.last() {
                     Some(parent) => {
@@ -239,7 +315,7 @@ impl ImageObserver for ImageProfiler<'_> {
                         self.outside_cycles += self.total_cycles - self.outside_since;
                     }
                 }
-                self.loops.entry(key).or_default().invocations += 1;
+                self.loop_mut(key).invocations += 1;
                 self.active_loops.push(ActiveLoop {
                     key,
                     frame,
@@ -247,14 +323,9 @@ impl ImageObserver for ImageProfiler<'_> {
                 });
             }
         }
-    }
-
-    fn on_op(&mut self, func: FuncId, pc: u32, cycles: u64) {
-        self.ensure_root_frame(func);
-        let idx = func.index();
-        self.counts[idx][pc as usize] += 1;
-        self.op_cycles[idx][pc as usize] += cycles;
-        self.total_cycles += cycles;
+        let (idx, block) = (func.index(), block as usize);
+        self.block_counts[idx][block] += 1;
+        self.total_cycles += self.runs[idx][block].cycles;
     }
 
     fn on_call(&mut self, caller: FuncId, pc: u32, callee: FuncId) {

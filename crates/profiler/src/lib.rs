@@ -18,7 +18,7 @@
 //! * [`Profiler`] observes the tree-walking interpreter ([`helix_ir::Machine`]) — the
 //!   reference implementation;
 //! * [`ImageProfiler`] observes the flat-bytecode engine ([`helix_ir::ImageMachine`]) with
-//!   dense per-pc counters and delta-based inclusive attribution — the fast path used by the
+//!   dense per-block counters and delta-based inclusive attribution — the fast path used by the
 //!   pipeline and the CLI.
 
 pub mod image;

@@ -230,3 +230,63 @@ fn every_fused_form_fires_on_some_plan() {
         "fused forms no plan reaches: {never:?} (counts over {plans} plans: {counts:?})"
     );
 }
+
+#[test]
+fn fixed_programs_keep_their_loop_and_segment_counts() {
+    // Per program: candidate loops, selected loops, and over every candidate plan the
+    // synchronized segments, their wait points and their signal points. Recorded before
+    // `Helix::analyze` started sharing per-function data-flow facts between loops and
+    // before the profiler counted blocks instead of ops; both changes must leave them as is.
+    let expected: [(&str, [usize; 5]); 25] = [
+        ("array_transform", [2, 1, 2, 2, 4]),
+        ("art", [7, 3, 7, 7, 14]),
+        ("blend_mix", [1, 1, 1, 1, 2]),
+        ("hash_sweep", [1, 1, 1, 1, 2]),
+        ("irregular_branch", [2, 1, 2, 2, 4]),
+        ("mcf", [7, 3, 7, 9, 14]),
+        ("nest_flip", [3, 2, 3, 3, 5]),
+        ("nested_helper", [2, 0, 2, 2, 4]),
+        ("pointer_chase", [2, 2, 2, 3, 3]),
+        ("scratch_fold", [1, 1, 1, 1, 2]),
+        ("stencil", [3, 1, 3, 3, 6]),
+        ("sum_reduction", [1, 1, 1, 1, 2]),
+        ("spec/gzip", [6, 3, 6, 7, 13]),
+        ("spec/vpr", [7, 1, 7, 8, 15]),
+        ("spec/mesa", [5, 3, 5, 5, 10]),
+        ("spec/art", [7, 3, 7, 7, 14]),
+        ("spec/mcf", [7, 3, 7, 9, 14]),
+        ("spec/equake", [5, 3, 5, 5, 10]),
+        ("spec/crafty", [6, 3, 6, 7, 13]),
+        ("spec/ammp", [6, 5, 6, 6, 12]),
+        ("spec/parser", [7, 3, 7, 9, 14]),
+        ("spec/gap", [7, 4, 7, 9, 14]),
+        ("spec/vortex", [7, 2, 7, 8, 15]),
+        ("spec/bzip2", [6, 3, 6, 7, 13]),
+        ("spec/twolf", [7, 4, 7, 9, 14]),
+    ];
+    let mut programs = helix::workloads::load_corpus().expect("corpus loads");
+    for bench in helix::workloads::all_benchmarks() {
+        let (module, main) = bench.build();
+        programs.push((format!("spec/{}", bench.name), module, main));
+    }
+    let helix_driver = Helix::new(HelixConfig::i7_980x());
+    let mut got = Vec::new();
+    for (name, module, main) in &programs {
+        let (_profile, output) = helix_driver
+            .profile_and_analyze(module, *main, &[], helix::ir::interp::DEFAULT_FUEL)
+            .unwrap_or_else(|e| panic!("{name}: profiling failed: {e}"));
+        let synchronized = output
+            .plans
+            .values()
+            .flat_map(|plan| &plan.segments)
+            .filter(|s| s.synchronized);
+        let mut counts = [output.plans.len(), output.selection.selected.len(), 0, 0, 0];
+        for segment in synchronized {
+            counts[2] += 1;
+            counts[3] += segment.wait_points.len();
+            counts[4] += segment.signal_points.len();
+        }
+        got.push((name.as_str(), counts));
+    }
+    assert_eq!(got, expected);
+}

@@ -191,3 +191,53 @@ fn parallel_execution_matches_the_bytecode_sequential_result() {
         }
     }
 }
+
+#[test]
+fn generated_profiles_are_identical_on_both_engines() {
+    // Engine and profile stages only: no analysis, no threads, so the sweep is deterministic.
+    // The bytecode profiler counts blocks, not ops; over every generated shape (nested and
+    // interprocedural loops, recursion, in-loop returns) it must still report exactly the
+    // tree-walking profiler's per-instruction counts and cycles, and exactly the cycles the
+    // engine charged.
+    use helix::gen::{generate, GenConfig};
+    use helix::profiler::ImageProfiler;
+
+    for (preset, config) in [
+        ("small", GenConfig::small()),
+        ("fuzz", GenConfig::fuzz()),
+        ("pointer_heavy", GenConfig::pointer_heavy()),
+    ] {
+        for seed in 0..200 {
+            let g = generate(seed, &config);
+            let nesting = LoopNestingGraph::new(&g.module);
+            let tree = profile_program(&g.module, &nesting, g.main, &[]);
+            let image = ExecImage::lower(&g.module);
+            let mut machine = ImageMachine::new(&image);
+            let mut profiler = ImageProfiler::new(&image, &nesting);
+            let ran = machine.call_observed(g.main, &[], &mut profiler);
+            let tree = match (tree, ran) {
+                (Ok(tree), Ok(_)) => tree,
+                // Every caller discards the profile of a run that faulted.
+                (Err(a), Err(b)) => {
+                    assert_eq!(a, b, "{preset}/{seed}: the engines fault differently");
+                    continue;
+                }
+                (tree, ran) => panic!(
+                    "{preset}/{seed}: one engine faults: {:?} vs {:?}",
+                    tree.err(),
+                    ran.err()
+                ),
+            };
+            let flat = profiler.finish();
+            assert_eq!(
+                flat.total_cycles,
+                machine.stats().cycles,
+                "{preset}/{seed}: profile total differs from the engine's cycles"
+            );
+            assert_eq!(
+                tree, flat,
+                "{preset}/{seed}: profiles differ between engines"
+            );
+        }
+    }
+}
