@@ -1628,7 +1628,7 @@ fn cmd_fuzz(opts: &Options) -> Result<(), CliError> {
             counts.join(", ")
         );
         if divergences.is_empty() {
-            println!("no divergences");
+            println!("{}", clean_sweep_line(&oracle.threads, hardware));
         } else {
             println!("{} DIVERGENCES:", divergences.len());
             for ((seed, d), path) in divergences.iter().zip(&repro_paths) {
@@ -1645,6 +1645,32 @@ fn cmd_fuzz(opts: &Options) -> Result<(), CliError> {
             opts.seeds,
             fuzz_out_dir(opts)
         )))
+    }
+}
+
+/// The verdict of a sweep without divergences. It names the worker counts that ran
+/// concurrently apart from those the host only time-sliced, whose clean result checks
+/// the protocol's logic but not its behaviour under real concurrency.
+fn clean_sweep_line(threads: &[usize], hardware: usize) -> String {
+    let list = |sliced: bool| {
+        threads
+            .iter()
+            .filter(|&&w| (w > hardware) == sliced)
+            .map(|w| w.to_string())
+            .collect::<Vec<_>>()
+            .join(", ")
+    };
+    let (concurrent, sliced) = (list(false), list(true));
+    match (concurrent.is_empty(), sliced.is_empty()) {
+        (false, true) => format!("no divergences at {concurrent} worker(s), all run concurrently"),
+        (false, false) => format!(
+            "no divergences at {concurrent} worker(s) run concurrently; \
+             at {sliced} worker(s) only time-sliced on {hardware} hardware thread(s)"
+        ),
+        (true, _) => format!(
+            "no divergences, but only time-sliced: {sliced} worker(s) on {hardware} hardware \
+             thread(s), none run concurrently"
+        ),
     }
 }
 

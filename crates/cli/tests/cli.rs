@@ -215,6 +215,13 @@ fn fuzz_reports_hardware_threads_and_labels_time_sliced_counts() {
         )),
         "topology line missing: {text}"
     );
+    assert!(
+        text.contains(&format!(
+            "no divergences at 1 worker(s) run concurrently; at {oversubscribed} worker(s) \
+             only time-sliced on {hardware} hardware thread(s)"
+        )),
+        "clean verdict must split concurrent from time-sliced counts: {text}"
+    );
     let json = run(&["--json"]);
     assert!(
         json.contains(&format!("\"hardware_threads\":{hardware}")),
@@ -226,6 +233,43 @@ fn fuzz_reports_hardware_threads_and_labels_time_sliced_counts() {
                 "{{\"workers\":{oversubscribed},\"mode\":\"time-sliced\"}}"
             )),
         "per-count labels missing: {json}"
+    );
+}
+
+#[test]
+fn fuzz_never_prints_a_bare_clean_verdict() {
+    let hardware = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let verdict = |threads: &str| {
+        let out = Command::new(helix_exe())
+            .args([
+                "fuzz",
+                "--seeds",
+                "1",
+                "--gen-config",
+                "small",
+                "--no-shrink",
+            ])
+            .args(["--threads", threads, "--repeats", "1"])
+            .args(["--out", "/nonexistent-dir/never-written"])
+            .output()
+            .expect("run helix fuzz");
+        assert!(out.status.success(), "fuzz failed: {out:?}");
+        let text = String::from_utf8(out.stdout).unwrap();
+        let line = text.lines().last().unwrap_or_default().to_string();
+        assert_ne!(line, "no divergences", "{text}");
+        line
+    };
+    assert_eq!(
+        verdict("1"),
+        "no divergences at 1 worker(s), all run concurrently"
+    );
+    let sliced = hardware + 1;
+    assert_eq!(
+        verdict(&sliced.to_string()),
+        format!(
+            "no divergences, but only time-sliced: {sliced} worker(s) on {hardware} hardware \
+             thread(s), none run concurrently"
+        )
     );
 }
 

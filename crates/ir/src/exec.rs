@@ -31,8 +31,6 @@ use crate::value::Value;
 pub trait ImageObserver {
     /// Called when control enters the block with dense index `block` of `func`.
     fn on_block_enter(&mut self, _func: FuncId, _block: u32) {}
-    /// Called after each executed op with the cycles charged for it.
-    fn on_op(&mut self, _func: FuncId, _pc: u32, _cycles: u64) {}
     /// Called when `caller` invokes `callee` from the op at `pc`, before the callee runs.
     fn on_call(&mut self, _caller: FuncId, _pc: u32, _callee: FuncId) {}
     /// Called when `func` returns.
@@ -168,9 +166,7 @@ impl<'i> ImageMachine<'i> {
                         }
                         // The call op's own cost is charged after the callee returns,
                         // mirroring the tree-walker's event order.
-                        let cycles = self.cost_table[CostClass::Call as usize];
-                        self.stats.cycles += cycles;
-                        obs.on_op(func, pc as u32, cycles);
+                        self.stats.cycles += self.cost_table[CostClass::Call as usize];
                         pc += 1;
                     }
                 },
@@ -293,8 +289,8 @@ impl<'i> ImageMachine<'i> {
                 func: callee,
                 args,
             } => {
-                // The call op's cycles are charged (and its on_op emitted) by the caller of
-                // `step` *after* the callee returns, matching the tree-walker's event order.
+                // The call op's cycles are charged by the caller of `step` *after* the
+                // callee returns, matching the tree-walker's event order.
                 let actuals: Vec<Value> = args.iter().map(|a| eval(regs, *a)).collect();
                 let callee = FuncId::new(*callee);
                 self.stats.calls += 1;
@@ -344,16 +340,13 @@ impl<'i> ImageMachine<'i> {
                 }
             }
             Op::Ret { value } => {
-                cycles = self.cost_table[CostClass::Branch as usize];
-                self.stats.cycles += cycles;
-                obs.on_op(func, pc as u32, cycles);
+                self.stats.cycles += self.cost_table[CostClass::Branch as usize];
                 obs.on_return(func);
                 return Ok(StepOutcome::Return(value.map(|v| eval(regs, v))));
             }
             Op::Trap { .. } => unreachable!("handled above"),
         };
         self.stats.cycles += cycles;
-        obs.on_op(func, pc as u32, cycles);
         Ok(outcome)
     }
 }
@@ -499,22 +492,16 @@ mod tests {
     }
 
     #[test]
-    fn observer_sees_blocks_ops_and_calls() {
+    fn observer_sees_blocks_calls_and_returns() {
         #[derive(Default)]
         struct Counter {
-            ops: u64,
             blocks: u64,
             calls: u64,
             returns: u64,
-            cycles: u64,
         }
         impl ImageObserver for Counter {
             fn on_block_enter(&mut self, _f: FuncId, _b: u32) {
                 self.blocks += 1;
-            }
-            fn on_op(&mut self, _f: FuncId, _pc: u32, c: u64) {
-                self.ops += 1;
-                self.cycles += c;
             }
             fn on_call(&mut self, _c: FuncId, _pc: u32, _t: FuncId) {
                 self.calls += 1;
@@ -528,10 +515,9 @@ mod tests {
         let mut m = ImageMachine::new(&image);
         let mut obs = Counter::default();
         m.call_observed(fid, &[Value::Int(7)], &mut obs).unwrap();
-        assert_eq!(obs.ops, m.stats().instrs);
         assert_eq!(obs.blocks, m.stats().blocks);
-        assert_eq!(obs.cycles, m.stats().cycles);
-        assert!(obs.calls > 0);
-        assert!(obs.returns > obs.calls);
+        assert_eq!(obs.calls, m.stats().calls);
+        // Every call returns, and so does the root invocation.
+        assert_eq!(obs.returns, obs.calls + 1);
     }
 }

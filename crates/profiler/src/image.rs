@@ -3,8 +3,8 @@
 //! [`ImageProfiler`] is the lowered counterpart of [`crate::Profiler`]: it observes a
 //! [`helix_ir::ImageMachine`] run through the [`ImageObserver`] hooks and produces the same
 //! [`ProgramProfile`] the tree-walking profiler does — but instead of hashing an [`InstrRef`]
-//! per dynamic instruction it counts *block entries* in a dense `[func][block]` array and
-//! ignores [`ImageObserver::on_op`]. Every entry of a block runs the same ops (from its first
+//! per dynamic instruction it counts *block entries* in a dense `[func][block]` array (the
+//! observer has no per-op hook at all). Every entry of a block runs the same ops (from its first
 //! op up to its first branch or return), so [`ImageProfiler::finish`] expands the block
 //! counts into per-op counts and cycles once, and folds those back to `InstrRef`s.
 //!

@@ -424,14 +424,14 @@ fn kernel_image(kind: Kernel, body_ops: usize) -> (ExecImage, FuncId) {
 /// region, mirroring how the executor amortizes them across a run.
 fn time_kernel(image: &ExecImage, func: FuncId, reps: usize, tier: DispatchTier) -> Duration {
     let fi = &image.funcs[func.index()];
-    let engine = Engine::build(tier, image, None);
+    let engine = Engine::for_func(tier, image, func);
     let memory = SharedMemory::from_memory(&image.initial_memory);
     let mut mem = WorkerMemory::new(&memory);
     let mut best = Duration::MAX;
     for _ in 0..reps {
         let mut regs = vec![Value::default(); fi.num_regs];
         let start = Instant::now();
-        let result = engine.run_flat(func, fi.entry_block, None, &mut regs, &mut mem, u64::MAX);
+        let result = engine.run_flat(fi.entry_block, None, &mut regs, &mut mem, u64::MAX);
         let _ = std::hint::black_box(result);
         best = best.min(start.elapsed());
     }

@@ -836,7 +836,6 @@ impl ParallelExecutor {
             *slot = *a;
         }
         let phase_a = engine.run_flat(
-            loop_image.func,
             fi.entry_block,
             Some(loop_image.header),
             &mut regs,
@@ -856,14 +855,7 @@ impl ParallelExecutor {
             }
             (LoopExit::Returned(v), _) => return Ok(v),
         };
-        match engine.run_flat(
-            loop_image.func,
-            block,
-            None,
-            &mut regs,
-            mem,
-            self.max_iterations,
-        )? {
+        match engine.run_flat(block, None, &mut regs, mem, self.max_iterations)? {
             FlatEnd::Returned(v) => Ok(v),
             FlatEnd::ReachedStop => unreachable!("phase C has no stop block"),
         }
@@ -880,7 +872,7 @@ impl ParallelExecutor {
         telem_run: Option<&TelemetryRun>,
     ) -> Result<(Option<Value>, Option<Memory>), RuntimeError> {
         let memory = SharedMemory::from_memory(&image.initial_memory);
-        let engine = Engine::build(self.resolved_tier(), image, Some(loop_image));
+        let engine = Engine::for_loop(self.resolved_tier(), image, loop_image);
         let mut mem = WorkerMemory::new(&memory);
         // Phase B, single worker: iterations run in order on the calling thread with no
         // claim counters, no completion ring and no parks. Lane counters are still
@@ -939,7 +931,7 @@ impl ParallelExecutor {
     ) -> Result<(Option<Value>, Option<Memory>), RuntimeError> {
         let memory = SharedMemory::from_memory(&image.initial_memory);
         // Built once, here; helpers dispatch through the same tables and native code.
-        let engine = Engine::build(self.resolved_tier(), image, Some(loop_image));
+        let engine = Engine::for_loop(self.resolved_tier(), image, loop_image);
         let mut mem = WorkerMemory::new(&memory);
         let value = self.run_phases(
             &engine,
@@ -1497,7 +1489,10 @@ mod tests {
             .run_pooled_on(&pool, &pimg.exec, &pimg.loop_image, &[], None)
             .unwrap();
         let on_submitter = MAPPINGS.with(|n| n.get()) - before;
-        assert!(on_submitter >= 1, "the run compiled native code at all");
+        assert_eq!(
+            on_submitter, 1,
+            "one mapping holds every chunk of the run: iteration stream and flat code"
+        );
         // The same three pool threads that just ran the loop report how many mappings
         // each of them has ever made.
         assert_eq!(pool.spawned_helpers(), 3);

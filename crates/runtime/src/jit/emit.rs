@@ -41,6 +41,7 @@ pub(crate) struct Chunk {
 }
 
 /// One stream slot as the chunk scanner sees it.
+#[derive(Default)]
 pub(crate) enum Slot {
     /// A specialized op (iteration streams pass `pcode` through unchanged; flat streams
     /// pre-specialize their data ops).
@@ -49,6 +50,7 @@ pub(crate) enum Slot {
     /// chunk at zero cost.
     Nop,
     /// Anything the templates do not cover: terminates any chunk.
+    #[default]
     Bar,
 }
 
@@ -812,11 +814,12 @@ fn slot_width(s: &Slot) -> usize {
     }
 }
 
-/// Compiles every profitable straight-line run of `slots` into one code blob. Returns
-/// the machine code and the chunk index (head slot → entry offset). A chunk must cover
-/// at least two constituent ops — a single op gains nothing over its threaded handler.
-pub(crate) fn compile_stream(slots: &[Slot]) -> (Vec<u8>, Vec<Chunk>) {
-    let mut a = Asm::new();
+/// Appends every profitable straight-line run of `slots` to `a` as a chunk. Returns the
+/// chunk index (head slot → entry offset in `a`'s blob). A chunk must cover at least two
+/// constituent ops — a single op gains nothing over its threaded handler. Chunks are
+/// position-independent leaf functions, so one blob holds the chunks of every stream of
+/// an engine.
+pub(crate) fn compile_stream(a: &mut Asm, slots: &[Slot]) -> Vec<Chunk> {
     let mut chunks = Vec::new();
     let mut pc = 0;
     while pc < slots.len() {
@@ -860,7 +863,7 @@ pub(crate) fn compile_stream(slots: &[Slot]) -> (Vec<u8>, Vec<Chunk>) {
         while cur < end {
             match &slots[cur] {
                 Slot::Op(p) => {
-                    e.op(&mut a, p, cur);
+                    e.op(a, p, cur);
                     cur += p.fused_width();
                 }
                 Slot::Nop => cur += 1,
@@ -875,5 +878,5 @@ pub(crate) fn compile_stream(slots: &[Slot]) -> (Vec<u8>, Vec<Chunk>) {
         chunks.push(Chunk { head_pc: head, off });
         pc = end;
     }
-    (a.finish(), chunks)
+    chunks
 }

@@ -7,7 +7,9 @@
 //! [`FlatTables`] the threaded tier uses, finds every maximal run of consecutive
 //! JIT-coverable ops (a **chunk**, ≥ 2 constituent ops), compiles each chunk to
 //! straight-line machine code with [`emit`], and rewrites only the chunk's *head* slot to
-//! a [`h_jit`] trampoline that calls the native code. Everything else — the dispatch
+//! a [`h_jit`] trampoline that calls the native code. All chunks of one engine — its
+//! iteration stream and every flat function it decoded — share one executable mapping,
+//! built by `build_tables` and owned by one `JitArtifact`. Everything else — the dispatch
 //! loop, Wait/Signal blocking, claim protocol, telemetry, deadlock reporting, panic
 //! propagation through the worker pool — is the threaded tier's code running unmodified.
 //!
@@ -44,9 +46,9 @@
 mod emit;
 pub(crate) mod exec_mem;
 
-use crate::parallel_image::{specialize_op, LoopImage};
-use crate::threaded::{DispatchTier, FlatTables, Handler, IterTable, TCtx, TOp};
-use emit::{compile_stream, Slot};
+use crate::parallel_image::{LoopImage, POp};
+use crate::threaded::{DispatchTier, FlatScope, FlatTables, Handler, IterTable, TCtx, TOp};
+use emit::{compile_stream, Asm, Chunk, Slot};
 pub use exec_mem::ExecMem;
 use helix_ir::{ExecImage, Op, Value};
 use std::sync::OnceLock;
@@ -75,6 +77,13 @@ pub(crate) const VALUE_LAYOUT: ValueLayout = ValueLayout {
 
 /// The chunk calling convention (see the module docs).
 type ChunkFn = extern "C" fn(*mut Value) -> u64;
+
+/// Compiles one stream into a blob of its own (the self-test and the template tests).
+fn compile_alone(slots: &[Slot]) -> (Vec<u8>, Vec<Chunk>) {
+    let mut asm = Asm::new();
+    let chunks = compile_stream(&mut asm, slots);
+    (asm.finish(), chunks)
+}
 
 /// End-to-end machinery check: compile one chunk exercising integer, float-promoting and
 /// edge-case arithmetic, execute it, and demand the interpreter's exact results. Runs
@@ -118,7 +127,7 @@ fn self_test() -> bool {
         }),
         Slot::Bar,
     ];
-    let (code, chunks) = compile_stream(&slots);
+    let (code, chunks) = compile_alone(&slots);
     if chunks.len() != 1 || chunks[0].head_pc != 0 {
         return false;
     }
@@ -131,7 +140,7 @@ fn self_test() -> bool {
     }
     let mut regs = vec![Value::Int(0); 6];
     // SAFETY: `mem` is sealed (RX) and lives to the end of this function; `chunks[0].off`
-    // is the entry `compile_stream` emitted with the `ChunkFn` ABI, and the chunk touches
+    // is the entry `compile_alone` emitted with the `ChunkFn` ABI, and the chunk touches
     // registers 0..=5 only, all inside `regs`.
     let f: ChunkFn = unsafe { std::mem::transmute(mem.addr(chunks[0].off)) };
     let resume = f(regs.as_mut_ptr());
@@ -169,13 +178,16 @@ pub fn jit_supported() -> bool {
 #[cfg(test)]
 pub(crate) static TEST_ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-/// Keeps a patched table's native code and saved head slots alive. **Must outlive the
-/// table it was built with**: the table's rewritten head slots hold raw addresses into
-/// `parts` — the builders return the two together and [`crate::engine::Engine`], their
-/// only caller, owns them as one value.
+/// Keeps an engine's native code and saved head slots alive. **Must outlive the tables it
+/// was built with**: their rewritten head slots hold raw addresses into `mem` and `heads`
+/// — [`build_tables`] returns the three together and [`crate::engine::Engine`], its only
+/// caller, owns them as one value. One mapping holds the chunks of every stream the
+/// engine runs, so a run maps, fills, seals and unmaps executable memory exactly once.
+#[allow(dead_code)] // held for ownership: the patched slots point into both fields
 pub(crate) struct JitArtifact {
-    #[allow(dead_code)] // held for ownership: tables point into these allocations
-    parts: Vec<(ExecMem, Box<[TOp]>)>,
+    mem: ExecMem,
+    /// The original decoded op of every patched head slot, in patch order.
+    heads: Box<[TOp]>,
 }
 
 /// The trampoline installed on each chunk head: `i` = native entry address, `j` = address
@@ -183,108 +195,104 @@ pub(crate) struct JitArtifact {
 /// pc; on a zero-progress side exit (resume == head pc) it executes the original op via
 /// its threaded handler instead, so dispatch always advances.
 fn h_jit(ctx: &mut TCtx<'_, '_>, op: &TOp, pc: usize) -> usize {
-    // SAFETY: only `compile_into` installs `h_jit`, with `op.i` the entry of a chunk it
-    // emitted with the `ChunkFn` ABI into a sealed mapping. The `JitArtifact` owning that
-    // mapping outlives this table (`Engine` holds both), and the chunk touches only
-    // registers its ops name, which lowering widened into the register file `ctx.regs`.
+    // SAFETY: only `link` installs `h_jit`, with `op.i` the entry of a chunk emitted with
+    // the `ChunkFn` ABI into a sealed mapping. The `JitArtifact` owning that mapping
+    // outlives this table (`Engine` holds both), and the chunk touches only registers its
+    // ops name, which lowering widened into the register file `ctx.regs`.
     let f: ChunkFn = unsafe { std::mem::transmute(op.i as usize) };
     let resume = f(ctx.regs.as_mut_ptr()) as usize;
     if resume != pc {
         return resume;
     }
-    // SAFETY: `op.j` points into the boxed originals `compile_into` stored in the same
+    // SAFETY: `op.j` points into the boxed originals `link` stored in the same
     // `JitArtifact`, which outlives this table and never moves its heap allocation.
     let orig = unsafe { &*(op.j as usize as *const TOp) };
     (orig.h)(ctx, orig, pc)
 }
 
-/// Compiles the chunks of one op stream and patches their head slots in `ops`. Returns
-/// the ownership bundle, or `None` when there is nothing worth compiling (or the kernel
-/// refused executable memory) — in which case `ops` is left fully unpatched.
-fn compile_into(ops: &mut [TOp], slots: &[Slot]) -> Option<(ExecMem, Box<[TOp]>)> {
-    let (code, chunks) = compile_stream(slots);
-    if chunks.is_empty() {
+/// Whether `op` is a patched chunk head.
+#[cfg(test)]
+pub(crate) fn is_chunk_head(op: &TOp) -> bool {
+    std::ptr::fn_addr_eq(op.h, h_jit as Handler)
+}
+
+/// One decoded stream and the chunks compiled from it.
+type Stream<'t> = (&'t mut [TOp], Vec<Chunk>);
+
+/// Maps `code` — the blob holding every chunk of `streams` — once, seals it, and patches
+/// each chunk's head slot. Returns `None`, leaving every slot unpatched, when there is no
+/// chunk or the kernel refused executable memory.
+fn link(code: &[u8], streams: &mut [Stream<'_>]) -> Option<JitArtifact> {
+    if streams.iter().all(|(_, chunks)| chunks.is_empty()) {
         return None;
     }
     let mut mem = ExecMem::new(code.len())?;
-    if !mem.fill(&code) || !mem.seal() {
+    if !mem.fill(code) || !mem.seal() {
         return None;
     }
     // Box the originals first: the patched slots point at these heap addresses, which
     // stay put when the artifact moves.
-    let orig: Box<[TOp]> = chunks.iter().map(|c| ops[c.head_pc]).collect();
-    for (k, c) in chunks.iter().enumerate() {
-        let slot = &mut ops[c.head_pc];
-        slot.h = h_jit as Handler;
-        slot.i = mem.addr(c.off) as i64;
-        slot.j = &orig[k] as *const TOp as i64;
-    }
-    Some((mem, orig))
-}
-
-/// Builds the per-iteration dispatch table for a resolved tier: `None` for the switch
-/// tier (no table at all), a plain threaded table for `Threaded` (and for `Jit` when
-/// unsupported or nothing compiled), or a chunk-patched table plus its [`JitArtifact`].
-pub(crate) fn build_iter_table(
-    tier: DispatchTier,
-    loop_image: &LoopImage,
-) -> Option<(IterTable, Option<JitArtifact>)> {
-    if tier == DispatchTier::Switch {
-        return None;
-    }
-    let mut table = IterTable::build(loop_image);
-    let mut artifact = None;
-    if tier == DispatchTier::Jit && jit_supported() {
-        // Iteration streams pass through as-is: sync and control ops bound chunks, and
-        // in-chunk side exits resume on the (unpatched) interior slots.
-        let slots: Vec<Slot> = loop_image
-            .pcode
-            .iter()
-            .map(|p| Slot::Op(p.clone()))
-            .collect();
-        if let Some(part) = compile_into(&mut table.ops, &slots) {
-            artifact = Some(JitArtifact { parts: vec![part] });
+    let heads: Box<[TOp]> = streams
+        .iter()
+        .flat_map(|(ops, chunks)| chunks.iter().map(|c| ops[c.head_pc]))
+        .collect();
+    let mut saved = heads.iter();
+    for (ops, chunks) in streams.iter_mut() {
+        for c in chunks.iter() {
+            let orig = saved.next().expect("one saved head per chunk");
+            let slot = &mut ops[c.head_pc];
+            slot.h = h_jit as Handler;
+            slot.i = mem.addr(c.off) as i64;
+            slot.j = orig as *const TOp as i64;
         }
     }
-    Some((table, artifact))
+    Some(JitArtifact { mem, heads })
 }
 
-/// One flat-stream slot: `Wait`/`Signal` are no-ops in flat mode (chunks may span them),
-/// control ops bound chunks, data ops specialize exactly like `decode_flat_op` does.
-fn flat_slot(op: &Op) -> Slot {
-    match op {
-        Op::Wait { .. } | Op::Signal { .. } => Slot::Nop,
-        Op::Select { .. }
-        | Op::Call { .. }
-        | Op::Jump { .. }
-        | Op::Branch { .. }
-        | Op::Ret { .. }
-        | Op::Trap { .. } => Slot::Bar,
-        data => Slot::Op(specialize_op(data, false)),
+/// One flat-stream slot: data ops compile in the form `decode_flat_op` specialized them
+/// to, `Wait`/`Signal` are no-ops in flat mode (chunks may span them), and every other op
+/// bounds chunks.
+fn flat_slot(op: &Op, data: Option<POp>) -> Slot {
+    match (op, data) {
+        (_, Some(p)) => Slot::Op(p),
+        (Op::Wait { .. } | Op::Signal { .. }, None) => Slot::Nop,
+        (_, None) => Slot::Bar,
     }
 }
 
-/// [`build_iter_table`]'s analogue for the flat engine (phase A/C, callees, calibration
-/// kernels): per-function chunk compilation over the whole image.
-pub(crate) fn build_flat_tables(
+/// Builds the dispatch tables of one engine for a resolved tier other than the switch
+/// tier (which has none): the flat tables of `scope` and, when given, `loop_image`'s
+/// iteration table. Under the JIT, when supported, every chunk of those tables is
+/// compiled into one [`JitArtifact`]; otherwise, or when nothing compiled, the tables are
+/// plain threaded tables.
+pub(crate) fn build_tables(
     tier: DispatchTier,
     image: &ExecImage,
-) -> Option<(FlatTables, Option<JitArtifact>)> {
-    if tier == DispatchTier::Switch {
-        return None;
+    scope: &FlatScope,
+    loop_image: Option<&LoopImage>,
+) -> (FlatTables, Option<IterTable>, Option<JitArtifact>) {
+    debug_assert_ne!(tier, DispatchTier::Switch, "the switch tier has no tables");
+    let mut iter = loop_image.map(IterTable::build);
+    if tier != DispatchTier::Jit || !jit_supported() {
+        let (flat, _) = FlatTables::build(image, scope, |_, _| ());
+        return (flat, iter, None);
     }
-    let mut tables = FlatTables::build(image);
-    let mut parts = Vec::new();
-    if tier == DispatchTier::Jit && jit_supported() {
-        for (k, f) in image.funcs.iter().enumerate() {
-            let slots: Vec<Slot> = f.code.iter().map(flat_slot).collect();
-            if let Some(part) = compile_into(&mut tables.funcs[k], &slots) {
-                parts.push(part);
-            }
-        }
+    let (mut flat, flat_slots) = FlatTables::build(image, scope, flat_slot);
+    let mut asm = Asm::new();
+    let mut streams: Vec<Stream<'_>> = Vec::new();
+    if let (Some(table), Some(l)) = (iter.as_mut(), loop_image) {
+        // Iteration streams pass through as-is: sync and control ops bound chunks, and
+        // in-chunk side exits resume on the (unpatched) interior slots.
+        let slots: Vec<Slot> = l.pcode.iter().map(|p| Slot::Op(p.clone())).collect();
+        let chunks = compile_stream(&mut asm, &slots);
+        streams.push((&mut table.ops, chunks));
     }
-    let artifact = (!parts.is_empty()).then_some(JitArtifact { parts });
-    Some((tables, artifact))
+    for (ops, slots) in flat.funcs.iter_mut().zip(&flat_slots) {
+        let chunks = compile_stream(&mut asm, slots);
+        streams.push((ops, chunks));
+    }
+    let artifact = link(&asm.finish(), &mut streams);
+    (flat, iter, artifact)
 }
 
 #[cfg(all(test, target_os = "linux", target_arch = "x86_64"))]
@@ -365,7 +373,7 @@ mod tests {
     fn run_chunk(slots: Vec<Slot>, regs: &mut [Value]) -> usize {
         let mut slots = slots;
         slots.extend([Slot::Bar, Slot::Bar, Slot::Bar]);
-        let (code, chunks) = compile_stream(&slots);
+        let (code, chunks) = compile_alone(&slots);
         assert_eq!(chunks.len(), 1, "expected exactly one chunk");
         assert_eq!(chunks[0].head_pc, 0);
         let mut mem = ExecMem::new(code.len()).unwrap();
@@ -690,7 +698,7 @@ mod tests {
                 v: Value::Int(2),
             }),
         ];
-        let (_, chunks) = compile_stream(&no_bar);
+        let (_, chunks) = compile_alone(&no_bar);
         assert!(chunks.is_empty(), "no resume slot → no chunk");
         let single = vec![
             Slot::Op(POp::MovI {
@@ -699,7 +707,7 @@ mod tests {
             }),
             Slot::Bar,
         ];
-        let (_, chunks) = compile_stream(&single);
+        let (_, chunks) = compile_alone(&single);
         assert!(chunks.is_empty(), "one op → not worth a chunk");
     }
 }

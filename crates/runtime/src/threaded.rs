@@ -29,7 +29,7 @@ use crate::parallel_image::{
 use crate::sharded::WorkerMemory;
 use crate::telemetry::WorkerCtx;
 use helix_ir::interp::{eval_binop, eval_pred, eval_unop, ExecError, MAX_CALL_DEPTH};
-use helix_ir::{BinOp, BlockId, ExecImage, FuncId, Op, Opnd, Pred, UnOp, Value};
+use helix_ir::{BinOp, BlockId, ExecImage, FuncId, FuncImage, Op, Opnd, Pred, UnOp, Value};
 
 /// Which dispatch engine runs the lowered bytecode.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -563,6 +563,20 @@ fn h_nop(_ctx: &mut TCtx<'_, '_>, _op: &TOp, pc: usize) -> usize {
     pc + 1
 }
 
+/// A slot [`FlatTables::build`] left undecoded (see [`FlatScope`]): decodes the op now and
+/// runs it, so reaching one costs time, never correctness. A call runs on the switch
+/// engine, as from iteration code, since its callee may have no table.
+fn h_cold(ctx: &mut TCtx<'_, '_>, _op: &TOp, pc: usize) -> usize {
+    let image = ctx.image;
+    match &image.funcs[ctx.cur_func].code[pc] {
+        Op::Call { dst, func, args } => call_on_switch(ctx, *dst, *func, args, pc),
+        op => {
+            let (op, _) = decode_flat_op(op);
+            (op.h)(ctx, &op, pc)
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Iteration-mode control handlers (transliterations of `run_iteration` arms).
 // ---------------------------------------------------------------------------
@@ -631,25 +645,36 @@ fn h_select_iter(ctx: &mut TCtx<'_, '_>, _op: &TOp, pc: usize) -> usize {
 /// the switch engine (calls are rare in iteration code, and this keeps the callee
 /// semantics identical to the reference tier by construction).
 fn h_call_iter(ctx: &mut TCtx<'_, '_>, _op: &TOp, pc: usize) -> usize {
-    let image = ctx.image;
     let pcode = ctx.pcode;
     let POp::CallB(call) = &pcode[pc] else {
         unreachable!("decoder installs h_call_iter only on CallB")
     };
-    let actuals: Vec<Value> = call.args.iter().map(|a| eval(ctx.regs, *a)).collect();
+    call_on_switch(ctx, call.dst, call.func, &call.args, pc)
+}
+
+/// Runs a whole call to `func` on the switch engine, then continues after the call op.
+fn call_on_switch(
+    ctx: &mut TCtx<'_, '_>,
+    dst: Option<u32>,
+    func: u32,
+    args: &[Opnd],
+    pc: usize,
+) -> usize {
+    let image = ctx.image;
+    let actuals: Vec<Value> = args.iter().map(|a| eval(ctx.regs, *a)).collect();
     let mut callee_regs: Vec<Value> = Vec::new();
-    prepare_callee_regs(image, call.func, &actuals, &mut callee_regs);
+    prepare_callee_regs(image, func, &actuals, &mut callee_regs);
     match run_flat(
         image,
-        FuncId::new(call.func),
-        image.funcs[call.func as usize].entry_block,
+        FuncId::new(func),
+        image.funcs[func as usize].entry_block,
         None,
         &mut callee_regs,
         ctx.mem,
         u64::MAX,
     ) {
         Ok(FlatEnd::Returned(v)) => {
-            if let Some(d) = call.dst {
+            if let Some(d) = dst {
                 set(ctx.regs, d, v.unwrap_or_default());
             }
             pc + 1
@@ -1249,12 +1274,19 @@ fn decode_iter_op(p: &POp) -> TOp {
     }
 }
 
+/// Whether `op` is a slot [`FlatTables::build`] left undecoded.
+#[cfg(test)]
+pub(crate) fn is_cold(op: &TOp) -> bool {
+    std::ptr::fn_addr_eq(op.h, h_cold as Handler)
+}
+
 /// Decodes one whole-function op for the flat engine. Data ops reuse the iteration
-/// specializer (with `private_ok = false`, matching `run_flat`'s shared-route accesses);
-/// control ops decode straight from the [`Op`] so block fields survive for the stop-block
-/// and budget checks. No fusion in flat mode — same as `run_flat`.
-fn decode_flat_op(op: &Op) -> TOp {
-    match op {
+/// specializer (with `private_ok = false`, matching `run_flat`'s shared-route accesses)
+/// and come back with their specialized form, which the JIT compiles without specializing
+/// again; control ops decode straight from the [`Op`] so block fields survive for the
+/// stop-block and budget checks. No fusion in flat mode — same as `run_flat`.
+fn decode_flat_op(op: &Op) -> (TOp, Option<POp>) {
+    let control = match op {
         Op::Wait { .. } | Op::Signal { .. } => TOp::new(h_nop),
         Op::Select { .. } => TOp::new(h_select_flat),
         Op::Call { .. } => TOp::new(h_call_flat),
@@ -1308,9 +1340,13 @@ fn decode_flat_op(op: &Op) -> TOp {
             a: *block,
             ..TOp::new(h_trap)
         },
-        data => decode_data(&specialize_op(data, false))
-            .expect("every non-control Op specializes to a data POp"),
-    }
+        data => {
+            let p = specialize_op(data, false);
+            let op = decode_data(&p).expect("every non-control Op specializes to a data POp");
+            return (op, Some(p));
+        }
+    };
+    (control, None)
 }
 
 /// The decoded per-iteration code array of one [`LoopImage`]. Cheap to build (one pass
@@ -1327,21 +1363,158 @@ impl IterTable {
     }
 }
 
+/// The flat code one engine can run: its function and that function's call-closure.
+/// Every other function's table stays empty — no run can reach it: the clone's original,
+/// helpers nothing calls, and callees only the loop body calls (iteration code runs its
+/// callees on the switch engine).
+///
+/// In the engine's function, the parallelized loop's own blocks are *cold*: their slots
+/// decode on first use ([`h_cold`]) instead of up front. Phase A stops at the loop header
+/// and Phase B runs the loop from the iteration stream, so only Phase C can run them flat —
+/// when a block after the loop re-enters the loop (it nests in an outer loop of the same
+/// function) or the function calls itself. In either case the blocks are decoded with the
+/// rest.
+pub(crate) struct FlatScope {
+    /// Whether each function's code is decoded, by function index.
+    funcs: Vec<bool>,
+    /// The engine's function.
+    root: usize,
+    /// Whether each block of the engine's function is cold, by dense block index.
+    cold: Vec<bool>,
+}
+
+impl FlatScope {
+    /// The scope of an engine that runs `func`, which holds `loop_image`'s loop when given.
+    pub(crate) fn new(image: &ExecImage, func: FuncId, loop_image: Option<&LoopImage>) -> Self {
+        let root = func.index();
+        let fi = &image.funcs[root];
+        let mut cold = vec![false; fi.num_blocks()];
+        if let Some(l) = loop_image {
+            debug_assert_eq!(l.func, func, "the loop lives in the engine's function");
+            for &b in &l.pc_block {
+                cold[b as usize] = true;
+            }
+            if reenters_loop(fi, &cold) {
+                cold.fill(false);
+            }
+        }
+        let mut scope = FlatScope {
+            funcs: Vec::new(),
+            root,
+            cold,
+        };
+        if scope.close_over_calls(image) {
+            // The function runs as its own callee, where no stop block applies.
+            scope.cold.fill(false);
+            scope.close_over_calls(image);
+        }
+        scope
+    }
+
+    /// Marks the call-closure of the root's non-cold code; returns whether it calls the
+    /// root itself.
+    fn close_over_calls(&mut self, image: &ExecImage) -> bool {
+        self.funcs = vec![false; image.funcs.len()];
+        self.funcs[self.root] = true;
+        let mut recursive = false;
+        let mut stack = vec![self.root];
+        while let Some(k) = stack.pop() {
+            let f = &image.funcs[k];
+            for (b, &(start, end)) in f.block_range.iter().enumerate() {
+                if k == self.root && self.cold[b] {
+                    continue;
+                }
+                for op in &f.code[start as usize..end as usize] {
+                    if let Op::Call { func, .. } = op {
+                        let callee = *func as usize;
+                        recursive |= callee == self.root;
+                        if !self.funcs[callee] {
+                            self.funcs[callee] = true;
+                            stack.push(callee);
+                        }
+                    }
+                }
+            }
+        }
+        recursive
+    }
+}
+
+/// Whether a path leaves the blocks marked in `in_loop` and comes back to one of them.
+fn reenters_loop(fi: &FuncImage, in_loop: &[bool]) -> bool {
+    let successors = |b: usize| {
+        fi.block_code(b as u32).iter().flat_map(|op| match op {
+            Op::Jump { block, .. } => [Some(*block), None],
+            Op::Branch {
+                then_block,
+                else_block,
+                ..
+            } => [Some(*then_block), Some(*else_block)],
+            _ => [None, None],
+        })
+    };
+    let mut seen = vec![false; in_loop.len()];
+    let mut stack: Vec<usize> = (0..in_loop.len())
+        .filter(|&b| in_loop[b])
+        .flat_map(|b| successors(b).flatten())
+        .map(|b| b as usize)
+        .filter(|&b| !in_loop[b])
+        .collect();
+    while let Some(b) = stack.pop() {
+        if in_loop[b] {
+            return true;
+        }
+        if !std::mem::replace(&mut seen[b], true) {
+            stack.extend(successors(b).flatten().map(|s| s as usize));
+        }
+    }
+    false
+}
+
 /// Decoded whole-function code arrays of an [`ExecImage`] (flat engine: Phase A/C and
-/// callee bodies), parallel to `image.funcs`.
+/// callee bodies), parallel to `image.funcs`; empty for functions outside the
+/// [`FlatScope`] it was built for.
 pub(crate) struct FlatTables {
     pub(crate) funcs: Vec<Vec<TOp>>,
 }
 
 impl FlatTables {
-    pub(crate) fn build(image: &ExecImage) -> FlatTables {
-        FlatTables {
-            funcs: image
-                .funcs
-                .iter()
-                .map(|f| f.code.iter().map(decode_flat_op).collect())
-                .collect(),
+    /// Decodes the code of `scope`'s functions. Alongside, it maps every decoded op to a
+    /// slot of type `S` with `slot(op, data)`, `data` being the op's specialized form when
+    /// it is a data op; cold slots get `S::default()`. The slots come back parallel to the
+    /// tables. The JIT uses them as its chunk scanner's input; the threaded tier passes
+    /// `S = ()`, which costs nothing.
+    pub(crate) fn build<S: Default>(
+        image: &ExecImage,
+        scope: &FlatScope,
+        mut slot: impl FnMut(&Op, Option<POp>) -> S,
+    ) -> (FlatTables, Vec<Vec<S>>) {
+        let mut funcs = Vec::with_capacity(image.funcs.len());
+        let mut slots = Vec::with_capacity(image.funcs.len());
+        for (k, f) in image.funcs.iter().enumerate() {
+            let mut ops = Vec::new();
+            let mut ss = Vec::new();
+            if scope.funcs[k] {
+                ops.reserve_exact(f.code.len());
+                ss.reserve_exact(f.code.len());
+                for (b, &(start, end)) in f.block_range.iter().enumerate() {
+                    let code = &f.code[start as usize..end as usize];
+                    if k == scope.root && scope.cold[b] {
+                        ops.extend(code.iter().map(|_| TOp::new(h_cold)));
+                        ss.extend(code.iter().map(|_| S::default()));
+                        continue;
+                    }
+                    for op in code {
+                        let (decoded, data) = decode_flat_op(op);
+                        ops.push(decoded);
+                        ss.push(slot(op, data));
+                    }
+                }
+            }
+            funcs.push(ops);
+            slots.push(ss);
         }
+        (FlatTables { funcs }, slots)
     }
 }
 

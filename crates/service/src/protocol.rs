@@ -40,14 +40,18 @@ pub fn read_frame<R: Read>(reader: &mut R) -> io::Result<Option<String>> {
     Ok(Some(text))
 }
 
-/// Writes one length-prefixed frame and flushes.
+/// Writes one length-prefixed frame and flushes. Header and payload go out as one buffer,
+/// in one `write` unless the writer takes only part of it, so a reader does not wake on
+/// the length alone.
 pub fn write_frame<W: Write>(writer: &mut W, payload: &str) -> io::Result<()> {
     let len = u32::try_from(payload.len())
         .ok()
         .filter(|l| *l <= MAX_FRAME)
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "frame payload too large"))?;
-    writer.write_all(&len.to_be_bytes())?;
-    writer.write_all(payload.as_bytes())?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(payload.as_bytes());
+    writer.write_all(&frame)?;
     writer.flush()
 }
 
@@ -492,6 +496,32 @@ mod tests {
         assert_eq!(read_frame(&mut cursor).unwrap().as_deref(), Some("hello"));
         assert_eq!(read_frame(&mut cursor).unwrap().as_deref(), Some(""));
         assert_eq!(read_frame(&mut cursor).unwrap(), None);
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        #[derive(Default)]
+        struct CountingWriter {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for CountingWriter {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        for payload in ["", "op=ping\nid=1\n\n", &"x".repeat(70_000)] {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, payload).unwrap();
+            assert_eq!(w.writes, 1, "{} payload bytes", payload.len());
+            let mut cursor = std::io::Cursor::new(w.bytes);
+            assert_eq!(read_frame(&mut cursor).unwrap().as_deref(), Some(payload));
+        }
     }
 
     #[test]
