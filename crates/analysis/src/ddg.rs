@@ -20,10 +20,9 @@ use crate::loops::{LoopForest, LoopId};
 use crate::pointer::{AbstractObject, ObjectSet, PointerAnalysis};
 use crate::reaching::ReachingDefs;
 use helix_ir::{BlockId, FuncId, Function, Instr, InstrRef, Module, Operand, VarId};
-use serde::{Deserialize, Serialize};
 
 /// The kind of a data dependence.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DepKind {
     /// Read-after-write (true dependence).
     Raw,
@@ -34,7 +33,7 @@ pub enum DepKind {
 }
 
 /// One data dependence between two instructions of a loop.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DataDependence {
     /// The source instruction (the earlier access in program order of an iteration).
     pub src: InstrRef,
@@ -53,7 +52,7 @@ pub struct DataDependence {
 }
 
 /// The data dependence graph of one loop.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct LoopDdg {
     /// All dependences found.
     pub deps: Vec<DataDependence>,

@@ -10,12 +10,11 @@
 use crate::cfg::Cfg;
 use crate::dominators::DomTree;
 use helix_ir::{BlockId, Function, Instr, InstrRef};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// Identifies a loop inside one function's [`LoopForest`].
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LoopId(pub u32);
 
 impl LoopId {
@@ -38,7 +37,7 @@ impl fmt::Display for LoopId {
 }
 
 /// One natural loop.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct NaturalLoop {
     /// This loop's id within its forest.
     pub id: LoopId,
@@ -73,7 +72,7 @@ impl NaturalLoop {
 }
 
 /// All natural loops of one function, organized as a nesting forest.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LoopForest {
     /// The loops, indexed by [`LoopId`].
     pub loops: Vec<NaturalLoop>,

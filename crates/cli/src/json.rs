@@ -1,8 +1,8 @@
 //! A minimal JSON emitter.
 //!
-//! The workspace's serde is an offline no-op stub (see `vendor/serde`), so the CLI builds its
-//! JSON reports by hand. Only the pieces the reports need: objects, arrays, strings, numbers
-//! and booleans, always with valid escaping and non-finite floats mapped to `null`.
+//! The workspace depends on no serialization crate, so the CLI builds its JSON reports by
+//! hand. Only the pieces the reports need: objects, arrays, strings, numbers and booleans,
+//! always with valid escaping and non-finite floats mapped to `null`.
 
 use std::fmt::Write as _;
 

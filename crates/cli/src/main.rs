@@ -431,11 +431,16 @@ fn profiled(
 }
 
 fn config_of(opts: &Options) -> HelixConfig {
-    let mut config = HelixConfig::i7_980x().with_cores(opts.cores);
-    if let Some(spins) = opts.spin_budget {
-        config = config.with_spin_budget(spins);
+    HelixConfig::i7_980x().with_cores(opts.cores)
+}
+
+/// An executor of `threads` workers under `--spin-budget`, when given.
+fn executor_of(opts: &Options, threads: usize) -> ParallelExecutor {
+    let executor = ParallelExecutor::new(threads);
+    match opts.spin_budget {
+        Some(spins) => executor.with_spin_budget(spins),
+        None => executor,
     }
-    config
 }
 
 fn cmd_parse(opts: &Options) -> Result<(), CliError> {
@@ -572,7 +577,7 @@ fn run_parallel(module: &Module, opts: &Options) -> Result<(), CliError> {
     drop(machine);
     // Telemetry rides along at the sampled low-overhead period (counters stay exact);
     // `--sample 0` turns it off, `--sample 1` records every iteration.
-    let executor = ParallelExecutor::from_config(threads, &config_of(opts))
+    let executor = executor_of(opts, threads)
         .with_telemetry(TelemetryMode::from_sample_period(opts.sample.unwrap_or(64)));
     let run = executor.run_parallel_out(&ParallelImage::lower(&transformed), &opts.args);
     let telemetry = run.report;
@@ -830,11 +835,8 @@ fn cmd_trace(opts: &Options) -> Result<(), CliError> {
     // Overriding the hardware snapshot keeps the requested worker count even when the
     // host has fewer threads: the trace should show the claim protocol between `threads`
     // (there time-sliced) workers, not the clamped single-worker path.
-    let mut executor = ParallelExecutor::from_config(threads, &config).with_telemetry(mode);
+    let mut executor = executor_of(opts, threads).with_telemetry(mode);
     executor.hardware = threads;
-    if let Some(spins) = opts.spin_budget {
-        executor = executor.with_spin_budget(spins);
-    }
     let run = executor.run_parallel_out(&pimg, &opts.args);
     let result = run
         .result
@@ -1477,11 +1479,14 @@ fn cmd_fuzz(opts: &Options) -> Result<(), CliError> {
     };
     let inject = opts.inject_fault.is_some();
     let mut helix_config = config_of(opts);
-    if opts.spin_budget.is_none() {
-        // Keep the oracle's tight deadlock detector: a genuine lost-signal bug should fail
-        // a seed in milliseconds, not spin the production 200M-yield budget on every one of
-        // thousands of shrink candidates. `--spin-budget` still overrides.
-        helix_config = helix_config.with_spin_budget(20_000_000);
+    // Keep the oracle's tight deadlock detector: a genuine lost-signal bug should fail a
+    // seed in milliseconds, not spin the production 200M-yield budget on every one of
+    // thousands of shrink candidates. `--spin-budget` still overrides.
+    let mut executor = OracleConfig::default()
+        .executor
+        .with_dispatch_tier(opts.dispatch_tier.unwrap_or_default());
+    if let Some(spins) = opts.spin_budget {
+        executor = executor.with_spin_budget(spins);
     }
     if inject {
         helix_config = helix_config.with_unsound_union_merge();
@@ -1498,7 +1503,7 @@ fn cmd_fuzz(opts: &Options) -> Result<(), CliError> {
         // Under fault injection the structural signal-placement check is the deterministic
         // detector; the parallel stage would only add racy noise on a known-broken config.
         check_parallel: !inject,
-        dispatch_tier: opts.dispatch_tier.unwrap_or_default(),
+        executor,
         helix: helix_config,
         ..OracleConfig::default()
     };

@@ -1,14 +1,12 @@
 //! HELIX transformation configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration of the HELIX transformation and of the speedup model.
 ///
 /// The defaults correspond to the paper's evaluation platform, an Intel Core i7-980X:
 /// six cores, 110-cycle unprefetched signal latency (a pull through the shared L3), 4-cycle
 /// fully-prefetched signal latency (an L1 hit thanks to the SMT helper thread), and 110 cycles
 /// to transfer one CPU word between cores.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct HelixConfig {
     /// Number of cores devoted to a parallelized loop (`N` in the paper).
     pub cores: usize,
@@ -45,12 +43,6 @@ pub struct HelixConfig {
     /// bypass shared memory, and drop the synchronization of dependences that only
     /// touch privatized storage.
     pub enable_privatization: bool,
-    /// Spin budget of the real-thread executor: how many yield-spins a `Wait` performs before
-    /// it is declared deadlocked (a missing `Signal` on some path).
-    pub spin_budget: u64,
-    /// Iteration budget of the real-thread executor: safety cap on the number of loop
-    /// iterations dispatched before the run is aborted.
-    pub max_loop_iterations: u64,
     /// **Test-only fault injection.** Re-enables the pre-fix Step 6 behaviour where merging
     /// two sequential segments took the *union* of their Wait/Signal points instead of
     /// recomputing them over the merged dependence endpoints. A unioned signal can fire
@@ -59,13 +51,6 @@ pub struct HelixConfig {
     /// `pointer_chase`/`mcf`. Used by the fuzzing oracle and shrinker tests to prove that an
     /// injected fault is detected and minimized; never enable outside tests.
     pub unsound_union_merged_sync_points: bool,
-    /// Runtime telemetry sampling period: `0` disables telemetry entirely (the default — the
-    /// recording sites stay dormant), `1` records every iteration's events (full tracing),
-    /// `n > 1` records events on every `n`-th iteration (rounded up to a power of two)
-    /// while per-worker/per-lane counters and blocking waits are always captured (the
-    /// sampled low-overhead mode; the benchmark reports its cost as
-    /// `runtime.telemetry_overhead`).
-    pub telemetry_sample_period: u32,
 }
 
 impl HelixConfig {
@@ -85,10 +70,7 @@ impl HelixConfig {
             enable_helper_threads: true,
             enable_prefetch_balancing: true,
             enable_privatization: true,
-            spin_budget: 200_000_000,
-            max_loop_iterations: 10_000_000,
             unsound_union_merged_sync_points: false,
-            telemetry_sample_period: 0,
         }
     }
 
@@ -97,26 +79,6 @@ impl HelixConfig {
     /// [`HelixConfig::unsound_union_merged_sync_points`].
     pub fn with_unsound_union_merge(mut self) -> Self {
         self.unsound_union_merged_sync_points = true;
-        self
-    }
-
-    /// Overrides the executor's deadlock spin budget.
-    pub fn with_spin_budget(mut self, spins: u64) -> Self {
-        self.spin_budget = spins;
-        self
-    }
-
-    /// Overrides the executor's loop iteration budget.
-    pub fn with_max_loop_iterations(mut self, iterations: u64) -> Self {
-        self.max_loop_iterations = iterations;
-        self
-    }
-
-    /// Enables runtime telemetry with the given sampling period (`0` disables, `1` traces
-    /// every iteration, `n` samples every `n`-th); see
-    /// [`HelixConfig::telemetry_sample_period`].
-    pub fn with_telemetry_sampling(mut self, period: u32) -> Self {
-        self.telemetry_sample_period = period;
         self
     }
 

@@ -21,10 +21,9 @@
 use crate::config::HelixConfig;
 use crate::plan::ParallelizedLoop;
 use helix_profiler::LoopProfile;
-use serde::{Deserialize, Serialize};
 
 /// Which signal-latency assumption to use when evaluating the model (Section 3.3).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PrefetchMode {
     /// No helper threads: every signal pays the full inter-core latency.
     None,
@@ -38,7 +37,7 @@ pub enum PrefetchMode {
 }
 
 /// Per-loop inputs to the speedup model.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct LoopModelInput {
     /// Cycles spent inside the loop during the sequential profiling run (inclusive).
     pub loop_cycles: f64,
@@ -86,7 +85,7 @@ impl LoopModelInput {
 }
 
 /// Evaluation of the model for one loop.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct LoopModelOutput {
     /// `P_i`: fraction of program time in the loop's parallel code.
     pub parallel_fraction: f64,
@@ -103,7 +102,7 @@ pub struct LoopModelOutput {
 }
 
 /// The HELIX speedup model.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SpeedupModel {
     /// Platform and transformation configuration.
     pub config: HelixConfig,

@@ -13,11 +13,10 @@
 
 use helix_analysis::{Cfg, LoopForest, LoopId};
 use helix_ir::{BlockId, Function, InstrRef};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// The prologue/body partition of one loop.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NormalizedLoop {
     /// The loop being normalized.
     pub loop_id: LoopId,

@@ -11,11 +11,10 @@
 
 use helix_analysis::LoopNestingGraph;
 use helix_profiler::{LoopKey, ProgramProfile};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One node of the dynamic loop nesting graph.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DynLoopNode {
     /// The loop.
     pub key: LoopKey,
@@ -31,7 +30,7 @@ pub struct DynLoopNode {
 
 /// The dynamic loop nesting graph: the subgraph of the static graph whose edges were actually
 /// traversed with the training input.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct DynamicLoopGraph {
     /// Nodes keyed by loop.
     pub nodes: BTreeMap<LoopKey, DynLoopNode>,
@@ -40,7 +39,7 @@ pub struct DynamicLoopGraph {
 }
 
 /// The outcome of loop selection.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct LoopSelection {
     /// The loops chosen for parallelization.
     pub selected: BTreeSet<LoopKey>,

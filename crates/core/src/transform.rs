@@ -13,11 +13,10 @@
 use crate::plan::ParallelizedLoop;
 use helix_analysis::{Cfg, DomTree};
 use helix_ir::{BlockId, FuncId, Function, GlobalId, Instr, InstrRef, Module, Operand, VarId};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The result of applying the HELIX transformation to one loop of a module.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TransformedProgram {
     /// The transformed module (original functions plus the parallel clone).
     pub module: Module,

@@ -198,7 +198,7 @@ impl<'a> Gen<'a> {
         let x = fb.param(0);
         match kind {
             Helper::Chain => {
-                let mut v = self.arith_chain(&mut fb, x);
+                let mut v = self.arithmetic_chain(&mut fb, x);
                 if self.config.enable_irregular_branching && self.rng.chance(50) {
                     let r = fb.new_var();
                     let bit = fb.binary_to_new(BinOp::And, Operand::Var(v), Operand::int(1));
@@ -221,7 +221,7 @@ impl<'a> Gen<'a> {
                 let lh = fb.counted_loop(Operand::int(0), Operand::int(trip), 1);
                 let mixed =
                     fb.binary_to_new(BinOp::Add, Operand::Var(x), Operand::Var(lh.induction_var));
-                let t = self.arith_chain(&mut fb, mixed);
+                let t = self.arithmetic_chain(&mut fb, mixed);
                 let mask = *self.rng.pick(&[3i64, 7, 15]);
                 let target = self.rng.range_i64(0, mask);
                 let low = fb.binary_to_new(BinOp::And, Operand::Var(t), Operand::int(mask));
@@ -337,7 +337,7 @@ impl<'a> Gen<'a> {
                 fb.binary_to_new(BinOp::Mul, Operand::Var(h.induction_var), Operand::int(c));
             v = fb.binary_to_new(BinOp::Add, Operand::Var(v), Operand::Var(scaled));
         }
-        v = self.arith_chain(fb, v);
+        v = self.arithmetic_chain(fb, v);
         self.sync_noise(fb);
         if self.config.enable_memory && self.rng.chance(70) {
             let addr = self.array_slot(fb, v, ctx);
@@ -548,7 +548,7 @@ impl<'a> Gen<'a> {
             Operand::Var(lh.induction_var),
             Operand::Var(chk),
         );
-        let v = self.arith_chain(fb, mixed);
+        let v = self.arithmetic_chain(fb, mixed);
         let low = fb.binary_to_new(BinOp::And, Operand::Var(v), Operand::int(63));
         let hit = fb.cmp_to_new(Pred::Eq, Operand::Var(low), Operand::int(9));
         let ret_bb = fb.new_block();
@@ -571,7 +571,7 @@ impl<'a> Gen<'a> {
 
     /// A straight-line chain of random arithmetic; never faults (divisors are non-zero
     /// constants, shifts are small constants, everything wraps).
-    fn arith_chain(&mut self, fb: &mut FunctionBuilder, seed_var: VarId) -> VarId {
+    fn arithmetic_chain(&mut self, fb: &mut FunctionBuilder, seed_var: VarId) -> VarId {
         let ops = self.rng.range_usize(1, self.config.max_chain_ops.max(1));
         let mut v = seed_var;
         for _ in 0..ops {

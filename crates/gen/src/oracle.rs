@@ -24,9 +24,7 @@ use helix_ir::{
     verify_module, ExecImage, ExecStats, FuncId, ImageMachine, Machine, Memory, Module, Value,
 };
 use helix_profiler::{profile_program, profile_program_image};
-use helix_runtime::{
-    DispatchTier, EventKind, ParallelExecutor, ParallelImage, TelemetryMode, TelemetryReport,
-};
+use helix_runtime::{EventKind, ParallelExecutor, ParallelImage, TelemetryMode, TelemetryReport};
 use std::fmt;
 
 /// What the oracle checks and how hard it tries.
@@ -46,12 +44,14 @@ pub struct OracleConfig {
     pub check_signal_placement: bool,
     /// Run the parallel executor stage.
     pub check_parallel: bool,
-    /// Dispatch engine for the parallel stage ([`DispatchTier::Auto`] by default). The
-    /// sequential reference engines are tier-independent, so sweeping the same seed range
-    /// once per pinned tier is a switch-vs-threaded-vs-jit differential test by
-    /// transitivity.
-    pub dispatch_tier: DispatchTier,
-    /// HELIX configuration used for analysis and the parallel runs.
+    /// The executor of the parallel stage: its budgets, telemetry mode and dispatch tier
+    /// apply to every run; its worker count is replaced by each of
+    /// [`OracleConfig::threads`]. The sequential reference engines are tier-independent, so
+    /// sweeping the same seed range once per pinned tier is a switch-vs-threaded-vs-jit
+    /// differential test by transitivity. A traced executor (the only kind that gets a
+    /// report) additionally validates the event streams each run produces.
+    pub executor: ParallelExecutor,
+    /// HELIX configuration used for analysis.
     pub helix: HelixConfig,
 }
 
@@ -65,10 +65,10 @@ impl Default for OracleConfig {
             check_profiles: true,
             check_signal_placement: true,
             check_parallel: true,
-            dispatch_tier: DispatchTier::Auto,
             // A tighter spin budget than production: a genuine lost-signal deadlock should
             // fail the seed in milliseconds, not minutes.
-            helix: HelixConfig::i7_980x().with_spin_budget(20_000_000),
+            executor: ParallelExecutor::new(1).with_spin_budget(20_000_000),
+            helix: HelixConfig::i7_980x(),
         }
     }
 }
@@ -450,12 +450,12 @@ pub fn differential_check(
                     // Overriding the hardware snapshot forces the full multi-worker claim
                     // protocol even on machines with fewer hardware threads than workers
                     // (time-sliced there): the oracle exists to hammer the concurrent
-                    // path, not to run fast. `from_config` picks up
-                    // `telemetry_sample_period`, so a traced oracle (the only kind that gets
-                    // a report) additionally validates the event streams it produces.
-                    let mut executor = ParallelExecutor::from_config(threads, &config.helix)
-                        .with_dispatch_tier(config.dispatch_tier);
-                    executor.hardware = threads;
+                    // path, not to run fast.
+                    let executor = ParallelExecutor {
+                        threads: threads.max(1),
+                        hardware: threads,
+                        ..config.executor
+                    };
                     let run = executor.run_parallel_out(&parallel_image, &[]);
                     match run.result {
                         Ok(got) => {

@@ -7,14 +7,13 @@
 //! the *inter-core* latencies live in `helix-simulator`.
 
 use crate::instr::Instr;
-use serde::{Deserialize, Serialize};
 
 /// Cycle costs charged per executed instruction.
 ///
 /// The defaults approximate a modern out-of-order core at the granularity the HELIX speedup
 /// model needs: single-cycle ALU operations, a few cycles for multiplies and L1 hits, tens of
 /// cycles for divisions.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CostModel {
     /// Cost of simple ALU operations, copies, constants and comparisons.
     pub alu: u64,

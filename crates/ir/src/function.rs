@@ -2,11 +2,10 @@
 
 use crate::ids::{BlockId, InstrRef, VarId};
 use crate::instr::Instr;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A basic block: a straight-line sequence of instructions ending in a terminator.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BasicBlock {
     /// The block's identifier within its function.
     pub id: BlockId,
@@ -53,7 +52,7 @@ impl BasicBlock {
 }
 
 /// A function: parameters, virtual registers and a control flow graph of basic blocks.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Function {
     /// Human-readable name, unique within a module.
     pub name: String,

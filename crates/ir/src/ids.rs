@@ -4,15 +4,12 @@
 //! statically distinguishing functions, blocks, virtual registers, globals and HELIX
 //! synchronization dependences from one another (C-NEWTYPE).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident, $prefix:expr) => {
         $(#[$doc])*
-        #[derive(
-            Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-        )]
+        #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub struct $name(pub u32);
 
         impl $name {
@@ -87,7 +84,7 @@ id_type!(
 ///
 /// Instruction indices are invalidated by insertions/removals earlier in the same block, so
 /// passes that rewrite code re-derive `InstrRef`s after each mutation phase.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct InstrRef {
     /// Block containing the instruction.
     pub block: BlockId,

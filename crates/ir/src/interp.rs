@@ -16,7 +16,6 @@ use crate::instr::{BinOp, Instr, Operand, Pred, UnOp};
 use crate::memory::{Memory, MemoryError};
 use crate::module::Module;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Maximum call depth before the interpreter reports [`ExecError::StackOverflow`].
@@ -58,7 +57,7 @@ impl From<MemoryError> for ExecError {
 }
 
 /// Aggregate execution statistics.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Dynamic instruction count.
     pub instrs: u64,

@@ -13,10 +13,9 @@
 
 use crate::module::Module;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 
 /// Error raised on out-of-range memory accesses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MemoryError {
     /// The faulting address.
     pub address: i64,
@@ -42,7 +41,7 @@ impl std::error::Error for MemoryError {}
 /// Equality compares program state, not capacity: two memories are equal when their heap
 /// bounds match and every address reads the same word (words past the shorter array read
 /// `Int(0)`), whatever growth history sized their arrays.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Memory {
     words: Vec<Value>,
     heap_base: usize,

@@ -5,7 +5,6 @@
 //! word-oriented view the HELIX paper takes of data transferred between cores (`Bytes_i /
 //! CPU_word` in Equation 1).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dynamically typed 64-bit value.
@@ -13,7 +12,7 @@ use std::fmt;
 /// `#[repr(C, u8)]` fixes the layout the runtime's JIT writes into register files: a `u8`
 /// tag at offset 0 (`Int` = 0, `Float` = 1, declaration order), then the 8-byte payload at
 /// offset 8, 16 bytes in all.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 #[repr(C, u8)]
 pub enum Value {
     /// A 64-bit signed integer. Addresses and booleans (0/1) are represented as integers.

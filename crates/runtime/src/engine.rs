@@ -148,7 +148,7 @@ mod tests {
     use helix_analysis::LoopNestingGraph;
     use helix_core::{transform, Helix, HelixConfig, TransformedProgram};
     use helix_ir::builder::{FunctionBuilder, ModuleBuilder};
-    use helix_ir::{BinOp, Machine, Module, Operand};
+    use helix_ir::{BinOp, Machine, Module, Op, Operand};
     use helix_profiler::profile_program_image;
 
     /// `main` runs a straight-line prologue, an accumulator loop whose body calls `body`
@@ -248,6 +248,47 @@ mod tests {
         assert!(loop_ops > 0);
         assert_eq!(cold.count(), loop_ops);
         assert!(tables.iter.is_some());
+    }
+
+    /// `blend_mix`'s iteration is 14 rounds of `mul, add, max, min` on a float. The JIT
+    /// compiles `mul, add` and leaves `max`/`min` by a float to the threaded handlers, so
+    /// the iteration stream gets one chunk per round as long as no fused window hides
+    /// `mul, add` from the JIT.
+    #[test]
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    fn blend_mix_compiles_one_chunk_per_alu_round() {
+        let _env = crate::jit::TEST_ENV_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        assert!(crate::jit::jit_supported());
+        let (_, module, main) = helix_workloads::load_corpus()
+            .expect("corpus loads")
+            .into_iter()
+            .find(|(name, _, _)| name == "blend_mix")
+            .expect("blend_mix is in the corpus");
+        let (profile, output) = Helix::new(HelixConfig::i7_980x())
+            .profile_and_analyze(&module, main, &[], helix_ir::interp::DEFAULT_FUEL)
+            .expect("blend_mix profiles");
+        let (plan, _) = output.hottest_plan(main, &profile).expect("a loop plan");
+        let pimg = ParallelImage::lower(&transform::apply(&module, plan));
+        let rounds = pimg
+            .loop_image
+            .code
+            .iter()
+            .filter(|op| matches!(op, Op::Bin { op: BinOp::Max, .. }))
+            .count();
+        assert_eq!(rounds, 14);
+        let engine = Engine::for_loop(DispatchTier::Jit, &pimg.exec, &pimg.loop_image);
+        let table = engine
+            .tables
+            .as_ref()
+            .and_then(|t| t.iter.as_ref())
+            .expect("the JIT tier has an iteration table");
+        let heads = table.ops.iter().filter(|op| jit::is_chunk_head(op)).count();
+        assert!(
+            heads.abs_diff(rounds) <= 1,
+            "{heads} chunk heads for {rounds} rounds"
+        );
     }
 
     #[test]

@@ -608,18 +608,6 @@ impl ParallelExecutor {
         }
     }
 
-    /// Creates an executor with `threads` workers and the budgets of a
-    /// [`helix_core::HelixConfig`].
-    pub fn from_config(threads: usize, config: &helix_core::HelixConfig) -> Self {
-        Self {
-            threads: threads.max(1),
-            max_iterations: config.max_loop_iterations.max(1),
-            spin_budget: config.spin_budget.max(1),
-            telemetry: TelemetryMode::from_sample_period(config.telemetry_sample_period),
-            ..Self::default()
-        }
-    }
-
     /// Overrides the deadlock spin budget.
     pub fn with_spin_budget(mut self, spins: u64) -> Self {
         self.spin_budget = spins.max(1);
@@ -1154,18 +1142,26 @@ mod tests {
 
     #[test]
     fn budgets_are_configurable() {
-        let config = HelixConfig::i7_980x()
+        let default = ParallelExecutor::new(3);
+        assert_eq!(default.threads, 3);
+        assert_eq!(default.spin_budget, DEFAULT_SPIN_BUDGET);
+        assert_eq!(default.max_iterations, DEFAULT_MAX_ITERATIONS);
+        assert_eq!(default.telemetry, TelemetryMode::Disabled);
+        let tuned = default
             .with_spin_budget(1234)
-            .with_max_loop_iterations(99);
-        let executor = ParallelExecutor::from_config(3, &config);
-        assert_eq!(executor.threads, 3);
-        assert_eq!(executor.spin_budget, 1234);
-        assert_eq!(executor.max_iterations, 99);
-        let tuned = ParallelExecutor::new(2)
-            .with_spin_budget(5)
-            .with_max_iterations(7);
-        assert_eq!(tuned.spin_budget, 5);
-        assert_eq!(tuned.max_iterations, 7);
+            .with_max_iterations(99)
+            .with_telemetry(TelemetryMode::Sampled(8));
+        assert_eq!(tuned.spin_budget, 1234);
+        assert_eq!(tuned.max_iterations, 99);
+        assert_eq!(tuned.telemetry, TelemetryMode::Sampled(8));
+        // Zero budgets and worker counts clamp to one.
+        let floor = ParallelExecutor::new(0)
+            .with_spin_budget(0)
+            .with_max_iterations(0);
+        assert_eq!(
+            (floor.threads, floor.spin_budget, floor.max_iterations),
+            (1, 1, 1)
+        );
     }
 
     #[test]

@@ -77,69 +77,20 @@ fn regs_ok(rs: &[u32]) -> bool {
     rs.iter().all(|&r| r <= MAX_REG)
 }
 
-/// How many constituent ops the template for `p` covers, or `None` when `p` is not
-/// JIT-coverable. Fused superinstructions decompose into their constituent templates
-/// (the JIT removes dispatch entirely, which is the very cost fusion existed to
-/// amortize), so chains count their full width.
-pub(crate) fn coverage(p: &POp) -> Option<usize> {
+/// Whether `p` has a template. Only single unfused data ops do: every fused superinstruction
+/// contains a load, a store or a branch, which the JIT leaves to the threaded handlers.
+pub(crate) fn covered(p: &POp) -> bool {
     match p {
-        POp::MovR { dst, src } => regs_ok(&[*dst, *src]).then_some(1),
-        POp::MovI { dst, .. } => regs_ok(&[*dst]).then_some(1),
-        POp::UnR { dst, src, .. } => regs_ok(&[*dst, *src]).then_some(1),
-        POp::BinRR { dst, op, lhs, rhs } => {
-            (regs_ok(&[*dst, *lhs, *rhs]) && bin_ok(*op, None)).then_some(1)
-        }
-        POp::BinRI { dst, op, lhs, rhs } => {
-            (regs_ok(&[*dst, *lhs]) && bin_ok(*op, Some(*rhs))).then_some(1)
-        }
-        POp::BinIR { dst, op, lhs, rhs } => {
-            (regs_ok(&[*dst, *rhs]) && bin_ok(*op, Some(*lhs))).then_some(1)
-        }
-        POp::CmpRR { dst, lhs, rhs, .. } => regs_ok(&[*dst, *lhs, *rhs]).then_some(1),
-        POp::CmpRI { dst, lhs, rhs, .. } => {
-            (regs_ok(&[*dst, *lhs]) && !rhs.is_float()).then_some(1)
-        }
-        POp::CmpIR { dst, lhs, rhs, .. } => {
-            (regs_ok(&[*dst, *rhs]) && !lhs.is_float()).then_some(1)
-        }
-        POp::BinChainII {
-            lhs,
-            op1,
-            i1,
-            d1,
-            op2,
-            i2,
-            d2,
-        } => (regs_ok(&[*lhs, *d1, *d2]) && bin_ok(*op1, Some(*i1)) && bin_ok(*op2, Some(*i2)))
-            .then_some(2),
-        POp::BinChain3II {
-            lhs, d1, d2, d3, ..
-        } => regs_ok(&[*lhs, *d1, *d2, *d3]).then_some(3),
-        POp::BinChain3FF {
-            lhs,
-            op1,
-            d1,
-            op2,
-            d2,
-            op3,
-            d3,
-            ..
-        } => (regs_ok(&[*lhs, *d1, *d2, *d3])
-            && dual_path(*op1)
-            && dual_path(*op2)
-            && dual_path(*op3))
-        .then_some(3),
-        POp::BinChainRI {
-            lhs,
-            rhs,
-            op1,
-            d1,
-            op2,
-            i2,
-            d2,
-        } => (regs_ok(&[*lhs, *rhs, *d1, *d2]) && bin_ok(*op1, None) && bin_ok(*op2, Some(*i2)))
-            .then_some(2),
-        _ => None,
+        POp::MovR { dst, src } => regs_ok(&[*dst, *src]),
+        POp::MovI { dst, .. } => regs_ok(&[*dst]),
+        POp::UnR { dst, src, .. } => regs_ok(&[*dst, *src]),
+        POp::BinRR { dst, op, lhs, rhs } => regs_ok(&[*dst, *lhs, *rhs]) && bin_ok(*op, None),
+        POp::BinRI { dst, op, lhs, rhs } => regs_ok(&[*dst, *lhs]) && bin_ok(*op, Some(*rhs)),
+        POp::BinIR { dst, op, lhs, rhs } => regs_ok(&[*dst, *rhs]) && bin_ok(*op, Some(*lhs)),
+        POp::CmpRR { dst, lhs, rhs, .. } => regs_ok(&[*dst, *lhs, *rhs]),
+        POp::CmpRI { dst, lhs, rhs, .. } => regs_ok(&[*dst, *lhs]) && !rhs.is_float(),
+        POp::CmpIR { dst, lhs, rhs, .. } => regs_ok(&[*dst, *rhs]) && !lhs.is_float(),
+        _ => false,
     }
 }
 
@@ -560,7 +511,7 @@ impl Emit {
         let static_float =
             matches!(lhs, Src::Imm(Value::Float(_))) || matches!(rhs, Src::Imm(Value::Float(_)));
         if !dual_path(op) {
-            // Integer-only template; floats side-exit (coverage() rejected float imms).
+            // Integer-only template; floats side-exit (covered() rejected float imms).
             debug_assert!(!static_float);
             if let Src::Reg(r) = lhs {
                 self.require_int(a, r, pc);
@@ -621,7 +572,7 @@ impl Emit {
         self.store_int(a, dst);
     }
 
-    /// Emits the template for one coverable op (`coverage(p).is_some()` must hold).
+    /// Emits the template for one coverable op (`covered(p)` must hold).
     fn op(&mut self, a: &mut Asm, p: &POp, pc: usize) {
         match p {
             POp::MovR { dst, src } => {
@@ -703,101 +654,6 @@ impl Emit {
                 lhs,
                 rhs,
             } => self.cmp(a, *dst, *pred, Src::Imm(*lhs), Src::Reg(*rhs), pc),
-            // Fused chains decompose into their constituent templates; the side-exit pc
-            // of constituent `k` is `pc + k`, whose stream slot still holds the original
-            // unfused op (fusion only rewrites the head), so the interpreter resumes
-            // mid-window exactly where the native code stopped.
-            POp::BinChainII {
-                lhs,
-                op1,
-                i1,
-                d1,
-                op2,
-                i2,
-                d2,
-            } => {
-                self.bin(a, *d1, *op1, Src::Reg(*lhs), Src::Imm(*i1), pc);
-                self.bin(a, *d2, *op2, Src::Reg(*d1), Src::Imm(*i2), pc + 1);
-            }
-            POp::BinChain3II {
-                lhs,
-                op1,
-                i1,
-                d1,
-                op2,
-                i2,
-                d2,
-                op3,
-                i3,
-                d3,
-            } => {
-                self.bin(a, *d1, *op1, Src::Reg(*lhs), Src::Imm(Value::Int(*i1)), pc);
-                self.bin(
-                    a,
-                    *d2,
-                    *op2,
-                    Src::Reg(*d1),
-                    Src::Imm(Value::Int(*i2)),
-                    pc + 1,
-                );
-                self.bin(
-                    a,
-                    *d3,
-                    *op3,
-                    Src::Reg(*d2),
-                    Src::Imm(Value::Int(*i3)),
-                    pc + 2,
-                );
-            }
-            POp::BinChain3FF {
-                lhs,
-                op1,
-                f1,
-                d1,
-                op2,
-                f2,
-                d2,
-                op3,
-                f3,
-                d3,
-            } => {
-                self.bin(
-                    a,
-                    *d1,
-                    *op1,
-                    Src::Reg(*lhs),
-                    Src::Imm(Value::Float(*f1)),
-                    pc,
-                );
-                self.bin(
-                    a,
-                    *d2,
-                    *op2,
-                    Src::Reg(*d1),
-                    Src::Imm(Value::Float(*f2)),
-                    pc + 1,
-                );
-                self.bin(
-                    a,
-                    *d3,
-                    *op3,
-                    Src::Reg(*d2),
-                    Src::Imm(Value::Float(*f3)),
-                    pc + 2,
-                );
-            }
-            POp::BinChainRI {
-                lhs,
-                rhs,
-                op1,
-                d1,
-                op2,
-                i2,
-                d2,
-            } => {
-                self.bin(a, *d1, *op1, Src::Reg(*lhs), Src::Reg(*rhs), pc);
-                self.bin(a, *d2, *op2, Src::Reg(*d1), Src::Imm(*i2), pc + 1);
-            }
             other => unreachable!("op without a template reached the emitter: {other:?}"),
         }
     }
@@ -807,67 +663,52 @@ impl Emit {
 // The chunk compiler.
 // ---------------------------------------------------------------------------
 
-fn slot_width(s: &Slot) -> usize {
+/// Whether a chunk may hold this slot.
+fn in_chunk(s: &Slot) -> bool {
     match s {
-        Slot::Op(p) => p.fused_width(),
-        Slot::Nop | Slot::Bar => 1,
+        Slot::Op(p) => covered(p),
+        Slot::Nop => true,
+        Slot::Bar => false,
     }
 }
 
 /// Appends every profitable straight-line run of `slots` to `a` as a chunk. Returns the
 /// chunk index (head slot → entry offset in `a`'s blob). A chunk must cover at least two
-/// constituent ops — a single op gains nothing over its threaded handler. Chunks are
+/// ops — a single op gains nothing over its threaded handler. Chunks are
 /// position-independent leaf functions, so one blob holds the chunks of every stream of
 /// an engine.
 pub(crate) fn compile_stream(a: &mut Asm, slots: &[Slot]) -> Vec<Chunk> {
     let mut chunks = Vec::new();
     let mut pc = 0;
     while pc < slots.len() {
-        let covered = match &slots[pc] {
-            Slot::Op(p) => coverage(p),
-            Slot::Nop => Some(0),
-            Slot::Bar => None,
-        };
-        if covered.is_none() {
-            pc += slot_width(&slots[pc]);
+        if !in_chunk(&slots[pc]) {
+            // A fused window dispatches as one op: its interior slots never head a chunk.
+            pc += match &slots[pc] {
+                Slot::Op(p) => p.fused_width(),
+                Slot::Nop | Slot::Bar => 1,
+            };
             continue;
         }
         // Scan the maximal coverable run starting here.
         let head = pc;
-        let mut units = 0usize;
-        let mut end = pc;
-        while end < slots.len() {
-            match &slots[end] {
-                Slot::Bar => break,
-                Slot::Nop => end += 1,
-                Slot::Op(p) => match coverage(p) {
-                    Some(u) => {
-                        units += u;
-                        end += p.fused_width();
-                    }
-                    None => break,
-                },
-            }
-        }
-        // A chunk must cover ≥ 2 constituent ops to beat per-op threaded dispatch, and
-        // must leave a real slot to resume at (streams always end in a terminator, so
-        // the second clause only trips on degenerate all-data streams).
-        if units < 2 || end >= slots.len() {
-            pc = end.max(head + slot_width(&slots[head]));
+        let end = head + slots[head..].iter().take_while(|s| in_chunk(s)).count();
+        let ops = slots[head..end]
+            .iter()
+            .filter(|s| matches!(s, Slot::Op(_)))
+            .count();
+        // A chunk must cover ≥ 2 ops to beat per-op threaded dispatch, and must leave a
+        // real slot to resume at (streams always end in a terminator, so the second clause
+        // only trips on degenerate all-data streams).
+        if ops < 2 || end >= slots.len() {
+            pc = end;
             continue;
         }
         // Emit the chunk: body, normal epilogue, then the side-exit stubs.
         let off = a.here();
         let mut e = Emit { exits: Vec::new() };
-        let mut cur = head;
-        while cur < end {
-            match &slots[cur] {
-                Slot::Op(p) => {
-                    e.op(a, p, cur);
-                    cur += p.fused_width();
-                }
-                Slot::Nop => cur += 1,
-                Slot::Bar => unreachable!("scan stopped before any barrier"),
+        for (cur, slot) in slots.iter().enumerate().take(end).skip(head) {
+            if let Slot::Op(p) = slot {
+                e.op(a, p, cur);
             }
         }
         a.ret_pc(end);

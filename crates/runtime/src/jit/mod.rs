@@ -5,7 +5,7 @@
 //!
 //! The JIT does not bring its own driver. It builds the exact [`IterTable`] /
 //! [`FlatTables`] the threaded tier uses, finds every maximal run of consecutive
-//! JIT-coverable ops (a **chunk**, ≥ 2 constituent ops), compiles each chunk to
+//! JIT-coverable ops (a **chunk**, ≥ 2 ops), compiles each chunk to
 //! straight-line machine code with [`emit`], and rewrites only the chunk's *head* slot to
 //! a [`h_jit`] trampoline that calls the native code. All chunks of one engine — its
 //! iteration stream and every flat function it decoded — share one executable mapping,
@@ -29,9 +29,10 @@
 //!
 //! ## Partial coverage, total correctness
 //!
-//! Only register-to-register data ops are compiled (moves, un/bin/cmp ops and the fused
-//! superinstruction chains). Memory, allocation, call, select, sync and control ops keep
-//! their threaded handlers; they bound chunks rather than being emulated. Correctness
+//! Only register-to-register data ops are compiled (moves, un/bin/cmp ops). Memory,
+//! allocation, call, select, sync and control ops keep their threaded handlers — and so do
+//! the fused superinstructions, each of which contains one of them; they bound chunks
+//! rather than being emulated. Correctness
 //! never depends on *what* is covered — only dispatch cost does — and the differential
 //! fuzz oracle holds all three tiers to bitwise-identical results.
 //!
@@ -367,12 +368,11 @@ mod tests {
         assert!(jit_supported());
     }
 
-    /// Compiles `slots` (auto-terminated) as one chunk and runs it over `regs`. Appends
-    /// three barrier slots so a trailing fused window (up to 3 wide) keeps the interior
-    /// stream slots it would have in a real pcode stream.
+    /// Compiles `slots` as one chunk and runs it over `regs`. Appends a barrier slot: the
+    /// slot the chunk resumes at.
     fn run_chunk(slots: Vec<Slot>, regs: &mut [Value]) -> usize {
         let mut slots = slots;
-        slots.extend([Slot::Bar, Slot::Bar, Slot::Bar]);
+        slots.push(Slot::Bar);
         let (code, chunks) = compile_alone(&slots);
         assert_eq!(chunks.len(), 1, "expected exactly one chunk");
         assert_eq!(chunks[0].head_pc, 0);
@@ -613,75 +613,6 @@ mod tests {
         );
         assert_eq!(resume, 0);
         assert_eq!(regs[2], Value::Int(0));
-    }
-
-    /// Fused chains decompose into constituent templates whose side exits land on the
-    /// interior pcs (which keep their original unfused ops in the real tables).
-    #[test]
-    fn fused_chains_match_and_side_exit_mid_window() {
-        let mut regs = [Value::Int(10), Value::Int(0), Value::Int(0), Value::Int(0)];
-        let resume = run_chunk(
-            vec![Slot::Op(POp::BinChain3II {
-                lhs: 0,
-                op1: BinOp::Add,
-                i1: 5,
-                d1: 1,
-                op2: BinOp::Mul,
-                i2: 3,
-                d2: 2,
-                op3: BinOp::Sub,
-                i3: 40,
-                d3: 3,
-            })],
-            &mut regs,
-        );
-        assert_eq!(resume, 3, "3-wide fused window covers pcs 0..3");
-        assert_eq!(regs[1], Value::Int(15));
-        assert_eq!(regs[2], Value::Int(45));
-        assert_eq!(regs[3], Value::Int(5));
-        // Chain whose op1 (dual-path) produces a float that op2 (int-only) refuses:
-        // the exit pc is the *second* constituent slot.
-        let mut regs = [Value::Float(1.5), Value::Int(0), Value::Int(66)];
-        let resume = run_chunk(
-            vec![Slot::Op(POp::BinChainII {
-                lhs: 0,
-                op1: BinOp::Add,
-                i1: Value::Int(1),
-                d1: 1,
-                op2: BinOp::And,
-                i2: Value::Int(7),
-                d2: 2,
-            })],
-            &mut regs,
-        );
-        assert_eq!(resume, 1, "exit at the interior constituent");
-        assert_eq!(regs[1].to_bits(), Value::Float(2.5).to_bits());
-        assert_eq!(regs[2], Value::Int(66), "second constituent wrote nothing");
-        // Float-immediate chain (BinChain3FF) takes the float path throughout.
-        let mut regs = [Value::Int(2), Value::Int(0), Value::Int(0), Value::Int(0)];
-        let resume = run_chunk(
-            vec![Slot::Op(POp::BinChain3FF {
-                lhs: 0,
-                op1: BinOp::Add,
-                f1: 0.5,
-                d1: 1,
-                op2: BinOp::Mul,
-                f2: 2.0,
-                d2: 2,
-                op3: BinOp::Div,
-                f3: 0.0,
-                d3: 3,
-            })],
-            &mut regs,
-        );
-        assert_eq!(resume, 3);
-        assert_eq!(regs[1], Value::Float(2.5));
-        assert_eq!(regs[2], Value::Float(5.0));
-        assert_eq!(
-            regs[3],
-            Value::Float(0.0),
-            "float division by zero yields 0.0"
-        );
     }
 
     /// Streams that never leave room to resume (no terminator) compile to no chunks;

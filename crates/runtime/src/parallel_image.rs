@@ -303,30 +303,20 @@ impl LoopImage {
 
     /// Debug summary of fused superinstruction counts (diagnostics/examples only).
     pub fn fusion_summary(&self) -> String {
-        let mut c2 = 0;
-        let mut c3 = 0;
-        let mut c3f = 0;
-        let mut cri = 0;
-        let mut lab = 0;
-        let mut bsa = 0;
-        let mut rmw = 0;
-        let mut cmpbr = 0;
+        let mut counts = [0usize; 4];
         for p in &self.pcode {
-            match p {
-                POp::BinChainII { .. } => c2 += 1,
-                POp::BinChain3II { .. } => c3 += 1,
-                POp::BinChain3FF { .. } => c3f += 1,
-                POp::BinChainRI { .. } => cri += 1,
-                POp::LoadABin { .. } => lab += 1,
-                POp::BinStoreA { .. } => bsa += 1,
-                POp::RmwA { .. } => rmw += 1,
-                POp::CmpBrRI { .. } | POp::CmpBrRR { .. } => cmpbr += 1,
-                _ => {}
-            }
+            let form = match p {
+                POp::RmwA { .. } => 0,
+                POp::LoadABin { .. } => 1,
+                POp::BinStoreA { .. } => 2,
+                POp::CmpBrRI { .. } | POp::CmpBrRR { .. } => 3,
+                _ => continue,
+            };
+            counts[form] += 1;
         }
+        let [rmw, lab, bsa, cmpbr] = counts;
         format!(
-            "chain2 {c2} chain3 {c3} chain3f {c3f} chainRI {cri} loadbin {lab} binstore {bsa} \
-             rmw {rmw} cmpbr {cmpbr} / {} ops",
+            "rmw {rmw} loadbin {lab} binstore {bsa} cmpbr {cmpbr} / {} ops",
             self.pcode.len()
         )
     }
@@ -349,10 +339,10 @@ impl LoopImage {
     /// Static cycle estimate of each segment's flat pc span, walking the *specialized*
     /// dispatch stream the workers actually run: the cycles a worker spends between
     /// entering the segment's first `Wait` and leaving its last `Signal`, assuming every
-    /// dispatch in the span executes once. A fused superinstruction window is charged its
-    /// constituent ops' class costs minus one ALU-class dispatch per eliminated slot
-    /// (floored at the heaviest constituent) — so fusion makes the measured per-segment
-    /// cost genuinely smaller, and the feedback-directed selection sees it. The simulator
+    /// dispatch in the span executes once. A fused window (an RMW, load+op, op+store or
+    /// compare+branch superinstruction) is charged its constituent ops' class costs minus
+    /// one ALU-class dispatch per eliminated slot (floored at the heaviest constituent);
+    /// every other op, ALU runs included, is charged on its own. The simulator
     /// uses these as its per-segment costs when no profile-weighted estimate is available
     /// (and to cross-check the profile-weighted ones).
     pub fn segment_span_cycles(&self, cost: &CostModel) -> Vec<(DepId, u64)> {
@@ -381,31 +371,27 @@ impl LoopImage {
     }
 }
 
-/// Superinstruction fusion over the specialized stream: value-producing ops whose results
-/// feed the immediately following op(s) collapse into one dispatch. Only the *head* slot of
-/// a fused window is rewritten; every interior slot keeps its original op, so control flow
-/// that jumps into the middle of a window (or re-enters a block mid-way) executes
-/// identically — straight-line execution dispatches the head once and skips the window.
-/// Fusion never crosses a block boundary, and never crosses a segment's `Wait`/`Signal`
-/// boundary ops (they are not fusable, so no window can contain one).
+/// Superinstruction fusion over the specialized stream: a memory or branch op and the
+/// binary or compare op that feeds it, or that it feeds, collapse into one dispatch. Only
+/// the *head* slot of a fused window is rewritten; every interior slot keeps its original
+/// op, so control flow that jumps into the middle of a window (or re-enters a block
+/// mid-way) executes identically — straight-line execution dispatches the head once and
+/// skips the window. Fusion never crosses a block boundary, and never crosses a segment's
+/// `Wait`/`Signal` boundary ops (they are not fusable, so no window can contain one).
 ///
-/// Every fused form is a fully *specialized inline* variant — pre-decoded operands, no
-/// per-step operand dispatch, no heap indirection. (An earlier generalization that boxed
-/// variable-length chains and matched operand kinds per step measured *slower* than no
-/// fusion at all: the interpreter's per-dispatch cost is one well-predicted indirect jump,
-/// so a superinstruction only wins if its body is as straight-line as the ops it replaces.)
+/// Every fused form contains an op the JIT does not compile (a load, a store or a
+/// branch), so each saves a dispatch on every tier. Runs of ALU ops are deliberately left
+/// unfused: the threaded tier has a monomorphized handler per binary op, and the JIT
+/// compiles such runs whole — an ALU-only window would only hide its ops from both.
 ///
 /// Patterns, tried in priority order at each pc (windows do not overlap):
 ///
 /// 1. **RMW** `load-abs; bin; store-abs` (width 3) — the canonical synchronized-segment
 ///    body (`acc = acc ⊕ x`): one dispatch for the whole read-modify-write.
-/// 2. **Immediate chains** (width 3 then 2) — runs of `dst = prev op imm` ops, the ALU
-///    round shape of hash/blend kernels (all-int *and* all-float triples), plus the
-///    `RR;RI` pair.
-/// 3. **load+op** (width 2) — an absolute load feeding the next binary op.
-/// 4. **op+store** (width 2) — a binary op whose result the next op stores to an absolute
+/// 2. **load+op** (width 2) — an absolute load feeding the next binary op.
+/// 3. **op+store** (width 2) — a binary op whose result the next op stores to an absolute
 ///    address.
-/// 5. **compare+branch** (width 2) — the loop-latch idiom.
+/// 4. **compare+branch** (width 2) — the loop-latch idiom.
 fn fuse_superinstructions(pcode: &mut [POp], pc_block: &[u32]) {
     let len = pcode.len();
     let mut pc = 0usize;
@@ -429,239 +415,109 @@ fn rr_consumes(p: &POp, prev: u32) -> Option<(BinOp, u32, bool, u32)> {
 fn fuse_at(pcode: &mut [POp], pc_block: &[u32], pc: usize) -> usize {
     let len = pcode.len();
     let same_block = |k: usize| k < len && pc_block[k] == pc_block[pc];
-
-    // 1. RMW: absolute load; RR bin consuming it; absolute store of the bin's result.
-    if same_block(pc + 2) {
-        if let POp::LoadA {
-            dst: ld,
-            addr: laddr,
-        } = pcode[pc]
-        {
-            if let Some((op, other, ld_on_lhs, dst)) = rr_consumes(&pcode[pc + 1], ld) {
-                if let POp::StoreAR { addr: saddr, value } = pcode[pc + 2] {
-                    if value == dst {
-                        pcode[pc] = POp::RmwA {
-                            laddr,
-                            ld,
-                            op,
-                            other,
-                            ld_on_lhs,
-                            dst,
-                            saddr,
-                        };
-                        return 3;
-                    }
-                }
-            }
-        }
-    }
-
-    // 2. Immediate chains: `d1 = lhs op1 i1; d2 = d1 op2 i2 [; d3 = d2 op3 i3]`, plus the
-    // RR;RI pair.
-    if let POp::BinRI {
-        dst: d1,
-        op: op1,
-        lhs,
-        rhs: i1,
-    } = pcode[pc]
-    {
-        if same_block(pc + 1) {
-            if let POp::BinRI {
-                dst: d2,
-                op: op2,
-                lhs: l2,
-                rhs: i2,
-            } = pcode[pc + 1]
-            {
-                if l2 == d1 {
-                    if same_block(pc + 2) {
-                        if let POp::BinRI {
-                            dst: d3,
-                            op: op3,
-                            lhs: l3,
-                            rhs: i3,
-                        } = pcode[pc + 2]
-                        {
-                            if l3 == d2 {
-                                // All-int and all-float triples get a width-3 form; mixed
-                                // immediates fall back to the pair below.
-                                match (i1, i2, i3) {
-                                    (Value::Int(i1), Value::Int(i2), Value::Int(i3)) => {
-                                        pcode[pc] = POp::BinChain3II {
-                                            lhs,
-                                            op1,
-                                            i1,
-                                            d1,
-                                            op2,
-                                            i2,
-                                            d2,
-                                            op3,
-                                            i3,
-                                            d3,
-                                        };
-                                        return 3;
-                                    }
-                                    (Value::Float(f1), Value::Float(f2), Value::Float(f3)) => {
-                                        pcode[pc] = POp::BinChain3FF {
-                                            lhs,
-                                            op1,
-                                            f1,
-                                            d1,
-                                            op2,
-                                            f2,
-                                            d2,
-                                            op3,
-                                            f3,
-                                            d3,
-                                        };
-                                        return 3;
-                                    }
-                                    _ => {}
-                                }
-                            }
-                        }
-                    }
-                    pcode[pc] = POp::BinChainII {
-                        lhs,
-                        op1,
-                        i1,
-                        d1,
-                        op2,
-                        i2,
-                        d2,
-                    };
-                    return 2;
-                }
-            }
-        }
+    if !same_block(pc + 1) {
         return 1;
     }
-    if let POp::BinRR {
-        dst: d1,
-        op: op1,
-        lhs,
-        rhs,
-    } = pcode[pc]
-    {
-        if same_block(pc + 1) {
-            if let POp::BinRI {
-                dst: d2,
-                op: op2,
-                lhs: l2,
-                rhs: i2,
-            } = pcode[pc + 1]
-            {
-                if l2 == d1 {
-                    pcode[pc] = POp::BinChainRI {
-                        lhs,
-                        rhs,
-                        op1,
-                        d1,
-                        op2,
-                        i2,
-                        d2,
-                    };
-                    return 2;
-                }
-            }
-            // 4. op+store: the bin's result goes straight to an absolute address.
-            if let POp::StoreAR { addr: saddr, value } = pcode[pc + 1] {
-                if value == d1 {
-                    pcode[pc] = POp::BinStoreA {
-                        op: op1,
-                        lhs,
-                        rhs,
-                        dst: d1,
-                        saddr,
-                    };
-                    return 2;
-                }
-            }
-        }
-        return 1;
-    }
-
-    // 3. load+op: an absolute load feeding the next binary op (when no store follows —
-    // the RMW case was tried first).
-    if same_block(pc + 1) {
-        if let POp::LoadA {
-            dst: ld,
-            addr: laddr,
-        } = pcode[pc]
-        {
-            if let Some((op, other, ld_on_lhs, dst)) = rr_consumes(&pcode[pc + 1], ld) {
-                pcode[pc] = POp::LoadABin {
+    let fused = match (&pcode[pc], &pcode[pc + 1]) {
+        // 1. RMW: absolute load; RR bin consuming it; absolute store of the bin's result.
+        // 2. load+op: the same without the store.
+        (
+            &POp::LoadA {
+                dst: ld,
+                addr: laddr,
+            },
+            next,
+        ) => rr_consumes(next, ld).map(|(op, other, ld_on_lhs, dst)| match pcode.get(pc + 2) {
+            Some(&POp::StoreAR { addr: saddr, value }) if value == dst && same_block(pc + 2) => {
+                POp::RmwA {
                     laddr,
                     ld,
                     op,
                     other,
                     ld_on_lhs,
                     dst,
-                };
-                return 2;
+                    saddr,
+                }
             }
+            _ => POp::LoadABin {
+                laddr,
+                ld,
+                op,
+                other,
+                ld_on_lhs,
+                dst,
+            },
+        }),
+        // 3. op+store: the bin's result goes straight to an absolute address.
+        (&POp::BinRR { dst, op, lhs, rhs }, &POp::StoreAR { addr: saddr, value })
+            if value == dst =>
+        {
+            Some(POp::BinStoreA {
+                op,
+                lhs,
+                rhs,
+                dst,
+                saddr,
+            })
         }
-    }
-
-    // 5. compare+branch (the loop-latch idiom).
-    if same_block(pc + 1) {
-        let fused = match (&pcode[pc], &pcode[pc + 1]) {
-            (
-                POp::CmpRI {
-                    dst,
-                    pred,
-                    lhs,
-                    rhs,
-                },
-                POp::Branch {
-                    cond,
-                    then_pc,
-                    then_block,
-                    else_pc,
-                    else_block,
-                },
-            ) if cond == dst => Some(POp::CmpBrRI {
-                dst: *dst,
-                pred: *pred,
-                lhs: *lhs,
-                imm: *rhs,
-                then_pc: *then_pc,
-                then_block: *then_block,
-                else_pc: *else_pc,
-                else_block: *else_block,
-            }),
-            (
-                POp::CmpRR {
-                    dst,
-                    pred,
-                    lhs,
-                    rhs,
-                },
-                POp::Branch {
-                    cond,
-                    then_pc,
-                    then_block,
-                    else_pc,
-                    else_block,
-                },
-            ) if cond == dst => Some(POp::CmpBrRR {
-                dst: *dst,
-                pred: *pred,
-                lhs: *lhs,
-                rhs: *rhs,
-                then_pc: *then_pc,
-                then_block: *then_block,
-                else_pc: *else_pc,
-                else_block: *else_block,
-            }),
-            _ => None,
-        };
-        if let Some(f) = fused {
+        // 4. compare+branch (the loop-latch idiom).
+        (
+            &POp::CmpRI {
+                dst,
+                pred,
+                lhs,
+                rhs,
+            },
+            &POp::Branch {
+                cond,
+                then_pc,
+                then_block,
+                else_pc,
+                else_block,
+            },
+        ) if cond == dst => Some(POp::CmpBrRI {
+            dst,
+            pred,
+            lhs,
+            imm: rhs,
+            then_pc,
+            then_block,
+            else_pc,
+            else_block,
+        }),
+        (
+            &POp::CmpRR {
+                dst,
+                pred,
+                lhs,
+                rhs,
+            },
+            &POp::Branch {
+                cond,
+                then_pc,
+                then_block,
+                else_pc,
+                else_block,
+            },
+        ) if cond == dst => Some(POp::CmpBrRR {
+            dst,
+            pred,
+            lhs,
+            rhs,
+            then_pc,
+            then_block,
+            else_pc,
+            else_block,
+        }),
+        _ => None,
+    };
+    match fused {
+        Some(f) => {
             pcode[pc] = f;
-            return 2;
+            pcode[pc].fused_width()
         }
+        None => 1,
     }
-    1
 }
 
 /// Computes [`LoopImage::restore_regs`]: registers some op reads before any definition in
@@ -959,55 +815,6 @@ pub(crate) enum POp {
     // still work, and straight-line execution dispatches once and skips the window. Every
     // intermediate destination is written, preserving the unfused ops' observable register
     // effects exactly.
-    /// `d1 = lhs op1 i1; d2 = d1 op2 i2` (width 2).
-    BinChainII {
-        lhs: u32,
-        op1: BinOp,
-        i1: Value,
-        d1: u32,
-        op2: BinOp,
-        i2: Value,
-        d2: u32,
-    },
-    /// `d1 = lhs op1 i1; d2 = d1 op2 i2; d3 = d2 op3 i3` with integer immediates
-    /// (width 3; all-float triples get [`POp::BinChain3FF`], mixed ones fall back to
-    /// pairs so both variants stay flat-sized).
-    BinChain3II {
-        lhs: u32,
-        op1: BinOp,
-        i1: i64,
-        d1: u32,
-        op2: BinOp,
-        i2: i64,
-        d2: u32,
-        op3: BinOp,
-        i3: i64,
-        d3: u32,
-    },
-    /// `d1 = lhs op1 f1; d2 = d1 op2 f2; d3 = d2 op3 f3` with float immediates (width 3) —
-    /// the float scaling/blend chains that previously fell back to pairs.
-    BinChain3FF {
-        lhs: u32,
-        op1: BinOp,
-        f1: f64,
-        d1: u32,
-        op2: BinOp,
-        f2: f64,
-        d2: u32,
-        op3: BinOp,
-        f3: f64,
-        d3: u32,
-    },
-    /// `d1 = lhs op1 rhs; d2 = d1 op2 i2` (width 2).
-    BinChainRI {
-        lhs: u32,
-        rhs: u32,
-        op1: BinOp,
-        d1: u32,
-        op2: BinOp,
-        i2: Value,
-        d2: u32,
-    },
     /// `ld = load laddr; dst = ld op other` (`other op ld` when `ld_on_lhs` is false)
     /// (width 2).
     LoadABin {
@@ -1066,13 +873,11 @@ impl POp {
     /// advances past it (1 for plain ops).
     pub(crate) fn fused_width(&self) -> usize {
         match self {
-            POp::BinChainII { .. }
-            | POp::BinChainRI { .. }
-            | POp::LoadABin { .. }
+            POp::LoadABin { .. }
             | POp::BinStoreA { .. }
             | POp::CmpBrRI { .. }
             | POp::CmpBrRR { .. } => 2,
-            POp::BinChain3II { .. } | POp::BinChain3FF { .. } | POp::RmwA { .. } => 3,
+            POp::RmwA { .. } => 3,
             _ => 1,
         }
     }
@@ -1958,72 +1763,6 @@ pub(crate) fn run_iteration(
                     *block,
                 ))));
             }
-            POp::BinChainII {
-                lhs,
-                op1,
-                i1,
-                d1,
-                op2,
-                i2,
-                d2,
-            } => {
-                let a = eval_binop(*op1, get(regs, *lhs), *i1);
-                set(regs, *d1, a);
-                set(regs, *d2, eval_binop(*op2, a, *i2));
-                pc += 2;
-            }
-            POp::BinChain3II {
-                lhs,
-                op1,
-                i1,
-                d1,
-                op2,
-                i2,
-                d2,
-                op3,
-                i3,
-                d3,
-            } => {
-                let a = eval_binop(*op1, get(regs, *lhs), Value::Int(*i1));
-                set(regs, *d1, a);
-                let b = eval_binop(*op2, a, Value::Int(*i2));
-                set(regs, *d2, b);
-                set(regs, *d3, eval_binop(*op3, b, Value::Int(*i3)));
-                pc += 3;
-            }
-            POp::BinChain3FF {
-                lhs,
-                op1,
-                f1,
-                d1,
-                op2,
-                f2,
-                d2,
-                op3,
-                f3,
-                d3,
-            } => {
-                let a = eval_binop(*op1, get(regs, *lhs), Value::Float(*f1));
-                set(regs, *d1, a);
-                let b = eval_binop(*op2, a, Value::Float(*f2));
-                set(regs, *d2, b);
-                set(regs, *d3, eval_binop(*op3, b, Value::Float(*f3)));
-                pc += 3;
-            }
-            POp::BinChainRI {
-                lhs,
-                rhs,
-                op1,
-                d1,
-                op2,
-                i2,
-                d2,
-            } => {
-                let a = eval_binop(*op1, get(regs, *lhs), get(regs, *rhs));
-                set(regs, *d1, a);
-                set(regs, *d2, eval_binop(*op2, a, *i2));
-                pc += 2;
-            }
             POp::LoadABin {
                 laddr,
                 ld,
@@ -2172,7 +1911,7 @@ mod tests {
         Some((transformed, fused, plain))
     }
 
-    /// An accumulator kernel with a long ALU chain (chain-fusion bait) and a
+    /// An accumulator kernel with a long ALU chain (which must stay unfused) and a
     /// load-add-store global accumulation (RMW bait).
     fn chain_accumulator() -> (Module, FuncId) {
         let mut mb = ModuleBuilder::new("chain_acc");
@@ -2207,43 +1946,37 @@ mod tests {
     }
 
     #[test]
-    fn fusion_produces_chains_and_rmw_superinstructions() {
+    fn fusion_produces_rmw_and_leaves_alu_runs_unfused() {
         let (module, main) = chain_accumulator();
         let (_t, fused, plain) = lower_both(&module, main).expect("plan exists");
-        let chains = fused
-            .pcode
-            .iter()
-            .filter(|p| {
-                matches!(
-                    p,
-                    POp::BinChainII { .. } | POp::BinChain3II { .. } | POp::BinChainRI { .. }
-                )
-            })
-            .count();
-        let rmws = fused
-            .pcode
-            .iter()
-            .filter(|p| matches!(p, POp::RmwA { .. }))
-            .count();
-        assert!(chains >= 1, "the 7-op ALU chain must fuse");
         assert!(
-            rmws >= 1,
+            fused.pcode.iter().any(|p| matches!(p, POp::RmwA { .. })),
             "the load-add-store accumulation must fuse into an RMW"
         );
-        let longest = fused
+        // Every fused window holds an op the JIT does not compile; the 7-op ALU chain
+        // dispatches op by op.
+        let mut windows = 0;
+        for (pc, p) in fused.pcode.iter().enumerate() {
+            let width = p.fused_width();
+            if width > 1 {
+                windows += 1;
+                assert!(
+                    fused.code[pc..pc + width].iter().any(|op| matches!(
+                        op,
+                        Op::Load { .. } | Op::Store { .. } | Op::Branch { .. }
+                    )),
+                    "window {pc}..{} is made only of ALU ops: {p:?}",
+                    pc + width
+                );
+            }
+        }
+        assert!(windows >= 1);
+        let unfused_alu = fused
             .pcode
             .iter()
-            .filter_map(|p| match p {
-                POp::BinChain3II { .. } => Some(3),
-                POp::BinChainII { .. } | POp::BinChainRI { .. } => Some(2),
-                _ => None,
-            })
-            .max()
-            .unwrap_or(0);
-        assert!(
-            longest >= 3,
-            "chains longer than a pair must form, got {longest}"
-        );
+            .filter(|p| matches!(p, POp::BinRI { .. }))
+            .count();
+        assert!(unfused_alu >= 7, "only {unfused_alu} immediate binops left");
         assert!(plain.pcode.iter().all(|p| p.fused_width() == 1));
     }
 
@@ -2323,59 +2056,6 @@ mod tests {
                 assert_eq!(got_fused, expected, "{name} fused diverged at {threads}t");
                 assert_eq!(got_plain, expected, "{name} plain diverged at {threads}t");
             }
-        }
-    }
-
-    #[test]
-    fn float_chain_triples_fuse_and_match_unfused() {
-        // Three chained float-immediate binops (`a = f * 1.5; b = a + 0.25; c = b * 0.75`)
-        // must fuse into one width-3 BinChain3FF — and the fused body must reproduce the
-        // unfused ops' float results bit for bit at every thread count.
-        let mut mb = ModuleBuilder::new("fchain");
-        let acc = mb.add_global("acc", 1);
-        let mut fb = FunctionBuilder::new("main", 0);
-        let lh = fb.counted_loop(Operand::int(0), Operand::int(64), 1);
-        let f = fb.unary_to_new(helix_ir::UnOp::ToFloat, Operand::Var(lh.induction_var));
-        let a = fb.binary_to_new(helix_ir::BinOp::Mul, Operand::Var(f), Operand::float(1.5));
-        let b = fb.binary_to_new(helix_ir::BinOp::Add, Operand::Var(a), Operand::float(0.25));
-        let c = fb.binary_to_new(helix_ir::BinOp::Mul, Operand::Var(b), Operand::float(0.75));
-        let cur = fb.new_var();
-        fb.load(cur, Operand::Global(acc), 0);
-        let next = fb.binary_to_new(helix_ir::BinOp::Add, Operand::Var(cur), Operand::Var(c));
-        fb.store(Operand::Global(acc), 0, Operand::Var(next));
-        fb.br(lh.latch);
-        fb.switch_to(lh.exit);
-        let out = fb.new_var();
-        fb.load(out, Operand::Global(acc), 0);
-        fb.ret(Some(Operand::Var(out)));
-        mb.add_function(fb.finish());
-        let module = mb.finish();
-        let main = module.function_by_name("main").unwrap();
-        let (transformed, fused, plain) = lower_both(&module, main).expect("plan exists");
-        assert!(
-            fused
-                .pcode
-                .iter()
-                .any(|p| matches!(p, POp::BinChain3FF { .. })),
-            "the all-float immediate triple must fuse: {}",
-            fused.fusion_summary()
-        );
-        let mut machine = Machine::new(&transformed.module);
-        let expected = machine.call(transformed.parallel_func, &[]).unwrap();
-        let exec = ExecImage::lower(&transformed.module);
-        for threads in [1, 2, 4] {
-            let mut executor = ParallelExecutor::new(threads);
-            executor.hardware = threads;
-            assert_eq!(
-                executor.run_lowered(&exec, &fused, &[]).unwrap(),
-                expected,
-                "fused diverged at {threads}t"
-            );
-            assert_eq!(
-                executor.run_lowered(&exec, &plain, &[]).unwrap(),
-                expected,
-                "plain diverged at {threads}t"
-            );
         }
     }
 

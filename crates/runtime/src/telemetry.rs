@@ -65,7 +65,7 @@ pub enum TelemetryMode {
 }
 
 impl TelemetryMode {
-    /// Maps a configuration sample period to a mode: `0` disabled, `1` full, `n` sampled.
+    /// Maps a sample period to a mode: `0` disabled, `1` full, `n` sampled.
     pub fn from_sample_period(period: u32) -> TelemetryMode {
         match period {
             0 => TelemetryMode::Disabled,

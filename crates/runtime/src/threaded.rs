@@ -96,13 +96,9 @@ pub(crate) struct TOp {
     c: u32,
     d: u32,
     e: u32,
-    o1: BinOp,
-    o2: BinOp,
-    o3: BinOp,
     pub(crate) i: i64,
     pub(crate) j: i64,
     v: Value,
-    w: Value,
 }
 
 impl TOp {
@@ -114,13 +110,9 @@ impl TOp {
             c: 0,
             d: 0,
             e: 0,
-            o1: BinOp::Add,
-            o2: BinOp::Add,
-            o3: BinOp::Add,
             i: 0,
             j: 0,
             v: Value::Int(0),
-            w: Value::Int(0),
         }
     }
 }
@@ -477,43 +469,6 @@ fn h_palloc_i(ctx: &mut TCtx<'_, '_>, op: &TOp, pc: usize) -> usize {
 }
 
 // --- fused superinstructions (straight-line bodies, one dispatch per window) ---
-
-/// `a=lhs b=d1 c=d2 o1 o2 v=i1 w=i2` — `d1 = lhs o1 i1; d2 = d1 o2 i2`
-fn h_chain_ii(ctx: &mut TCtx<'_, '_>, op: &TOp, pc: usize) -> usize {
-    let x = eval_binop(op.o1, get(ctx.regs, op.a), op.v);
-    set(ctx.regs, op.b, x);
-    set(ctx.regs, op.c, eval_binop(op.o2, x, op.w));
-    pc + 2
-}
-
-/// `a=lhs b=d1 c=d2 d=d3 o1 o2 o3 v=i1 w=i2 i=i3` (integer immediates)
-fn h_chain3_ii(ctx: &mut TCtx<'_, '_>, op: &TOp, pc: usize) -> usize {
-    let x = eval_binop(op.o1, get(ctx.regs, op.a), op.v);
-    set(ctx.regs, op.b, x);
-    let y = eval_binop(op.o2, x, op.w);
-    set(ctx.regs, op.c, y);
-    set(ctx.regs, op.d, eval_binop(op.o3, y, Value::Int(op.i)));
-    pc + 3
-}
-
-/// `a=lhs b=d1 c=d2 d=d3 o1 o2 o3 v=f1 w=f2 i=f3.to_bits()` (float immediates)
-fn h_chain3_ff(ctx: &mut TCtx<'_, '_>, op: &TOp, pc: usize) -> usize {
-    let x = eval_binop(op.o1, get(ctx.regs, op.a), op.v);
-    set(ctx.regs, op.b, x);
-    let y = eval_binop(op.o2, x, op.w);
-    set(ctx.regs, op.c, y);
-    let f3 = Value::Float(f64::from_bits(op.i as u64));
-    set(ctx.regs, op.d, eval_binop(op.o3, y, f3));
-    pc + 3
-}
-
-/// `a=lhs b=rhs c=d1 d=d2 o1 o2 v=i2` — `d1 = lhs o1 rhs; d2 = d1 o2 i2`
-fn h_chain_ri(ctx: &mut TCtx<'_, '_>, op: &TOp, pc: usize) -> usize {
-    let x = eval_binop(op.o1, get(ctx.regs, op.a), get(ctx.regs, op.b));
-    set(ctx.regs, op.c, x);
-    set(ctx.regs, op.d, eval_binop(op.o2, x, op.v));
-    pc + 2
-}
 
 /// `a=ld b=other c=dst e=ld_on_lhs i=laddr` — `ld = load laddr; dst = ld Z other`
 fn h_load_a_bin<Z: CBin>(ctx: &mut TCtx<'_, '_>, op: &TOp, pc: usize) -> usize {
@@ -1045,90 +1000,6 @@ fn decode_data(p: &POp) -> Option<TOp> {
             a: *dst,
             i: *words,
             ..TOp::new(h_palloc_i)
-        },
-        POp::BinChainII {
-            lhs,
-            op1,
-            i1,
-            d1,
-            op2,
-            i2,
-            d2,
-        } => TOp {
-            a: *lhs,
-            b: *d1,
-            c: *d2,
-            o1: *op1,
-            o2: *op2,
-            v: *i1,
-            w: *i2,
-            ..TOp::new(h_chain_ii)
-        },
-        POp::BinChain3II {
-            lhs,
-            op1,
-            i1,
-            d1,
-            op2,
-            i2,
-            d2,
-            op3,
-            i3,
-            d3,
-        } => TOp {
-            a: *lhs,
-            b: *d1,
-            c: *d2,
-            d: *d3,
-            o1: *op1,
-            o2: *op2,
-            o3: *op3,
-            v: Value::Int(*i1),
-            w: Value::Int(*i2),
-            i: *i3,
-            ..TOp::new(h_chain3_ii)
-        },
-        POp::BinChain3FF {
-            lhs,
-            op1,
-            f1,
-            d1,
-            op2,
-            f2,
-            d2,
-            op3,
-            f3,
-            d3,
-        } => TOp {
-            a: *lhs,
-            b: *d1,
-            c: *d2,
-            d: *d3,
-            o1: *op1,
-            o2: *op2,
-            o3: *op3,
-            v: Value::Float(*f1),
-            w: Value::Float(*f2),
-            i: f3.to_bits() as i64,
-            ..TOp::new(h_chain3_ff)
-        },
-        POp::BinChainRI {
-            lhs,
-            rhs,
-            op1,
-            d1,
-            op2,
-            i2,
-            d2,
-        } => TOp {
-            a: *lhs,
-            b: *rhs,
-            c: *d1,
-            d: *d2,
-            o1: *op1,
-            o2: *op2,
-            v: *i2,
-            ..TOp::new(h_chain_ri)
         },
         POp::LoadABin {
             laddr,

@@ -255,9 +255,9 @@ fn oracle_with_telemetry_sees_zero_divergences_across_thread_counts() {
     let oracle = OracleConfig {
         threads: vec![1, 2, 4, 6],
         repeats: 1,
-        helix: HelixConfig::i7_980x()
-            .with_spin_budget(20_000_000)
-            .with_telemetry_sampling(1),
+        executor: OracleConfig::default()
+            .executor
+            .with_telemetry(TelemetryMode::Full),
         ..OracleConfig::default()
     };
     let mut exercised = 0;
