@@ -110,8 +110,33 @@ EXAMPLES:
     helix serve --socket /tmp/helix.sock --cache-cap 32
 ";
 
+/// Lets a closed stdout end the process the way it ends `cat`: by `SIGPIPE`, quietly.
+/// The Rust runtime ignores `SIGPIPE`, so a write to a closed pipe returns `EPIPE` and
+/// `println!` panics with a backtrace instead.
+#[cfg(unix)]
+fn die_quietly_on_closed_pipe() {
+    extern "C" {
+        fn signal(signum: std::ffi::c_int, handler: usize) -> usize;
+    }
+    const SIGPIPE: std::ffi::c_int = 13;
+    const SIG_DFL: usize = 0;
+    // SAFETY: `signal` is the C library's documented call; it takes two plain integers,
+    // changes only this process's disposition for `SIGPIPE` and runs before any other
+    // thread exists.
+    unsafe {
+        signal(SIGPIPE, SIG_DFL);
+    }
+}
+
+#[cfg(not(unix))]
+fn die_quietly_on_closed_pipe() {}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // A daemon must outlive a client that hangs up mid-reply, so `serve` keeps `EPIPE`.
+    if args.first().map(String::as_str) != Some("serve") {
+        die_quietly_on_closed_pipe();
+    }
     match run_cli(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(CliError::Usage(msg)) => {

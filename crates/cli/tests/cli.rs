@@ -155,6 +155,22 @@ fn missing_input_file_error_names_the_path() {
 }
 
 #[test]
+fn closed_stdout_ends_the_cli_quietly() {
+    let mut child = Command::new(helix_exe())
+        .args(["dump-workload", "art"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    // Close the read end before the child writes anything, like `| (exec 0<&-; true)`.
+    drop(child.stdout.take());
+    let output = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert_ne!(output.status.code(), Some(101), "stderr: {stderr}");
+}
+
+#[test]
 fn unwritable_output_path_error_names_the_path() {
     let dir = std::env::temp_dir().join(format!("helix-cli-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

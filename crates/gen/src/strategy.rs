@@ -49,11 +49,6 @@ pub fn roundtrip_programs() -> GeneratedPrograms {
     }
 }
 
-/// Programs with an explicit configuration.
-pub fn programs_with(config: GenConfig) -> GeneratedPrograms {
-    GeneratedPrograms { config }
-}
-
 /// Convenience for property tests: shrink `module` under `still_failing` and render the
 /// minimized module as canonical `.hir` text for inclusion in a panic message.
 pub fn shrink_failure_text(

@@ -134,15 +134,6 @@ impl Function {
         &self.blocks[r.block.index()].instrs[r.index]
     }
 
-    /// Returns a mutable reference to the instruction at `r`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the reference is out of bounds.
-    pub fn instr_mut(&mut self, r: InstrRef) -> &mut Instr {
-        &mut self.blocks[r.block.index()].instrs[r.index]
-    }
-
     /// Iterates over every instruction with its [`InstrRef`], in block order.
     pub fn instr_refs(&self) -> impl Iterator<Item = (InstrRef, &Instr)> + '_ {
         self.blocks.iter().flat_map(|b| {

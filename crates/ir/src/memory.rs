@@ -126,8 +126,7 @@ impl Memory {
             });
         }
         if end > self.words.len() {
-            let new_len = end.next_power_of_two().min(Self::MAX_WORDS);
-            self.words.resize(new_len, Value::default());
+            self.grow(end.next_power_of_two().min(Self::MAX_WORDS));
         }
         self.next_free = end;
         Ok(base as i64)
@@ -151,11 +150,26 @@ impl Memory {
     pub fn store(&mut self, address: i64, value: Value) -> Result<(), MemoryError> {
         let idx = self.check(address, true)?;
         if idx >= self.words.len() {
-            let new_len = (idx + 1).next_power_of_two().min(Self::MAX_WORDS);
-            self.words.resize(new_len, Value::default());
+            self.grow((idx + 1).next_power_of_two().min(Self::MAX_WORDS));
         }
         self.words[idx] = value;
         Ok(())
+    }
+
+    /// Lengthens the word array to `new_len` words, the new ones `Int(0)`. A small array
+    /// moves to a fresh allocation instead of being grown in place: glibc's `malloc` hands
+    /// a thread small blocks that other threads freed, whatever allocator arena they came
+    /// from, and `realloc` grows a block inside its own arena. Grown in place, a megabyte
+    /// heap would land in whichever thread's arena last freed a block of the array's size,
+    /// and peak memory would differ from run to run.
+    fn grow(&mut self, new_len: usize) {
+        const SMALL_WORDS: usize = 256;
+        if self.words.capacity() < SMALL_WORDS {
+            let mut words = Vec::with_capacity(new_len);
+            words.extend_from_slice(&self.words);
+            self.words = words;
+        }
+        self.words.resize(new_len, Value::default());
     }
 
     fn check(&self, address: i64, write: bool) -> Result<usize, MemoryError> {
@@ -225,10 +239,13 @@ mod tests {
         let b = mem.alloc(5).unwrap();
         assert_eq!(b, a + 10);
         assert_eq!(mem.heap_used(), 15);
-        // Growing far past the initial array works.
+        mem.store(b, Value::Int(4)).unwrap();
+        // Growing far past the initial array works and keeps what was stored.
         let big = mem.alloc(1 << 17).unwrap();
         mem.store(big, Value::Int(9)).unwrap();
         assert_eq!(mem.load(big).unwrap(), Value::Int(9));
+        assert_eq!(mem.load(b).unwrap(), Value::Int(4));
+        assert_eq!(mem.load(b + 1).unwrap(), Value::Int(0));
     }
 
     #[test]

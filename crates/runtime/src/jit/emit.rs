@@ -77,8 +77,8 @@ fn regs_ok(rs: &[u32]) -> bool {
     rs.iter().all(|&r| r <= MAX_REG)
 }
 
-/// Whether `p` has a template. Only single unfused data ops do: every fused superinstruction
-/// contains a load, a store or a branch, which the JIT leaves to the threaded handlers.
+/// Whether `p` has a template. Only single unfused data ops do: the fused RMW holds a load
+/// and a store, which the JIT leaves to the threaded handlers.
 pub(crate) fn covered(p: &POp) -> bool {
     match p {
         POp::MovR { dst, src } => regs_ok(&[*dst, *src]),

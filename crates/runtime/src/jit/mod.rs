@@ -30,9 +30,9 @@
 //! ## Partial coverage, total correctness
 //!
 //! Only register-to-register data ops are compiled (moves, un/bin/cmp ops). Memory,
-//! allocation, call, select, sync and control ops keep their threaded handlers — and so do
-//! the fused superinstructions, each of which contains one of them; they bound chunks
-//! rather than being emulated. Correctness
+//! allocation, call, select, sync and control ops keep their threaded handlers — and so does
+//! the fused RMW, which holds a load and a store; they bound chunks rather than being
+//! emulated. Correctness
 //! never depends on *what* is covered — only dispatch cost does — and the differential
 //! fuzz oracle holds all three tiers to bitwise-identical results.
 //!

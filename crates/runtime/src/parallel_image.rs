@@ -303,22 +303,12 @@ impl LoopImage {
 
     /// Debug summary of fused superinstruction counts (diagnostics/examples only).
     pub fn fusion_summary(&self) -> String {
-        let mut counts = [0usize; 4];
-        for p in &self.pcode {
-            let form = match p {
-                POp::RmwA { .. } => 0,
-                POp::LoadABin { .. } => 1,
-                POp::BinStoreA { .. } => 2,
-                POp::CmpBrRI { .. } | POp::CmpBrRR { .. } => 3,
-                _ => continue,
-            };
-            counts[form] += 1;
-        }
-        let [rmw, lab, bsa, cmpbr] = counts;
-        format!(
-            "rmw {rmw} loadbin {lab} binstore {bsa} cmpbr {cmpbr} / {} ops",
-            self.pcode.len()
-        )
+        let rmw = self
+            .pcode
+            .iter()
+            .filter(|p| matches!(p, POp::RmwA { .. }))
+            .count();
+        format!("rmw {rmw} / {} ops", self.pcode.len())
     }
 
     /// Number of signal lanes (synchronized dependences).
@@ -339,10 +329,9 @@ impl LoopImage {
     /// Static cycle estimate of each segment's flat pc span, walking the *specialized*
     /// dispatch stream the workers actually run: the cycles a worker spends between
     /// entering the segment's first `Wait` and leaving its last `Signal`, assuming every
-    /// dispatch in the span executes once. A fused window (an RMW, load+op, op+store or
-    /// compare+branch superinstruction) is charged its constituent ops' class costs minus
-    /// one ALU-class dispatch per eliminated slot (floored at the heaviest constituent);
-    /// every other op, ALU runs included, is charged on its own. The simulator
+    /// dispatch in the span executes once. A fused RMW window is charged its three ops'
+    /// class costs minus one ALU-class dispatch per eliminated slot (floored at the
+    /// heaviest constituent); every other op is charged on its own. The simulator
     /// uses these as its per-segment costs when no profile-weighted estimate is available
     /// (and to cross-check the profile-weighted ones).
     pub fn segment_span_cycles(&self, cost: &CostModel) -> Vec<(DepId, u64)> {
@@ -371,27 +360,21 @@ impl LoopImage {
     }
 }
 
-/// Superinstruction fusion over the specialized stream: a memory or branch op and the
-/// binary or compare op that feeds it, or that it feeds, collapse into one dispatch. Only
-/// the *head* slot of a fused window is rewritten; every interior slot keeps its original
-/// op, so control flow that jumps into the middle of a window (or re-enters a block
-/// mid-way) executes identically — straight-line execution dispatches the head once and
-/// skips the window. Fusion never crosses a block boundary, and never crosses a segment's
-/// `Wait`/`Signal` boundary ops (they are not fusable, so no window can contain one).
+/// Superinstruction fusion over the specialized stream, with one pattern: the **RMW**
+/// `load-abs; binRR; store-abs` (width 3), the canonical synchronized-segment body
+/// (`acc = acc ⊕ x`), becomes one dispatch. Only the *head* slot of the window is
+/// rewritten; the interior slots keep their original ops, so control flow that jumps into
+/// the middle of a window (or re-enters a block mid-way) executes identically —
+/// straight-line execution dispatches the head once and skips the window. Fusion never
+/// crosses a block boundary, and never crosses a segment's `Wait`/`Signal` boundary ops
+/// (they are not fusable, so no window can contain one).
 ///
-/// Every fused form contains an op the JIT does not compile (a load, a store or a
-/// branch), so each saves a dispatch on every tier. Runs of ALU ops are deliberately left
-/// unfused: the threaded tier has a monomorphized handler per binary op, and the JIT
-/// compiles such runs whole — an ALU-only window would only hide its ops from both.
-///
-/// Patterns, tried in priority order at each pc (windows do not overlap):
-///
-/// 1. **RMW** `load-abs; bin; store-abs` (width 3) — the canonical synchronized-segment
-///    body (`acc = acc ⊕ x`): one dispatch for the whole read-modify-write.
-/// 2. **load+op** (width 2) — an absolute load feeding the next binary op.
-/// 3. **op+store** (width 2) — a binary op whose result the next op stores to an absolute
-///    address.
-/// 4. **compare+branch** (width 2) — the loop-latch idiom.
+/// The RMW hides nothing from the JIT: its load and store are not compiled, and the one
+/// binary op between them is too short a run to make a chunk. Any other window would hold
+/// a JIT-compilable op (a binary op or a compare) inside a barrier and split a chunk, so
+/// nothing else fuses: ALU runs, a load feeding a binary op, a binary op feeding a store
+/// and a latch's compare+branch all dispatch op by op, with a monomorphized threaded
+/// handler each.
 fn fuse_superinstructions(pcode: &mut [POp], pc_block: &[u32]) {
     let len = pcode.len();
     let mut pc = 0usize;
@@ -401,7 +384,7 @@ fn fuse_superinstructions(pcode: &mut [POp], pc_block: &[u32]) {
     }
 }
 
-/// How a `BinRR` consumes register `prev`: `(other_register, prev_on_lhs)`.
+/// How a `BinRR` consumes register `prev`: `(op, other_register, prev_on_lhs, dst)`.
 fn rr_consumes(p: &POp, prev: u32) -> Option<(BinOp, u32, bool, u32)> {
     match p {
         POp::BinRR { dst, op, lhs, rhs } if *lhs == prev => Some((*op, *rhs, true, *dst)),
@@ -410,113 +393,38 @@ fn rr_consumes(p: &POp, prev: u32) -> Option<(BinOp, u32, bool, u32)> {
     }
 }
 
-/// Attempts to fuse a superinstruction window starting at `pc`; rewrites the head slot and
-/// returns the window width (1 when nothing fused).
+/// Fuses the RMW window starting at `pc` if there is one: an absolute load, an RR bin
+/// consuming it and an absolute store of the bin's result, all in one block. Rewrites the
+/// head slot and returns the window width (1 when nothing fused).
 fn fuse_at(pcode: &mut [POp], pc_block: &[u32], pc: usize) -> usize {
-    let len = pcode.len();
-    let same_block = |k: usize| k < len && pc_block[k] == pc_block[pc];
-    if !same_block(pc + 1) {
+    let same_block = |k: usize| k < pcode.len() && pc_block[k] == pc_block[pc];
+    if !same_block(pc + 1) || !same_block(pc + 2) {
         return 1;
     }
-    let fused = match (&pcode[pc], &pcode[pc + 1]) {
-        // 1. RMW: absolute load; RR bin consuming it; absolute store of the bin's result.
-        // 2. load+op: the same without the store.
-        (
-            &POp::LoadA {
-                dst: ld,
-                addr: laddr,
-            },
-            next,
-        ) => rr_consumes(next, ld).map(|(op, other, ld_on_lhs, dst)| match pcode.get(pc + 2) {
-            Some(&POp::StoreAR { addr: saddr, value }) if value == dst && same_block(pc + 2) => {
-                POp::RmwA {
-                    laddr,
-                    ld,
-                    op,
-                    other,
-                    ld_on_lhs,
-                    dst,
-                    saddr,
-                }
-            }
-            _ => POp::LoadABin {
+    let POp::LoadA {
+        dst: ld,
+        addr: laddr,
+    } = pcode[pc]
+    else {
+        return 1;
+    };
+    let Some((op, other, ld_on_lhs, dst)) = rr_consumes(&pcode[pc + 1], ld) else {
+        return 1;
+    };
+    match pcode[pc + 2] {
+        POp::StoreAR { addr: saddr, value } if value == dst => {
+            pcode[pc] = POp::RmwA {
                 laddr,
                 ld,
                 op,
                 other,
                 ld_on_lhs,
                 dst,
-            },
-        }),
-        // 3. op+store: the bin's result goes straight to an absolute address.
-        (&POp::BinRR { dst, op, lhs, rhs }, &POp::StoreAR { addr: saddr, value })
-            if value == dst =>
-        {
-            Some(POp::BinStoreA {
-                op,
-                lhs,
-                rhs,
-                dst,
                 saddr,
-            })
+            };
+            3
         }
-        // 4. compare+branch (the loop-latch idiom).
-        (
-            &POp::CmpRI {
-                dst,
-                pred,
-                lhs,
-                rhs,
-            },
-            &POp::Branch {
-                cond,
-                then_pc,
-                then_block,
-                else_pc,
-                else_block,
-            },
-        ) if cond == dst => Some(POp::CmpBrRI {
-            dst,
-            pred,
-            lhs,
-            imm: rhs,
-            then_pc,
-            then_block,
-            else_pc,
-            else_block,
-        }),
-        (
-            &POp::CmpRR {
-                dst,
-                pred,
-                lhs,
-                rhs,
-            },
-            &POp::Branch {
-                cond,
-                then_pc,
-                then_block,
-                else_pc,
-                else_block,
-            },
-        ) if cond == dst => Some(POp::CmpBrRR {
-            dst,
-            pred,
-            lhs,
-            rhs,
-            then_pc,
-            then_block,
-            else_pc,
-            else_block,
-        }),
-        _ => None,
-    };
-    match fused {
-        Some(f) => {
-            pcode[pc] = f;
-            pcode[pc].fused_width()
-        }
-        None => 1,
+        _ => 1,
     }
 }
 
@@ -810,29 +718,11 @@ pub(crate) enum POp {
     Trap {
         block: u32,
     },
-    // Superinstructions (see `fuse_superinstructions`): only the head slot of a fused
-    // window is rewritten; interior slots keep their original ops so jumps into the middle
-    // still work, and straight-line execution dispatches once and skips the window. Every
-    // intermediate destination is written, preserving the unfused ops' observable register
-    // effects exactly.
-    /// `ld = load laddr; dst = ld op other` (`other op ld` when `ld_on_lhs` is false)
-    /// (width 2).
-    LoadABin {
-        laddr: i64,
-        ld: u32,
-        op: BinOp,
-        other: u32,
-        ld_on_lhs: bool,
-        dst: u32,
-    },
-    /// `dst = lhs op rhs; store saddr <- dst` (width 2).
-    BinStoreA {
-        op: BinOp,
-        lhs: u32,
-        rhs: u32,
-        dst: u32,
-        saddr: i64,
-    },
+    // The one superinstruction (see `fuse_superinstructions`): only the head slot of a
+    // fused window is rewritten; interior slots keep their original ops so jumps into the
+    // middle still work, and straight-line execution dispatches once and skips the window.
+    // Every intermediate destination is written, preserving the unfused ops' observable
+    // register effects exactly.
     /// `ld = load laddr; dst = ld op other; store saddr <- dst` (width 3) — the
     /// read-modify-write at the heart of a typical synchronized segment.
     RmwA {
@@ -844,28 +734,6 @@ pub(crate) enum POp {
         dst: u32,
         saddr: i64,
     },
-    /// `dst = lhs pred imm; branch on dst` (the loop-latch idiom).
-    CmpBrRI {
-        dst: u32,
-        pred: helix_ir::Pred,
-        lhs: u32,
-        imm: Value,
-        then_pc: u32,
-        then_block: u32,
-        else_pc: u32,
-        else_block: u32,
-    },
-    /// `dst = lhs pred rhs; branch on dst`.
-    CmpBrRR {
-        dst: u32,
-        pred: helix_ir::Pred,
-        lhs: u32,
-        rhs: u32,
-        then_pc: u32,
-        then_block: u32,
-        else_pc: u32,
-        else_block: u32,
-    },
 }
 
 impl POp {
@@ -873,10 +741,6 @@ impl POp {
     /// advances past it (1 for plain ops).
     pub(crate) fn fused_width(&self) -> usize {
         match self {
-            POp::LoadABin { .. }
-            | POp::BinStoreA { .. }
-            | POp::CmpBrRI { .. }
-            | POp::CmpBrRR { .. } => 2,
             POp::RmwA { .. } => 3,
             _ => 1,
         }
@@ -1763,37 +1627,6 @@ pub(crate) fn run_iteration(
                     *block,
                 ))));
             }
-            POp::LoadABin {
-                laddr,
-                ld,
-                op,
-                other,
-                ld_on_lhs,
-                dst,
-            } => {
-                let l = mem.load(*laddr)?;
-                set(regs, *ld, l);
-                let o = get(regs, *other);
-                let v = if *ld_on_lhs {
-                    eval_binop(*op, l, o)
-                } else {
-                    eval_binop(*op, o, l)
-                };
-                set(regs, *dst, v);
-                pc += 2;
-            }
-            POp::BinStoreA {
-                op,
-                lhs,
-                rhs,
-                dst,
-                saddr,
-            } => {
-                let v = eval_binop(*op, get(regs, *lhs), get(regs, *rhs));
-                set(regs, *dst, v);
-                mem.store(*saddr, v)?;
-                pc += 2;
-            }
             POp::RmwA {
                 laddr,
                 ld,
@@ -1814,52 +1647,6 @@ pub(crate) fn run_iteration(
                 set(regs, *dst, v);
                 mem.store(*saddr, v)?;
                 pc += 3;
-            }
-            POp::CmpBrRI {
-                dst,
-                pred,
-                lhs,
-                imm,
-                then_pc,
-                then_block,
-                else_pc,
-                else_block,
-            } => {
-                let taken = eval_pred(*pred, get(regs, *lhs), *imm);
-                set(regs, *dst, Value::from_bool(taken));
-                let (target, block) = if taken {
-                    (*then_pc, *then_block)
-                } else {
-                    (*else_pc, *else_block)
-                };
-                match target {
-                    PC_END_ITER => return Ok(IterEnd::Completed),
-                    PC_EXIT => return Ok(IterEnd::Exit { block }),
-                    t => pc = t as usize,
-                }
-            }
-            POp::CmpBrRR {
-                dst,
-                pred,
-                lhs,
-                rhs,
-                then_pc,
-                then_block,
-                else_pc,
-                else_block,
-            } => {
-                let taken = eval_pred(*pred, get(regs, *lhs), get(regs, *rhs));
-                set(regs, *dst, Value::from_bool(taken));
-                let (target, block) = if taken {
-                    (*then_pc, *then_block)
-                } else {
-                    (*else_pc, *else_block)
-                };
-                match target {
-                    PC_END_ITER => return Ok(IterEnd::Completed),
-                    PC_EXIT => return Ok(IterEnd::Exit { block }),
-                    t => pc = t as usize,
-                }
             }
         }
     }
@@ -1953,31 +1740,117 @@ mod tests {
             fused.pcode.iter().any(|p| matches!(p, POp::RmwA { .. })),
             "the load-add-store accumulation must fuse into an RMW"
         );
-        // Every fused window holds an op the JIT does not compile; the 7-op ALU chain
-        // dispatches op by op.
-        let mut windows = 0;
-        for (pc, p) in fused.pcode.iter().enumerate() {
-            let width = p.fused_width();
-            if width > 1 {
-                windows += 1;
-                assert!(
-                    fused.code[pc..pc + width].iter().any(|op| matches!(
-                        op,
-                        Op::Load { .. } | Op::Store { .. } | Op::Branch { .. }
-                    )),
-                    "window {pc}..{} is made only of ALU ops: {p:?}",
-                    pc + width
-                );
-            }
+        // The RMW is the only fused window; the 7-op ALU chain dispatches op by op.
+        for p in &fused.pcode {
+            assert!(
+                p.fused_width() == 1 || matches!(p, POp::RmwA { .. }),
+                "only the RMW may fuse: {p:?}"
+            );
         }
-        assert!(windows >= 1);
         let unfused_alu = fused
             .pcode
             .iter()
             .filter(|p| matches!(p, POp::BinRI { .. }))
             .count();
         assert!(unfused_alu >= 7, "only {unfused_alu} immediate binops left");
+        // The counted loop's latch compare stays a JIT-compilable op of its own, ahead of
+        // a plain branch.
+        let latches = latch_compares(&plain.pcode);
+        assert!(
+            !latches.is_empty(),
+            "the counted loop has a compare+branch latch"
+        );
+        for pc in latches {
+            assert!(matches!(
+                fused.pcode[pc],
+                POp::CmpRI { .. } | POp::CmpRR { .. }
+            ));
+            assert!(matches!(fused.pcode[pc + 1], POp::Branch { .. }));
+        }
         assert!(plain.pcode.iter().all(|p| p.fused_width() == 1));
+    }
+
+    /// Pcs of the `cmp; branch on it` pairs in an unfused stream.
+    fn latch_compares(pcode: &[POp]) -> Vec<usize> {
+        (0..pcode.len().saturating_sub(1))
+            .filter(|&pc| match (&pcode[pc], &pcode[pc + 1]) {
+                (POp::CmpRI { dst, .. } | POp::CmpRR { dst, .. }, POp::Branch { cond, .. }) => {
+                    cond == dst
+                }
+                _ => false,
+            })
+            .collect()
+    }
+
+    /// Pcs of the absolute loads an unfused stream feeds straight into a binary op whose
+    /// result is not then stored to an absolute address (so no RMW).
+    fn loads_into_a_bin_without_store(pcode: &[POp]) -> Vec<usize> {
+        (0..pcode.len().saturating_sub(1))
+            .filter(|&pc| {
+                let POp::LoadA { dst: ld, .. } = pcode[pc] else {
+                    return false;
+                };
+                let Some((_, _, _, dst)) = rr_consumes(&pcode[pc + 1], ld) else {
+                    return false;
+                };
+                !matches!(pcode.get(pc + 2), Some(POp::StoreAR { value, .. }) if *value == dst)
+            })
+            .collect()
+    }
+
+    /// Over every candidate plan of the 25 fixed programs (corpus and SPEC stand-ins), the
+    /// RMW is the only fused head: every other slot holds the op the unfused stream holds
+    /// there, a latch's compare and branch stay two one-slot ops, and so do an absolute load
+    /// and the binary op it feeds when no store follows.
+    #[test]
+    fn only_the_rmw_fuses_on_any_fixed_program_plan() {
+        let mut programs = helix_workloads::corpus::load_all().expect("corpus");
+        for bench in helix_workloads::all_benchmarks() {
+            let (module, main) = bench.build();
+            programs.push((bench.name.to_string(), module, main));
+        }
+        let helix = Helix::new(HelixConfig::i7_980x());
+        let (mut plans, mut rmws, mut latches, mut load_bins) = (0, 0, 0, 0);
+        for (name, module, main) in &programs {
+            let (_, output) = helix
+                .profile_and_analyze(module, *main, &[], helix_ir::interp::DEFAULT_FUEL)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            for plan in output.plans.values() {
+                let transformed = transform::apply(module, plan);
+                let exec = ExecImage::lower(&transformed.module);
+                let fused = LoopImage::build_with_fusion(&exec, &transformed, true);
+                let plain = LoopImage::build_with_fusion(&exec, &transformed, false);
+                plans += 1;
+                for (pc, (f, p)) in fused.pcode.iter().zip(&plain.pcode).enumerate() {
+                    if matches!(f, POp::RmwA { .. }) {
+                        rmws += 1;
+                    } else {
+                        assert_eq!(
+                            std::mem::discriminant(f),
+                            std::mem::discriminant(p),
+                            "{name}: pc {pc} fused {f:?}, unfused {p:?}"
+                        );
+                    }
+                }
+                for pc in latch_compares(&plain.pcode) {
+                    latches += 1;
+                    assert_eq!(fused.pcode[pc].fused_width(), 1, "{name}: latch at {pc}");
+                }
+                for pc in loads_into_a_bin_without_store(&plain.pcode) {
+                    load_bins += 1;
+                    assert!(
+                        matches!(fused.pcode[pc], POp::LoadA { .. }),
+                        "{name}: load at {pc} fused into {:?}",
+                        fused.pcode[pc]
+                    );
+                }
+            }
+        }
+        assert!(plans >= 100, "only {plans} plans lowered");
+        assert!(
+            rmws > 0 && latches > 0 && load_bins > 0,
+            "rmw {rmws}, latches {latches}, load+bin {load_bins} over {plans} plans"
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The direct-threaded dispatch tier: each lowered op stream is decoded **once** into an
 //! array of pre-resolved handler function pointers ([`TOp`]), one monomorphized handler per
-//! specialized [`POp`] shape (fused superinstructions included), dispatched by a loop that
+//! specialized [`POp`] shape (the fused RMW included), dispatched by a loop that
 //! is a single indirect call per op.
 //!
 //! Why this beats the match-based engine in [`crate::parallel_image`]:
@@ -468,29 +468,7 @@ fn h_palloc_i(ctx: &mut TCtx<'_, '_>, op: &TOp, pc: usize) -> usize {
     pc + 1
 }
 
-// --- fused superinstructions (straight-line bodies, one dispatch per window) ---
-
-/// `a=ld b=other c=dst e=ld_on_lhs i=laddr` — `ld = load laddr; dst = ld Z other`
-fn h_load_a_bin<Z: CBin>(ctx: &mut TCtx<'_, '_>, op: &TOp, pc: usize) -> usize {
-    let l = mem_try!(ctx, ctx.mem.load(op.i));
-    set(ctx.regs, op.a, l);
-    let o = get(ctx.regs, op.b);
-    let v = if op.e != 0 {
-        eval_binop(Z::OP, l, o)
-    } else {
-        eval_binop(Z::OP, o, l)
-    };
-    set(ctx.regs, op.c, v);
-    pc + 2
-}
-
-/// `a=lhs b=rhs c=dst i=saddr` — `dst = lhs Z rhs; store saddr <- dst`
-fn h_bin_store_a<Z: CBin>(ctx: &mut TCtx<'_, '_>, op: &TOp, pc: usize) -> usize {
-    let v = eval_binop(Z::OP, get(ctx.regs, op.a), get(ctx.regs, op.b));
-    set(ctx.regs, op.c, v);
-    mem_try!(ctx, ctx.mem.store(op.i, v));
-    pc + 2
-}
+// --- the fused RMW superinstruction (one dispatch for the whole window) ---
 
 /// `a=ld b=other c=dst e=ld_on_lhs i=laddr j=saddr` — absolute-address read-modify-write
 fn h_rmw_a<Z: CBin>(ctx: &mut TCtx<'_, '_>, op: &TOp, pc: usize) -> usize {
@@ -696,30 +674,6 @@ fn h_ret_i_iter(ctx: &mut TCtx<'_, '_>, op: &TOp, _pc: usize) -> usize {
     let v = (op.e != 0).then_some(op.v);
     ctx.end_iter = Some(Ok(IterEnd::Returned(v)));
     DONE
-}
-
-/// `a=dst b=lhs c=then_pc d=else_pc i=then_block j=else_block v=imm` — fused cmp+branch.
-fn h_cmpbr_ri<P: CPred>(ctx: &mut TCtx<'_, '_>, op: &TOp, _pc: usize) -> usize {
-    let taken = eval_pred(P::OP, get(ctx.regs, op.b), op.v);
-    set(ctx.regs, op.a, Value::from_bool(taken));
-    let (target, block) = if taken {
-        (op.c, op.i as u32)
-    } else {
-        (op.d, op.j as u32)
-    };
-    iter_edge(ctx, target, block)
-}
-
-/// `a=dst b=lhs c=rhs d=then_pc e=else_pc i=then_block j=else_block`
-fn h_cmpbr_rr<P: CPred>(ctx: &mut TCtx<'_, '_>, op: &TOp, _pc: usize) -> usize {
-    let taken = eval_pred(P::OP, get(ctx.regs, op.b), get(ctx.regs, op.c));
-    set(ctx.regs, op.a, Value::from_bool(taken));
-    let (target, block) = if taken {
-        (op.d, op.i as u32)
-    } else {
-        (op.e, op.j as u32)
-    };
-    iter_edge(ctx, target, block)
 }
 
 // ---------------------------------------------------------------------------
@@ -1001,34 +955,6 @@ fn decode_data(p: &POp) -> Option<TOp> {
             i: *words,
             ..TOp::new(h_palloc_i)
         },
-        POp::LoadABin {
-            laddr,
-            ld,
-            op,
-            other,
-            ld_on_lhs,
-            dst,
-        } => TOp {
-            a: *ld,
-            b: *other,
-            c: *dst,
-            e: *ld_on_lhs as u32,
-            i: *laddr,
-            ..TOp::new(by_binop!(*op, h_load_a_bin))
-        },
-        POp::BinStoreA {
-            op,
-            lhs,
-            rhs,
-            dst,
-            saddr,
-        } => TOp {
-            a: *lhs,
-            b: *rhs,
-            c: *dst,
-            i: *saddr,
-            ..TOp::new(by_binop!(*op, h_bin_store_a))
-        },
         POp::RmwA {
             laddr,
             ld,
@@ -1102,44 +1028,6 @@ fn decode_iter_op(p: &POp) -> TOp {
             e: v.is_some() as u32,
             v: v.unwrap_or_default(),
             ..TOp::new(h_ret_i_iter)
-        },
-        POp::CmpBrRI {
-            dst,
-            pred,
-            lhs,
-            imm,
-            then_pc,
-            then_block,
-            else_pc,
-            else_block,
-        } => TOp {
-            a: *dst,
-            b: *lhs,
-            c: *then_pc,
-            d: *else_pc,
-            i: *then_block as i64,
-            j: *else_block as i64,
-            v: *imm,
-            ..TOp::new(by_pred!(*pred, h_cmpbr_ri))
-        },
-        POp::CmpBrRR {
-            dst,
-            pred,
-            lhs,
-            rhs,
-            then_pc,
-            then_block,
-            else_pc,
-            else_block,
-        } => TOp {
-            a: *dst,
-            b: *lhs,
-            c: *rhs,
-            d: *then_pc,
-            e: *else_pc,
-            i: *then_block as i64,
-            j: *else_block as i64,
-            ..TOp::new(by_pred!(*pred, h_cmpbr_rr))
         },
         _ => unreachable!("decode_data covers every remaining POp"),
     }

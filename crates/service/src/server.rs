@@ -399,40 +399,52 @@ impl Server {
 
     /// Binds `path` and serves socket connections until a `shutdown` frame arrives on
     /// any of them. All connections feed one FIFO queue drained by one set of service
-    /// workers, so cross-client fairness is arrival order.
+    /// workers, so cross-client fairness is arrival order. The accept blocks; the reader
+    /// that receives `shutdown` wakes it with one connection of its own.
+    ///
+    /// Threads stop in a fixed order: every reader has finished before the queue closes,
+    /// and every worker before this returns. A thread's allocator arena is freed for reuse
+    /// only when the thread is gone, so a daemon restarted in the same process then
+    /// reuses arenas in the same order each time, and peak memory does not depend on
+    /// which thread happened to exit first.
     pub fn serve_unix(&self, path: &Path) -> std::io::Result<()> {
         let listener = std::os::unix::net::UnixListener::bind(path)?;
-        listener.set_nonblocking(true)?;
         let queue: SocketQueue = Queue::new();
         let shutdown = AtomicBool::new(false);
         std::thread::scope(|scope| {
-            for _ in 0..self.config.service_threads.max(1) {
-                scope.spawn(|| {
-                    while let Some(job) = queue.pop() {
-                        let resp = self.process_queued(job.job);
-                        let _ = write_frame(&mut *job.writer.lock(), &resp.encode());
-                    }
-                });
-            }
-            while !shutdown.load(Ordering::Acquire) {
-                match listener.accept() {
-                    Ok((stream, _addr)) => {
-                        let queue = &queue;
-                        let shutdown = &shutdown;
-                        scope.spawn(move || {
-                            connection_reader(stream, queue, shutdown, |req| {
-                                // `handle` so the ack still ticks counters.
-                                self.handle(req)
-                            });
-                        });
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(20));
-                    }
-                    Err(_) => break,
+            let workers: Vec<_> = (0..self.config.service_threads.max(1))
+                .map(|_| {
+                    scope.spawn(|| {
+                        while let Some(job) = queue.pop() {
+                            let resp = self.process_queued(job.job);
+                            let _ = write_frame(&mut *job.writer.lock(), &resp.encode());
+                        }
+                    })
+                })
+                .collect();
+            let mut readers: Vec<std::thread::ScopedJoinHandle<()>> = Vec::new();
+            for stream in listener.incoming() {
+                if shutdown.load(Ordering::Acquire) {
+                    break;
                 }
+                let Ok(stream) = stream else { break };
+                let queue = &queue;
+                let shutdown = &shutdown;
+                readers.retain(|reader| !reader.is_finished());
+                readers.push(scope.spawn(move || {
+                    connection_reader(stream, queue, shutdown, path, |req| {
+                        // `handle` so the ack still ticks counters.
+                        self.handle(req)
+                    });
+                }));
+            }
+            for reader in readers {
+                let _ = reader.join();
             }
             queue.close();
+            for worker in workers {
+                let _ = worker.join();
+            }
         });
         Ok(())
     }
@@ -453,16 +465,18 @@ impl Server {
     }
 }
 
-/// Socket-mode reader: parses frames from one connection into the shared queue.
+/// Socket-mode reader: parses frames from one connection into the shared queue. On
+/// `shutdown` it connects once to `path` to wake the listener's blocking accept; from
+/// then on no reader queues anything (the listener closes the queue once all are gone).
 fn connection_reader<F>(
     stream: std::os::unix::net::UnixStream,
     queue: &SocketQueue,
     shutdown: &AtomicBool,
+    path: &Path,
     ack: F,
 ) where
     F: Fn(&Request) -> Response,
 {
-    let _ = stream.set_nonblocking(false);
     let writer: SharedWriter = match stream.try_clone() {
         Ok(w) => Arc::new(Mutex::new(w)),
         Err(_) => return,
@@ -483,10 +497,13 @@ fn connection_reader<F>(
                 let resp = ack(&req);
                 let _ = write_frame(&mut *writer.lock(), &resp.encode());
                 shutdown.store(true, Ordering::Release);
-                queue.close();
+                let _ = std::os::unix::net::UnixStream::connect(path);
                 return;
             }
-            Ok(req) => queue.push_socket(req, Arc::clone(&writer)),
+            Ok(req) if !shutdown.load(Ordering::Acquire) => {
+                queue.push_socket(req, Arc::clone(&writer));
+            }
+            Ok(_) => {}
             Err(e) => {
                 let resp = Response::fail(0, Status::Protocol, e);
                 let _ = write_frame(&mut *writer.lock(), &resp.encode());

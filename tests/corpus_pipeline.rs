@@ -180,14 +180,13 @@ fn nest_flip_selection_flips_between_paper_and_measured_costs() {
     );
 }
 
-/// Every fused superinstruction form the runtime keeps must fire on some plan: a form no
-/// program reaches is dead code in the switch engine, the threaded decoder and its
-/// handlers. Lowers every candidate plan (selected or not) of the corpus programs, the SPEC
-/// stand-ins and a few `GenConfig::small()` seeds that carry the op+store shape, and
-/// counts each form through `LoopImage::fusion_summary`.
+/// Every fused superinstruction form the runtime keeps (today only the RMW) must fire on
+/// some plan: a form no program reaches is dead code in the switch engine, the threaded
+/// decoder and its handlers. Lowers every candidate plan (selected or not) of the corpus
+/// programs and the SPEC stand-ins, and counts each form through
+/// `LoopImage::fusion_summary`.
 #[test]
 fn every_fused_form_fires_on_some_plan() {
-    use helix::gen::{generate, GenConfig};
     use helix::runtime::ParallelImage;
     use std::collections::BTreeMap;
 
@@ -195,10 +194,6 @@ fn every_fused_form_fires_on_some_plan() {
     for bench in helix::workloads::all_benchmarks() {
         let (module, main) = bench.build();
         programs.push((format!("spec/{}", bench.name), module, main));
-    }
-    for seed in [5, 8, 17] {
-        let g = generate(seed, &GenConfig::small());
-        programs.push((format!("small/{seed}"), g.module, g.main));
     }
     let helix_driver = Helix::new(HelixConfig::i7_980x());
     let mut counts: BTreeMap<String, u64> = BTreeMap::new();
