@@ -8,9 +8,12 @@
 //! * `helix profile` — run the profiling interpreter and report per-loop costs,
 //! * `helix parallelize` — run the HELIX analysis (Steps 1–8 + loop selection),
 //! * `helix simulate` — the Figure 9 flow: profile, analyze, simulate, report speedup,
-//! * `helix trace` — run the parallelized loop with full runtime telemetry, export a
-//!   Chrome trace-event timeline, and (`--compare-model`) validate the cost model's
-//!   per-segment predictions against the observed costs (see `docs/observability.md`),
+//! * `helix explain` — why each candidate loop was (not) selected: its decision under the
+//!   paper's constants and under this machine's calibration (lowered and observed segment
+//!   spans), with every segment's estimate, lowered span and observed span (see
+//!   `docs/observability.md`),
+//! * `helix trace` — run the parallelized loop with full runtime telemetry and export a
+//!   Chrome trace-event timeline,
 //! * `helix dump-workload` — export a built-in synthetic SPEC stand-in as `.hir`,
 //! * `helix fuzz` — generate seeded random programs and differentially test the whole stack
 //!   (both engines, both profilers, frontend round-trip, parallel executor), dumping any
@@ -25,8 +28,10 @@ use helix_core::{transform, Helix, HelixConfig, HelixOutput, PrefetchMode};
 use helix_frontend::parse_file;
 use helix_ir::{printer, ExecImage, ImageMachine, Module, Value};
 use helix_profiler::{ImageProfiler, ProgramProfile};
-use helix_runtime::{EventKind, ParallelExecutor, ParallelImage, TelemetryMode, TelemetryReport};
-use helix_simulator::{simulate_program, SimConfig};
+use helix_runtime::{
+    CalibrationProfile, EventKind, ParallelExecutor, ParallelImage, TelemetryMode, TelemetryReport,
+};
+use helix_simulator::{simulate_program, Decision, SimConfig};
 use json::Json;
 use std::process::ExitCode;
 
@@ -42,9 +47,11 @@ COMMANDS:
     profile        Profile a program and report per-loop cycle counts
     parallelize    Run the HELIX analysis and report plans + selection
     simulate       Profile, analyze and simulate: the end-to-end speedup report
+    explain        Why each candidate loop was (not) selected: paper pricing against
+                   this machine's calibration over lowered and observed segment spans,
+                   with each segment's estimate, lowered span and observed span
     trace          Execute the parallelized loop with runtime telemetry: per-segment
-                   stall accounting, a Chrome trace-event timeline, and (with
-                   --compare-model) predicted-vs-observed cost validation
+                   stall accounting and a Chrome trace-event timeline
     dump-workload  Print a built-in synthetic workload as canonical .hir
     fuzz           Differentially fuzz the stack with generated programs
     serve          Run the daemon: accept .hir jobs over a Unix socket or framed
@@ -54,20 +61,16 @@ COMMANDS:
 COMMON OPTIONS:
     --json             Emit the report as JSON on stdout
     --entry <name>     Entry function (default: main)
-    --cores <n>        Core count for parallelize/simulate (default: 6)
+    --cores <n>        Core count for parallelize/simulate/explain (default: 6); run
+                       --parallel and trace analyse at their --threads count
     --mode <m>         Prefetching mode: helix|none|matched|ideal (default: helix)
     --arg <int>        Append an integer argument for the entry function (repeatable)
     --fuel <n>         Interpreter fuel limit for any interpreted run (default: 2000000000)
     --print            (parse) Re-print the parsed module in canonical form
-    --parallel         (run) Transform the hottest selected loop, run on real threads
-    --lowered-costs    (simulate) Price sequential segments from the lowered ParallelImage
-                       bytecode instead of profile-weighted plan estimates
-    --calibrate        (parallelize) Micro-calibrate this machine (per-op dispatch cost,
-                       cross-thread signal latency, pool wake cost), price the analysis
-                       with the measured numbers, re-score plans from their lowered
-                       runtime images, and report the selection trace (paper vs measured)
-    --calibration-file <p>  (parallelize) Like --calibrate, but load the calibration from
-                       <p> if it exists and write the measured profile there otherwise
+    --parallel         (run) Transform the hottest selected loop (else the hottest
+                       candidate), run on real threads
+    --calibration-file <p>  (explain) Load the calibration from <p> if it exists, else
+                       measure this machine and write the profile there
     --threads <list>   Worker thread count(s); comma-separated for fuzz (default: 4 for
                        run --parallel and trace, 1,2,4,6 for fuzz)
     --dispatch-tier <t> (fuzz) Pin the runtime dispatch engine: switch (match-based
@@ -78,9 +81,6 @@ COMMON OPTIONS:
     --sample <n>       Telemetry sampling period: 0 disables event recording, 1 records
                        every iteration, n records every n-th (default: 1 for trace,
                        64 for run --parallel; counters are always exact when enabled)
-    --compare-model    (trace) Calibrate this machine, compare the cost model's
-                       per-segment predictions against the observed telemetry costs,
-                       and report loops whose selection would flip under observed costs
     --out <path>       (trace) Chrome trace-event output file (default: <input>.trace.json)
 
 SERVE OPTIONS:
@@ -104,7 +104,8 @@ EXAMPLES:
     helix parse corpus/pointer_chase.hir
     helix simulate corpus/stencil.hir --cores 6 --json
     helix run corpus/sum_reduction.hir --parallel
-    helix trace corpus/nest_flip.hir --compare-model
+    helix explain corpus/nest_flip.hir
+    helix trace corpus/nest_flip.hir --threads 2
     helix fuzz --seeds 500 --threads 1,2,4,6 --dispatch-tier jit
     helix dump-workload art > /tmp/art.hir
     helix serve --socket /tmp/helix.sock --cache-cap 32
@@ -169,10 +170,7 @@ struct Options {
     json: bool,
     print: bool,
     parallel: bool,
-    lowered_costs: bool,
-    calibrate: bool,
     calibration_file: Option<String>,
-    compare_model: bool,
     /// Telemetry sampling period from `--sample`; `None` means the per-command default.
     sample: Option<u32>,
     entry: String,
@@ -204,10 +202,7 @@ impl Default for Options {
             json: false,
             print: false,
             parallel: false,
-            lowered_costs: false,
-            calibrate: false,
             calibration_file: None,
-            compare_model: false,
             sample: None,
             entry: "main".to_string(),
             cores: 6,
@@ -241,11 +236,8 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
             "--json" => opts.json = true,
             "--print" => opts.print = true,
             "--parallel" => opts.parallel = true,
-            "--lowered-costs" => opts.lowered_costs = true,
-            "--calibrate" => opts.calibrate = true,
             "--calibration-file" => {
                 opts.calibration_file = Some(value_of("--calibration-file", &mut it)?);
-                opts.calibrate = true;
             }
             "--dispatch-tier" => {
                 let raw = value_of("--dispatch-tier", &mut it)?;
@@ -297,7 +289,6 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
                     .map_err(|_| CliError::Usage("--seed-start expects an integer".into()))?;
             }
             "--out" => opts.out = Some(value_of("--out", &mut it)?),
-            "--compare-model" => opts.compare_model = true,
             "--sample" => {
                 opts.sample = Some(value_of("--sample", &mut it)?.parse().map_err(|_| {
                     CliError::Usage("--sample expects a non-negative integer".into())
@@ -398,6 +389,7 @@ fn run_cli(args: &[String]) -> Result<(), CliError> {
         "profile" => cmd_profile(&parse_options(&args[1..])?),
         "parallelize" => cmd_parallelize(&parse_options(&args[1..])?),
         "simulate" => cmd_simulate(&parse_options(&args[1..])?),
+        "explain" => cmd_explain(&parse_options(&args[1..])?),
         "trace" => cmd_trace(&parse_options(&args[1..])?),
         "dump-workload" => cmd_dump_workload(&args[1..]),
         "fuzz" => cmd_fuzz(&parse_options(&args[1..])?),
@@ -580,18 +572,16 @@ fn single_thread_count(opts: &Options) -> Result<usize, CliError> {
     }
 }
 
-/// `run --parallel`: transform the hottest selected loop of the entry function and execute it
-/// on real threads, validating against the sequential result.
+/// `run --parallel`: transform the plan chosen at the requested worker count (see
+/// [`HelixOutput::hottest_plan`]) and execute it on real threads, validating against the
+/// sequential result.
 fn run_parallel(module: &Module, opts: &Options) -> Result<(), CliError> {
     let threads = single_thread_count(opts)?;
     let (_nesting, profile, entry, image) = profiled(module, opts)?;
-    let output = Helix::new(config_of(opts)).analyze(module, &profile);
-    let (plan, _selected) = output
+    let output = Helix::new(HelixConfig::i7_980x().with_cores(threads)).analyze(module, &profile);
+    let (plan, selected) = output
         .hottest_plan(entry, &profile)
-        .filter(|(_, selected)| *selected)
-        .ok_or_else(|| {
-            CliError::failed("no loop of the entry function was selected for parallelization")
-        })?;
+        .ok_or_else(|| CliError::failed("no parallelizable loop of the entry function"))?;
     let transformed = transform::apply(module, plan);
     // The sequential baseline reuses the profiling run's lowering.
     let mut machine = ImageMachine::new(&image);
@@ -619,6 +609,7 @@ fn run_parallel(module: &Module, opts: &Options) -> Result<(), CliError> {
         let mut fields = vec![
             ("module", Json::str(&module.name)),
             ("loop", Json::str(&format!("{}", plan.loop_id))),
+            ("selected", Json::bool(selected)),
             ("threads", Json::uint(threads as u64)),
             ("sequential_result", render(&sequential)),
             ("parallel_result", render(&parallel)),
@@ -636,12 +627,17 @@ fn run_parallel(module: &Module, opts: &Options) -> Result<(), CliError> {
         println!("{}", doc.into_string());
     } else {
         println!(
-            "parallelized loop {} of `{}` on {} threads ({} waits, {} signals inserted)",
+            "parallelized loop {} of `{}` on {} threads ({} waits, {} signals inserted; {})",
             plan.loop_id,
             opts.entry,
             threads,
             transformed.wait_instr_count(),
-            transformed.signal_instr_count()
+            transformed.signal_instr_count(),
+            if selected {
+                "selected"
+            } else {
+                "hottest candidate, not selected"
+            }
         );
         let show = |v: &Option<Value>| match v {
             Some(v) => v.to_string(),
@@ -834,23 +830,18 @@ fn chrome_trace_json(report: &TelemetryReport) -> Json {
     ])
 }
 
-/// `helix trace`: run the parallelized loop under full telemetry on exactly the requested
-/// worker count, report per-segment stall accounting and worker occupancy, export a Chrome
-/// trace-event timeline, and — with `--compare-model` — validate the calibrated cost
-/// model's per-segment predictions against the observed costs and re-run loop selection
-/// with them.
+/// `helix trace`: run the plan chosen at the requested worker count under full telemetry
+/// on exactly that many workers, report per-segment stall accounting and worker
+/// occupancy, and export a Chrome trace-event timeline.
 fn cmd_trace(opts: &Options) -> Result<(), CliError> {
     let module = load(opts)?;
     let threads = single_thread_count(opts)?;
     let (_nesting, profile, entry, _image) = profiled(&module, opts)?;
-    let config = config_of(opts);
-    let output = Helix::new(config).analyze(&module, &profile);
+    let output = Helix::new(HelixConfig::i7_980x().with_cores(threads)).analyze(&module, &profile);
     let (plan, _selected) = output
         .hottest_plan(entry, &profile)
         .ok_or_else(|| CliError::failed("no parallelizable loop of the entry function to trace"))?;
-    let key = (plan.func, plan.loop_id);
-    let transformed = transform::apply(&module, plan);
-    let pimg = ParallelImage::lower(&transformed);
+    let pimg = ParallelImage::lower(&transform::apply(&module, plan));
     let mode = TelemetryMode::from_sample_period(opts.sample.unwrap_or(1));
     if !mode.enabled() {
         return Err(CliError::Usage(
@@ -881,44 +872,13 @@ fn cmd_trace(opts: &Options) -> Result<(), CliError> {
     std::fs::write(&trace_path, chrome_trace_json(&report).into_string())
         .map_err(|e| CliError::failed(format!("cannot write {trace_path}: {e}")))?;
 
-    let observed = report.observed_segment_costs();
-    // --compare-model: price the lowered segments with this machine's calibrated cost
-    // model and put the prediction next to what the trace actually measured, then re-run
-    // loop selection with the observed costs substituted in.
-    let comparison = if opts.compare_model {
-        let calibration = calibration_of(opts)?;
-        let cost = calibration.cost_model();
-        let rows = helix_simulator::compare_segment_costs(
-            &pimg.loop_image,
-            &cost,
-            &observed,
-            calibration.ns_per_cycle(),
-        );
-        let measured_config = calibration.helix_config(config);
-        let measured_helix = Helix::new(measured_config).with_cost_model(calibration.cost_model());
-        let measured_out = measured_helix.analyze(&module, &profile);
-        let costs = helix_simulator::observed_costs_for_reselection(
-            &module,
-            &measured_out,
-            &cost,
-            key,
-            &rows,
-        );
-        let (reselection, _) =
-            measured_helix.reselect_with_segment_costs(&module, &profile, &measured_out, &costs);
-        let trace = helix_core::SelectionTrace::compare(&output.selection, &reselection);
-        Some((calibration, rows, trace))
-    } else {
-        None
-    };
-
     if opts.json {
         let render = |v: &Option<Value>| match v {
             Some(Value::Int(i)) => Json::int(*i),
             Some(Value::Float(x)) => Json::float(*x),
             None => Json::str("void"),
         };
-        let mut fields = vec![
+        let doc = Json::object([
             ("module", Json::str(&module.name)),
             ("loop", Json::str(&format!("{}", plan.loop_id))),
             ("threads", Json::uint(threads as u64)),
@@ -940,54 +900,8 @@ fn cmd_trace(opts: &Options) -> Result<(), CliError> {
                     ])
                 })),
             ),
-        ];
-        if let Some((calibration, rows, trace)) = &comparison {
-            fields.push((
-                "model_comparison",
-                Json::object([
-                    ("ns_per_cycle", Json::float(calibration.ns_per_cycle())),
-                    (
-                        "segments",
-                        Json::array(rows.iter().map(|r| {
-                            Json::object([
-                                ("dep", Json::str(&format!("{:?}", r.dep))),
-                                ("segment", Json::uint(r.segment as u64)),
-                                ("predicted_cycles", Json::float(r.predicted_cycles)),
-                                (
-                                    "observed_cycles",
-                                    match r.observed_cycles {
-                                        Some(c) => Json::float(c),
-                                        None => Json::str("unsampled"),
-                                    },
-                                ),
-                                ("observed_samples", Json::uint(r.observed_samples)),
-                                (
-                                    "ratio",
-                                    match r.ratio() {
-                                        Some(x) => Json::float(x),
-                                        None => Json::str("n/a"),
-                                    },
-                                ),
-                            ])
-                        })),
-                    ),
-                    ("flips", Json::uint(trace.flips().len() as u64)),
-                    (
-                        "selection_trace",
-                        Json::array(trace.entries.iter().map(|e| {
-                            Json::object([
-                                ("function", Json::str(&module.function(e.key.0).name)),
-                                ("loop", Json::str(&e.key.1.to_string())),
-                                ("predicted_selected", Json::bool(e.baseline_selected)),
-                                ("observed_selected", Json::bool(e.measured_selected)),
-                                ("flipped", Json::bool(e.flipped())),
-                            ])
-                        })),
-                    ),
-                ]),
-            ));
-        }
-        println!("{}", Json::object(fields).into_string());
+        ]);
+        println!("{}", doc.into_string());
     } else {
         let show = |v: &Option<Value>| match v {
             Some(v) => v.to_string(),
@@ -1003,52 +917,6 @@ fn cmd_trace(opts: &Options) -> Result<(), CliError> {
         println!("result: {}   ({})", show(&result), executor.clamp_reason());
         print!("{}", report.to_text());
         println!("chrome trace: {trace_path}");
-        if let Some((calibration, rows, trace)) = &comparison {
-            println!(
-                "predicted vs observed segment costs ({:.2} ns/cycle calibrated):",
-                calibration.ns_per_cycle()
-            );
-            println!(
-                "  {:<6} {:>8} {:>16} {:>16} {:>8} {:>9}",
-                "lane", "segment", "predicted (cyc)", "observed (cyc)", "ratio", "samples"
-            );
-            for (lane, r) in rows.iter().enumerate() {
-                let observed = r
-                    .observed_cycles
-                    .map(|c| format!("{c:.0}"))
-                    .unwrap_or_else(|| "-".to_string());
-                let ratio = r
-                    .ratio()
-                    .map(|x| format!("{x:.2}x"))
-                    .unwrap_or_else(|| "-".to_string());
-                println!(
-                    "  {:<6} {:>8} {:>16.0} {:>16} {:>8} {:>9}",
-                    lane, r.segment, r.predicted_cycles, observed, ratio, r.observed_samples
-                );
-            }
-            let flips = trace.flips().len();
-            println!(
-                "selection under observed costs: {} flip(s) against the model's selection",
-                flips
-            );
-            for e in trace.flips() {
-                println!(
-                    "  {}/{}: model {} -> observed {}",
-                    module.function(e.key.0).name,
-                    e.key.1,
-                    if e.baseline_selected {
-                        "selected"
-                    } else {
-                        "rejected"
-                    },
-                    if e.measured_selected {
-                        "selected"
-                    } else {
-                        "rejected"
-                    },
-                );
-            }
-        }
     }
     Ok(())
 }
@@ -1116,58 +984,78 @@ fn analysis_of(module: &Module, opts: &Options) -> Result<(ProgramProfile, Helix
     Ok((profile, output))
 }
 
-/// Obtains the calibration profile: loaded from `--calibration-file` when the file exists,
-/// measured fresh otherwise (and saved to the file when a path was given).
-fn calibration_of(opts: &Options) -> Result<helix_runtime::CalibrationProfile, CliError> {
-    if let Some(path) = &opts.calibration_file {
-        if std::path::Path::new(path).exists() {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| CliError::failed(format!("cannot read {path}: {e}")))?;
-            return helix_runtime::CalibrationProfile::from_text(&text)
-                .map_err(|e| CliError::failed(format!("{path}: {e}")));
-        }
+/// This machine's calibration: read from `--calibration-file` when that file exists,
+/// else the process's own measurement (also written to the file when one was named).
+fn calibration_of(opts: &Options) -> Result<CalibrationProfile, CliError> {
+    let measured = *CalibrationProfile::cached();
+    let Some(path) = &opts.calibration_file else {
+        return Ok(measured);
+    };
+    if std::path::Path::new(path).exists() {
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| CliError::failed(format!("cannot read {path}: {e}")))?;
+        return CalibrationProfile::from_text(&text)
+            .map_err(|e| CliError::failed(format!("{path}: {e}")));
     }
-    let profile = helix_runtime::CalibrationProfile::measure();
-    if let Some(path) = &opts.calibration_file {
-        std::fs::write(path, profile.to_text())
-            .map_err(|e| CliError::failed(format!("cannot write {path}: {e}")))?;
-    }
-    Ok(profile)
+    std::fs::write(path, measured.to_text())
+        .map_err(|e| CliError::failed(format!("cannot write {path}: {e}")))?;
+    Ok(measured)
 }
 
-/// `parallelize --calibrate`: run the analysis twice — once with the paper's constants,
-/// once priced by the measured calibration (with plans re-scored from their lowered
-/// runtime images) — and report the selection trace of loops whose decision flipped.
-fn cmd_parallelize_calibrated(opts: &Options, module: &Module) -> Result<(), CliError> {
+/// `helix explain`: why each candidate loop was (not) selected. Prices every candidate
+/// with the paper's constants, with this machine's calibration over the lowered segment
+/// spans, and with the same calibration over the spans a 1-worker run observed (see
+/// [`helix_simulator::explain()`]), and shows each segment's three costs.
+fn cmd_explain(opts: &Options) -> Result<(), CliError> {
+    let module = load(opts)?;
     let calibration = calibration_of(opts)?;
-    let (_nesting, profile, _entry, _image) = profiled(module, opts)?;
-    let paper_config = config_of(opts);
-    let paper = Helix::new(paper_config).analyze(module, &profile);
-    let measured_config = calibration.helix_config(paper_config);
-    let measured_helix = Helix::new(measured_config).with_cost_model(calibration.cost_model());
-    let measured_out = measured_helix.analyze(module, &profile);
-    // Feedback step: re-score every candidate plan with the per-segment costs of its
-    // actual lowered ParallelImage (post-fusion) and re-select.
-    let (final_selection, _) = helix_simulator::feedback_selection(
-        module,
+    let (_nesting, profile, entry, _image) = profiled(&module, opts)?;
+    let paper = Helix::new(config_of(opts));
+    let calibrated = Helix::new(calibration.helix_config(paper.config))
+        .with_cost_model(calibration.cost_model());
+    let ns_per_cycle = calibration.ns_per_cycle();
+    let loops = helix_simulator::explain(
+        &module,
+        entry,
+        &opts.args,
         &profile,
-        &measured_helix,
-        &measured_out,
-        &calibration.cost_model(),
+        &paper,
+        &calibrated,
+        ns_per_cycle,
     );
-    let trace = helix_core::SelectionTrace::compare(&paper.selection, &final_selection);
-    let flips = trace.flips().len();
-
+    let name = |key: helix_profiler::LoopKey| format!("{}/{}", module.function(key.0).name, key.1);
     if opts.json {
-        let entries = trace.entries.iter().map(|e| {
+        // Absent numbers render as JSON `null`.
+        let maybe = |x: Option<f64>| Json::float(x.unwrap_or(f64::NAN));
+        let decision = |d: Decision| {
             Json::object([
-                ("function", Json::str(&module.function(e.key.0).name)),
-                ("loop", Json::str(&e.key.1.to_string())),
-                ("paper_selected", Json::bool(e.baseline_selected)),
-                ("measured_selected", Json::bool(e.measured_selected)),
-                ("paper_saved_cycles", Json::float(e.baseline_saved)),
-                ("measured_saved_cycles", Json::float(e.measured_saved)),
-                ("flipped", Json::bool(e.flipped())),
+                ("selected", Json::bool(d.selected)),
+                ("saved_cycles", Json::float(d.saved_cycles)),
+            ])
+        };
+        let loop_docs = loops.iter().map(|l| {
+            let segments = l.segments.iter().map(|s| {
+                Json::object([
+                    ("segment", Json::uint(s.segment as u64)),
+                    ("dep", Json::str(&s.dep.to_string())),
+                    ("synchronized", Json::bool(s.synchronized)),
+                    ("estimate_cycles", Json::float(s.estimate_cycles)),
+                    ("lowered_cycles", maybe(s.lowered_cycles)),
+                    ("observed_cycles", maybe(s.observed_cycles)),
+                    ("observed_samples", Json::uint(s.observed_samples)),
+                    ("ratio", maybe(s.ratio())),
+                ])
+            });
+            Json::object([
+                ("function", Json::str(&module.function(l.key.0).name)),
+                ("loop", Json::str(&l.key.1.to_string())),
+                ("paper", decision(l.paper)),
+                ("calibrated_lowered", decision(l.lowered)),
+                ("calibrated_observed", decision(l.observed)),
+                ("observed", Json::bool(l.ran)),
+                ("run_error", Json::str(l.run_error.as_deref().unwrap_or(""))),
+                ("fusion", Json::str(&l.fusion)),
+                ("segments", Json::array(segments)),
             ])
         });
         let doc = Json::object([
@@ -1176,95 +1064,89 @@ fn cmd_parallelize_calibrated(opts: &Options, module: &Module) -> Result<(), Cli
             (
                 "calibration",
                 Json::object([
-                    ("alu_ns", Json::float(calibration.alu_ns)),
-                    ("mul_ns", Json::float(calibration.mul_ns)),
-                    ("div_ns", Json::float(calibration.div_ns)),
-                    ("load_ns", Json::float(calibration.load_ns)),
-                    ("store_ns", Json::float(calibration.store_ns)),
+                    ("ns_per_cycle", Json::float(ns_per_cycle)),
                     (
-                        "signal_observe_ns",
-                        Json::float(calibration.signal_observe_ns),
-                    ),
-                    (
-                        "signal_publish_ns",
-                        Json::float(calibration.signal_publish_ns),
-                    ),
-                    ("signal_poll_ns", Json::float(calibration.signal_poll_ns)),
-                    ("pool_wake_ns", Json::float(calibration.pool_wake_ns)),
-                    (
-                        "hardware_threads",
-                        Json::uint(calibration.hardware_threads as u64),
+                        "dispatch_tier",
+                        Json::str(&calibration.selected_tier().to_string()),
                     ),
                     (
                         "signal_latency_cycles",
-                        Json::uint(measured_config.signal_latency_unprefetched),
+                        Json::uint(calibrated.config.signal_latency_unprefetched),
                     ),
                     (
                         "signal_latency_prefetched_cycles",
-                        Json::uint(measured_config.signal_latency_prefetched),
+                        Json::uint(calibrated.config.signal_latency_prefetched),
                     ),
                     (
                         "paper_signal_latency_cycles",
-                        Json::uint(paper_config.signal_latency_unprefetched),
+                        Json::uint(paper.config.signal_latency_unprefetched),
                     ),
                 ]),
             ),
-            (
-                "paper_selected_loops",
-                Json::uint(paper.selection.len() as u64),
-            ),
-            (
-                "measured_selected_loops",
-                Json::uint(final_selection.len() as u64),
-            ),
-            ("flips", Json::uint(flips as u64)),
-            ("selection_trace", Json::array(entries)),
+            ("loops", Json::array(loop_docs)),
         ]);
         println!("{}", doc.into_string());
-    } else {
+        return Ok(());
+    }
+    println!(
+        "explain `{}` on {} cores: {} candidate loop(s); calibration {:.2} ns/cycle ({} tier), \
+         signal {} cycles (paper {}), prefetched {} cycles (paper {})",
+        module.name,
+        opts.cores,
+        loops.len(),
+        ns_per_cycle,
+        calibration.selected_tier(),
+        calibrated.config.signal_latency_unprefetched,
+        paper.config.signal_latency_unprefetched,
+        calibrated.config.signal_latency_prefetched,
+        paper.config.signal_latency_prefetched,
+    );
+    println!(
+        "  {:<20} {:>18} {:>21} {:>22}",
+        "loop", "paper", "calibrated, lowered", "calibrated, observed"
+    );
+    let decision = |d: Decision| {
+        format!(
+            "{} {:>12.0}",
+            if d.selected { "yes" } else { " - " },
+            d.saved_cycles
+        )
+    };
+    for l in &loops {
         println!(
-            "calibrated `{}` on {} hardware thread(s): signal {:.0}ns observed cross-thread \
-             ({} model cycles; paper assumed {}), {:.0}ns prefetched-poll ({} cycles; paper {}), \
-             pool wake {:.0}ns, dispatch tier {} ({:.1}ns/op alu; jit {:.1} / threaded {:.1} / \
-             switch {:.1})",
-            module.name,
-            calibration.hardware_threads,
-            calibration.signal_observe_ns,
-            measured_config.signal_latency_unprefetched,
-            paper_config.signal_latency_unprefetched,
-            calibration.signal_poll_ns,
-            measured_config.signal_latency_prefetched,
-            paper_config.signal_latency_prefetched,
-            calibration.pool_wake_ns,
-            calibration.selected_tier(),
-            calibration.dispatch_ns(helix_runtime::DispatchTier::Auto)[0],
-            calibration.alu_jit_ns,
-            calibration.alu_threaded_ns,
-            calibration.alu_ns,
+            "  {:<20} {:>18} {:>21} {:>22}",
+            name(l.key),
+            decision(l.paper),
+            decision(l.lowered),
+            decision(l.observed),
         );
+    }
+    println!("  (yes = selected; the number is the saved time T in model cycles)");
+    for l in &loops {
+        println!("{} ({}):", name(l.key), l.fusion);
         println!(
-            "selection trace (paper-constant vs measured-cost pricing, {} flip(s)):",
-            flips
+            "  {:<8} {:<6} {:<5} {:>10} {:>10} {:>10} {:>8} {:>8}",
+            "segment", "dep", "sync", "estimate", "lowered", "observed", "ratio", "samples"
         );
-        println!(
-            "  {:<24} {:>8} {:>8} {:>16} {:>16}",
-            "loop", "paper", "measured", "paper T (cyc)", "measured T (cyc)"
-        );
-        for e in &trace.entries {
-            let mark = |b: bool| if b { "yes" } else { "-" };
-            let flip = if e.flipped() { "  <- FLIP" } else { "" };
+        let cycles = |x: Option<f64>| x.map_or_else(|| "-".to_string(), |c| format!("{c:.0}"));
+        for s in &l.segments {
             println!(
-                "  {:<24} {:>8} {:>8} {:>16.0} {:>16.0}{}",
-                format!("{}/{}", module.function(e.key.0).name, e.key.1),
-                mark(e.baseline_selected),
-                mark(e.measured_selected),
-                e.baseline_saved,
-                e.measured_saved,
-                flip
+                "  {:<8} {:<6} {:<5} {:>10.0} {:>10} {:>10} {:>8} {:>8}",
+                s.segment,
+                s.dep.to_string(),
+                if s.synchronized { "yes" } else { "no" },
+                s.estimate_cycles,
+                cycles(s.lowered_cycles),
+                cycles(s.observed_cycles),
+                s.ratio()
+                    .map_or_else(|| "-".to_string(), |r| format!("{r:.2}x")),
+                s.observed_samples,
             );
         }
-        if flips == 0 {
-            println!("  (no loop flips on this machine: measured and paper pricing agree)");
+        match (&l.run_error, l.ran) {
+            (Some(e), _) => println!("  not observed: the 1-worker run failed: {e}"),
+            (None, false) => println!("  not observed: only loops of `{}` run", opts.entry),
+            (None, true) => {}
         }
     }
     Ok(())
@@ -1272,9 +1154,6 @@ fn cmd_parallelize_calibrated(opts: &Options, module: &Module) -> Result<(), Cli
 
 fn cmd_parallelize(opts: &Options) -> Result<(), CliError> {
     let module = load(opts)?;
-    if opts.calibrate {
-        return cmd_parallelize_calibrated(opts, &module);
-    }
     let (profile, output) = analysis_of(&module, opts)?;
     let stats = output.statistics();
     if opts.json {
@@ -1378,25 +1257,7 @@ fn cmd_simulate(opts: &Options) -> Result<(), CliError> {
         helix: config_of(opts),
         mode: opts.mode,
     };
-    let mut sim = simulate_program(&output, &profile, &sim_config);
-    if opts.lowered_costs {
-        // Re-price each selected loop's segments from the lowered runtime bytecode (the
-        // costs the ParallelImage dispatch actually implies) and rebuild the program total.
-        let mut saved = 0.0;
-        for (key, result) in sim.loops.iter_mut() {
-            let Some(plan) = output.plans.get(key) else {
-                continue;
-            };
-            let transformed = helix_core::transform::apply(&module, plan);
-            let pimg = ParallelImage::lower(&transformed);
-            let lp = profile.loop_profile(*key);
-            *result =
-                helix_simulator::simulate_loop_lowered(plan, &lp, &sim_config, &pimg.loop_image);
-            saved += result.sequential_cycles - result.parallel_cycles;
-        }
-        sim.parallel_cycles = (sim.sequential_cycles - saved).max(1.0);
-        sim.speedup = sim.sequential_cycles / sim.parallel_cycles;
-    }
+    let sim = simulate_program(&output, &profile, &sim_config);
     if opts.json {
         let loops = sim.loops.iter().map(|(key, r)| {
             Json::object([

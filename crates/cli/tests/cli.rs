@@ -1,8 +1,9 @@
 //! Black-box tests of the `helix` binary: the `serve` daemon smoke test (50 mixed
 //! requests over the stdio batch protocol, one fault-injected panic among them) and
 //! the file-IO error paths (missing input, unwritable output — both must name the
-//! offending path), the host-topology labels of `helix fuzz`, and the success path of
-//! `helix trace --compare-model` (a well-formed Chrome trace plus the segment table).
+//! offending path), the host-topology labels of `helix fuzz`, the success path of
+//! `helix trace` (a well-formed Chrome trace of the loop chosen at the traced worker
+//! count) and the JSON report of `helix explain`.
 
 use std::process::{Command, Stdio};
 
@@ -289,21 +290,17 @@ fn fuzz_never_prints_a_bare_clean_verdict() {
     );
 }
 
+fn nest_flip() -> &'static str {
+    concat!(env!("CARGO_MANIFEST_DIR"), "/../../corpus/nest_flip.hir")
+}
+
 #[test]
-fn trace_with_compare_model_writes_a_chrome_trace_and_the_segment_table() {
+fn trace_writes_a_chrome_trace_and_the_lane_table() {
     let dir = std::env::temp_dir().join(format!("helix-cli-trace-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let out_path = dir.join("nest_flip.trace.json");
-    let program = concat!(env!("CARGO_MANIFEST_DIR"), "/../../corpus/nest_flip.hir");
     let output = Command::new(helix_exe())
-        .args([
-            "trace",
-            program,
-            "--threads",
-            "2",
-            "--compare-model",
-            "--out",
-        ])
+        .args(["trace", nest_flip(), "--threads", "2", "--out"])
         .arg(&out_path)
         .output()
         .unwrap();
@@ -316,30 +313,101 @@ fn trace_with_compare_model_writes_a_chrome_trace_and_the_segment_table() {
     }
     let text = std::fs::read_to_string(&out_path).unwrap();
     let trace = parse_json(&text).unwrap_or_else(|e| panic!("trace is not JSON: {e}"));
-    let Json::Obj(fields) = trace else {
-        panic!("trace is not a JSON object")
-    };
-    match fields.iter().find(|(key, _)| key == "traceEvents") {
-        Some((_, Json::Arr(events))) => assert!(!events.is_empty(), "traceEvents is empty"),
+    match trace.get("traceEvents") {
+        Some(Json::Arr(events)) => assert!(!events.is_empty(), "traceEvents is empty"),
         other => panic!("no traceEvents array: {other:?}"),
     }
     assert!(
-        stdout.contains("predicted vs observed segment costs")
-            && stdout.contains("predicted (cyc)")
-            && stdout.contains("observed (cyc)"),
-        "predicted-vs-observed table missing: {stdout}"
+        stdout.contains("lane  dep") && stdout.contains("chrome trace:"),
+        "lane table missing: {stdout}"
     );
 
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn trace_runs_the_loop_chosen_at_the_traced_worker_count() {
+    // At 6 cores the hot signal-bound loop0 is selected; at 2 only loop1 is.
+    let output = Command::new(helix_exe())
+        .args(["trace", nest_flip(), "--threads", "2", "--out", "/dev/null"])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(output.status.success(), "trace failed: {output:?}");
+    assert!(
+        stdout.starts_with("traced loop loop1 of `main`"),
+        "{stdout}"
+    );
+}
+
+#[test]
+fn explain_json_prices_every_candidate_three_ways_and_observes_the_entry_loops() {
+    let output = Command::new(helix_exe())
+        .args(["explain", nest_flip(), "--json"])
+        .output()
+        .unwrap();
+    assert!(output.status.success(), "explain failed: {output:?}");
+    let stdout = String::from_utf8(output.stdout).unwrap();
+    let report = parse_json(&stdout).unwrap_or_else(|e| panic!("not JSON: {e}: {stdout}"));
+    let Some(Json::Arr(loops)) = report.get("loops") else {
+        panic!("no loops array: {stdout}")
+    };
+    let names: Vec<_> = loops.iter().map(|l| l.scalar("loop")).collect();
+    assert_eq!(names, ["\"loop0\"", "\"loop1\"", "\"loop2\""], "{stdout}");
+    for l in loops {
+        for pricing in ["paper", "calibrated_lowered", "calibrated_observed"] {
+            let Some(decision) = l.get(pricing) else {
+                panic!("no {pricing} pricing: {stdout}")
+            };
+            assert!(
+                ["true", "false"].contains(&decision.scalar("selected")),
+                "{stdout}"
+            );
+            assert_ne!(decision.scalar("saved_cycles"), "null", "{stdout}");
+        }
+        // Every loop of nest_flip is in the entry function, so every one ran.
+        assert_eq!(l.scalar("function"), "\"main\"");
+        assert_eq!(l.scalar("observed"), "true", "{stdout}");
+        let Some(Json::Arr(segments)) = l.get("segments") else {
+            panic!("no segments: {stdout}")
+        };
+        for s in segments
+            .iter()
+            .filter(|s| s.scalar("synchronized") == "true")
+        {
+            for column in ["lowered_cycles", "observed_cycles", "ratio"] {
+                assert_ne!(s.scalar(column), "null", "{column} missing: {stdout}");
+            }
+        }
+    }
+}
+
 /// A JSON value, parsed just far enough to prove a file is well-formed JSON: strings,
-/// numbers, booleans and `null` are checked and then dropped; object keys stay raw.
+/// numbers, booleans and `null` are checked and kept as their source text; object keys
+/// stay raw.
 #[derive(Debug)]
 enum Json {
-    Scalar,
+    Scalar(String),
     Arr(Vec<Json>),
     Obj(Vec<(String, Json)>),
+}
+
+impl Json {
+    /// The value under `key` of an object.
+    fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The source text of the scalar under `key`, or `""` when there is none.
+    fn scalar(&self, key: &str) -> &str {
+        match self.get(key) {
+            Some(Json::Scalar(text)) => text,
+            _ => "",
+        }
+    }
 }
 
 /// Parses one complete JSON document, or says at which byte it stopped being JSON.
@@ -403,15 +471,20 @@ impl JsonParser<'_> {
                 })
                 .map(Json::Obj),
             Some(b'[') => self.seq(b']', Self::value).map(Json::Arr),
-            Some(b'"') => self.string().map(|_| Json::Scalar),
+            Some(b'"') => {
+                let start = self.i;
+                self.string()?;
+                Ok(self.scalar_from(start))
+            }
             _ => {
                 let rest = &self.s[self.i..];
                 if let Some(word) = ["true", "false", "null"]
                     .into_iter()
                     .find(|w| rest.starts_with(w.as_bytes()))
                 {
+                    let start = self.i;
                     self.i += word.len();
-                    return Ok(Json::Scalar);
+                    return Ok(self.scalar_from(start));
                 }
                 self.number()
             }
@@ -466,6 +539,11 @@ impl JsonParser<'_> {
         if !ok {
             return Err(format!("not a JSON value at byte {start}"));
         }
-        Ok(Json::Scalar)
+        Ok(self.scalar_from(start))
+    }
+
+    /// The scalar whose source text runs from `start` to the current byte.
+    fn scalar_from(&self, start: usize) -> Json {
+        Json::Scalar(String::from_utf8_lossy(&self.s[start..self.i]).into_owned())
     }
 }

@@ -30,19 +30,12 @@ pub struct HelixConfig {
     /// Per-invocation loop configuration overhead in cycles (`Conf_i`): initializing thread
     /// memory buffers and dispatching the parallel threads.
     pub config_overhead: u64,
-    /// Step 5: apply method inlining and code scheduling to shrink sequential segments.
-    pub enable_segment_minimization: bool,
-    /// Step 6: remove redundant signals (redundant `Wait`s, segment merging, Theorem 1).
+    /// Step 6: remove redundant signals (redundant `Wait`s, segment merging).
     pub enable_signal_minimization: bool,
     /// Step 8: couple iteration threads with SMT helper threads that prefetch signals.
     pub enable_helper_threads: bool,
     /// Step 8's code-scheduling algorithm (Figure 6) that balances signal prefetching.
     pub enable_prefetch_balancing: bool,
-    /// Iteration-privatization analysis (see `privatize`): prove per-iteration allocations
-    /// thread-private so the parallel runtime serves them from per-worker bump arenas that
-    /// bypass shared memory, and drop the synchronization of dependences that only
-    /// touch privatized storage.
-    pub enable_privatization: bool,
     /// **Test-only fault injection.** Re-enables the pre-fix Step 6 behaviour where merging
     /// two sequential segments took the *union* of their Wait/Signal points instead of
     /// recomputing them over the merged dependence endpoints. A unioned signal can fire
@@ -65,11 +58,9 @@ impl HelixConfig {
             word_transfer_latency: 110,
             word_bytes: 8,
             config_overhead: 400,
-            enable_segment_minimization: true,
             enable_signal_minimization: true,
             enable_helper_threads: true,
             enable_prefetch_balancing: true,
-            enable_privatization: true,
             unsound_union_merged_sync_points: false,
         }
     }
@@ -124,24 +115,6 @@ impl HelixConfig {
         self.enable_prefetch_balancing = false;
         self
     }
-
-    /// Disables the iteration-privatization analysis (used by ablation studies and tests
-    /// that need every allocation in shared memory).
-    pub fn without_privatization(mut self) -> Self {
-        self.enable_privatization = false;
-        self
-    }
-
-    /// The effective signal latency at run time given the prefetching configuration: with
-    /// helper threads a fully prefetched signal costs an L1 hit, without them it costs the
-    /// full inter-core pull.
-    pub fn best_case_signal_latency(&self) -> u64 {
-        if self.enable_helper_threads {
-            self.signal_latency_prefetched
-        } else {
-            self.signal_latency_unprefetched
-        }
-    }
 }
 
 impl Default for HelixConfig {
@@ -181,8 +154,6 @@ mod tests {
             c.selection_signal_latency_prefetched, 110,
             "the single-number override conflates both, like the paper's study"
         );
-        assert_eq!(c.best_case_signal_latency(), 110);
-        assert_eq!(HelixConfig::default().best_case_signal_latency(), 4);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!   synchronization (`D_data`), and build one *sequential segment* per dependence with
 //!   `Wait`/`Signal` placement points computed by data-flow reasoning.
 //! * [`optimize`] — Steps 5–6: shrink sequential segments by excluding independent
-//!   instructions, remove redundant `Wait`s, merge segments, and apply Theorem 1 on the data
-//!   dependence redundancy graph to minimize the number of synchronized dependences.
+//!   instructions, remove redundant `Wait`s and merge segments; its closing pass then puts
+//!   a `Wait` before every `Signal`, so no iteration signals past an older one.
 //! * [`privatize`] — the iteration-privatization analysis: proves per-iteration allocations
 //!   thread-private so the runtime serves them from per-worker bump arenas and drops the
 //!   synchronization of dependences confined to privatized storage.
@@ -46,10 +46,7 @@ pub mod transform;
 pub use config::HelixConfig;
 pub use model::{PrefetchMode, SpeedupModel};
 pub use normalize::NormalizedLoop;
-pub use pipeline::{
-    content_hash, Helix, HelixOutput, LoopStatistics, PreparedProgram, SelectionTrace,
-    SelectionTraceEntry,
-};
+pub use pipeline::{content_hash, Helix, HelixOutput, LoopStatistics, PreparedProgram};
 pub use plan::{ParallelizedLoop, SequentialSegment};
 pub use privatize::{analyze_privatization, PrivatizationInfo};
 pub use selection::{DynamicLoopGraph, LoopSelection};

@@ -9,10 +9,19 @@
 //! *Step 6* removes redundant synchronization:
 //! * a `Wait` is redundant if every control path leading to it already contains another `Wait`
 //!   of the same dependence (forward *must* availability);
-//! * segments whose instruction ranges touch (no parallel code between them) are merged;
-//! * the *data dependence redundancy graph* is built — an edge `d_j → d_i` means `Wait(d_j)`
-//!   is available at every `Wait(d_i)` — and, per Theorem 1, only the dependences with no
-//!   incoming edges plus one representative per cycle keep their synchronization.
+//! * segments whose instruction ranges touch (no parallel code between them) are merged.
+//!
+//! The paper's Theorem 1 would also drop the synchronization of every dependence whose
+//! `Wait` is covered by another dependence's `Wait`. It is not applied: the covering segment
+//! can signal before the covered segment's endpoints run, or never be entered on some path
+//! that still reaches them, so a dependence released by it races. Every segment keeps its
+//! synchronization until a must-wait analysis can prove the cover.
+//!
+//! *The closing pass* ([`close_signals`]) runs last, after the privatization releases: it
+//! gives every signal point a `Wait` of the same dependence right before it, so an iteration
+//! signals `d` only once its predecessor has signalled `d`. Without it an iteration whose
+//! path skips the segment's endpoints signals straight through, and its successor enters
+//! the segment while an older iteration is still inside.
 
 use crate::plan::SequentialSegment;
 use helix_analysis::{Cfg, LoopForest, LoopId};
@@ -26,8 +35,6 @@ pub struct OptimizeStats {
     pub waits_removed: usize,
     /// Segments merged into another segment.
     pub segments_merged: usize,
-    /// Dependences whose synchronization was dropped by Theorem 1.
-    pub dependences_covered: usize,
     /// Instructions moved out of segments by Step 5.
     pub instrs_moved_out: usize,
 }
@@ -110,7 +117,7 @@ pub fn minimize_segments(
     stats
 }
 
-/// Step 6: remove redundant `Wait`s, merge adjacent segments, and apply Theorem 1.
+/// Step 6: merge adjacent segments and remove redundant `Wait`s.
 pub fn minimize_signals(
     function: &Function,
     cfg: &Cfg,
@@ -240,65 +247,6 @@ pub fn minimize_signals_with(
         seg.wait_points = keep;
     }
 
-    // --- Theorem 1 on the dependence redundancy graph -----------------------------------
-    // Edge j -> i when Wait(d_j) is available at every Wait(d_i): approximated at block level
-    // by "every wait block of i is also a wait block of j, or is reachable only through a wait
-    // block of j". We use the containment test, which is exact for waits placed at the same
-    // endpoints after merging.
-    let n = segments.len();
-    let wait_blocks: Vec<BTreeSet<helix_ir::BlockId>> = segments
-        .iter()
-        .map(|s| s.wait_points.iter().map(|w| w.block).collect())
-        .collect();
-    let mut incoming: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
-    let mut outgoing: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
-    for j in 0..n {
-        for i in 0..n {
-            if i == j || wait_blocks[i].is_empty() || wait_blocks[j].is_empty() {
-                continue;
-            }
-            let covers = wait_blocks[i].iter().all(|wb| {
-                wait_blocks[j].contains(wb)
-                    || wait_blocks[j]
-                        .iter()
-                        .all(|jb| cfg.reaches_within(*jb, *wb, &in_loop, Some(natural.header)))
-                        && !wait_blocks[j].is_empty()
-            });
-            if covers {
-                incoming[i].insert(j);
-                outgoing[j].insert(i);
-            }
-        }
-    }
-    // N_to_synch = nodes without incoming edges, plus one node per cycle. Cycles here are
-    // mutual-coverage groups; pick the lowest index of each strongly connected component.
-    let mut to_synch: BTreeSet<usize> = (0..n).filter(|i| incoming[*i].is_empty()).collect();
-    let mut assigned: BTreeSet<usize> = to_synch.clone();
-    for i in 0..n {
-        if assigned.contains(&i) {
-            continue;
-        }
-        // Find the mutual group of i (nodes that cover i and are covered by i).
-        let group: BTreeSet<usize> = incoming[i]
-            .intersection(&outgoing[i])
-            .copied()
-            .chain(std::iter::once(i))
-            .collect();
-        // If i is covered by some node already synchronized (directly or transitively), it
-        // needs no representative of its own.
-        let covered_by_synchronized = incoming[i].iter().any(|j| to_synch.contains(j));
-        if !covered_by_synchronized {
-            let representative = *group.iter().min().expect("group contains i");
-            to_synch.insert(representative);
-        }
-        assigned.extend(group);
-    }
-    for (i, seg) in segments.iter_mut().enumerate() {
-        if !to_synch.contains(&i) {
-            seg.synchronized = false;
-            stats.dependences_covered += 1;
-        }
-    }
     stats
 }
 
@@ -330,6 +278,35 @@ pub fn release_privatized_segments(
         }
     }
     released
+}
+
+/// The closing pass over a loop's segments: every signal point of a synchronized segment
+/// gets a wait point for the same dependence at the same instruction (the transform emits a
+/// point's `Wait`s before its `Signal`s). The one exception is a signal whose block already
+/// waits on the dependence earlier, with no signal of it in between.
+///
+/// This keeps the invariant the runtime's signal lanes rely on: once iteration `i` has
+/// signalled `d`, every earlier iteration has left `d`'s segment.
+pub fn close_signals(segments: &mut [SequentialSegment]) {
+    for seg in segments.iter_mut().filter(|s| s.synchronized) {
+        let mut waits = seg.wait_points.clone();
+        for sig in &seg.signal_points {
+            let waited = seg.wait_points.iter().any(|w| {
+                w.block == sig.block
+                    && w.index <= sig.index
+                    && !seg
+                        .signal_points
+                        .iter()
+                        .any(|s| s.block == sig.block && w.index <= s.index && s.index < sig.index)
+            });
+            if !waited {
+                waits.push(*sig);
+            }
+        }
+        waits.sort();
+        waits.dedup();
+        seg.wait_points = waits;
+    }
 }
 
 fn ranges_touch(a: &BTreeSet<InstrRef>, b: &BTreeSet<InstrRef>) -> bool {
@@ -478,10 +455,12 @@ mod tests {
             synchronized_after >= 1,
             "at least one dependence must stay synchronized"
         );
-        // The stats record the dependences whose synchronization was dropped.
+        // Step 6 merges and drops waits, but releases no dependence's synchronization.
+        assert_eq!(synchronized_after, segments.len());
         assert_eq!(
-            stats.dependences_covered,
-            segments.iter().filter(|x| !x.synchronized).count()
+            stats.segments_merged + segments.len(),
+            synchronized_before,
+            "every segment Step 6 no longer lists was merged into another"
         );
     }
 

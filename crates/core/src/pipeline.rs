@@ -4,7 +4,7 @@
 use crate::config::HelixConfig;
 use crate::model::{LoopModelInput, PrefetchMode, SpeedupModel};
 use crate::normalize::NormalizedLoop;
-use crate::optimize::{minimize_segments, minimize_signals_with};
+use crate::optimize::{close_signals, minimize_segments, minimize_signals_with};
 use crate::plan::ParallelizedLoop;
 use crate::schedule::schedule_prefetching;
 use crate::segments::build_segments;
@@ -88,9 +88,6 @@ pub struct PreparedProgram {
     pub transformed: Option<crate::transform::TransformedProgram>,
     /// Which loop the transform targets.
     pub plan_key: Option<LoopKey>,
-    /// Was the chosen plan *selected* by the Section 2.2 algorithm (as opposed to a
-    /// hottest-candidate fallback)?
-    pub plan_selected: bool,
 }
 
 /// Stable content hash of `module`'s canonical printed form, folded with `entry`.
@@ -192,14 +189,12 @@ impl Helix {
         let chosen = output.hottest_plan(entry, &profile);
         let transformed = chosen.map(|(plan, _)| crate::transform::apply(module, plan));
         let plan_key = chosen.map(|(plan, _)| (plan.func, plan.loop_id));
-        let plan_selected = chosen.is_some_and(|(_, selected)| selected);
         Ok(PreparedProgram {
             key,
             profile,
             output,
             transformed,
             plan_key,
-            plan_selected,
         })
     }
 
@@ -260,14 +255,16 @@ impl Helix {
                 &induction,
                 &cost,
             );
-            let signals_before: u64 = segments
+            // The naive placement is counted closed too: without the closing pass's waits
+            // it is not a sound baseline to measure Step 6 against.
+            let mut naive = segments.clone();
+            close_signals(&mut naive);
+            let signals_before: u64 = naive
                 .iter()
                 .map(|s| (s.wait_points.len() + s.signal_points.len()) as u64)
                 .sum();
             // Step 5.
-            if self.config.enable_segment_minimization {
-                minimize_segments(function, &mut segments, &cost);
-            }
+            minimize_segments(function, &mut segments, &cost);
             // Step 6.
             if self.config.enable_signal_minimization {
                 minimize_signals_with(
@@ -322,12 +319,12 @@ impl Helix {
                 .chain(norm.body_blocks.iter())
                 .copied()
                 .collect();
-            let privatization = if self.config.enable_privatization {
-                crate::privatize::analyze_privatization(function, &loop_block_set, &boundary)
-            } else {
-                crate::privatize::PrivatizationInfo::default()
-            };
+            let privatization =
+                crate::privatize::analyze_privatization(function, &loop_block_set, &boundary);
             crate::optimize::release_privatized_segments(&mut segments, &privatization);
+            // The closing pass: a `Wait` before every `Signal` of each segment still
+            // synchronized, so the model, the `core.*` counts and the transform all see it.
+            close_signals(&mut segments);
 
             let signals_after: u64 = segments
                 .iter()
@@ -484,22 +481,19 @@ impl Helix {
     }
 
     /// Feedback-directed re-selection: re-scores every candidate plan with *measured*
-    /// per-segment costs — the cycles each synchronized segment's span actually occupies in
-    /// the lowered `helix_runtime` iteration bytecode (post-fusion, post-privatization),
-    /// as computed by `helix_simulator::lowered_segment_costs` — and re-runs the Section 2.2
-    /// selection with them.
+    /// per-segment costs — for instance the cycles each synchronized segment's span
+    /// occupies in the lowered `helix_runtime` iteration bytecode, or what a traced run
+    /// observed it take — and re-runs the Section 2.2 selection with them.
     ///
-    /// `measured` maps each candidate loop to its per-dependence segment costs; loops
-    /// missing from the map keep their profile-weighted estimate. The returned
-    /// [`SelectionTrace`] records every loop whose decision flipped against
-    /// `output.selection`.
+    /// `measured` maps each candidate loop to its per-dependence segment costs; loops and
+    /// segments missing from the map keep their profile-weighted estimate.
     pub fn reselect_with_segment_costs(
         &self,
         module: &Module,
         profile: &ProgramProfile,
         output: &HelixOutput,
         measured: &BTreeMap<LoopKey, BTreeMap<helix_ir::DepId, f64>>,
-    ) -> (LoopSelection, SelectionTrace) {
+    ) -> LoopSelection {
         let nesting = LoopNestingGraph::new(module);
         let mut model_inputs = output.model_inputs.clone();
         for (key, plan) in &output.plans {
@@ -529,9 +523,7 @@ impl Helix {
         let saved = self.selection_saved_time(&model_inputs);
         let mut graph = DynamicLoopGraph::build(&nesting, profile, &saved);
         graph.propagate_max_saved_time();
-        let selection = graph.select();
-        let trace = SelectionTrace::compare(&output.selection, &selection);
-        (selection, trace)
+        graph.select()
     }
 }
 
@@ -554,68 +546,6 @@ impl FunctionFacts {
             reaching,
             liveness,
         }
-    }
-}
-
-/// One loop's row in a [`SelectionTrace`]: how the decision and the saved-time estimate
-/// changed between a baseline pricing and a measured pricing.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SelectionTraceEntry {
-    /// The loop.
-    pub key: LoopKey,
-    /// Was the loop selected under the baseline pricing?
-    pub baseline_selected: bool,
-    /// Is it selected under the measured pricing?
-    pub measured_selected: bool,
-    /// Saved time `T` the baseline pricing assigned (cycles).
-    pub baseline_saved: f64,
-    /// Saved time `T` the measured pricing assigns (cycles).
-    pub measured_saved: f64,
-}
-
-impl SelectionTraceEntry {
-    /// `true` when the decision changed.
-    pub fn flipped(&self) -> bool {
-        self.baseline_selected != self.measured_selected
-    }
-}
-
-/// A comparison of two loop selections — one priced with baseline (paper-constant) numbers,
-/// one with measured ones. Produced by [`Helix::reselect_with_segment_costs`] and by the
-/// calibrated CLI flows; the interesting rows are the *flips*, loops the measured
-/// model decides differently.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct SelectionTrace {
-    /// One entry per loop considered by either selection.
-    pub entries: Vec<SelectionTraceEntry>,
-}
-
-impl SelectionTrace {
-    /// Builds the trace comparing `baseline` against `measured`.
-    pub fn compare(baseline: &LoopSelection, measured: &LoopSelection) -> SelectionTrace {
-        let keys: BTreeSet<LoopKey> = baseline
-            .saved_time
-            .keys()
-            .chain(measured.saved_time.keys())
-            .copied()
-            .collect();
-        SelectionTrace {
-            entries: keys
-                .into_iter()
-                .map(|key| SelectionTraceEntry {
-                    key,
-                    baseline_selected: baseline.is_selected(key),
-                    measured_selected: measured.is_selected(key),
-                    baseline_saved: baseline.saved_time.get(&key).copied().unwrap_or(0.0),
-                    measured_saved: measured.saved_time.get(&key).copied().unwrap_or(0.0),
-                })
-                .collect(),
-        }
-    }
-
-    /// The loops whose decision flipped.
-    pub fn flips(&self) -> Vec<&SelectionTraceEntry> {
-        self.entries.iter().filter(|e| e.flipped()).collect()
     }
 }
 
@@ -928,15 +858,14 @@ mod tests {
         let profile = profile_program(&module, &nesting, main, &[]).unwrap();
         let helix = Helix::new(HelixConfig::default());
         let output = helix.analyze(&module, &profile);
-        // Identical measured costs: selection must not change and no flips are reported.
+        // No measured costs: the selection and every saved time stay as they were.
         let unchanged: BTreeMap<LoopKey, BTreeMap<helix_ir::DepId, f64>> = BTreeMap::new();
-        let (same, trace) =
-            helix.reselect_with_segment_costs(&module, &profile, &output, &unchanged);
+        let same = helix.reselect_with_segment_costs(&module, &profile, &output, &unchanged);
         assert_eq!(same.selected, output.selection.selected);
-        assert!(trace.flips().is_empty());
-        assert_eq!(trace.entries.len(), output.plans.len());
+        assert_eq!(same.saved_time, output.selection.saved_time);
+        assert_eq!(same.saved_time.len(), output.plans.len());
         // Measured costs that declare a selected loop's segments to fill the whole
-        // iteration (pure sequential) must deselect it and report the flip.
+        // iteration (pure sequential) must deselect it.
         let victim = *output
             .selection
             .selected
@@ -953,13 +882,12 @@ mod tests {
         )]
         .into_iter()
         .collect();
-        let (reselected, trace) =
-            helix.reselect_with_segment_costs(&module, &profile, &output, &poisoned);
+        let reselected = helix.reselect_with_segment_costs(&module, &profile, &output, &poisoned);
+        assert!(output.selection.is_selected(victim));
         assert!(
             !reselected.is_selected(victim),
             "fully-sequential loop must drop"
         );
-        assert!(trace.flips().iter().any(|e| e.key == victim));
     }
 
     #[test]
@@ -984,7 +912,6 @@ mod tests {
             content_hash(&module, "other")
         );
         // The prepared plan is the hottest one selection kept.
-        assert!(prepared.plan_selected);
         assert!(prepared.output.selection.is_selected(plan_key));
     }
 

@@ -30,8 +30,8 @@ pub struct SequentialSegment {
     /// `true` when the dependence actually forwards a computed value between cores (a memory
     /// RAW or a demoted loop-boundary variable), as opposed to pure ordering.
     pub transfers_data: bool,
-    /// `false` when Step 6 proved the dependence redundant (Theorem 1): its `Wait`s can be
-    /// dropped because another synchronized dependence already covers it.
+    /// `false` when the privatization analysis proved every dependence of the segment
+    /// runs between iteration-private accesses: it then needs no `Wait`/`Signal` at all.
     pub synchronized: bool,
     /// Fraction of the signal latency hidden by helper-thread prefetching for this segment
     /// (0.0 = no prefetching, 1.0 = fully prefetched), set by Step 8 / Figure 6.

@@ -11,7 +11,9 @@
 //! 4. the two profilers: identical [`helix_profiler`] `ProgramProfile`s,
 //! 5. the HELIX analysis: a structural soundness check that no synchronized segment signals
 //!    before the last endpoint of a dependence it synchronizes (the PR 2 signal-merge bug's
-//!    signature, caught without needing a lucky thread interleaving),
+//!    signature) or without waiting on its dependence first in the same block (an iteration
+//!    that skipped the segment would release its successor past an older iteration), both
+//!    caught without needing a lucky thread interleaving,
 //! 6. the real-thread parallel executor at each requested thread count (repeated, to give
 //!    races more than one chance to fire): result must equal the sequential bytecode result.
 //!
@@ -203,15 +205,41 @@ fn show(v: &Option<Value>) -> String {
     }
 }
 
-/// Scans every plan of an analysis output for a synchronized segment whose signal point can
-/// fire before one of its own dependence endpoints in the same block — the structural
-/// signature of the PR 2 signal-merge soundness bug. Returns one description per violation.
+/// Scans every plan of an analysis output for a synchronized segment with a signal point
+/// that
+///
+/// * can fire before one of its own dependence endpoints in the same block — the structural
+///   signature of the PR 2 signal-merge soundness bug, or
+/// * is not preceded in its block by a wait point of the segment with no other signal point
+///   in between — an iteration could then signal while its predecessor is still inside the
+///   segment, and release its successor into it.
+///
+/// Returns one description per violation.
 pub fn signal_placement_violations(module: &Module, output: &HelixOutput) -> Vec<String> {
     let mut violations = Vec::new();
     for (key, plan) in &output.plans {
         let function = module.function(key.0);
         for seg in plan.segments.iter().filter(|s| s.synchronized) {
             for sig in &seg.signal_points {
+                // A point's `Wait`s are emitted before its `Signal`s, so a wait at the
+                // signal's own index counts; a signal at the wait's index comes after it.
+                let last_wait = seg
+                    .wait_points
+                    .iter()
+                    .filter(|w| w.block == sig.block && w.index <= sig.index)
+                    .map(|w| w.index)
+                    .max();
+                let signalled_since = |w: usize| {
+                    seg.signal_points
+                        .iter()
+                        .any(|s| s.block == sig.block && w <= s.index && s.index < sig.index)
+                };
+                if last_wait.is_none_or(signalled_since) {
+                    violations.push(format!(
+                        "{}/{}: segment {:?} signals at {} without waiting on it first",
+                        function.name, key.1, seg.dep, sig
+                    ));
+                }
                 for dep in &seg.dependences {
                     for endpoint in [dep.src, dep.dst] {
                         if endpoint.block == sig.block && endpoint.index >= sig.index {

@@ -73,8 +73,8 @@ id_type!(
 id_type!(
     /// Identifies a loop-carried data dependence synchronized with `Wait`/`Signal`.
     ///
-    /// HELIX Step 4 assigns one `DepId` per dependence in `D_data`; Step 6 may later retire
-    /// some of them when they are redundant (Theorem 1).
+    /// HELIX Step 4 assigns one `DepId` per dependence in `D_data`; Step 6 merging may fold
+    /// several into one segment, and privatization may release a segment entirely.
     DepId,
     "dep"
 );

@@ -300,8 +300,7 @@ impl CalibrationProfile {
     }
 
     /// Serializes the profile as the `helix-calibration v3` text format (one `key value`
-    /// pair per line), the format `helix parallelize --calibration-file` reads and
-    /// writes.
+    /// pair per line), the format `helix explain --calibration-file` reads and writes.
     pub fn to_text(&self) -> String {
         let mut text = String::from("helix-calibration v3\n");
         let mut copy = *self;
@@ -328,7 +327,8 @@ impl CalibrationProfile {
             Some(header @ ("helix-calibration v1" | "helix-calibration v2")) => {
                 return Err(format!(
                     "unsupported calibration format `{header}`: only `helix-calibration v3` \
-                     is read; re-run with `--calibrate` to measure this machine again"
+                     is read; delete the file and re-run `helix explain --calibration-file` \
+                     to measure this machine again"
                 ))
             }
             other => return Err(format!("bad calibration header: {other:?}")),
@@ -603,7 +603,10 @@ mod tests {
                 err.contains(&format!("helix-calibration {version}")),
                 "names the version it saw: {err}"
             );
-            assert!(err.contains("--calibrate"), "says how to regenerate: {err}");
+            assert!(
+                err.contains("re-run `helix explain --calibration-file`"),
+                "says how to regenerate: {err}"
+            );
         }
     }
 

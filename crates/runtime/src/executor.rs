@@ -24,7 +24,7 @@
 //!   workers with nothing to claim sit in the adaptive spin→yield→park backoff. With one
 //!   effective worker there is nothing to claim against: iterations run in order on the
 //!   calling thread with no claim atomics at all;
-//! * one [`Engine`] per run — the resolved dispatch tier's handler tables plus any native
+//! * one `Engine` per run — the resolved dispatch tier's handler tables plus any native
 //!   code — is built on the submitting thread and shared by reference with every helper;
 //! * cross-iteration dependences synchronize through cache-line-padded, windowed
 //!   [`SignalLanes`] instead of a dense false-sharing counter array;

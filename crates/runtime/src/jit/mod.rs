@@ -3,11 +3,11 @@
 //!
 //! ## Architecture: patched threaded tables
 //!
-//! The JIT does not bring its own driver. It builds the exact [`IterTable`] /
-//! [`FlatTables`] the threaded tier uses, finds every maximal run of consecutive
+//! The JIT does not bring its own driver. It builds the exact `IterTable` /
+//! `FlatTables` the threaded tier uses, finds every maximal run of consecutive
 //! JIT-coverable ops (a **chunk**, ≥ 2 ops), compiles each chunk to
-//! straight-line machine code with [`emit`], and rewrites only the chunk's *head* slot to
-//! a [`h_jit`] trampoline that calls the native code. All chunks of one engine — its
+//! straight-line machine code with `emit`, and rewrites only the chunk's *head* slot to
+//! a `h_jit` trampoline that calls the native code. All chunks of one engine — its
 //! iteration stream and every flat function it decoded — share one executable mapping,
 //! built by `build_tables` and owned by one `JitArtifact`. Everything else — the dispatch
 //! loop, Wait/Signal blocking, claim protocol, telemetry, deadlock reporting, panic
@@ -23,7 +23,7 @@
 //! their original threaded handlers, so the resumed interpreter executes the op the
 //! native code refused, and jumps *into* the middle of a chunk (loop back-edges, branch
 //! targets) also just work. A side exit at the head pc would re-enter the trampoline, so
-//! [`h_jit`] keeps the head's original decoded [`TOp`] (in [`JitArtifact`]) and runs it
+//! `h_jit` keeps the head's original decoded `TOp` (in `JitArtifact`) and runs it
 //! directly when the chunk reports zero progress — guaranteeing forward progress with the
 //! interpreter's exact semantics.
 //!

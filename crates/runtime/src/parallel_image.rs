@@ -76,7 +76,7 @@ pub struct LoopImage {
     /// pc of the header's first op in [`LoopImage::code`]: where every iteration starts.
     pub entry_pc: u32,
     /// The iteration op stream in the module's generic encoding (diagnostics, segment cost
-    /// model); the engine dispatches the specialized [`LoopImage::pcode`] stream instead.
+    /// model); the engine dispatches the specialized `LoopImage::pcode` stream instead.
     pub code: Vec<Op>,
     /// The specialized iteration op stream, parallel to `code` (same pcs): operands are
     /// pre-decoded into register/immediate variants, constants folded, global addresses

@@ -7,8 +7,8 @@
 //! once, process-wide, and reuses it across every `execute` call:
 //!
 //! * helpers park on a condition variable between jobs (no busy idle),
-//! * a job is published with [`WorkerPool::submit`], which hands back a [`JobTicket`] whose
-//!   [`JobTicket::wait`]/`Drop` joins the job — the borrow-safety point that lets jobs
+//! * a job is published with `WorkerPool::submit`, which hands back a `JobTicket` whose
+//!   `JobTicket::wait`/`Drop` joins the job — the borrow-safety point that lets jobs
 //!   capture non-`'static` state (the submitting call cannot return before every helper has
 //!   left the closure),
 //! * there is deliberately **no work stealing**: HELIX workers self-schedule iterations from
@@ -33,7 +33,7 @@ type JobFn = Arc<dyn Fn(usize) + Send + Sync>;
 /// A panic that escaped a worker's job closure, with its payload preserved.
 ///
 /// The pool catches helper panics (the helper thread itself survives), records the first
-/// one here, and hands it to the submitter through [`JobTicket::wait`] instead of
+/// one here, and hands it to the submitter through `JobTicket::wait` instead of
 /// re-panicking with a fixed string. The executor converts it into
 /// `RuntimeError::WorkerPanicked`.
 #[derive(Clone, Debug, PartialEq, Eq)]

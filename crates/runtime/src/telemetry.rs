@@ -10,7 +10,7 @@
 //!    discriminant test on the cold side of a wait/signal/claim — never in the straight-line
 //!    op dispatch.
 //! 2. **No shared-state writes when enabled.** Each worker records into its own
-//!    cache-line-aligned [`WorkerSlot`]; there are *no atomics* in the recording path.
+//!    cache-line-aligned `WorkerSlot`; there are *no atomics* in the recording path.
 //!    Soundness comes from ownership in time: worker `w` is the only thread that ever
 //!    writes slot `w`, and the aggregation pass reads the slots only after the pool's
 //!    job-ticket join — the same happens-before barrier the run's results already rely on.
@@ -232,7 +232,7 @@ struct WorkerSlot(UnsafeCell<WorkerData>);
 // concurrent reader or a second writer.
 unsafe impl Sync for WorkerSlot {}
 
-/// Telemetry state of one parallel run: the mode, the epoch, one [`WorkerSlot`] per
+/// Telemetry state of one parallel run: the mode, the epoch, one `WorkerSlot` per
 /// worker, and the image side tables needed to attribute pcs to lanes and segments.
 pub struct TelemetryRun {
     mode: TelemetryMode,

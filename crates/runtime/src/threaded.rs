@@ -1,12 +1,12 @@
 //! The direct-threaded dispatch tier: each lowered op stream is decoded **once** into an
-//! array of pre-resolved handler function pointers ([`TOp`]), one monomorphized handler per
-//! specialized [`POp`] shape (the fused RMW included), dispatched by a loop that
+//! array of pre-resolved handler function pointers (`TOp`), one monomorphized handler per
+//! specialized `POp` shape (the fused RMW included), dispatched by a loop that
 //! is a single indirect call per op.
 //!
 //! Why this beats the match-based engine in [`crate::parallel_image`]:
 //!
 //! * **operand decode happens at lowering time** — a handler reads flat `u32`/`i64`/[`Value`]
-//!   fields out of its own [`TOp`] instead of matching an enum and chasing `Box`es;
+//!   fields out of its own `TOp` instead of matching an enum and chasing `Box`es;
 //! * **per-shape monomorphization** — binary/compare/RMW handlers are instantiated per
 //!   [`BinOp`]/[`Pred`]/[`UnOp`] (and per `private_ok` route), so the operation itself is a
 //!   compile-time constant inside the handler body and the `eval_binop` match disappears;

@@ -46,8 +46,8 @@ pub struct ServeConfig {
     pub max_iterations: u64,
     /// Fuel for the profiling run of a cache miss and for sequential fallback execution.
     pub fuel: u64,
-    /// Run the runtime calibrator once at startup and fold its measured costs into the
-    /// pipeline's cost model (the daemon analogue of `helix run --calibrate`).
+    /// Run the runtime calibrator once at startup and price every analysis with its
+    /// measured costs and latencies (the calibrated pricing `helix explain` reports).
     pub calibrate: bool,
 }
 

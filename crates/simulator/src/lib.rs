@@ -14,12 +14,16 @@
 //! [`simulate_loop`] times one parallelized loop; [`simulate_program`] combines the selected
 //! loops of a [`helix_core::HelixOutput`] with the profile's serial portions to produce whole-program
 //! speedups (Figure 9), and its ablation switches reproduce Figure 10.
+//!
+//! [`explain()`] puts the model next to measurement: every candidate loop's selection under
+//! the paper's constants and under this machine's calibration, with each segment's model
+//! estimate, lowered span and observed span.
 
+pub mod explain;
 pub mod sim;
 
+pub use explain::{explain, Decision, LoopExplanation, SegmentExplanation};
 pub use sim::{
-    compare_segment_costs, feedback_selection, lowered_segment_costs, measured_segment_costs,
-    observed_costs_for_reselection, profile_and_simulate, simulate_loop, simulate_loop_lowered,
-    simulate_program, simulate_program_with_selection, LoopSimResult, ProgramSimResult,
-    SegmentCostComparison, SimConfig,
+    simulate_loop, simulate_program, simulate_program_with_selection, LoopSimResult,
+    ProgramSimResult, SimConfig,
 };

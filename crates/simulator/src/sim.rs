@@ -188,188 +188,6 @@ pub fn simulate_loop(
     }
 }
 
-/// Per-segment cycle costs read from the *lowered* runtime image: the static cost of each
-/// segment's flat bytecode span (between its first `Wait` and last `Signal`), as the worker
-/// would execute it. These are the costs the real runtime's dispatch actually implies —
-/// profile-weighted estimates can drift when Step 5/6 moved instructions around, while the
-/// lowered span is exactly what runs between the synchronization points.
-pub fn lowered_segment_costs(
-    loop_image: &helix_runtime::LoopImage,
-    cost: &helix_ir::CostModel,
-) -> BTreeMap<helix_ir::DepId, f64> {
-    loop_image
-        .segment_span_cycles(cost)
-        .into_iter()
-        .map(|(dep, cycles)| (dep, cycles as f64))
-        .collect()
-}
-
-/// One row of the predicted-vs-observed segment-cost table (`helix trace --compare-model`):
-/// the cost model's static prediction for a synchronized segment's lowered span next to what
-/// the runtime telemetry actually measured for it.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SegmentCostComparison {
-    /// The dependence whose sequential segment this row describes.
-    pub dep: helix_ir::DepId,
-    /// Plan segment index (matches the runtime's lane metadata).
-    pub segment: usize,
-    /// The cost model's cycles for the segment's lowered bytecode span.
-    pub predicted_cycles: f64,
-    /// Mean observed body cycles (telemetry `WaitEnd → Signal` span, converted at the
-    /// calibrated `ns_per_cycle`); `None` when no sampled iteration exercised the segment.
-    pub observed_cycles: Option<f64>,
-    /// How many sampled wait→signal pairs back the observation.
-    pub observed_samples: u64,
-    /// Mean cycles a worker stalled in this segment's `Wait` before it passed.
-    pub observed_wait_cycles: Option<f64>,
-}
-
-impl SegmentCostComparison {
-    /// `observed / predicted` when both sides exist and the prediction is non-zero.
-    pub fn ratio(&self) -> Option<f64> {
-        match self.observed_cycles {
-            Some(obs) if self.predicted_cycles > 0.0 => Some(obs / self.predicted_cycles),
-            _ => None,
-        }
-    }
-}
-
-/// Joins the cost model's per-segment prediction for a lowered loop image against the
-/// telemetry's [`helix_runtime::ObservedSegmentCost`]s (nanoseconds, converted with the
-/// calibrated `ns_per_cycle`). Returns one row per synchronized lane of the image, in lane
-/// order; lanes the trace never sampled keep `observed_cycles: None`.
-pub fn compare_segment_costs(
-    loop_image: &helix_runtime::LoopImage,
-    cost: &helix_ir::CostModel,
-    observed: &[helix_runtime::ObservedSegmentCost],
-    ns_per_cycle: f64,
-) -> Vec<SegmentCostComparison> {
-    let predicted = lowered_segment_costs(loop_image, cost);
-    let to_cycles = |ns: f64| {
-        if ns_per_cycle > 0.0 {
-            ns / ns_per_cycle
-        } else {
-            ns
-        }
-    };
-    loop_image
-        .lanes
-        .iter()
-        .enumerate()
-        .map(|(lane_ix, lane)| {
-            let obs = observed.iter().find(|o| o.lane == lane_ix);
-            SegmentCostComparison {
-                dep: lane.dep,
-                segment: lane.segment,
-                predicted_cycles: predicted.get(&lane.dep).copied().unwrap_or(0.0),
-                observed_cycles: obs.map(|o| to_cycles(o.mean_body_ns)),
-                observed_samples: obs.map(|o| o.samples).unwrap_or(0),
-                observed_wait_cycles: obs.map(|o| to_cycles(o.mean_wait_ns)),
-            }
-        })
-        .collect()
-}
-
-/// Folds an observed-cost table into the per-loop shape
-/// [`helix_core::Helix::reselect_with_segment_costs`] consumes: the traced loop's segment
-/// costs (in cycles) replace its lowered estimate, every other candidate keeps the lowered
-/// cost from [`measured_segment_costs`].
-pub fn observed_costs_for_reselection(
-    module: &helix_ir::Module,
-    output: &HelixOutput,
-    cost: &helix_ir::CostModel,
-    traced_loop: LoopKey,
-    comparisons: &[SegmentCostComparison],
-) -> BTreeMap<LoopKey, BTreeMap<helix_ir::DepId, f64>> {
-    let mut costs = measured_segment_costs(module, output, cost);
-    if let Some(per_dep) = costs.get_mut(&traced_loop) {
-        for row in comparisons {
-            if let Some(observed) = row.observed_cycles {
-                if observed > 0.0 {
-                    per_dep.insert(row.dep, observed);
-                }
-            }
-        }
-    }
-    costs
-}
-
-/// Simulates one parallelized loop with per-segment cycles taken from the lowered
-/// [`helix_runtime::LoopImage`] instead of the profile-weighted plan estimates (see
-/// [`lowered_segment_costs`]). Segments the image knows nothing about (none, in a
-/// well-formed lowering) keep their plan estimate.
-pub fn simulate_loop_lowered(
-    plan: &ParallelizedLoop,
-    profile: &helix_profiler::LoopProfile,
-    config: &SimConfig,
-    loop_image: &helix_runtime::LoopImage,
-) -> LoopSimResult {
-    let costs = lowered_segment_costs(loop_image, &helix_ir::CostModel::default());
-    let mut refined = plan.clone();
-    for seg in refined.segments.iter_mut() {
-        if let Some(cycles) = costs.get(&seg.dep) {
-            if *cycles > 0.0 {
-                seg.cycles_per_iteration = *cycles;
-            }
-        }
-    }
-    simulate_loop(&refined, profile, config)
-}
-
-/// Lowers every candidate plan of `output` into its actual [`helix_runtime::ParallelImage`]
-/// (post-fusion, post-privatization) and reads the measured per-segment costs off each
-/// lowered image — the inputs of the feedback-directed selection.
-pub fn measured_segment_costs(
-    module: &helix_ir::Module,
-    output: &HelixOutput,
-    cost: &helix_ir::CostModel,
-) -> BTreeMap<LoopKey, BTreeMap<helix_ir::DepId, f64>> {
-    output
-        .plans
-        .iter()
-        .map(|(key, plan)| {
-            let transformed = helix_core::transform::apply(module, plan);
-            let pimg = helix_runtime::ParallelImage::lower(&transformed);
-            (*key, lowered_segment_costs(&pimg.loop_image, cost))
-        })
-        .collect()
-}
-
-/// The compile-time/run-time feedback loop in one call: re-prices every candidate plan
-/// with the per-segment costs of its *lowered* runtime image and re-runs loop selection
-/// under `helix.config`'s (typically calibrated) selection latencies. Returns the new
-/// selection plus the trace of loops whose decision flipped against `output.selection`.
-pub fn feedback_selection(
-    module: &helix_ir::Module,
-    profile: &ProgramProfile,
-    helix: &helix_core::Helix,
-    output: &HelixOutput,
-    cost: &helix_ir::CostModel,
-) -> (helix_core::LoopSelection, helix_core::SelectionTrace) {
-    let costs = measured_segment_costs(module, output, cost);
-    helix.reselect_with_segment_costs(module, profile, output, &costs)
-}
-
-/// The end-to-end Figure 9 flow as one library call: profile a training run of `entry`
-/// through the flat-bytecode engine, run the HELIX analysis, and simulate the parallelized
-/// execution. `fuel` bounds the profiling run's dynamic instruction count.
-///
-/// # Errors
-///
-/// Returns the engine error if the profiling run faults or exhausts `fuel`.
-pub fn profile_and_simulate(
-    module: &helix_ir::Module,
-    entry: helix_ir::FuncId,
-    args: &[helix_ir::Value],
-    fuel: u64,
-    config: &SimConfig,
-) -> Result<(ProgramProfile, HelixOutput, ProgramSimResult), helix_ir::interp::ExecError> {
-    let helix = helix_core::Helix::new(config.helix);
-    let (profile, output) = helix.profile_and_analyze(module, entry, args, fuel)?;
-    let sim = simulate_program(&output, &profile, config);
-    Ok((profile, output, sim))
-}
-
 /// Simulates the whole program: the selected loops run parallelized, everything else runs at
 /// its sequential speed.
 pub fn simulate_program(
@@ -431,27 +249,6 @@ mod tests {
         let profile = profile_program_image(&module, &nesting, main, &[]).unwrap();
         let output = Helix::new(HelixConfig::i7_980x()).analyze(&module, &profile);
         (module, output, profile)
-    }
-
-    #[test]
-    fn profile_and_simulate_agrees_with_the_manual_flow() {
-        let bench = all_benchmarks()[3];
-        let (module, main) = bench.build();
-        let (manual_module, manual_output, manual_profile) = analyze_art();
-        let (profile, output, sim) = profile_and_simulate(
-            &module,
-            main,
-            &[],
-            helix_ir::interp::DEFAULT_FUEL,
-            &SimConfig::helix_6_cores(),
-        )
-        .unwrap();
-        assert_eq!(manual_profile, profile);
-        assert_eq!(manual_output.selection.selected, output.selection.selected);
-        let manual_sim =
-            simulate_program(&manual_output, &manual_profile, &SimConfig::helix_6_cores());
-        assert_eq!(manual_sim.speedup, sim.speedup);
-        let _ = manual_module;
     }
 
     #[test]
@@ -525,39 +322,6 @@ mod tests {
         let r = simulate_loop(plan, &empty, &SimConfig::default());
         assert_eq!(r.speedup, 1.0);
         assert_eq!(r.signals_sent, 0.0);
-    }
-
-    #[test]
-    fn lowered_costs_feed_the_cycle_model() {
-        // The simulator can price sequential segments straight off the runtime's lowered
-        // iteration bytecode: costs must exist for every synchronized segment and the
-        // simulated speedup must stay in a sane band around the profile-weighted estimate.
-        let (module, output, profile) = analyze_art();
-        let plan = output
-            .plans
-            .values()
-            .find(|p| p.synchronized_segments() > 0)
-            .expect("a synchronized plan");
-        let transformed = helix_core::transform::apply(&module, plan);
-        let pimg = helix_runtime::ParallelImage::lower(&transformed);
-        let costs = lowered_segment_costs(&pimg.loop_image, &helix_ir::CostModel::default());
-        assert_eq!(
-            costs.len(),
-            pimg.loop_image.num_lanes(),
-            "one cost per signal lane"
-        );
-        assert!(costs.values().all(|c| *c >= 0.0));
-        let lp = profile.loop_profile((plan.func, plan.loop_id));
-        let base = simulate_loop(plan, &lp, &SimConfig::helix_6_cores());
-        let lowered =
-            simulate_loop_lowered(plan, &lp, &SimConfig::helix_6_cores(), &pimg.loop_image);
-        assert!(lowered.parallel_cycles > 0.0);
-        assert!(
-            lowered.speedup > 0.1 && lowered.speedup <= 6.0,
-            "lowered-cost speedup stays physical: {} (profile-weighted {})",
-            lowered.speedup,
-            base.speedup
-        );
     }
 
     #[test]

@@ -145,19 +145,28 @@ fn nest_flip_selection_flips_between_paper_and_measured_costs() {
         "the hot signal-bound loop must flip off under measured pricing"
     );
 
-    // The trace records the flips, and the feedback loop (re-pricing the candidate plans
-    // from their lowered runtime images) agrees with the measured choice.
-    let trace = helix::core::SelectionTrace::compare(&paper.selection, &measured.selection);
-    assert!(!trace.flips().is_empty());
-    let (fed_selection, fed_trace) = helix::simulator::feedback_selection(
+    // The explain report shows the flip: its paper column is the paper selection, and its
+    // calibrated-lowered column (the candidate plans re-priced from their lowered runtime
+    // images) agrees with the measured choice.
+    let loops = helix::simulator::explain(
         &module,
+        main,
+        &[],
         &profile,
+        &Helix::new(HelixConfig::i7_980x()),
         &measured_helix,
-        &paper,
-        &helix::ir::CostModel::default(),
+        1.0,
     );
-    assert_eq!(fed_selection.selected, measured.selection.selected);
-    assert!(!fed_trace.flips().is_empty());
+    let column = |pick: fn(&helix::simulator::LoopExplanation) -> bool| {
+        loops
+            .iter()
+            .filter(|l| pick(l))
+            .map(|l| l.key)
+            .collect::<std::collections::BTreeSet<_>>()
+    };
+    assert_eq!(column(|l| l.paper.selected), paper.selection.selected);
+    assert!(loops.iter().any(|l| l.paper.selected != l.lowered.selected));
+    assert_eq!(column(|l| l.lowered.selected), measured.selection.selected);
 
     // Under measured costs the measured choice must simulate faster than the paper choice
     // — the whole point of recalibrating.
@@ -229,35 +238,36 @@ fn every_fused_form_fires_on_some_plan() {
 #[test]
 fn fixed_programs_keep_their_loop_and_segment_counts() {
     // Per program: candidate loops, selected loops, and over every candidate plan the
-    // synchronized segments, their wait points and their signal points. Recorded before
-    // `Helix::analyze` started sharing per-function data-flow facts between loops and
-    // before the profiler counted blocks instead of ops; both changes must leave them as is.
+    // synchronized segments, their wait points and their signal points. Recorded when the
+    // closing pass put a wait before every signal and Theorem 1 stopped releasing segments
+    // (mcf, gzip, vpr, crafty, parser, gap, vortex, bzip2 and twolf each keep one more
+    // segment; no selection changed); later changes must leave them as is.
     let expected: [(&str, [usize; 5]); 25] = [
-        ("array_transform", [2, 1, 2, 2, 4]),
-        ("art", [7, 3, 7, 7, 14]),
-        ("blend_mix", [1, 1, 1, 1, 2]),
-        ("hash_sweep", [1, 1, 1, 1, 2]),
-        ("irregular_branch", [2, 1, 2, 2, 4]),
-        ("mcf", [7, 3, 7, 9, 14]),
-        ("nest_flip", [3, 2, 3, 3, 5]),
-        ("nested_helper", [2, 0, 2, 2, 4]),
-        ("pointer_chase", [2, 2, 2, 3, 3]),
-        ("scratch_fold", [1, 1, 1, 1, 2]),
-        ("stencil", [3, 1, 3, 3, 6]),
-        ("sum_reduction", [1, 1, 1, 1, 2]),
-        ("spec/gzip", [6, 3, 6, 7, 13]),
-        ("spec/vpr", [7, 1, 7, 8, 15]),
-        ("spec/mesa", [5, 3, 5, 5, 10]),
-        ("spec/art", [7, 3, 7, 7, 14]),
-        ("spec/mcf", [7, 3, 7, 9, 14]),
-        ("spec/equake", [5, 3, 5, 5, 10]),
-        ("spec/crafty", [6, 3, 6, 7, 13]),
-        ("spec/ammp", [6, 5, 6, 6, 12]),
-        ("spec/parser", [7, 3, 7, 9, 14]),
-        ("spec/gap", [7, 4, 7, 9, 14]),
-        ("spec/vortex", [7, 2, 7, 8, 15]),
-        ("spec/bzip2", [6, 3, 6, 7, 13]),
-        ("spec/twolf", [7, 4, 7, 9, 14]),
+        ("array_transform", [2, 1, 2, 4, 4]),
+        ("art", [7, 3, 7, 14, 14]),
+        ("blend_mix", [1, 1, 1, 2, 2]),
+        ("hash_sweep", [1, 1, 1, 2, 2]),
+        ("irregular_branch", [2, 1, 2, 4, 4]),
+        ("mcf", [7, 3, 8, 18, 16]),
+        ("nest_flip", [3, 2, 3, 6, 5]),
+        ("nested_helper", [2, 0, 2, 4, 4]),
+        ("pointer_chase", [2, 2, 2, 4, 3]),
+        ("scratch_fold", [1, 1, 1, 2, 2]),
+        ("stencil", [3, 1, 3, 6, 6]),
+        ("sum_reduction", [1, 1, 1, 2, 2]),
+        ("spec/gzip", [6, 3, 7, 16, 15]),
+        ("spec/vpr", [7, 1, 8, 18, 17]),
+        ("spec/mesa", [5, 3, 5, 10, 10]),
+        ("spec/art", [7, 3, 7, 14, 14]),
+        ("spec/mcf", [7, 3, 8, 18, 16]),
+        ("spec/equake", [5, 3, 5, 10, 10]),
+        ("spec/crafty", [6, 3, 7, 16, 15]),
+        ("spec/ammp", [6, 5, 6, 12, 12]),
+        ("spec/parser", [7, 3, 8, 18, 16]),
+        ("spec/gap", [7, 4, 8, 18, 16]),
+        ("spec/vortex", [7, 2, 8, 18, 17]),
+        ("spec/bzip2", [6, 3, 7, 16, 15]),
+        ("spec/twolf", [7, 4, 8, 18, 16]),
     ];
     let mut programs = helix::workloads::load_corpus().expect("corpus loads");
     for bench in helix::workloads::all_benchmarks() {

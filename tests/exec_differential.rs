@@ -192,6 +192,63 @@ fn parallel_execution_matches_the_bytecode_sequential_result() {
     }
 }
 
+/// A counted loop whose even trips fold a 40-op chain into `@acc` inside a sequential
+/// segment and whose odd trips skip it, after `hash_ops` ops of parallel hashing per trip.
+fn conditional_rmw_hir(trips: u32, hash_ops: u32) -> String {
+    let mut text = String::from(
+        "module conditional_rmw\nglobal @g0 \"acc\" [1 words]\nfunc main(0 params, 9 vars) {\n\
+         bb0: (entry)\n  %v0 = const 0\n  br bb1\nbb1:\n",
+    );
+    text += &format!("  %v1 = cmp.lt %v0, {trips}\n  condbr %v1, bb2, bb5\nbb2:\n");
+    text += "  %v2 = mul %v0, 2654435761\n";
+    for k in 0..hash_ops / 2 {
+        text += &format!(
+            "  %v2 = mul %v2, {}\n  %v2 = xor %v2, {}\n",
+            31 + 2 * k,
+            40503 + k
+        );
+    }
+    text += "  %v3 = and %v0, 1\n  %v4 = cmp.eq %v3, 0\n  condbr %v4, bb3, bb4\nbb3:\n";
+    text += "  %v7 = load [@g0 + 0]\n";
+    for k in 0..20 {
+        text += &format!("  %v7 = mul %v7, {}\n  %v7 = add %v7, %v2\n", 3 + 2 * k);
+    }
+    text += "  store [@g0 + 0], %v7\n  br bb4\nbb4:\n  %v0 = add %v0, 1\n  br bb1\n";
+    text += "bb5:\n  %v7 = load [@g0 + 0]\n  ret %v7\n}\n";
+    text
+}
+
+#[test]
+fn a_trip_that_skips_its_segment_still_waits_before_it_signals() {
+    // The odd trips never reach the segment's endpoints, yet they signal its dependence.
+    // Without a `Wait` before that signal, odd trip i released trip i+1 into the segment
+    // while trip i-1 was still inside it, and two workers interleaved their read-modify-
+    // writes of `@acc`: wrong in most 2-worker runs. The closing pass makes every signal
+    // wait on its predecessor first; the run must then match the sequential result.
+    use helix::core::{transform, Helix, HelixConfig};
+    use helix::runtime::{ParallelExecutor, ParallelImage};
+    let module = helix::frontend::parse_and_verify(&conditional_rmw_hir(1000, 100))
+        .expect("the witness parses");
+    let main = module.function_by_name("main").expect("has main");
+    let expected = ImageMachine::new(&ExecImage::lower(&module))
+        .call(main, &[])
+        .unwrap();
+    let (profile, output) = Helix::new(HelixConfig::i7_980x())
+        .profile_and_analyze(&module, main, &[], helix::ir::interp::DEFAULT_FUEL)
+        .expect("profiles");
+    let (plan, selected) = output.hottest_plan(main, &profile).expect("has a plan");
+    assert!(selected, "the hashing loop pays off");
+    let image = ParallelImage::lower(&transform::apply(&module, plan));
+    let executor = ParallelExecutor {
+        hardware: 2,
+        ..ParallelExecutor::new(2)
+    };
+    for run in 0..40 {
+        let got = executor.run_parallel_out(&image, &[]).result.expect("runs");
+        assert_eq!(expected, got, "run {run}: 2 workers diverged");
+    }
+}
+
 #[test]
 fn generated_profiles_are_identical_on_both_engines() {
     // Engine and profile stages only: no analysis, no threads, so the sweep is deterministic.
