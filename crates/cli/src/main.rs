@@ -27,7 +27,7 @@ use helix_analysis::LoopNestingGraph;
 use helix_core::{transform, Helix, HelixConfig, HelixOutput, PrefetchMode};
 use helix_frontend::parse_file;
 use helix_ir::{printer, ExecImage, ImageMachine, Module, Value};
-use helix_profiler::{ImageProfiler, ProgramProfile};
+use helix_profiler::{profile_image_with_fuel, ProgramProfile};
 use helix_runtime::{
     CalibrationProfile, EventKind, ParallelExecutor, ParallelImage, TelemetryMode, TelemetryReport,
 };
@@ -419,8 +419,8 @@ fn entry_of(module: &Module, opts: &Options) -> Result<helix_ir::FuncId, CliErro
 }
 
 /// Profiles the program (shared by profile/parallelize/simulate/run --parallel) on the
-/// flat-bytecode engine, honouring the `--fuel` limit like every other interpreted run the
-/// CLI performs. The lowered image comes back for callers that run the program again.
+/// runtime's engine, honouring the `--fuel` limit like every other interpreted run the CLI
+/// performs. The lowered image comes back for callers that run the program again.
 fn profiled(
     module: &Module,
     opts: &Options,
@@ -436,14 +436,8 @@ fn profiled(
     let entry = entry_of(module, opts)?;
     let nesting = LoopNestingGraph::new(module);
     let image = ExecImage::lower(module);
-    let mut machine = ImageMachine::new(&image);
-    machine.set_fuel(opts.fuel);
-    let mut profiler = ImageProfiler::new(&image, &nesting);
-    machine
-        .call_observed(entry, &opts.args, &mut profiler)
+    let profile = profile_image_with_fuel(&image, &nesting, entry, &opts.args, opts.fuel)
         .map_err(|e| CliError::failed(format!("profiling run failed: {e}")))?;
-    let profile = profiler.finish();
-    drop(machine);
     Ok((nesting, profile, entry, image))
 }
 

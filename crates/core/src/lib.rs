@@ -7,7 +7,9 @@
 //! The crate is organized along the paper's Section 2:
 //!
 //! * [`config`] — the transformation configuration: core count, signal latencies, and the
-//!   per-step enable switches used by the Figure 10 ablation.
+//!   per-step enable switches used by the Figure 10 ablation (defined in `helix-plan`, with
+//!   [`plan`], the per-loop plan, and [`TransformedProgram`], so the runtime can read them
+//!   without depending on this crate).
 //! * [`normalize`] — Step 1: split each loop into *prologue* (the minimal code that decides
 //!   whether the next iteration runs; the only place exits may originate) and *body*.
 //! * [`segments`] — Steps 2–4: select the loop-carried data dependences that need
@@ -31,17 +33,17 @@
 //! * [`pipeline`] — the driver that runs everything over a whole program and produces the
 //!   per-benchmark statistics reported in Table 1.
 
-pub mod config;
 pub mod model;
 pub mod normalize;
 pub mod optimize;
 pub mod pipeline;
-pub mod plan;
 pub mod privatize;
 pub mod schedule;
 pub mod segments;
 pub mod selection;
 pub mod transform;
+
+pub use helix_plan::{config, plan};
 
 pub use config::HelixConfig;
 pub use model::{PrefetchMode, SpeedupModel};

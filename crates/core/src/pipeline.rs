@@ -134,8 +134,9 @@ impl Helix {
     }
 
     /// One-stop entry point: lowers `module` to a flat bytecode image, profiles a training
-    /// run of `entry` with `args` through the bytecode engine, and runs the full analysis on
-    /// the resulting profile.
+    /// run of `entry` with `args` on the runtime's engine
+    /// ([`helix_profiler::profile_image_with_fuel`]), and runs the full analysis on the
+    /// resulting profile.
     ///
     /// `fuel` bounds the profiling run's dynamic instruction count
     /// (use [`helix_ir::interp::DEFAULT_FUEL`] when in doubt).
@@ -152,11 +153,7 @@ impl Helix {
     ) -> Result<(ProgramProfile, HelixOutput), helix_ir::interp::ExecError> {
         let nesting = LoopNestingGraph::new(module);
         let image = helix_ir::ExecImage::lower(module);
-        let mut machine = helix_ir::ImageMachine::new(&image);
-        machine.set_fuel(fuel);
-        let mut profiler = helix_profiler::ImageProfiler::new(&image, &nesting);
-        machine.call_observed(entry, args, &mut profiler)?;
-        let profile = profiler.finish();
+        let profile = helix_profiler::profile_image_with_fuel(&image, &nesting, entry, args, fuel)?;
         let output = self.analyze_with(module, &profile, &nesting);
         Ok((profile, output))
     }

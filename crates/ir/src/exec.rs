@@ -8,10 +8,9 @@
 //! mechanism changed. Like the tree-walker, it owns a private [`Memory`], cloned from the
 //! image.
 //!
-//! Its hooks go through [`ImageObserver`], the lowered counterpart of
-//! [`crate::interp::Observer`]: hooks receive dense block indices and program counters, which
-//! lets profilers keep dense per-pc / per-block counters and fold them back to [`crate::InstrRef`]s
-//! only when reporting.
+//! It has no observer: the profiled training run happens on `helix-runtime`'s engine,
+//! whose profiling handlers report block entries, calls and returns
+//! (`helix_runtime::run_observed`).
 
 use crate::cost::CostModel;
 use crate::ids::FuncId;
@@ -21,27 +20,6 @@ use crate::interp::{DEFAULT_FUEL, MAX_CALL_DEPTH};
 use crate::lower::{cost_table, CostClass, ExecImage, FuncImage, Op, Opnd, NUM_COST_CLASSES};
 use crate::memory::Memory;
 use crate::value::Value;
-
-/// Receives callbacks as the bytecode engine executes.
-///
-/// This is the lowered counterpart of [`crate::interp::Observer`]: blocks are identified by
-/// their dense index within the function, instructions by their program counter. Both map back
-/// to IR entities through [`FuncImage::pc_to_ref`] and [`crate::ids::BlockId`] when needed.
-/// All methods have empty default implementations.
-pub trait ImageObserver {
-    /// Called when control enters the block with dense index `block` of `func`.
-    fn on_block_enter(&mut self, _func: FuncId, _block: u32) {}
-    /// Called when `caller` invokes `callee` from the op at `pc`, before the callee runs.
-    fn on_call(&mut self, _caller: FuncId, _pc: u32, _callee: FuncId) {}
-    /// Called when `func` returns.
-    fn on_return(&mut self, _func: FuncId) {}
-}
-
-/// An observer that ignores every event.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullImageObserver;
-
-impl ImageObserver for NullImageObserver {}
 
 /// A self-contained sequential bytecode machine: flat dispatch over an [`ExecImage`] plus a
 /// private [`Memory`] cloned from the image. The drop-in counterpart of
@@ -80,21 +58,7 @@ impl<'i> ImageMachine<'i> {
     ///
     /// Returns an [`ExecError`] on faults, fuel exhaustion or malformed IR.
     pub fn call(&mut self, func: FuncId, args: &[Value]) -> Result<Option<Value>, ExecError> {
-        self.exec_function(func, args, &mut NullImageObserver)
-    }
-
-    /// Calls `func` with `args`, reporting events to `obs`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`ExecError`] on faults, fuel exhaustion or malformed IR.
-    pub fn call_observed<O: ImageObserver + ?Sized>(
-        &mut self,
-        func: FuncId,
-        args: &[Value],
-        obs: &mut O,
-    ) -> Result<Option<Value>, ExecError> {
-        self.exec_function(func, args, obs)
+        self.exec_function(func, args)
     }
 
     /// Execution statistics accumulated so far.
@@ -110,12 +74,7 @@ impl<'i> ImageMachine<'i> {
     /// Executes a whole function call with an *explicit* frame stack — guest calls never
     /// recurse on the native stack, so [`MAX_CALL_DEPTH`]-deep guest recursion is safe
     /// regardless of the host's stack size or build profile.
-    fn exec_function<O: ImageObserver + ?Sized>(
-        &mut self,
-        func: FuncId,
-        args: &[Value],
-        obs: &mut O,
-    ) -> Result<Option<Value>, ExecError> {
+    fn exec_function(&mut self, func: FuncId, args: &[Value]) -> Result<Option<Value>, ExecError> {
         let mut func = func;
         let mut f: &FuncImage = &self.image.funcs[func.index()];
         let mut regs = vec![Value::Int(0); f.num_regs.max(args.len())];
@@ -124,14 +83,12 @@ impl<'i> ImageMachine<'i> {
         }
         let mut frames: Vec<CallFrame> = Vec::new();
         self.stats.blocks += 1;
-        obs.on_block_enter(func, f.entry_block);
         let mut pc = f.block_start(f.entry_block) as usize;
         loop {
-            match self.step(func, f, pc, &mut regs, obs)? {
+            match self.step(f, pc, &mut regs)? {
                 StepOutcome::Next => pc += 1,
-                StepOutcome::Jump { target_pc, block } => {
+                StepOutcome::Jump { target_pc } => {
                     self.stats.blocks += 1;
-                    obs.on_block_enter(func, block);
                     pc = target_pc as usize;
                 }
                 StepOutcome::Call { callee, args, dst } => {
@@ -151,7 +108,6 @@ impl<'i> ImageMachine<'i> {
                         *slot = *a;
                     }
                     self.stats.blocks += 1;
-                    obs.on_block_enter(func, f.entry_block);
                     pc = f.block_start(f.entry_block) as usize;
                 }
                 StepOutcome::Return(v) => match frames.pop() {
@@ -174,19 +130,17 @@ impl<'i> ImageMachine<'i> {
         }
     }
 
-    /// Executes the single op at `pc`, charging fuel/cycles and reporting events, exactly
-    /// mirroring one iteration of the tree-walker's instruction loop.
+    /// Executes the single op at `pc`, charging fuel and cycles, exactly mirroring one
+    /// iteration of the tree-walker's instruction loop.
     ///
     /// `inline(always)` specializes the dispatch into the hot loop ([`Self::exec_function`]);
     /// without it the per-op call overhead erases the gain from flat dispatch.
     #[inline(always)]
-    fn step<O: ImageObserver + ?Sized>(
+    fn step(
         &mut self,
-        func: FuncId,
         f: &FuncImage,
         pc: usize,
         regs: &mut [Value],
-        obs: &mut O,
     ) -> Result<StepOutcome, ExecError> {
         let op = &f.code[pc];
         if let Op::Trap { block } = op {
@@ -294,7 +248,6 @@ impl<'i> ImageMachine<'i> {
                 let actuals: Vec<Value> = args.iter().map(|a| eval(regs, *a)).collect();
                 let callee = FuncId::new(*callee);
                 self.stats.calls += 1;
-                obs.on_call(func, pc as u32, callee);
                 return Ok(StepOutcome::Call {
                     callee,
                     args: actuals,
@@ -312,36 +265,27 @@ impl<'i> ImageMachine<'i> {
                 cycles = self.cost_table[CostClass::Signal as usize];
                 StepOutcome::Next
             }
-            Op::Jump { pc: target, block } => {
+            Op::Jump { pc: target, .. } => {
                 cycles = self.cost_table[CostClass::Branch as usize];
-                StepOutcome::Jump {
-                    target_pc: *target,
-                    block: *block,
-                }
+                StepOutcome::Jump { target_pc: *target }
             }
             Op::Branch {
                 cond,
                 then_pc,
-                then_block,
                 else_pc,
-                else_block,
+                ..
             } => {
                 cycles = self.cost_table[CostClass::Branch as usize];
-                if eval(regs, *cond).as_bool() {
-                    StepOutcome::Jump {
-                        target_pc: *then_pc,
-                        block: *then_block,
-                    }
-                } else {
-                    StepOutcome::Jump {
-                        target_pc: *else_pc,
-                        block: *else_block,
-                    }
+                StepOutcome::Jump {
+                    target_pc: if eval(regs, *cond).as_bool() {
+                        *then_pc
+                    } else {
+                        *else_pc
+                    },
                 }
             }
             Op::Ret { value } => {
                 self.stats.cycles += self.cost_table[CostClass::Branch as usize];
-                obs.on_return(func);
                 return Ok(StepOutcome::Return(value.map(|v| eval(regs, v))));
             }
             Op::Trap { .. } => unreachable!("handled above"),
@@ -356,7 +300,6 @@ enum StepOutcome {
     Next,
     Jump {
         target_pc: u32,
-        block: u32,
     },
     /// A call op was reached: the caller pushes a frame and performs the post-return
     /// accounting.
@@ -489,35 +432,5 @@ mod tests {
         let image = ExecImage::lower(&module);
         let mut m = ImageMachine::new(&image);
         assert_eq!(m.call(fid, &[]), Err(ExecError::StackOverflow));
-    }
-
-    #[test]
-    fn observer_sees_blocks_calls_and_returns() {
-        #[derive(Default)]
-        struct Counter {
-            blocks: u64,
-            calls: u64,
-            returns: u64,
-        }
-        impl ImageObserver for Counter {
-            fn on_block_enter(&mut self, _f: FuncId, _b: u32) {
-                self.blocks += 1;
-            }
-            fn on_call(&mut self, _c: FuncId, _pc: u32, _t: FuncId) {
-                self.calls += 1;
-            }
-            fn on_return(&mut self, _f: FuncId) {
-                self.returns += 1;
-            }
-        }
-        let (module, fid) = fib_module();
-        let image = ExecImage::lower(&module);
-        let mut m = ImageMachine::new(&image);
-        let mut obs = Counter::default();
-        m.call_observed(fid, &[Value::Int(7)], &mut obs).unwrap();
-        assert_eq!(obs.blocks, m.stats().blocks);
-        assert_eq!(obs.calls, m.stats().calls);
-        // Every call returns, and so does the root invocation.
-        assert_eq!(obs.returns, obs.calls + 1);
     }
 }

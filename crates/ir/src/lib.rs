@@ -65,7 +65,7 @@ pub mod verify;
 
 pub use builder::{FunctionBuilder, ModuleBuilder};
 pub use cost::CostModel;
-pub use exec::{ImageMachine, ImageObserver, NullImageObserver};
+pub use exec::ImageMachine;
 pub use function::{BasicBlock, Function};
 pub use ids::{BlockId, DepId, FuncId, GlobalId, InstrRef, VarId};
 pub use instr::{BinOp, Instr, Operand, Pred, UnOp};

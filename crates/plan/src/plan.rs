@@ -82,7 +82,7 @@ pub struct ParallelizedLoop {
     /// privatize them.
     pub induction_vars: Vec<(VarId, i64)>,
     /// `Alloc` instructions the privatization analysis proved iteration-private (see
-    /// [`crate::privatize`]): the parallel runtime serves them from a per-worker bump arena
+    /// `helix_core::privatize`): the parallel runtime serves them from a per-worker bump arena
     /// instead of the shared memory. Empty when privatization does not apply to this
     /// loop. Instruction references are relative to the *original* function; Step 7 remaps
     /// them into the parallel clone.

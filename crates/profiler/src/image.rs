@@ -1,12 +1,13 @@
-//! The bytecode-engine profiling observer.
+//! The profiling observer of the runtime's engine.
 //!
-//! [`ImageProfiler`] is the lowered counterpart of [`crate::Profiler`]: it observes a
-//! [`helix_ir::ImageMachine`] run through the [`ImageObserver`] hooks and produces the same
-//! [`ProgramProfile`] the tree-walking profiler does — but instead of hashing an [`InstrRef`]
-//! per dynamic instruction it counts *block entries* in a dense `[func][block]` array (the
-//! observer has no per-op hook at all). Every entry of a block runs the same ops (from its first
-//! op up to its first branch or return), so [`ImageProfiler::finish`] expands the block
-//! counts into per-op counts and cycles once, and folds those back to `InstrRef`s.
+//! `ImageProfiler` is the lowered counterpart of [`crate::Profiler`]: it observes a run of
+//! the lowered program on `helix-runtime`'s engine ([`helix_runtime::run_observed`]) and
+//! produces the same [`ProgramProfile`] the tree-walking profiler does — but instead of
+//! hashing an [`InstrRef`] per dynamic instruction it counts *block entries* in a dense
+//! `[func][block]` array (the engine reports no per-op event at all). Every entry of a block
+//! runs the same ops (from its first op up to its first branch or return), so
+//! `ImageProfiler::finish` expands the block counts into per-op counts and cycles once,
+//! and folds those back to `InstrRef`s.
 //!
 //! Inclusive cycle attribution (per call site and per active loop) uses entry/exit deltas of
 //! the running total instead of touching every pending frame and active loop on every
@@ -15,18 +16,18 @@
 //! cycle total is added at once. That is exact, because every delta is taken at a block
 //! entry, a call or a return, and no loop of the block's own frame starts or stops between
 //! the block's entry and any of its ops. A call op's cycles land before the callee's frame is
-//! pushed, so they stay outside the callee's inclusive delta, just as when the engine charges
-//! them after the return. The per-event work is O(1) instead of O(stack depth), and the
-//! resulting profile is identical (`tests/exec_differential.rs` asserts equality against the
-//! tree-walking profiler over the corpus, the workloads and generated programs).
+//! pushed, so they stay outside the callee's inclusive delta, just as when the sequential
+//! machine charges them after the return. The per-event work is O(1) instead of O(stack
+//! depth), and the resulting profile is identical (`tests/exec_differential.rs` asserts
+//! equality against the tree-walking profiler over the corpus, the workloads and generated
+//! programs, errors included).
 
 use crate::profile::{FunctionProfile, LoopKey, LoopProfile, ProgramProfile};
 use helix_analysis::{LoopForest, LoopId, LoopNestingGraph};
-use helix_ir::interp::ExecError;
+use helix_ir::interp::{ExecError, DEFAULT_FUEL};
 use helix_ir::lower::{cost_table, FuncImage, Op};
-use helix_ir::{
-    BlockId, CostModel, ExecImage, FuncId, ImageMachine, ImageObserver, InstrRef, Module, Value,
-};
+use helix_ir::{BlockId, CostModel, ExecImage, FuncId, InstrRef, Module, Value};
+use helix_runtime::{run_observed, ImageObserver};
 use std::collections::HashMap;
 
 /// One entry of the active-loop stack.
@@ -57,10 +58,9 @@ struct BlockRun {
     cycles: u64,
 }
 
-/// The profiling observer for the bytecode engine. Attach to an
-/// [`ImageMachine::call_observed`] run, or use [`profile_image`] / [`profile_program_image`].
+/// The profiling observer of an engine run; [`profile_image_with_fuel`] drives it.
 #[derive(Debug)]
-pub struct ImageProfiler<'i> {
+struct ImageProfiler<'i> {
     image: &'i ExecImage,
     /// Per function, its loop forest (dense, indexed by function id).
     forests: Vec<Option<&'i LoopForest>>,
@@ -109,8 +109,8 @@ fn block_run(f: &FuncImage, block: u32, table: &[u64]) -> BlockRun {
 
 impl<'i> ImageProfiler<'i> {
     /// Creates a profiler for `image`, borrowing the loop forests of a pre-computed nesting
-    /// graph. Block cycles are priced with the cost table [`ImageMachine`] charges.
-    pub fn new(image: &'i ExecImage, nesting: &'i LoopNestingGraph) -> Self {
+    /// graph. Block cycles are priced with the cost table [`helix_ir::ImageMachine`] charges.
+    fn new(image: &'i ExecImage, nesting: &'i LoopNestingGraph) -> Self {
         let mut forests = vec![None; image.funcs.len()];
         let mut loops = vec![Vec::new(); image.funcs.len()];
         let mut header_of: Vec<Vec<Option<LoopId>>> = image
@@ -167,10 +167,9 @@ impl<'i> ImageProfiler<'i> {
     ///
     /// The profile is exact for a run that returned. A run that faulted or ran out of fuel
     /// stopped inside its last block, but that block was counted in full on entry; its profile
-    /// over-counts the block's unexecuted tail. Every caller discards such a profile: the run
-    /// returns `Err` before `finish` is reached ([`profile_image`],
-    /// `helix_core::Helix::profile_and_analyze`, the CLI's `profiled`).
-    pub fn finish(mut self) -> ProgramProfile {
+    /// would over-count the block's unexecuted tail, so [`profile_image_with_fuel`] returns
+    /// the error instead of finishing.
+    fn finish(mut self) -> ProgramProfile {
         // Flush attribution for anything still live (an errored run leaves frames and loops
         // on the stack; the tree-walking profiler attributed their cycles eagerly).
         while let Some(frame) = self.frames.pop() {
@@ -362,7 +361,27 @@ impl ImageObserver for ImageProfiler<'_> {
     }
 }
 
-/// Runs `main` of `image` with `args` under the bytecode profiler and returns the profile.
+/// Runs `main` of `image` with `args` on the runtime's engine, observed by the profiler,
+/// with a budget of `fuel` executed ops, and returns the profile. Every profile the
+/// pipeline, the CLI and the tools use comes from here.
+///
+/// # Errors
+///
+/// Returns the engine error if the program faults or exhausts its fuel: the error the
+/// sequential machines return for the same run.
+pub fn profile_image_with_fuel(
+    image: &ExecImage,
+    nesting: &LoopNestingGraph,
+    main: FuncId,
+    args: &[Value],
+    fuel: u64,
+) -> Result<ProgramProfile, ExecError> {
+    let mut profiler = ImageProfiler::new(image, nesting);
+    run_observed(image, main, args, fuel, &mut profiler)?;
+    Ok(profiler.finish())
+}
+
+/// [`profile_image_with_fuel`] with the sequential machines' default fuel.
 ///
 /// # Errors
 ///
@@ -373,13 +392,10 @@ pub fn profile_image(
     main: FuncId,
     args: &[Value],
 ) -> Result<ProgramProfile, ExecError> {
-    let mut machine = ImageMachine::new(image);
-    let mut profiler = ImageProfiler::new(image, nesting);
-    machine.call_observed(main, args, &mut profiler)?;
-    Ok(profiler.finish())
+    profile_image_with_fuel(image, nesting, main, args, DEFAULT_FUEL)
 }
 
-/// Lowers `module` and profiles it through the bytecode engine — the drop-in, faster
+/// Lowers `module` and profiles it on the runtime's engine — the drop-in, faster
 /// replacement for [`crate::profile_program`].
 ///
 /// # Errors
@@ -391,8 +407,7 @@ pub fn profile_program_image(
     main: FuncId,
     args: &[Value],
 ) -> Result<ProgramProfile, ExecError> {
-    let image = ExecImage::lower(module);
-    profile_image(&image, nesting, main, args)
+    profile_image(&ExecImage::lower(module), nesting, main, args)
 }
 
 #[cfg(test)]

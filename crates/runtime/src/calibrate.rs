@@ -24,9 +24,9 @@ use crate::lanes::SignalLanes;
 use crate::pool::WorkerPool;
 use crate::sharded::{SharedMemory, WorkerMemory};
 use crate::threaded::DispatchTier;
-use helix_core::HelixConfig;
 use helix_ir::builder::{FunctionBuilder, ModuleBuilder};
 use helix_ir::{BinOp, CostModel, ExecImage, FuncId, Operand, Pred, Value};
+use helix_plan::HelixConfig;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 

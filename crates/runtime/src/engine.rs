@@ -15,13 +15,16 @@
 //! in one executable mapping.
 
 use crate::jit::{self, JitArtifact};
+use crate::observe::ImageObserver;
 use crate::parallel_image::{
     run_flat, run_iteration, FlatEnd, FlatError, IterEnd, IterError, IterSync, LoopImage,
 };
 use crate::sharded::WorkerMemory;
 use crate::threaded::{
-    run_flat_threaded, run_iteration_threaded, DispatchTier, FlatScope, FlatTables, IterTable,
+    run_flat_probed, run_flat_threaded, run_iteration_threaded, DispatchTier, FlatScope,
+    FlatTables, IterTable,
 };
+use helix_ir::interp::ExecError;
 use helix_ir::{ExecImage, FuncId, Value};
 
 pub(crate) struct Engine<'a> {
@@ -58,6 +61,16 @@ impl<'a> Engine<'a> {
         Self::build(tier, image, func, None)
     }
 
+    /// An engine that profiles `func` ([`Engine::run_probed`]). The switch tier has no
+    /// tables to put the profiling handlers in, so it profiles on the threaded tier's.
+    pub(crate) fn for_probe(tier: DispatchTier, image: &'a ExecImage, func: FuncId) -> Self {
+        let tier = match tier {
+            DispatchTier::Switch => DispatchTier::Threaded,
+            tier => tier,
+        };
+        Self::with_scope(tier, image, func, FlatScope::probe(image, func), None)
+    }
+
     /// Lowers (and under the JIT tier compiles) what a run of `func` can reach for the
     /// already-resolved `tier`.
     fn build(
@@ -66,20 +79,41 @@ impl<'a> Engine<'a> {
         func: FuncId,
         loop_image: Option<&'a LoopImage>,
     ) -> Self {
-        let tables = (tier != DispatchTier::Switch).then(|| {
-            let scope = FlatScope::new(image, func, loop_image);
-            let (flat, iter, jit) = jit::build_tables(tier, image, &scope, loop_image);
-            Tables {
-                flat,
-                iter,
-                _jit: jit,
-            }
-        });
+        if tier == DispatchTier::Switch {
+            return Engine {
+                image,
+                func,
+                loop_image,
+                tables: None,
+            };
+        }
+        Self::with_scope(
+            tier,
+            image,
+            func,
+            FlatScope::new(image, func, loop_image),
+            loop_image,
+        )
+    }
+
+    /// Builds the tables of `scope` for a resolved tier other than the switch tier.
+    fn with_scope(
+        tier: DispatchTier,
+        image: &'a ExecImage,
+        func: FuncId,
+        scope: FlatScope,
+        loop_image: Option<&'a LoopImage>,
+    ) -> Self {
+        let (flat, iter, jit) = jit::build_tables(tier, image, &scope, loop_image);
         Engine {
             image,
             func,
             loop_image,
-            tables,
+            tables: Some(Tables {
+                flat,
+                iter,
+                _jit: jit,
+            }),
         }
     }
 
@@ -114,6 +148,20 @@ impl<'a> Engine<'a> {
                 budget,
             ),
         }
+    }
+
+    /// Runs the engine's function with `args` to its return, reporting to `obs` and
+    /// charging `fuel` (see [`run_flat_probed`]). The engine must come from
+    /// [`Engine::for_probe`].
+    pub(crate) fn run_probed(
+        &self,
+        args: &[Value],
+        mem: &mut WorkerMemory<'_>,
+        fuel: u64,
+        obs: &mut dyn ImageObserver,
+    ) -> Result<Option<Value>, ExecError> {
+        let tables = self.tables.as_ref().expect("a profiling engine has tables");
+        run_flat_probed(self.image, &tables.flat, self.func, args, mem, fuel, obs)
     }
 
     /// Runs iteration `iteration` of the loop this engine was built with (see

@@ -42,9 +42,9 @@ use crate::pool::{detect_hardware_threads, panic_message, AdaptiveWait, Sleepers
 use crate::sharded::{SharedMemory, WorkerMemory};
 use crate::telemetry::{TelemetryMode, TelemetryReport, TelemetryRun, WorkerCtx, WorkerTail};
 use crate::threaded::DispatchTier;
-use helix_core::TransformedProgram;
 use helix_ir::interp::ExecError;
 use helix_ir::{DepId, ExecImage, Memory, Value};
+use helix_plan::TransformedProgram;
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -13,7 +13,7 @@
 //!
 //! The moving parts, each in its own module:
 //!
-//! * [`parallel_image`] — a [`helix_core::TransformedProgram`] lowers **once** into a
+//! * [`parallel_image`] — a [`helix_plan::TransformedProgram`] lowers **once** into a
 //!   [`ParallelImage`]: per-iteration flat bytecode with pre-resolved signal-lane indices,
 //!   sentinel back-edge/exit targets and privatized allocation sites, dispatched by a lean
 //!   engine with no fuel/statistics/cost accounting;
@@ -29,6 +29,9 @@
 //!   iteration-private;
 //! * `engine` — one run's dispatch tables and JIT code behind `run_flat`/`run_iteration`,
 //!   built once on the submitting thread and shared by reference with every helper;
+//! * [`observe`] — [`run_observed`] runs a function flat on an engine whose control ops
+//!   report block entries, calls and returns to an [`ImageObserver`] and charge fuel: the
+//!   profiled training run `helix-profiler` turns into the profile loop selection reads;
 //! * [`executor`] — [`ParallelExecutor`] orchestrates the three phases, short-circuits
 //!   zero-iteration loops to pure sequential execution, and reports deadlocks with the
 //!   owning segment and pc range straight from the image's side tables;
@@ -36,6 +39,9 @@
 //!   time, with a sampled low-overhead mode), aggregated into
 //!   per-segment run/wait/spin/park breakdowns, worker occupancy and observed segment
 //!   costs that feed back into loop selection (`docs/observability.md`).
+//!
+//! The crate sits below the pipeline: it reads the pipeline's output through `helix-plan`
+//! only, so `helix-profiler` and `helix-core` can profile on its engine.
 //!
 //! Timing is *not* modeled here — that is `helix-simulator`'s job (which reads the
 //! [`ParallelImage`]'s per-segment costs). This crate answers the correctness question —
@@ -49,6 +55,7 @@ mod engine;
 pub mod executor;
 pub mod jit;
 pub mod lanes;
+pub mod observe;
 pub mod parallel_image;
 pub mod pool;
 pub mod sharded;
@@ -59,6 +66,7 @@ pub use calibrate::CalibrationProfile;
 pub use executor::{ParallelExecutor, RunOutput, RuntimeError};
 pub use jit::jit_supported;
 pub use lanes::SignalLanes;
+pub use observe::{run_observed, ImageObserver};
 pub use parallel_image::{LoopImage, ParallelImage, SegmentLane};
 pub use pool::{detect_hardware_threads, WaitStats, WorkerPanic, WorkerPool};
 pub use sharded::{PrivateArena, SharedMemory, PRIVATE_BASE};

@@ -29,10 +29,10 @@
 use crate::lanes::SignalLanes;
 use crate::pool::{AdaptiveWait, Sleepers};
 use crate::sharded::{MemoryError, WorkerMemory};
-use helix_core::TransformedProgram;
 use helix_ir::interp::{eval_binop, eval_pred, eval_unop, ExecError, MAX_CALL_DEPTH};
 use helix_ir::lower::{cost_table, CostClass};
 use helix_ir::{BinOp, BlockId, CostModel, DepId, ExecImage, FuncId, InstrRef, Op, Opnd, Value};
+use helix_plan::TransformedProgram;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -22,6 +22,7 @@
 //! every handler body here is a transliteration of the corresponding `run_iteration` /
 //! `run_flat` arm, and the fuzz oracle runs the two tiers against each other.
 
+use crate::observe::ImageObserver;
 use crate::parallel_image::{
     eval, prepare_callee_regs, run_flat, specialize_op, wait_blocking, FlatEnd, FlatError, IterEnd,
     IterError, IterSync, LoopImage, POp, WaitOutcome, PC_END_ITER, PC_EXIT,
@@ -158,6 +159,18 @@ pub(crate) struct TCtx<'r, 'm> {
     fault: Option<ExecError>,
     end_iter: Option<Result<IterEnd, IterError>>,
     end_flat: Option<FlatHalt>,
+    /// Present exactly in a profiling run (see [`run_flat_probed`]).
+    probe: Option<Probe<'r>>,
+}
+
+/// What a profiling run adds to the flat engine's state: the observer its control handlers
+/// report to and the fuel they charge.
+pub(crate) struct Probe<'r> {
+    obs: &'r mut (dyn ImageObserver + 'r),
+    fuel: u64,
+    /// The fuel of the run each suspended frame resumes after its call, parallel to
+    /// `TCtx::frames`.
+    resume: Vec<u32>,
 }
 
 // Reads are unchecked exactly like the switch engine's `eval`/`get`: lowering widens the
@@ -800,6 +813,139 @@ fn h_ret_i_flat(ctx: &mut TCtx<'_, '_>, op: &TOp, _pc: usize) -> usize {
 }
 
 // ---------------------------------------------------------------------------
+// Profiling control handlers: the flat ones plus the events the profiler consumes and the
+// fuel a machine that charges every op would charge. Fuel is charged per *run* — a block's
+// ops up to its first call or terminator, and after each call the ops up to the next one —
+// on entering the run, so data ops (and the JIT chunks over them) stay uninstrumented.
+// Profiling runs whole functions: no stop block, no budget.
+// ---------------------------------------------------------------------------
+
+#[inline(always)]
+fn probe_mut<'c, 'r>(ctx: &'c mut TCtx<'r, '_>) -> &'c mut Probe<'r> {
+    ctx.probe
+        .as_mut()
+        .expect("profiling handler outside a profiling run")
+}
+
+/// The fuel of the run that starts at `pc` of `f`: its ops up to and including the first
+/// call, jump, branch or return. A `Trap` ends it uncharged: every engine aborts there
+/// before charging.
+fn run_fuel(f: &FuncImage, pc: u32) -> u32 {
+    let mut n = 0;
+    for op in &f.code[pc as usize..] {
+        match op {
+            Op::Trap { .. } => break,
+            Op::Call { .. } | Op::Jump { .. } | Op::Branch { .. } | Op::Ret { .. } => return n + 1,
+            _ => n += 1,
+        }
+    }
+    n
+}
+
+/// Charges the `n` ops of the run that starts at `pc` of the current function. With less
+/// fuel left, runs the ops it covers one at a time — none is a call or a control op, since
+/// a run ends at the first — and ends the run with the first fault among them, else with
+/// [`ExecError::FuelExhausted`]: where and how a machine that charges each op stops.
+fn charge(ctx: &mut TCtx<'_, '_>, pc: usize, n: u32) -> bool {
+    let probe = probe_mut(ctx);
+    if let Some(left) = probe.fuel.checked_sub(u64::from(n)) {
+        probe.fuel = left;
+        return true;
+    }
+    let covered = probe.fuel as usize;
+    let image = ctx.image;
+    for (at, op) in image.funcs[ctx.cur_func].code[pc..pc + covered]
+        .iter()
+        .enumerate()
+    {
+        let (op, _) = decode_flat_op(op);
+        if (op.h)(ctx, &op, pc + at) == DONE {
+            return false;
+        }
+    }
+    ctx.fault = Some(ExecError::FuelExhausted);
+    false
+}
+
+/// Reports entering `block` of the current function at `target` and charges its first run.
+#[inline(always)]
+fn enter_block(ctx: &mut TCtx<'_, '_>, block: u32, target: u32, fuel: u32) -> usize {
+    let func = FuncId::new(ctx.cur_func as u32);
+    probe_mut(ctx).obs.on_block_enter(func, block);
+    if charge(ctx, target as usize, fuel) {
+        target as usize
+    } else {
+        DONE
+    }
+}
+
+/// `a=target b=block c=fuel`
+fn h_jump_probe(ctx: &mut TCtx<'_, '_>, op: &TOp, _pc: usize) -> usize {
+    enter_block(ctx, op.b, op.a, op.c)
+}
+
+/// `a=cond b=then_pc c=else_pc d=then_block e=else_block i=then_fuel j=else_fuel`
+fn h_branch_probe(ctx: &mut TCtx<'_, '_>, op: &TOp, _pc: usize) -> usize {
+    if get(ctx.regs, op.a).as_bool() {
+        enter_block(ctx, op.d, op.b, op.i as u32)
+    } else {
+        enter_block(ctx, op.e, op.c, op.j as u32)
+    }
+}
+
+/// `a=callee_fuel b=resume_fuel` — [`h_call_flat`], then the call and the callee's entry
+/// block are reported and the callee's first run charged; the run after the call is
+/// charged when the callee returns.
+fn h_call_probe(ctx: &mut TCtx<'_, '_>, op: &TOp, pc: usize) -> usize {
+    let caller = FuncId::new(ctx.cur_func as u32);
+    if h_call_flat(ctx, op, pc) == DONE {
+        return DONE;
+    }
+    let callee = FuncId::new(ctx.cur_func as u32);
+    let entry = ctx.image.funcs[ctx.cur_func].entry_block;
+    let probe = probe_mut(ctx);
+    probe.resume.push(op.b);
+    probe.obs.on_call(caller, pc as u32, callee);
+    probe.obs.on_block_enter(callee, entry);
+    if charge(ctx, ctx.next_pc, op.a) {
+        SWITCH
+    } else {
+        DONE
+    }
+}
+
+/// Reports the return, then [`ret_flat`]; back in a caller, charges the run after the call.
+#[inline(always)]
+fn ret_probe(ctx: &mut TCtx<'_, '_>, v: Option<Value>) -> usize {
+    let func = FuncId::new(ctx.cur_func as u32);
+    probe_mut(ctx).obs.on_return(func);
+    if ret_flat(ctx, v) == DONE {
+        return DONE;
+    }
+    let resume = probe_mut(ctx)
+        .resume
+        .pop()
+        .expect("one resume run per frame");
+    if charge(ctx, ctx.next_pc, resume) {
+        SWITCH
+    } else {
+        DONE
+    }
+}
+
+/// `a=src`
+fn h_ret_r_probe(ctx: &mut TCtx<'_, '_>, op: &TOp, _pc: usize) -> usize {
+    let v = Some(get(ctx.regs, op.a));
+    ret_probe(ctx, v)
+}
+
+/// `e=has_value v=value`
+fn h_ret_i_probe(ctx: &mut TCtx<'_, '_>, op: &TOp, _pc: usize) -> usize {
+    let v = (op.e != 0).then_some(op.v);
+    ret_probe(ctx, v)
+}
+
+// ---------------------------------------------------------------------------
 // Decoders: POp/Op streams → TOp arrays. Interior slots of fused windows decode like any
 // other op (they keep their original POp), so jumps into the middle of a window work
 // exactly as they do on the switch engine.
@@ -1108,6 +1254,64 @@ fn decode_flat_op(op: &Op) -> (TOp, Option<POp>) {
     (control, None)
 }
 
+/// Decodes the op at `pc` of `f` for a profiling run: control ops get their profiling
+/// handlers, with the fuel of the runs they enter; every other op decodes as in
+/// [`decode_flat_op`].
+fn decode_probe_op(image: &ExecImage, f: &FuncImage, pc: u32) -> (TOp, Option<POp>) {
+    let jump = |target: u32, block: u32| TOp {
+        a: target,
+        b: block,
+        c: run_fuel(f, target),
+        ..TOp::new(h_jump_probe)
+    };
+    let op = &f.code[pc as usize];
+    let probe = match op {
+        Op::Jump { pc, block } => jump(*pc, *block),
+        Op::Branch {
+            cond,
+            then_pc,
+            then_block,
+            else_pc,
+            else_block,
+        } => match cond {
+            Opnd::Reg(r) => TOp {
+                a: *r,
+                b: *then_pc,
+                c: *else_pc,
+                d: *then_block,
+                e: *else_block,
+                i: run_fuel(f, *then_pc).into(),
+                j: run_fuel(f, *else_pc).into(),
+                ..TOp::new(h_branch_probe)
+            },
+            imm if eval(&[], *imm).as_bool() => jump(*then_pc, *then_block),
+            _ => jump(*else_pc, *else_block),
+        },
+        Op::Call { func, .. } => {
+            let callee = &image.funcs[*func as usize];
+            TOp {
+                a: run_fuel(callee, callee.entry_pc()),
+                b: run_fuel(f, pc + 1),
+                ..TOp::new(h_call_probe)
+            }
+        }
+        Op::Ret { value } => match value {
+            Some(Opnd::Reg(r)) => TOp {
+                a: *r,
+                ..TOp::new(h_ret_r_probe)
+            },
+            Some(imm) => TOp {
+                e: 1,
+                v: eval(&[], *imm),
+                ..TOp::new(h_ret_i_probe)
+            },
+            None => TOp::new(h_ret_i_probe),
+        },
+        _ => return decode_flat_op(op),
+    };
+    (probe, None)
+}
+
 /// The decoded per-iteration code array of one [`LoopImage`]. Cheap to build (one pass
 /// over the stream); built once per run and shared by every worker.
 pub(crate) struct IterTable {
@@ -1140,6 +1344,8 @@ pub(crate) struct FlatScope {
     root: usize,
     /// Whether each block of the engine's function is cold, by dense block index.
     cold: Vec<bool>,
+    /// Whether control ops decode to their profiling handlers ([`run_flat_probed`]).
+    probe: bool,
 }
 
 impl FlatScope {
@@ -1161,6 +1367,7 @@ impl FlatScope {
             funcs: Vec::new(),
             root,
             cold,
+            probe: false,
         };
         if scope.close_over_calls(image) {
             // The function runs as its own callee, where no stop block applies.
@@ -1168,6 +1375,15 @@ impl FlatScope {
             scope.close_over_calls(image);
         }
         scope
+    }
+
+    /// The scope of a profiling run of `func`: its call-closure, nothing cold, control ops
+    /// decoded to their profiling handlers.
+    pub(crate) fn probe(image: &ExecImage, func: FuncId) -> Self {
+        FlatScope {
+            probe: true,
+            ..Self::new(image, func, None)
+        }
     }
 
     /// Marks the call-closure of the root's non-cold code; returns whether it calls the
@@ -1263,8 +1479,12 @@ impl FlatTables {
                         ss.extend(code.iter().map(|_| S::default()));
                         continue;
                     }
-                    for op in code {
-                        let (decoded, data) = decode_flat_op(op);
+                    for (pc, op) in (start..).zip(code) {
+                        let (decoded, data) = if scope.probe {
+                            decode_probe_op(image, f, pc)
+                        } else {
+                            decode_flat_op(op)
+                        };
                         ops.push(decoded);
                         ss.push(slot(op, data));
                     }
@@ -1314,6 +1534,7 @@ pub(crate) fn run_iteration_threaded(
         fault: None,
         end_iter: None,
         end_flat: None,
+        probe: None,
     };
     dispatch(&[], &table.ops, loop_image.entry_pc as usize, &mut ctx);
     if let Some(e) = ctx.fault {
@@ -1361,6 +1582,7 @@ pub(crate) fn run_flat_threaded(
         fault: None,
         end_iter: None,
         end_flat: None,
+        probe: None,
     };
     dispatch(&tables.funcs, &tables.funcs[func.index()], entry, &mut ctx);
     let TCtx {
@@ -1381,5 +1603,60 @@ pub(crate) fn run_flat_threaded(
         FlatHalt::ReachedStop => Ok(FlatEnd::ReachedStop),
         FlatHalt::Returned(v) => Ok(FlatEnd::Returned(v)),
         FlatHalt::BudgetExceeded => Err(FlatError::BudgetExceeded),
+    }
+}
+
+/// Runs `func` with `args` to its return on `tables`, which must be decoded for a
+/// [`FlatScope::probe`]: every block entry, call and return is reported to `obs`, and the
+/// run stops where a machine charging one unit of `fuel` per op would (see `charge`).
+pub(crate) fn run_flat_probed(
+    image: &ExecImage,
+    tables: &FlatTables,
+    func: FuncId,
+    args: &[Value],
+    mem: &mut WorkerMemory<'_>,
+    fuel: u64,
+    obs: &mut dyn ImageObserver,
+) -> Result<Option<Value>, ExecError> {
+    let f = &image.funcs[func.index()];
+    let mut regs = Vec::new();
+    prepare_callee_regs(image, func.index() as u32, args, &mut regs);
+    let entry = f.entry_pc() as usize;
+    let mut ctx = TCtx {
+        image,
+        pcode: &[],
+        regs: &mut regs,
+        mem,
+        iteration: 0,
+        sync: None,
+        on_control: None,
+        telem: None,
+        cur_func: func.index(),
+        next_pc: 0,
+        frames: Vec::new(),
+        top_blocks: 0,
+        budget: u64::MAX,
+        stop_block: None,
+        fault: None,
+        end_iter: None,
+        end_flat: None,
+        probe: Some(Probe {
+            obs,
+            fuel,
+            resume: Vec::new(),
+        }),
+    };
+    probe_mut(&mut ctx).obs.on_block_enter(func, f.entry_block);
+    if charge(&mut ctx, entry, run_fuel(f, entry as u32)) {
+        dispatch(&tables.funcs, &tables.funcs[func.index()], entry, &mut ctx);
+    }
+    if let Some(e) = ctx.fault {
+        return Err(e);
+    }
+    match ctx.end_flat.expect("profiling run ended without a verdict") {
+        FlatHalt::Returned(v) => Ok(v),
+        FlatHalt::ReachedStop | FlatHalt::BudgetExceeded => {
+            unreachable!("profiling runs have no stop block and no budget")
+        }
     }
 }

@@ -13,6 +13,9 @@
 //! `helix-runtime` exists for.
 
 use std::io::{Read, Write};
+use std::net::Shutdown;
+use std::os::fd::OwnedFd;
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -400,7 +403,11 @@ impl Server {
     /// Binds `path` and serves socket connections until a `shutdown` frame arrives on
     /// any of them. All connections feed one FIFO queue drained by one set of service
     /// workers, so cross-client fairness is arrival order. The accept blocks; the reader
-    /// that receives `shutdown` wakes it with one connection of its own.
+    /// that receives `shutdown` wakes it by shutting down the listening socket itself, so
+    /// the wake-up does not depend on `path` still naming it. The accept loop then shuts
+    /// down the read side of every open connection, so a client that stays connected
+    /// (idle, or mid-frame) cannot keep the daemon alive: its reader sees the end of its
+    /// stream, and queued jobs are still answered.
     ///
     /// Threads stop in a fixed order: every reader has finished before the queue closes,
     /// and every worker before this returns. A thread's allocator arena is freed for reuse
@@ -408,7 +415,7 @@ impl Server {
     /// reuses arenas in the same order each time, and peak memory does not depend on
     /// which thread happened to exit first.
     pub fn serve_unix(&self, path: &Path) -> std::io::Result<()> {
-        let listener = std::os::unix::net::UnixListener::bind(path)?;
+        let listener = UnixListener::bind(path)?;
         let queue: SocketQueue = Queue::new();
         let shutdown = AtomicBool::new(false);
         std::thread::scope(|scope| {
@@ -422,23 +429,30 @@ impl Server {
                     })
                 })
                 .collect();
-            let mut readers: Vec<std::thread::ScopedJoinHandle<()>> = Vec::new();
+            // Each live reader with a handle on its connection, to end its read.
+            let mut readers: Vec<(std::thread::ScopedJoinHandle<()>, UnixStream)> = Vec::new();
             for stream in listener.incoming() {
                 if shutdown.load(Ordering::Acquire) {
                     break;
                 }
                 let Ok(stream) = stream else { break };
-                let queue = &queue;
-                let shutdown = &shutdown;
-                readers.retain(|reader| !reader.is_finished());
-                readers.push(scope.spawn(move || {
-                    connection_reader(stream, queue, shutdown, path, |req| {
+                let Ok(handle) = stream.try_clone() else {
+                    continue;
+                };
+                let (queue, shutdown, listener) = (&queue, &shutdown, &listener);
+                readers.retain(|(reader, _)| !reader.is_finished());
+                let reader = scope.spawn(move || {
+                    connection_reader(stream, queue, shutdown, listener, |req| {
                         // `handle` so the ack still ticks counters.
                         self.handle(req)
                     });
-                }));
+                });
+                readers.push((reader, handle));
             }
-            for reader in readers {
+            for (_, connection) in &readers {
+                let _ = connection.shutdown(Shutdown::Read);
+            }
+            for (reader, _) in readers {
                 let _ = reader.join();
             }
             queue.close();
@@ -466,13 +480,13 @@ impl Server {
 }
 
 /// Socket-mode reader: parses frames from one connection into the shared queue. On
-/// `shutdown` it connects once to `path` to wake the listener's blocking accept; from
-/// then on no reader queues anything (the listener closes the queue once all are gone).
+/// `shutdown` it wakes the listener's blocking accept (see [`wake_accept`]); from then on
+/// no reader queues anything (the listener closes the queue once all are gone).
 fn connection_reader<F>(
-    stream: std::os::unix::net::UnixStream,
+    stream: UnixStream,
     queue: &SocketQueue,
     shutdown: &AtomicBool,
-    path: &Path,
+    listener: &UnixListener,
     ack: F,
 ) where
     F: Fn(&Request) -> Response,
@@ -497,7 +511,7 @@ fn connection_reader<F>(
                 let resp = ack(&req);
                 let _ = write_frame(&mut *writer.lock(), &resp.encode());
                 shutdown.store(true, Ordering::Release);
-                let _ = std::os::unix::net::UnixStream::connect(path);
+                wake_accept(listener);
                 return;
             }
             Ok(req) if !shutdown.load(Ordering::Acquire) => {
@@ -512,7 +526,18 @@ fn connection_reader<F>(
     }
 }
 
-type SharedWriter = Arc<Mutex<std::os::unix::net::UnixStream>>;
+/// Ends a blocking `accept` on `listener`: shuts down the receive side of the listening
+/// socket, after which Linux fails every `accept` on it, the pending one included. It acts
+/// on the socket, not on its path, which a client may already have unlinked. (`shutdown`
+/// is the stream-socket call; std only exposes it on [`UnixStream`], so it is reached
+/// through a duplicate of the listening descriptor.)
+fn wake_accept(listener: &UnixListener) {
+    if let Ok(duplicate) = listener.try_clone() {
+        let _ = UnixStream::from(OwnedFd::from(duplicate)).shutdown(Shutdown::Read);
+    }
+}
+
+type SharedWriter = Arc<Mutex<UnixStream>>;
 
 struct QueuedJob {
     request: Request,

@@ -318,6 +318,52 @@ fn unix_socket_transport_serves_and_shuts_down() {
 }
 
 #[test]
+fn socket_shutdown_ends_the_daemon_despite_an_idle_client_and_an_unlinked_path() {
+    // One client stays connected and silent; the socket's path is gone before the
+    // shutdown frame arrives. Neither may keep `serve_unix` from returning.
+    let server = std::sync::Arc::new(test_server(4));
+    let dir = std::env::temp_dir().join(format!("helix-serve-idle-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let socket = dir.join("helix.sock");
+    let _ = std::fs::remove_file(&socket);
+    let (done_tx, done) = std::sync::mpsc::channel();
+    // Not scoped: a daemon that never returns must fail this test, not hang it.
+    let daemon = {
+        let (server, socket) = (std::sync::Arc::clone(&server), socket.clone());
+        std::thread::spawn(move || {
+            let served = server.serve_unix(&socket);
+            let _ = done_tx.send(());
+            served
+        })
+    };
+    let connect = || loop {
+        match Client::connect_unix(&socket) {
+            Ok(c) => break c,
+            Err(_) => std::thread::sleep(std::time::Duration::from_millis(10)),
+        }
+    };
+    let mut idle = connect();
+    let resp = idle.request(&Request::new(Op::Ping, 1)).unwrap();
+    assert_eq!(
+        resp.status,
+        Some(Status::Ok),
+        "the idle client is being served"
+    );
+    let mut closer = connect();
+    std::fs::remove_file(&socket).unwrap();
+    let resp = closer.request(&Request::new(Op::Shutdown, 2)).unwrap();
+    assert_eq!(resp.status, Some(Status::Ok));
+    let ended = done.recv_timeout(std::time::Duration::from_secs(1));
+    drop(idle);
+    let _ = std::fs::remove_dir(&dir);
+    assert!(
+        ended.is_ok(),
+        "serve_unix still runs 1 s after the shutdown was acknowledged"
+    );
+    daemon.join().unwrap().unwrap();
+}
+
+#[test]
 fn memory_digest_does_not_depend_on_the_worker_count() {
     // Every worker count runs on shared memory and captures it with the same snapshot, so
     // the captured memory — and the reply's `memory_hash` — must be the same at 1 and 2

@@ -1,6 +1,6 @@
 //! The discrete-event DOACROSS timing simulation.
 
-use helix_core::{HelixConfig, HelixOutput, ParallelizedLoop, PrefetchMode};
+use helix_core::{HelixConfig, HelixOutput, ParallelizedLoop, PrefetchMode, SpeedupModel};
 use helix_profiler::{LoopKey, ProgramProfile};
 use std::collections::BTreeMap;
 
@@ -63,24 +63,6 @@ pub struct ProgramSimResult {
     pub loops: BTreeMap<LoopKey, LoopSimResult>,
 }
 
-/// Per-signal latency for a segment under a prefetching mode.
-fn segment_signal_latency(config: &SimConfig, prefetched_fraction: f64) -> f64 {
-    let hi = config.helix.signal_latency_unprefetched as f64;
-    let lo = config.helix.signal_latency_prefetched as f64;
-    let frac = match config.mode {
-        PrefetchMode::None => 0.0,
-        PrefetchMode::Ideal => 1.0,
-        PrefetchMode::Matched => (prefetched_fraction * 0.85).clamp(0.0, 1.0),
-        PrefetchMode::Helix => prefetched_fraction.clamp(0.0, 1.0),
-    };
-    let frac = if config.helix.enable_helper_threads {
-        frac
-    } else {
-        0.0
-    };
-    hi - (hi - lo) * frac
-}
-
 /// Simulates one parallelized loop.
 ///
 /// The loop executes `iterations` iterations per invocation (averaged from the profile),
@@ -106,8 +88,15 @@ pub fn simulate_loop(
         };
     }
 
-    // Per-iteration structure.
+    // Per-iteration structure. Without helper threads no signal is prefetched, whatever
+    // the mode.
     let prologue = plan.prologue_cycles_per_iter;
+    let mode = if config.helix.enable_helper_threads {
+        config.mode
+    } else {
+        PrefetchMode::None
+    };
+    let model = SpeedupModel::new(config.helix);
     let segments: Vec<(f64, f64)> = plan
         .segments
         .iter()
@@ -115,7 +104,7 @@ pub fn simulate_loop(
         .map(|s| {
             (
                 s.cycles_per_iteration,
-                segment_signal_latency(config, s.prefetched_fraction),
+                model.signal_latency(mode, s.prefetched_fraction),
             )
         })
         .collect();

@@ -9,10 +9,16 @@
 //!
 //! Every checked-in corpus program and every synthetic workload kernel goes through both
 //! engines here; any divergence is a lowering or dispatch bug.
+//!
+//! The profiled training run happens on a third engine, the runtime's
+//! (`helix_profiler::profile_image_with_fuel`): its profile, or its error, must equal the
+//! tree-walking profiler's at every fuel, and its total cycles what the bytecode engine
+//! charges.
 
 use helix::analysis::LoopNestingGraph;
-use helix::ir::{ExecImage, ExecStats, ImageMachine, Machine, Memory, Module, Value};
-use helix::profiler::{profile_program, profile_program_image};
+use helix::ir::interp::{ExecError, DEFAULT_FUEL};
+use helix::ir::{ExecImage, ExecStats, FuncId, ImageMachine, Machine, Memory, Module, Value};
+use helix::profiler::{profile_image_with_fuel, Profiler, ProgramProfile};
 
 /// Runs `main` on both engines and asserts identical observable behaviour; returns both
 /// engines' outcomes for further checks.
@@ -68,27 +74,166 @@ fn every_workload_kernel_is_identical_on_both_engines() {
     }
 }
 
+/// Profiles `main` with `args` and `fuel` under the tree-walking profiler and on the
+/// runtime's engine, and asserts the same profile or the same error. A profile's total must
+/// also be the cycles the bytecode engine charges. Returns the profile, `None` on an error.
+fn assert_profiles_agree(
+    name: &str,
+    module: &Module,
+    main: FuncId,
+    args: &[Value],
+    fuel: u64,
+) -> Option<ProgramProfile> {
+    let nesting = LoopNestingGraph::new(module);
+    let mut tree_machine = Machine::new(module);
+    tree_machine.set_fuel(fuel);
+    let mut profiler = Profiler::new(module, &nesting);
+    let tree = tree_machine
+        .call_observed(main, args, &mut profiler)
+        .map(|_| profiler.finish());
+    let image = ExecImage::lower(module);
+    let engine = profile_image_with_fuel(&image, &nesting, main, args, fuel);
+    match (tree, engine) {
+        (Ok(tree), Ok(engine)) => {
+            let mut machine = ImageMachine::new(&image);
+            machine.set_fuel(fuel);
+            machine
+                .call(main, args)
+                .expect("the bytecode engine runs it too");
+            assert_eq!(
+                engine.total_cycles,
+                machine.stats().cycles,
+                "{name} (fuel {fuel}): profile total differs from the engine's cycles"
+            );
+            assert_eq!(tree, engine, "{name} (fuel {fuel}): profiles differ");
+            Some(engine)
+        }
+        // Every caller discards the profile of a run that faulted.
+        (Err(a), Err(b)) => {
+            assert_eq!(a, b, "{name} (fuel {fuel}): the engines fault differently");
+            None
+        }
+        (tree, engine) => panic!(
+            "{name} (fuel {fuel}): one engine faults: {:?} vs {:?}",
+            tree.err(),
+            engine.err()
+        ),
+    }
+}
+
+/// The 12 corpus programs and the 13 SPEC stand-ins.
+fn fixed_programs() -> Vec<(String, Module, FuncId)> {
+    let mut programs = helix::workloads::load_corpus().expect("corpus loads");
+    assert_eq!(programs.len(), 12, "corpus went missing");
+    for bench in helix::workloads::all_benchmarks() {
+        let (module, main) = bench.build();
+        programs.push((bench.name.to_string(), module, main));
+    }
+    assert_eq!(programs.len(), 25, "SPEC stand-ins went missing");
+    programs
+}
+
 #[test]
 fn corpus_profiles_are_identical_on_both_engines() {
-    for (name, module, main) in helix::workloads::load_corpus().expect("corpus loads") {
-        let nesting = LoopNestingGraph::new(&module);
-        let tree = profile_program(&module, &nesting, main, &[])
-            .unwrap_or_else(|e| panic!("{name}: tree profiler failed: {e}"));
-        let flat = profile_program_image(&module, &nesting, main, &[])
-            .unwrap_or_else(|e| panic!("{name}: image profiler failed: {e}"));
-        assert_eq!(tree, flat, "{name}: profiles differ between engines");
+    for (name, module, main) in &fixed_programs()[..12] {
+        assert!(
+            assert_profiles_agree(name, module, *main, &[], DEFAULT_FUEL).is_some(),
+            "{name}: the training run fails"
+        );
     }
 }
 
 #[test]
 fn workload_profiles_are_identical_on_both_engines() {
-    for bench in helix::workloads::all_benchmarks() {
-        let (module, main) = bench.build();
-        let nesting = LoopNestingGraph::new(&module);
-        let tree = profile_program(&module, &nesting, main, &[]).unwrap();
-        let flat = profile_program_image(&module, &nesting, main, &[]).unwrap();
-        assert_eq!(tree, flat, "{}: profiles differ", bench.name);
+    for (name, module, main) in &fixed_programs()[12..] {
+        assert!(
+            assert_profiles_agree(name, module, *main, &[], DEFAULT_FUEL).is_some(),
+            "{name}: the training run fails"
+        );
     }
+}
+
+#[test]
+fn profiles_stop_at_exactly_the_tree_profilers_fuel() {
+    // Fuel equal to the dynamic instruction count suffices, one less does not, and every
+    // other cut ends the same way on both profilers — inside calls and returns too.
+    for (name, module, main) in &fixed_programs() {
+        let image = ExecImage::lower(module);
+        let mut machine = ImageMachine::new(&image);
+        machine.call(*main, &[]).expect("runs");
+        let count = machine.stats().instrs;
+        assert!(assert_profiles_agree(name, module, *main, &[], count).is_some());
+        for fuel in [0, 1, count / 3, count - 1] {
+            assert!(assert_profiles_agree(name, module, *main, &[], fuel).is_none());
+        }
+    }
+}
+
+/// `main(n)` returns `fib(n)`, computed by plain recursion. With `fault`, `main` then
+/// stores to a negative address in the middle of its last block.
+fn fib_module(fault: bool) -> (Module, FuncId) {
+    let store = if fault {
+        "  %v2 = sub %v1, 1000000\n  store [%v2 + 0], %v1\n  %v2 = add %v2, 1\n"
+    } else {
+        ""
+    };
+    let text = format!(
+        "module fib\nfunc fib(1 params, 5 vars) {{\nbb0: (entry)\n  %v1 = cmp.lt %v0, 2\n  \
+         condbr %v1, bb1, bb2\nbb1:\n  ret %v0\nbb2:\n  %v2 = sub %v0, 1\n  \
+         %v3 = call fn0(%v2)\n  %v2 = sub %v0, 2\n  %v4 = call fn0(%v2)\n  \
+         %v3 = add %v3, %v4\n  ret %v3\n}}\nfunc main(1 params, 3 vars) {{\n\
+         bb0: (entry)\n  %v1 = call fn0(%v0)\n{store}  ret %v1\n}}\n"
+    );
+    let module = helix::frontend::parse_and_verify(&text).expect("fib parses");
+    let main = module.function_by_name("main").expect("has main");
+    (module, main)
+}
+
+#[test]
+fn every_fuel_cut_of_a_recursive_run_ends_like_the_tree_profiler() {
+    // Cuts inside callees, right after returns and around a fault in the middle of a
+    // block: each must end the way the tree-walking profiler's run ends.
+    let args = [Value::Int(7)];
+    for fault in [false, true] {
+        let (module, main) = fib_module(fault);
+        let image = ExecImage::lower(&module);
+        let mut machine = ImageMachine::new(&image);
+        assert_eq!(machine.call(main, &args).is_err(), fault);
+        let count = machine.stats().instrs;
+        for fuel in 0..=count + 1 {
+            let ran = assert_profiles_agree("fib", &module, main, &args, fuel).is_some();
+            assert_eq!(ran, !fault && fuel >= count, "fuel {fuel} of {count}");
+        }
+    }
+}
+
+#[test]
+fn a_run_that_hits_the_call_depth_limit_fails_like_the_tree_profiler() {
+    // Below the root `main`, `fib(n)` descends n frames before its first return, and
+    // `MAX_CALL_DEPTH` of them may be live.
+    let (module, main) = fib_module(false);
+    let limit = helix::ir::interp::MAX_CALL_DEPTH as i64;
+    let deepest = [Value::Int(limit)];
+    let nesting = LoopNestingGraph::new(&module);
+    let image = ExecImage::lower(&module);
+    // The whole fib(512) would take forever: a fuel cut past the deepest call shows that
+    // the limit was reached without overflowing, and both profilers stop there alike.
+    let mut machine = ImageMachine::new(&image);
+    machine.set_fuel(20 * limit as u64);
+    assert_eq!(machine.call(main, &deepest), Err(ExecError::FuelExhausted));
+    assert_eq!(
+        assert_profiles_agree("fib", &module, main, &deepest, 20 * limit as u64),
+        None
+    );
+    let overflow = [Value::Int(limit + 1)];
+    assert_eq!(
+        profile_image_with_fuel(&image, &nesting, main, &overflow, DEFAULT_FUEL),
+        Err(ExecError::StackOverflow)
+    );
+    assert_eq!(
+        assert_profiles_agree("fib", &module, main, &overflow, DEFAULT_FUEL),
+        None
+    );
 }
 
 #[test]
@@ -252,12 +397,11 @@ fn a_trip_that_skips_its_segment_still_waits_before_it_signals() {
 #[test]
 fn generated_profiles_are_identical_on_both_engines() {
     // Engine and profile stages only: no analysis, no threads, so the sweep is deterministic.
-    // The bytecode profiler counts blocks, not ops; over every generated shape (nested and
+    // The engine's profiler counts blocks, not ops; over every generated shape (nested and
     // interprocedural loops, recursion, in-loop returns) it must still report exactly the
     // tree-walking profiler's per-instruction counts and cycles, and exactly the cycles the
-    // engine charged.
+    // bytecode engine charged; a run that faults must fault alike.
     use helix::gen::{generate, GenConfig};
-    use helix::profiler::ImageProfiler;
 
     for (preset, config) in [
         ("small", GenConfig::small()),
@@ -266,35 +410,8 @@ fn generated_profiles_are_identical_on_both_engines() {
     ] {
         for seed in 0..200 {
             let g = generate(seed, &config);
-            let nesting = LoopNestingGraph::new(&g.module);
-            let tree = profile_program(&g.module, &nesting, g.main, &[]);
-            let image = ExecImage::lower(&g.module);
-            let mut machine = ImageMachine::new(&image);
-            let mut profiler = ImageProfiler::new(&image, &nesting);
-            let ran = machine.call_observed(g.main, &[], &mut profiler);
-            let tree = match (tree, ran) {
-                (Ok(tree), Ok(_)) => tree,
-                // Every caller discards the profile of a run that faulted.
-                (Err(a), Err(b)) => {
-                    assert_eq!(a, b, "{preset}/{seed}: the engines fault differently");
-                    continue;
-                }
-                (tree, ran) => panic!(
-                    "{preset}/{seed}: one engine faults: {:?} vs {:?}",
-                    tree.err(),
-                    ran.err()
-                ),
-            };
-            let flat = profiler.finish();
-            assert_eq!(
-                flat.total_cycles,
-                machine.stats().cycles,
-                "{preset}/{seed}: profile total differs from the engine's cycles"
-            );
-            assert_eq!(
-                tree, flat,
-                "{preset}/{seed}: profiles differ between engines"
-            );
+            let name = format!("{preset}/{seed}");
+            assert_profiles_agree(&name, &g.module, g.main, &[], DEFAULT_FUEL);
         }
     }
 }
