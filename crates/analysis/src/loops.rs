@@ -9,7 +9,7 @@
 
 use crate::cfg::Cfg;
 use crate::dominators::DomTree;
-use helix_ir::{BlockId, Function, Instr, InstrRef};
+use helix_ir::{BlockId, Function, InstrRef};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -266,14 +266,6 @@ impl LoopForest {
         }
         out
     }
-
-    /// Returns the call instructions inside loop `id`.
-    pub fn calls_in(&self, id: LoopId, function: &Function) -> Vec<InstrRef> {
-        self.instrs_of(id, function)
-            .into_iter()
-            .filter(|r| matches!(function.instr(*r), Instr::Call { .. }))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -407,7 +399,6 @@ mod tests {
         assert_eq!(l.exit_blocks, vec![exit]);
         // header: cmp + condbr, body: rem + condbr, odd: add + br, latch: add + br.
         assert_eq!(forest.instrs_of(l.id, &f).len(), 8);
-        assert!(forest.calls_in(l.id, &f).is_empty());
     }
 
     #[test]

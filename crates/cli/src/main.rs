@@ -6,12 +6,11 @@
 //! * `helix parse` — parse + verify, report module shape (or re-print the canonical form),
 //! * `helix run` — execute sequentially, or in parallel after the HELIX transformation,
 //! * `helix profile` — run the profiling interpreter and report per-loop costs,
-//! * `helix parallelize` — run the HELIX analysis (Steps 1–8 + loop selection),
 //! * `helix simulate` — the Figure 9 flow: profile, analyze, simulate, report speedup,
-//! * `helix explain` — why each candidate loop was (not) selected: its decision under the
-//!   paper's constants and under this machine's calibration (lowered and observed segment
-//!   spans), with every segment's estimate, lowered span and observed span (see
-//!   `docs/observability.md`),
+//! * `helix explain` — the HELIX analysis (Steps 1–8 + loop selection) and why each
+//!   candidate loop was (not) selected: its plan, its decision under the paper's constants
+//!   and under this machine's calibration (lowered and observed segment spans), with every
+//!   segment's estimate, lowered span and observed span (see `docs/observability.md`),
 //! * `helix trace` — run the parallelized loop with full runtime telemetry and export a
 //!   Chrome trace-event timeline,
 //! * `helix dump-workload` — export a built-in synthetic SPEC stand-in as `.hir`,
@@ -24,7 +23,7 @@
 mod json;
 
 use helix_analysis::LoopNestingGraph;
-use helix_core::{transform, Helix, HelixConfig, HelixOutput, PrefetchMode};
+use helix_core::{transform, Helix, HelixConfig, PrefetchMode};
 use helix_frontend::parse_file;
 use helix_ir::{printer, ExecImage, ImageMachine, Module, Value};
 use helix_profiler::{profile_image_with_fuel, ProgramProfile};
@@ -45,11 +44,11 @@ COMMANDS:
     parse          Parse and verify a .hir file, report its shape
     run            Execute a program (sequentially, or --parallel after HELIX)
     profile        Profile a program and report per-loop cycle counts
-    parallelize    Run the HELIX analysis and report plans + selection
     simulate       Profile, analyze and simulate: the end-to-end speedup report
-    explain        Why each candidate loop was (not) selected: paper pricing against
-                   this machine's calibration over lowered and observed segment spans,
-                   with each segment's estimate, lowered span and observed span
+    explain        The HELIX analysis: each candidate loop's plan and why it was (not)
+                   selected, paper pricing against this machine's calibration over
+                   lowered and observed segment spans, with each segment's estimate,
+                   lowered span and observed span
     trace          Execute the parallelized loop with runtime telemetry: per-segment
                    stall accounting and a Chrome trace-event timeline
     dump-workload  Print a built-in synthetic workload as canonical .hir
@@ -61,7 +60,7 @@ COMMANDS:
 COMMON OPTIONS:
     --json             Emit the report as JSON on stdout
     --entry <name>     Entry function (default: main)
-    --cores <n>        Core count for parallelize/simulate/explain (default: 6); run
+    --cores <n>        Core count for simulate/explain (default: 6); run
                        --parallel and trace analyse at their --threads count
     --mode <m>         Prefetching mode: helix|none|matched|ideal (default: helix)
     --arg <int>        Append an integer argument for the entry function (repeatable)
@@ -387,7 +386,6 @@ fn run_cli(args: &[String]) -> Result<(), CliError> {
         "parse" => cmd_parse(&parse_options(&args[1..])?),
         "run" => cmd_run(&parse_options(&args[1..])?),
         "profile" => cmd_profile(&parse_options(&args[1..])?),
-        "parallelize" => cmd_parallelize(&parse_options(&args[1..])?),
         "simulate" => cmd_simulate(&parse_options(&args[1..])?),
         "explain" => cmd_explain(&parse_options(&args[1..])?),
         "trace" => cmd_trace(&parse_options(&args[1..])?),
@@ -418,7 +416,7 @@ fn entry_of(module: &Module, opts: &Options) -> Result<helix_ir::FuncId, CliErro
     })
 }
 
-/// Profiles the program (shared by profile/parallelize/simulate/run --parallel) on the
+/// Profiles the program (shared by profile/simulate/explain/run --parallel) on the
 /// runtime's engine, honouring the `--fuel` limit like every other interpreted run the CLI
 /// performs. The lowered image comes back for callers that run the program again.
 fn profiled(
@@ -971,13 +969,6 @@ fn cmd_profile(opts: &Options) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Runs profile + HELIX analysis (shared by `parallelize` and `simulate`).
-fn analysis_of(module: &Module, opts: &Options) -> Result<(ProgramProfile, HelixOutput), CliError> {
-    let (_nesting, profile, _entry, _image) = profiled(module, opts)?;
-    let output = Helix::new(config_of(opts)).analyze(module, &profile);
-    Ok((profile, output))
-}
-
 /// This machine's calibration: read from `--calibration-file` when that file exists,
 /// else the process's own measurement (also written to the file when one was named).
 fn calibration_of(opts: &Options) -> Result<CalibrationProfile, CliError> {
@@ -996,15 +987,17 @@ fn calibration_of(opts: &Options) -> Result<CalibrationProfile, CliError> {
     Ok(measured)
 }
 
-/// `helix explain`: why each candidate loop was (not) selected. Prices every candidate
-/// with the paper's constants, with this machine's calibration over the lowered segment
-/// spans, and with the same calibration over the spans a 1-worker run observed (see
-/// [`helix_simulator::explain()`]), and shows each segment's three costs.
+/// `helix explain`: the HELIX analysis, and why each candidate loop was (not) selected.
+/// Shows each candidate's plan and the whole-program estimate at the paper's constants,
+/// prices every candidate with the paper's constants, with this machine's calibration over
+/// the lowered segment spans, and with the same calibration over the spans a 1-worker run
+/// observed (see [`helix_simulator::explain()`]), and shows each segment's three costs.
 fn cmd_explain(opts: &Options) -> Result<(), CliError> {
     let module = load(opts)?;
     let calibration = calibration_of(opts)?;
     let (_nesting, profile, entry, _image) = profiled(&module, opts)?;
     let paper = Helix::new(config_of(opts));
+    let output = paper.analyze(&module, &profile);
     let calibrated = Helix::new(calibration.helix_config(paper.config))
         .with_cost_model(calibration.cost_model());
     let ns_per_cycle = calibration.ns_per_cycle();
@@ -1013,11 +1006,13 @@ fn cmd_explain(opts: &Options) -> Result<(), CliError> {
         entry,
         &opts.args,
         &profile,
-        &paper,
+        &output,
         &calibrated,
         ns_per_cycle,
     );
     let name = |key: helix_profiler::LoopKey| format!("{}/{}", module.function(key.0).name, key.1);
+    let mode = format!("{:?}", opts.mode).to_lowercase();
+    let estimate = output.estimated_speedup(opts.mode);
     if opts.json {
         // Absent numbers render as JSON `null`.
         let maybe = |x: Option<f64>| Json::float(x.unwrap_or(f64::NAN));
@@ -1040,9 +1035,38 @@ fn cmd_explain(opts: &Options) -> Result<(), CliError> {
                     ("ratio", maybe(s.ratio())),
                 ])
             });
+            let plan = &output.plans[&l.key];
             Json::object([
                 ("function", Json::str(&module.function(l.key.0).name)),
                 ("loop", Json::str(&l.key.1.to_string())),
+                (
+                    "plan",
+                    Json::object([
+                        ("segments", Json::uint(plan.segments.len() as u64)),
+                        (
+                            "synchronized_segments",
+                            Json::uint(plan.synchronized_segments() as u64),
+                        ),
+                        ("cycles_per_iter", Json::float(plan.total_cycles_per_iter)),
+                        (
+                            "sequential_fraction",
+                            Json::float(plan.sequential_fraction()),
+                        ),
+                        (
+                            "signals_before",
+                            Json::uint(plan.signals_before_minimization),
+                        ),
+                        ("signals_after", Json::uint(plan.signals_after_minimization)),
+                        (
+                            "loop_carried_fraction",
+                            Json::float(output.loop_carried_fraction[&l.key]),
+                        ),
+                        (
+                            "nesting_depth",
+                            Json::uint(output.nesting_depth[&l.key] as u64),
+                        ),
+                    ]),
+                ),
                 ("paper", decision(l.paper)),
                 ("calibrated_lowered", decision(l.lowered)),
                 ("calibrated_observed", decision(l.observed)),
@@ -1055,6 +1079,8 @@ fn cmd_explain(opts: &Options) -> Result<(), CliError> {
         let doc = Json::object([
             ("module", Json::str(&module.name)),
             ("cores", Json::uint(opts.cores as u64)),
+            ("mode", Json::str(&mode)),
+            ("estimated_speedup", Json::float(estimate)),
             (
                 "calibration",
                 Json::object([
@@ -1095,6 +1121,7 @@ fn cmd_explain(opts: &Options) -> Result<(), CliError> {
         calibrated.config.signal_latency_prefetched,
         paper.config.signal_latency_prefetched,
     );
+    println!("estimated whole-program speedup at the paper's constants ({mode} prefetching): {estimate:.2}x");
     println!(
         "  {:<20} {:>18} {:>21} {:>22}",
         "loop", "paper", "calibrated, lowered", "calibrated, observed"
@@ -1117,7 +1144,18 @@ fn cmd_explain(opts: &Options) -> Result<(), CliError> {
     }
     println!("  (yes = selected; the number is the saved time T in model cycles)");
     for l in &loops {
-        println!("{} ({}):", name(l.key), l.fusion);
+        let plan = &output.plans[&l.key];
+        println!(
+            "{} ({}): {} segments ({} synchronized), {:.0} cycles/iter, {:.0}% sequential, signals {} -> {}",
+            name(l.key),
+            l.fusion,
+            plan.segments.len(),
+            plan.synchronized_segments(),
+            plan.total_cycles_per_iter,
+            plan.sequential_fraction() * 100.0,
+            plan.signals_before_minimization,
+            plan.signals_after_minimization,
+        );
         println!(
             "  {:<8} {:<6} {:<5} {:>10} {:>10} {:>10} {:>8} {:>8}",
             "segment", "dep", "sync", "estimate", "lowered", "observed", "ratio", "samples"
@@ -1146,107 +1184,10 @@ fn cmd_explain(opts: &Options) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_parallelize(opts: &Options) -> Result<(), CliError> {
-    let module = load(opts)?;
-    let (profile, output) = analysis_of(&module, opts)?;
-    let stats = output.statistics();
-    if opts.json {
-        let plans = output.plans.iter().map(|(key, plan)| {
-            Json::object([
-                ("function", Json::str(&module.function(key.0).name)),
-                ("loop", Json::str(&key.1.to_string())),
-                ("selected", Json::bool(output.selection.is_selected(*key))),
-                ("segments", Json::uint(plan.segments.len() as u64)),
-                (
-                    "synchronized_segments",
-                    Json::uint(plan.synchronized_segments() as u64),
-                ),
-                ("cycles_per_iter", Json::float(plan.total_cycles_per_iter)),
-                (
-                    "sequential_fraction",
-                    Json::float(plan.sequential_fraction()),
-                ),
-                (
-                    "signals_before",
-                    Json::uint(plan.signals_before_minimization),
-                ),
-                ("signals_after", Json::uint(plan.signals_after_minimization)),
-                (
-                    "loop_carried_fraction",
-                    Json::float(
-                        output
-                            .loop_carried_fraction
-                            .get(key)
-                            .copied()
-                            .unwrap_or(0.0),
-                    ),
-                ),
-                (
-                    "nesting_depth",
-                    Json::uint(output.nesting_depth.get(key).copied().unwrap_or(0) as u64),
-                ),
-            ])
-        });
-        let doc = Json::object([
-            ("module", Json::str(&module.name)),
-            ("cores", Json::uint(opts.cores as u64)),
-            ("candidate_loops", Json::uint(output.plans.len() as u64)),
-            ("selected_loops", Json::uint(output.selection.len() as u64)),
-            (
-                "estimated_speedup",
-                Json::float(output.estimated_speedup(opts.mode)),
-            ),
-            ("program_cycles", Json::uint(profile.total_cycles)),
-            (
-                "loop_carried_dep_fraction",
-                Json::float(stats.loop_carried_dep_fraction),
-            ),
-            (
-                "signals_removed_fraction",
-                Json::float(stats.signals_removed_fraction),
-            ),
-            ("max_code_kb", Json::float(stats.max_code_kb)),
-            ("plans", Json::array(plans)),
-        ]);
-        println!("{}", doc.into_string());
-    } else {
-        println!(
-            "HELIX analysis of `{}` on {} cores: {} candidate loops, {} selected",
-            module.name,
-            opts.cores,
-            output.plans.len(),
-            output.selection.len()
-        );
-        for (key, plan) in &output.plans {
-            let marker = if output.selection.is_selected(*key) {
-                "*"
-            } else {
-                " "
-            };
-            println!(
-                " {marker} {}/{}: {} segments ({} synchronized), {:.0} cycles/iter, {:.0}% sequential, signals {} -> {}",
-                module.function(key.0).name,
-                key.1,
-                plan.segments.len(),
-                plan.synchronized_segments(),
-                plan.total_cycles_per_iter,
-                plan.sequential_fraction() * 100.0,
-                plan.signals_before_minimization,
-                plan.signals_after_minimization,
-            );
-        }
-        println!("(* = selected by the Section 2.2 algorithm)");
-        println!(
-            "estimated whole-program speedup: {:.2}x",
-            output.estimated_speedup(opts.mode)
-        );
-    }
-    Ok(())
-}
-
 fn cmd_simulate(opts: &Options) -> Result<(), CliError> {
     let module = load(opts)?;
-    let (profile, output) = analysis_of(&module, opts)?;
+    let (_nesting, profile, _entry, _image) = profiled(&module, opts)?;
+    let output = Helix::new(config_of(opts)).analyze(&module, &profile);
     let sim_config = SimConfig {
         helix: config_of(opts),
         mode: opts.mode,
@@ -1590,7 +1531,7 @@ fn write_repro(
     if let Some(fault) = &opts.inject_fault {
         text.push_str(&format!("# injected fault: {fault}\n"));
     }
-    text.push_str("# reproduce: helix fuzz --seeds 1 --seed-start <seed>, or feed this file to helix run/parallelize\n");
+    text.push_str("# reproduce: helix fuzz --seeds 1 --seed-start <seed>, or feed this file to helix run/explain\n");
     text.push_str(&helix_ir::printer::format_module(repro));
     std::fs::write(&path, &text)
         .map_err(|e| CliError::failed(format!("cannot write {path}: {e}")))?;

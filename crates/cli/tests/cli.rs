@@ -354,7 +354,36 @@ fn explain_json_prices_every_candidate_three_ways_and_observes_the_entry_loops()
     };
     let names: Vec<_> = loops.iter().map(|l| l.scalar("loop")).collect();
     assert_eq!(names, ["\"loop0\"", "\"loop1\"", "\"loop2\""], "{stdout}");
+    // The whole-program estimate at the paper's constants, under the default mode.
+    assert_eq!(report.scalar("mode"), "\"helix\"", "{stdout}");
+    let estimate: f64 = report.scalar("estimated_speedup").parse().unwrap();
+    assert!(estimate > 0.0 && estimate <= 6.0, "{stdout}");
     for l in loops {
+        // The paper-constant plan of the loop.
+        let Some(plan) = l.get("plan") else {
+            panic!("no plan: {stdout}")
+        };
+        let field = |name: &str| -> f64 {
+            plan.scalar(name)
+                .parse()
+                .unwrap_or_else(|_| panic!("plan field {name} missing: {stdout}"))
+        };
+        for name in [
+            "cycles_per_iter",
+            "sequential_fraction",
+            "loop_carried_fraction",
+        ] {
+            assert!(field(name) >= 0.0, "{stdout}");
+        }
+        assert!(field("nesting_depth") >= 1.0, "{stdout}");
+        assert!(
+            field("synchronized_segments") <= field("segments"),
+            "{stdout}"
+        );
+        assert!(
+            field("signals_after") <= field("signals_before"),
+            "{stdout}"
+        );
         for pricing in ["paper", "calibrated_lowered", "calibrated_observed"] {
             let Some(decision) = l.get(pricing) else {
                 panic!("no {pricing} pricing: {stdout}")
@@ -371,6 +400,7 @@ fn explain_json_prices_every_candidate_three_ways_and_observes_the_entry_loops()
         let Some(Json::Arr(segments)) = l.get("segments") else {
             panic!("no segments: {stdout}")
         };
+        assert_eq!(field("segments"), segments.len() as f64, "{stdout}");
         for s in segments
             .iter()
             .filter(|s| s.scalar("synchronized") == "true")

@@ -48,7 +48,7 @@ pub use helix_plan::{config, plan};
 pub use config::HelixConfig;
 pub use model::{PrefetchMode, SpeedupModel};
 pub use normalize::NormalizedLoop;
-pub use pipeline::{content_hash, Helix, HelixOutput, LoopStatistics, PreparedProgram};
+pub use pipeline::{content_hash, Helix, HelixOutput, PreparedProgram};
 pub use plan::{ParallelizedLoop, SequentialSegment};
 pub use privatize::{analyze_privatization, PrivatizationInfo};
 pub use selection::{DynamicLoopGraph, LoopSelection};

@@ -16,36 +16,6 @@ use helix_ir::{CostModel, FuncId, Function, Instr, Module, VarId};
 use helix_profiler::{LoopKey, ProgramProfile};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-/// Per-benchmark statistics in the shape of the paper's Table 1.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct LoopStatistics {
-    /// Number of loops chosen for parallelization.
-    pub parallelized_loops: usize,
-    /// Number of candidate loops considered (all loops executed during profiling).
-    pub candidate_loops: usize,
-    /// Fraction of data dependences inside the parallelized loops that are loop-carried.
-    pub loop_carried_dep_fraction: f64,
-    /// Fraction of naive signals removed by Step 6.
-    pub signals_removed_fraction: f64,
-    /// Fraction of consumed data that must be forwarded between cores.
-    pub data_transfer_fraction: f64,
-    /// Largest per-iteration code size among parallelized loops, in kilobytes.
-    pub max_code_kb: f64,
-}
-
-/// Time breakdown of a benchmark under a given loop selection (the Figure 11 components).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct TimeBreakdown {
-    /// Fraction of time in parallelizable loop code.
-    pub parallel: f64,
-    /// Fraction of time in sequential segments (sequential-data).
-    pub sequential_data: f64,
-    /// Fraction of time in loop prologues (sequential-control).
-    pub sequential_control: f64,
-    /// Fraction of time outside the chosen loops.
-    pub outside: f64,
-}
-
 /// The result of running the HELIX analysis over a program.
 #[derive(Clone, Debug)]
 pub struct HelixOutput {
@@ -63,8 +33,6 @@ pub struct HelixOutput {
     pub config: HelixConfig,
     /// Total program cycles of the profiling run.
     pub program_cycles: u64,
-    /// Profile-reported loads per loop iteration (used for the data-transfer metric).
-    pub loads_per_iteration: BTreeMap<LoopKey, f64>,
 }
 
 /// A program carried through the whole pipeline in one call — profiled, analyzed, and (when
@@ -215,7 +183,6 @@ impl Helix {
         let mut model_inputs = BTreeMap::new();
         let mut loop_carried_fraction = BTreeMap::new();
         let mut nesting_depth = BTreeMap::new();
-        let mut loads_per_iteration = BTreeMap::new();
         let mut function_facts: HashMap<FuncId, FunctionFacts> = HashMap::new();
 
         for node in nesting.iter() {
@@ -367,30 +334,6 @@ impl Helix {
                 .count() as f64;
             let bytes_per_iteration = transferring * self.config.word_bytes as f64 * 0.0625;
 
-            // Loads per iteration (for the Table 1 data-transfer percentage).
-            let loop_instrs = forest.instrs_of(node.loop_id, function);
-            let loads: u64 = loop_instrs
-                .iter()
-                .filter(|r| matches!(function.instr(**r), Instr::Load { .. }))
-                .map(|r| {
-                    profile
-                        .functions
-                        .get(&node.func)
-                        .map_or(0, |fp| fp.count_of(*r))
-                })
-                .sum();
-            loads_per_iteration.insert(key, loads as f64 / iterations);
-
-            // Per-iteration code size (including directly called functions, which Step 5 may
-            // inline): 4 bytes per instruction.
-            let mut code_instrs = loop_instrs.len();
-            for call in forest.calls_in(node.loop_id, function) {
-                if let Instr::Call { callee, .. } = function.instr(call) {
-                    code_instrs += module.function(*callee).instr_count();
-                }
-            }
-            let code_size_bytes = (code_instrs * 4) as u64;
-
             let mut plan = ParallelizedLoop {
                 func: node.func,
                 loop_id: node.loop_id,
@@ -412,7 +355,6 @@ impl Helix {
                 prologue_cycles_per_iter: prologue_per_iter,
                 total_cycles_per_iter: total_per_iter,
                 sequential_cycles_per_iter: seq_per_iter,
-                code_size_bytes,
             };
 
             // Step 8: space the segments for helper-thread prefetching.
@@ -442,7 +384,6 @@ impl Helix {
             selection,
             config: self.config,
             program_cycles: profile.total_cycles,
-            loads_per_iteration,
         }
     }
 
@@ -579,112 +520,18 @@ impl HelixOutput {
             .collect()
     }
 
-    /// Candidate loops at a fixed dynamic nesting level (Figure 11's fixed-level selections).
-    pub fn loops_at_level(&self, level: usize) -> BTreeSet<LoopKey> {
-        self.nesting_depth
-            .iter()
-            .filter(|(_, d)| **d == level)
-            .map(|(k, _)| *k)
-            .collect()
-    }
-
-    /// The paper's Table 1 statistics for this program.
-    pub fn statistics(&self) -> LoopStatistics {
-        let selected = &self.selection.selected;
-        let plans: Vec<&ParallelizedLoop> = self.selected_plans();
-        let avg = |values: Vec<f64>| -> f64 {
-            if values.is_empty() {
-                0.0
-            } else {
-                values.iter().sum::<f64>() / values.len() as f64
-            }
-        };
-        let loop_carried = avg(selected
-            .iter()
-            .filter_map(|k| self.loop_carried_fraction.get(k).copied())
-            .collect());
-        let signals_removed = avg(plans.iter().map(|p| p.signals_removed_fraction()).collect());
-        let data_transfers = avg(plans
-            .iter()
-            .map(|p| {
-                let key = (p.func, p.loop_id);
-                let loads = self.loads_per_iteration.get(&key).copied().unwrap_or(0.0);
-                let consumed_bytes = (loads * self.config.word_bytes as f64).max(1.0);
-                (p.bytes_per_iteration / consumed_bytes).min(1.0)
-            })
-            .collect());
-        let max_code_kb = plans
-            .iter()
-            .map(|p| p.code_size_bytes as f64 / 1024.0)
-            .fold(0.0, f64::max);
-        LoopStatistics {
-            parallelized_loops: selected.len(),
-            candidate_loops: self.plans.len(),
-            loop_carried_dep_fraction: loop_carried,
-            signals_removed_fraction: signals_removed,
-            data_transfer_fraction: data_transfers,
-            max_code_kb,
-        }
-    }
-
     /// The model-estimated whole-program speedup of the current selection under a prefetching
     /// mode (Sections 2.2 and 3.3).
     pub fn estimated_speedup(&self, mode: PrefetchMode) -> f64 {
-        self.estimated_speedup_for(&self.selection.selected, mode)
-    }
-
-    /// The model-estimated speedup for an arbitrary set of loops (used by the fixed-level and
-    /// latency-misestimation studies).
-    pub fn estimated_speedup_for(&self, loops: &BTreeSet<LoopKey>, mode: PrefetchMode) -> f64 {
         let model = SpeedupModel::new(self.config);
-        let outputs: Vec<_> = loops
+        let outputs: Vec<_> = self
+            .selection
+            .selected
             .iter()
             .filter_map(|k| self.model_inputs.get(k))
             .map(|input| model.evaluate_loop(input, mode))
             .collect();
         model.program_speedup(&outputs)
-    }
-
-    /// The Figure 11 time breakdown for an arbitrary, non-nested set of loops.
-    pub fn time_breakdown(&self, loops: &BTreeSet<LoopKey>) -> TimeBreakdown {
-        if self.program_cycles == 0 {
-            return TimeBreakdown::default();
-        }
-        let total = self.program_cycles as f64;
-        let mut in_loops = 0.0;
-        let mut seq_data = 0.0;
-        let mut seq_control = 0.0;
-        for key in loops {
-            let (Some(plan), Some(input)) = (self.plans.get(key), self.model_inputs.get(key))
-            else {
-                continue;
-            };
-            let iters = input.iterations.max(1.0);
-            in_loops += input.loop_cycles;
-            seq_data += plan.sequential_cycles_per_iter * iters;
-            seq_control += plan.prologue_cycles_per_iter * iters;
-        }
-        let in_loops = in_loops.min(total);
-        let seq_data = seq_data.min(in_loops);
-        let seq_control = seq_control.min(in_loops - seq_data);
-        let parallel = (in_loops - seq_data - seq_control).max(0.0);
-        TimeBreakdown {
-            parallel: parallel / total,
-            sequential_data: seq_data / total,
-            sequential_control: seq_control / total,
-            outside: ((total - in_loops) / total).max(0.0),
-        }
-    }
-
-    /// Nesting-level histogram of the selected loops (Figure 13).
-    pub fn selected_level_distribution(&self) -> BTreeMap<usize, usize> {
-        let mut hist = BTreeMap::new();
-        for key in &self.selection.selected {
-            if let Some(d) = self.nesting_depth.get(key) {
-                *hist.entry(*d).or_insert(0) += 1;
-            }
-        }
-        hist
     }
 }
 
@@ -759,12 +606,6 @@ mod tests {
             .map(|k| &output.model_inputs[k])
             .collect();
         assert!(selected_inputs.iter().any(|i| i.iterations >= 1024.0));
-        // Statistics are populated.
-        let stats = output.statistics();
-        assert_eq!(stats.candidate_loops, 2);
-        assert!(stats.parallelized_loops >= 1);
-        assert!(stats.max_code_kb > 0.0);
-        assert!(stats.signals_removed_fraction >= 0.0);
     }
 
     #[test]
@@ -789,23 +630,6 @@ mod tests {
         let s_full = full.estimated_speedup(PrefetchMode::Helix);
         let s_none = no_helpers.estimated_speedup(PrefetchMode::None);
         assert!(s_full >= s_none);
-    }
-
-    #[test]
-    fn time_breakdown_sums_to_one() {
-        let output = analyzed(HelixConfig::default());
-        let b = output.time_breakdown(&output.selection.selected);
-        let sum = b.parallel + b.sequential_data + b.sequential_control + b.outside;
-        assert!(
-            (sum - 1.0).abs() < 1e-6,
-            "breakdown must sum to 1, got {sum}"
-        );
-        assert!(b.parallel > 0.0);
-        // Level-1 loops exist in this flat program.
-        assert!(!output.loops_at_level(1).is_empty());
-        assert!(output.loops_at_level(7).is_empty());
-        let dist = output.selected_level_distribution();
-        assert!(dist.values().sum::<usize>() >= 1);
     }
 
     #[test]

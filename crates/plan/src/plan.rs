@@ -106,9 +106,6 @@ pub struct ParallelizedLoop {
     /// Average cycles per iteration spent inside synchronized sequential segments
     /// (sequential-data time).
     pub sequential_cycles_per_iter: f64,
-    /// Static code size of one iteration thread, in bytes (the Table 1 "maximum code"
-    /// metric; instructions are costed at a nominal 4 bytes each).
-    pub code_size_bytes: u64,
 }
 
 impl ParallelizedLoop {
@@ -135,15 +132,6 @@ impl ParallelizedLoop {
     /// Number of segments still synchronized after Step 6.
     pub fn synchronized_segments(&self) -> usize {
         self.segments.iter().filter(|s| s.synchronized).count()
-    }
-
-    /// Fraction of signals removed by Step 6 relative to naive insertion (Table 1's
-    /// "signals removed" column), in `[0, 1]`.
-    pub fn signals_removed_fraction(&self) -> f64 {
-        if self.signals_before_minimization == 0 {
-            return 0.0;
-        }
-        1.0 - self.signals_after_minimization as f64 / self.signals_before_minimization as f64
     }
 }
 
@@ -195,7 +183,6 @@ mod tests {
             prologue_cycles_per_iter: 5.0,
             total_cycles_per_iter: 100.0,
             sequential_cycles_per_iter: 15.0,
-            code_size_bytes: 4096,
         }
     }
 
@@ -205,16 +192,13 @@ mod tests {
         assert_eq!(p.parallel_cycles_per_iter(), 80.0);
         assert!((p.sequential_fraction() - 0.2).abs() < 1e-9);
         assert_eq!(p.synchronized_segments(), 1);
-        assert!((p.signals_removed_fraction() - 0.8).abs() < 1e-9);
     }
 
     #[test]
     fn degenerate_plans_do_not_divide_by_zero() {
         let mut p = plan();
         p.total_cycles_per_iter = 0.0;
-        p.signals_before_minimization = 0;
         assert_eq!(p.sequential_fraction(), 0.0);
-        assert_eq!(p.signals_removed_fraction(), 0.0);
         assert_eq!(p.parallel_cycles_per_iter(), 0.0);
     }
 }

@@ -38,16 +38,18 @@ use crate::lanes::{PaddedCounter, SignalLanes};
 use crate::parallel_image::{
     FlatEnd, FlatError, IterEnd, IterError, IterSync, LoopImage, ParallelImage,
 };
-use crate::pool::{detect_hardware_threads, panic_message, AdaptiveWait, Sleepers, WorkerPool};
+use crate::pool::{
+    detect_hardware_threads, lock, panic_message, AdaptiveWait, Sleepers, WorkerPool,
+};
 use crate::sharded::{SharedMemory, WorkerMemory};
 use crate::telemetry::{TelemetryMode, TelemetryReport, TelemetryRun, WorkerCtx, WorkerTail};
 use crate::threaded::DispatchTier;
 use helix_ir::interp::ExecError;
 use helix_ir::{DepId, ExecImage, Memory, Value};
 use helix_plan::TransformedProgram;
-use parking_lot::Mutex;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Default safety cap on the number of loop iterations dispatched.
 pub const DEFAULT_MAX_ITERATIONS: u64 = 10_000_000;
@@ -251,7 +253,7 @@ impl<'a> RunShared<'a> {
     /// already did, and wakes every waiter so it sees `exited_at`.
     fn record<V>(&self, slot: &Mutex<Option<(u64, V)>>, iteration: u64, value: V) {
         self.exited_at.0.fetch_min(iteration, Ordering::AcqRel);
-        let mut slot = slot.lock();
+        let mut slot = lock(slot);
         if slot
             .as_ref()
             .is_none_or(|(recorded, _)| *recorded > iteration)
@@ -295,8 +297,15 @@ impl<'a> RunShared<'a> {
     /// the legitimate result. An error at or before the earliest exit is real (sequential
     /// execution reaches it first).
     fn into_outcome(self) -> Result<(LoopExit, u64), RuntimeError> {
-        let exit = self.exit_state.into_inner();
-        if let Some((err_iter, err)) = self.error.into_inner() {
+        let exit = self
+            .exit_state
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some((err_iter, err)) = self
+            .error
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+        {
             let exit_iter = exit.as_ref().map_or(u64::MAX, |(i, _)| *i);
             if err_iter <= exit_iter {
                 return Err(err);

@@ -68,7 +68,7 @@ pub use jit::jit_supported;
 pub use lanes::SignalLanes;
 pub use observe::{run_observed, ImageObserver};
 pub use parallel_image::{LoopImage, ParallelImage, SegmentLane};
-pub use pool::{detect_hardware_threads, WaitStats, WorkerPanic, WorkerPool};
+pub use pool::{detect_hardware_threads, lock, WaitStats, WorkerPanic, WorkerPool};
 pub use sharded::{PrivateArena, SharedMemory, PRIVATE_BASE};
 pub use telemetry::{
     Event, EventKind, ObservedSegmentCost, TelemetryMode, TelemetryReport, TelemetryRun, WorkerTail,

@@ -5,8 +5,9 @@
 //! branch, call and return to a *profiling* handler. Those handlers report the events an
 //! [`ImageObserver`] consumes and charge the run's fuel; every data op keeps its ordinary
 //! handler, and under the JIT its native chunk, so observing costs one event per block
-//! entry rather than one per op. The run uses the tier a default `ParallelExecutor`
-//! resolves to, and its memory is a [`SharedMemory`] like every other run of this crate.
+//! entry rather than one per op. The run uses the JIT tier where the JIT is supported and
+//! the threaded tier elsewhere: every tier reports the same events, so the choice needs no
+//! calibration. Its memory is a [`SharedMemory`] like every other run of this crate.
 //!
 //! The run is observationally the sequential machine's
 //! ([`helix_ir::ImageMachine`]): the same return value, the same events in the same order,
@@ -17,9 +18,9 @@
 //! fault among them still wins. `helix-profiler` turns these events into a
 //! `ProgramProfile`.
 
-use crate::calibrate::CalibrationProfile;
 use crate::engine::Engine;
 use crate::sharded::{SharedMemory, WorkerMemory};
+use crate::threaded::DispatchTier;
 use helix_ir::interp::ExecError;
 use helix_ir::{ExecImage, FuncId, Value};
 
@@ -50,7 +51,12 @@ pub fn run_observed(
     fuel: u64,
     obs: &mut dyn ImageObserver,
 ) -> Result<Option<Value>, ExecError> {
-    let engine = Engine::for_probe(CalibrationProfile::cached().selected_tier(), image, func);
+    let tier = if crate::jit::jit_supported() {
+        DispatchTier::Jit
+    } else {
+        DispatchTier::Threaded
+    };
+    let engine = Engine::for_probe(tier, image, func);
     let memory = SharedMemory::from_memory(&image.initial_memory);
     engine.run_probed(args, &mut WorkerMemory::new(&memory), fuel, obs)
 }
@@ -58,7 +64,6 @@ pub fn run_observed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::threaded::DispatchTier;
     use helix_ir::builder::FunctionBuilder;
     use helix_ir::function::Function;
     use helix_ir::{BinOp, ImageMachine, Module, Operand, Pred};

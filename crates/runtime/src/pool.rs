@@ -16,15 +16,23 @@
 //!
 //! [`AdaptiveWait`] is the wait strategy used by workers at synchronization points: a
 //! bounded spin (cheap when the producer is one segment away), then `yield_now` (lets the
-//! producer run when something else holds its core), then a timed `parking_lot` park on a
-//! shared [`Sleepers`] pad that producers poke only when someone is actually parked — one
-//! relaxed load on the signal fast path.
+//! producer run when something else holds its core), then a timed park on a condition
+//! variable of a shared [`Sleepers`] pad that producers poke only when someone is actually
+//! parked — one relaxed load on the signal fast path.
 
-use parking_lot::{Condvar, Mutex};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Duration;
+
+/// Locks `mutex`, also when an earlier holder panicked, taking the data as that holder left
+/// it. Every lock of the runtime and the service goes through here, and that is sound for
+/// each of them: no critical section can panic midway through an update (the pool runs jobs
+/// outside its lock and catches their panics), so a panicked job never poisons the pool,
+/// the image cache or a client's writer for the jobs after it.
+pub fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A job body: executed once per participating worker with the worker's index
 /// (`1..=helpers`; index 0 is the submitting thread, which runs outside the pool).
@@ -124,14 +132,14 @@ impl WorkerPool {
 
     /// Number of helper threads currently spawned (for tests and diagnostics).
     pub fn spawned_helpers(&self) -> usize {
-        self.inner.state.lock().spawned
+        lock(&self.inner.state).spawned
     }
 
     /// Helper-cohort generation: bumped each time a panic forces a respawn (for tests and
     /// diagnostics — `generation() > 0` means the pool has recovered from at least one
     /// worker panic).
     pub fn generation(&self) -> u64 {
-        self.inner.state.lock().generation
+        lock(&self.inner.state).generation
     }
 
     /// Publishes `f` to `helpers` pool threads and returns a ticket that joins them.
@@ -166,10 +174,11 @@ impl WorkerPool {
             >(f)
         };
         let f: JobFn = Arc::new(move |ix: usize| f_static(ix));
-        let mut state = self.inner.state.lock();
-        while state.job.is_some() {
-            self.inner.done.wait(&mut state);
-        }
+        let mut state = self
+            .inner
+            .done
+            .wait_while(lock(&self.inner.state), |state| state.job.is_some())
+            .unwrap_or_else(PoisonError::into_inner);
         if state.poisoned {
             // A previous job panicked: retire the whole helper cohort (each parked helper
             // wakes on the notify below, sees the generation moved on, and exits) and
@@ -237,24 +246,23 @@ impl JobTicket<'_> {
         }
         self.joined = true;
         let inner = &self.pool.inner;
-        let mut state = inner.state.lock();
-        while let Some(job) = &state.job {
-            if job.active == 0 {
-                let job = state.job.take().expect("job present");
-                if job.panic.is_some() {
-                    state.poisoned = true;
-                }
-                drop(state);
-                // Notify *after* the slot is cleared (and the poison flag set): a queued
-                // submitter woken here must observe a free slot, or it re-parks and the
-                // next wake-up comes only from another take — clearing before notifying
-                // is what guarantees a panicking job can never wedge the queue.
-                inner.done.notify_all();
-                return job.panic;
-            }
-            inner.done.wait(&mut state);
+        let mut state = inner
+            .done
+            .wait_while(lock(&inner.state), |state| {
+                state.job.as_ref().is_some_and(|job| job.active > 0)
+            })
+            .unwrap_or_else(PoisonError::into_inner);
+        let job = state.job.take()?;
+        if job.panic.is_some() {
+            state.poisoned = true;
         }
-        None
+        drop(state);
+        // Notify *after* the slot is cleared (and the poison flag set): a queued submitter
+        // woken here must observe a free slot, or it re-parks and the next wake-up comes
+        // only from another take — clearing before notifying is what guarantees a
+        // panicking job can never wedge the queue.
+        inner.done.notify_all();
+        job.panic
     }
 }
 
@@ -272,7 +280,7 @@ fn helper_loop(inner: &PoolInner, generation: u64) {
         // Claim a slot in a fresh job, or park until one appears. Exit once the pool has
         // moved on to a newer helper cohort (post-panic respawn retired this one).
         let (f, index) = {
-            let mut state = inner.state.lock();
+            let mut state = lock(&inner.state);
             loop {
                 if state.generation != generation {
                     return;
@@ -286,12 +294,15 @@ fn helper_loop(inner: &PoolInner, generation: u64) {
                         }
                     }
                 }
-                inner.work.wait(&mut state);
+                state = inner
+                    .work
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
         };
         let result = catch_unwind(AssertUnwindSafe(|| f(index)));
         drop(f);
-        let mut state = inner.state.lock();
+        let mut state = lock(&inner.state);
         if let Some(job) = &mut state.job {
             job.active -= 1;
             if let Err(payload) = result {
@@ -338,9 +349,7 @@ impl Sleepers {
     /// condition after waking.
     pub fn sleep(&self, timeout: Duration) {
         self.count.fetch_add(1, Ordering::SeqCst);
-        let mut guard = self.lock.lock();
-        self.cv.wait_for(&mut guard, timeout);
-        drop(guard);
+        let _ = self.cv.wait_timeout(lock(&self.lock), timeout);
         self.count.fetch_sub(1, Ordering::SeqCst);
     }
 
@@ -348,7 +357,7 @@ impl Sleepers {
     #[inline]
     pub fn wake_all(&self) {
         if self.count.load(Ordering::SeqCst) != 0 {
-            let _guard = self.lock.lock();
+            let _guard = lock(&self.lock);
             self.cv.notify_all();
         }
     }
@@ -456,6 +465,20 @@ impl<'a> AdaptiveWait<'a> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+
+    #[test]
+    fn a_mutex_whose_holder_panicked_still_locks_and_keeps_its_data() {
+        let mutex = Mutex::new(vec![1]);
+        let panicked = catch_unwind(AssertUnwindSafe(|| {
+            lock(&mutex).push(2);
+            let _held = lock(&mutex);
+            panic!("the holder panics");
+        }));
+        assert!(panicked.is_err());
+        assert!(mutex.is_poisoned());
+        lock(&mutex).push(3);
+        assert_eq!(*lock(&mutex), [1, 2, 3]);
+    }
 
     #[test]
     fn pool_runs_helpers_and_is_reused() {

@@ -16,12 +16,11 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use helix_ir::{ExecImage, FuncId};
-use helix_runtime::ParallelImage;
-use parking_lot::Mutex;
+use helix_runtime::{lock, ParallelImage};
 
 /// FNV-1a 64-bit over `bytes`, continuing from `state`. Matches the constants used by
 /// [`helix_core::content_hash`] — stable across processes, unlike `DefaultHasher`.
@@ -114,7 +113,7 @@ impl ImageCache {
     /// Fast path: look up by the raw text hash, skipping even the parse. Counts a hit
     /// when found; counts *nothing* when absent (the canonical lookup decides miss).
     pub fn lookup_raw(&self, raw: u64) -> Option<Arc<ServedImage>> {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         let key = *inner.raw_index.get(&raw)?;
         let image = Arc::clone(inner.entries.get(&key)?);
         touch(&mut inner.order, key);
@@ -126,7 +125,7 @@ impl ImageCache {
     /// alias so the next identical submission takes the raw fast path; on absence the
     /// miss counter ticks and the caller must prepare + [`insert`](Self::insert).
     pub fn lookup_canonical(&self, key: u64, raw: u64) -> Option<Arc<ServedImage>> {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         match inner.entries.get(&key) {
             Some(image) => {
                 let image = Arc::clone(image);
@@ -148,7 +147,7 @@ impl ImageCache {
     /// (so all holders share one image) and only the raw alias is added.
     pub fn insert(&self, raw: u64, image: Arc<ServedImage>) -> Arc<ServedImage> {
         let key = image.key;
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         let image = match inner.entries.get(&key) {
             Some(existing) => Arc::clone(existing),
             None => {
@@ -177,7 +176,7 @@ impl ImageCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            entries: self.inner.lock().entries.len(),
+            entries: lock(&self.inner).entries.len(),
         }
     }
 }

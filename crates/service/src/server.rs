@@ -19,15 +19,15 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use helix_core::{content_hash, Helix, HelixConfig};
 use helix_ir::{ExecImage, ImageMachine, Memory, Value};
 use helix_runtime::{
-    CalibrationProfile, DispatchTier, ParallelExecutor, ParallelImage, RuntimeError, WorkerPool,
+    lock, CalibrationProfile, DispatchTier, ParallelExecutor, ParallelImage, RuntimeError,
+    WorkerPool,
 };
-use parking_lot::{Condvar, Mutex};
 
 use crate::cache::{raw_hash, CacheStats, ImageCache, ServedImage, ServedPlan};
 use crate::protocol::{
@@ -364,7 +364,7 @@ impl Server {
         let queue = JobQueue::new();
         let output = Mutex::new(output);
         let reply = |resp: Response| {
-            let _ = write_frame(&mut *output.lock(), &resp.encode());
+            let _ = write_frame(&mut *lock(&output), &resp.encode());
         };
         std::thread::scope(|scope| {
             for _ in 0..self.config.service_threads.max(1) {
@@ -424,7 +424,7 @@ impl Server {
                     scope.spawn(|| {
                         while let Some(job) = queue.pop() {
                             let resp = self.process_queued(job.job);
-                            let _ = write_frame(&mut *job.writer.lock(), &resp.encode());
+                            let _ = write_frame(&mut *lock(&job.writer), &resp.encode());
                         }
                     })
                 })
@@ -502,14 +502,14 @@ fn connection_reader<F>(
             Ok(None) => return,
             Err(e) => {
                 let resp = Response::fail(0, Status::Protocol, format!("bad frame: {e}"));
-                let _ = write_frame(&mut *writer.lock(), &resp.encode());
+                let _ = write_frame(&mut *lock(&writer), &resp.encode());
                 return;
             }
         };
         match Request::parse(&frame) {
             Ok(req) if req.op == Op::Shutdown => {
                 let resp = ack(&req);
-                let _ = write_frame(&mut *writer.lock(), &resp.encode());
+                let _ = write_frame(&mut *lock(&writer), &resp.encode());
                 shutdown.store(true, Ordering::Release);
                 wake_accept(listener);
                 return;
@@ -520,7 +520,7 @@ fn connection_reader<F>(
             Ok(_) => {}
             Err(e) => {
                 let resp = Response::fail(0, Status::Protocol, e);
-                let _ = write_frame(&mut *writer.lock(), &resp.encode());
+                let _ = write_frame(&mut *lock(&writer), &resp.encode());
             }
         }
     }
@@ -565,7 +565,7 @@ impl<T> Queue<T> {
     }
 
     fn push_item(&self, item: T) {
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         if state.1 {
             state.0.push_back(item);
             self.ready.notify_one();
@@ -573,20 +573,15 @@ impl<T> Queue<T> {
     }
 
     fn pop(&self) -> Option<T> {
-        let mut state = self.state.lock();
-        loop {
-            if let Some(item) = state.0.pop_front() {
-                return Some(item);
-            }
-            if !state.1 {
-                return None;
-            }
-            self.ready.wait(&mut state);
-        }
+        self.ready
+            .wait_while(lock(&self.state), |(items, open)| items.is_empty() && *open)
+            .unwrap_or_else(PoisonError::into_inner)
+            .0
+            .pop_front()
     }
 
     fn close(&self) {
-        self.state.lock().1 = false;
+        lock(&self.state).1 = false;
         self.ready.notify_all();
     }
 }

@@ -5,7 +5,7 @@
 //! lowered segment spans, and the same calibration over the spans a 1-worker run
 //! observed. `helix explain` renders these rows.
 
-use helix_core::{transform, Helix, LoopSelection};
+use helix_core::{transform, Helix, HelixOutput, LoopSelection};
 use helix_ir::{DepId, FuncId, Module, Value};
 use helix_profiler::{LoopKey, ProgramProfile};
 use helix_runtime::{ParallelExecutor, ParallelImage, TelemetryMode};
@@ -82,10 +82,10 @@ pub struct LoopExplanation {
     pub segments: Vec<SegmentExplanation>,
 }
 
-/// Explains the loop selection of `module`: analyses it under `paper` and under
-/// `calibrated`, lowers every candidate plan of the calibrated analysis once, runs each
-/// candidate of `entry` once at one worker with full telemetry, and prices the candidates
-/// three ways (see [`LoopExplanation`]).
+/// Explains the loop selection of `module` given `paper`, its analysis at the paper's
+/// constants: analyses it under `calibrated`, lowers every candidate plan of the calibrated
+/// analysis once, runs each candidate of `entry` once at one worker with full telemetry,
+/// and prices the candidates three ways (see [`LoopExplanation`]).
 ///
 /// Lowered spans are priced with `calibrated`'s cost model; observed spans are converted
 /// from nanoseconds at `ns_per_cycle`. The runs dispatch on the executor's automatic tier.
@@ -94,11 +94,10 @@ pub fn explain(
     entry: FuncId,
     args: &[Value],
     profile: &ProgramProfile,
-    paper: &Helix,
+    paper: &HelixOutput,
     calibrated: &Helix,
     ns_per_cycle: f64,
 ) -> Vec<LoopExplanation> {
-    let paper_selection = paper.analyze(module, profile).selection;
     let output = calibrated.analyze(module, profile);
     let executor = ParallelExecutor::new(1).with_telemetry(TelemetryMode::Full);
     let mut lowered_costs = BTreeMap::new();
@@ -163,7 +162,7 @@ pub fn explain(
         .into_iter()
         .map(|(key, run_error, fusion, segments)| LoopExplanation {
             key,
-            paper: Decision::of(&paper_selection, key),
+            paper: Decision::of(&paper.selection, key),
             lowered: Decision::of(&lowered_selection, key),
             observed: Decision::of(&observed_selection, key),
             ran: key.0 == entry && run_error.is_none(),
@@ -188,7 +187,7 @@ mod tests {
         let profile = profile_program_image(&module, &nesting, main, &[]).unwrap();
         let helix = Helix::new(HelixConfig::i7_980x());
         let output = helix.analyze(&module, &profile);
-        let loops = explain(&module, main, &[], &profile, &helix, &helix, 1.0);
+        let loops = explain(&module, main, &[], &profile, &output, &helix, 1.0);
 
         let keys: Vec<LoopKey> = loops.iter().map(|l| l.key).collect();
         assert_eq!(keys, output.plans.keys().copied().collect::<Vec<_>>());

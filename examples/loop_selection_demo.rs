@@ -33,7 +33,10 @@ fn main() {
     for latency in [4u64, 110] {
         let config = HelixConfig::i7_980x().with_selection_latency(latency);
         let output = Helix::new(config).analyze(&module, &profile);
-        let dist = output.selected_level_distribution();
+        let mut dist = std::collections::BTreeMap::new();
+        for key in &output.selection.selected {
+            *dist.entry(output.nesting_depth[key]).or_insert(0) += 1;
+        }
         println!(
             "\nassumed signal latency {latency} cycles: {} loops selected, by nesting level: {:?}",
             output.selection.len(),

@@ -148,15 +148,8 @@ fn nest_flip_selection_flips_between_paper_and_measured_costs() {
     // The explain report shows the flip: its paper column is the paper selection, and its
     // calibrated-lowered column (the candidate plans re-priced from their lowered runtime
     // images) agrees with the measured choice.
-    let loops = helix::simulator::explain(
-        &module,
-        main,
-        &[],
-        &profile,
-        &Helix::new(HelixConfig::i7_980x()),
-        &measured_helix,
-        1.0,
-    );
+    let loops =
+        helix::simulator::explain(&module, main, &[], &profile, &paper, &measured_helix, 1.0);
     let column = |pick: fn(&helix::simulator::LoopExplanation) -> bool| {
         loops
             .iter()
