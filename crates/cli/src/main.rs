@@ -72,10 +72,10 @@ COMMON OPTIONS:
                        measure this machine and write the profile there
     --threads <list>   Worker thread count(s); comma-separated for fuzz (default: 4 for
                        run --parallel and trace, 1,2,4,6 for fuzz)
-    --dispatch-tier <t> (fuzz) Pin the runtime dispatch engine: switch (match-based
-                       interpreter) | threaded (direct-threaded handler streams) | jit
-                       (template JIT over threaded tables, see docs/jit.md) | auto
-                       (calibrated selection, the default; see docs/dispatch.md)
+    --dispatch-tier <t> (run --parallel, trace, fuzz) Pin the runtime dispatch engine:
+                       threaded (direct-threaded handler streams) | jit (template JIT
+                       over threaded tables, see docs/jit.md) | auto (calibrated
+                       selection, the default; see docs/dispatch.md)
     --spin-budget <n>  (run --parallel, trace, fuzz) Wait spins before declaring deadlock
     --sample <n>       Telemetry sampling period: 0 disables event recording, 1 records
                        every iteration, n records every n-th (default: 1 for trace,
@@ -242,7 +242,7 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
                 let raw = value_of("--dispatch-tier", &mut it)?;
                 let tier = raw.parse().map_err(|_| {
                     CliError::Usage(format!(
-                        "--dispatch-tier expects switch, threaded, jit or auto, got {raw:?}"
+                        "--dispatch-tier expects threaded, jit or auto, got {raw:?}"
                     ))
                 })?;
                 opts.dispatch_tier = Some(tier);
@@ -443,9 +443,9 @@ fn config_of(opts: &Options) -> HelixConfig {
     HelixConfig::i7_980x().with_cores(opts.cores)
 }
 
-/// An executor of `threads` workers under `--spin-budget`, when given.
-fn executor_of(opts: &Options, threads: usize) -> ParallelExecutor {
-    let executor = ParallelExecutor::new(threads);
+/// `executor` with `--dispatch-tier` and `--spin-budget` applied.
+fn executor_of(opts: &Options, executor: ParallelExecutor) -> ParallelExecutor {
+    let executor = executor.with_dispatch_tier(opts.dispatch_tier.unwrap_or_default());
     match opts.spin_budget {
         Some(spins) => executor.with_spin_budget(spins),
         None => executor,
@@ -584,7 +584,7 @@ fn run_parallel(module: &Module, opts: &Options) -> Result<(), CliError> {
     drop(machine);
     // Telemetry rides along at the sampled low-overhead period (counters stay exact);
     // `--sample 0` turns it off, `--sample 1` records every iteration.
-    let executor = executor_of(opts, threads)
+    let executor = executor_of(opts, ParallelExecutor::new(threads))
         .with_telemetry(TelemetryMode::from_sample_period(opts.sample.unwrap_or(64)));
     let run = executor.run_parallel_out(&ParallelImage::lower(&transformed), &opts.args);
     let telemetry = run.report;
@@ -843,7 +843,7 @@ fn cmd_trace(opts: &Options) -> Result<(), CliError> {
     // Overriding the hardware snapshot keeps the requested worker count even when the
     // host has fewer threads: the trace should show the claim protocol between `threads`
     // (there time-sliced) workers, not the clamped single-worker path.
-    let mut executor = executor_of(opts, threads).with_telemetry(mode);
+    let mut executor = executor_of(opts, ParallelExecutor::new(threads)).with_telemetry(mode);
     executor.hardware = threads;
     let run = executor.run_parallel_out(&pimg, &opts.args);
     let result = run
@@ -1303,12 +1303,7 @@ fn cmd_fuzz(opts: &Options) -> Result<(), CliError> {
     // Keep the oracle's tight deadlock detector: a genuine lost-signal bug should fail a
     // seed in milliseconds, not spin the production 200M-yield budget on every one of
     // thousands of shrink candidates. `--spin-budget` still overrides.
-    let mut executor = OracleConfig::default()
-        .executor
-        .with_dispatch_tier(opts.dispatch_tier.unwrap_or_default());
-    if let Some(spins) = opts.spin_budget {
-        executor = executor.with_spin_budget(spins);
-    }
+    let executor = executor_of(opts, OracleConfig::default().executor);
     if inject {
         helix_config = helix_config.with_unsound_union_merge();
     }

@@ -3,7 +3,7 @@
 //! the file-IO error paths (missing input, unwritable output — both must name the
 //! offending path), the host-topology labels of `helix fuzz`, the success path of
 //! `helix trace` (a well-formed Chrome trace of the loop chosen at the traced worker
-//! count) and the JSON report of `helix explain`.
+//! count, on the pinned dispatch tier) and the JSON report of `helix explain`.
 
 use std::process::{Command, Stdio};
 
@@ -337,6 +337,29 @@ fn trace_runs_the_loop_chosen_at_the_traced_worker_count() {
     assert!(
         stdout.starts_with("traced loop loop1 of `main`"),
         "{stdout}"
+    );
+}
+
+#[test]
+fn trace_runs_on_the_pinned_dispatch_tier() {
+    let output = Command::new(helix_exe())
+        .args(["trace", nest_flip(), "--threads", "2", "--out", "/dev/null"])
+        .args(["--dispatch-tier", "threaded", "--json"])
+        .output()
+        .unwrap();
+    assert!(output.status.success(), "trace failed: {output:?}");
+    let doc = parse_json(&String::from_utf8_lossy(&output.stdout)).unwrap();
+    let runtime = doc.get("runtime").expect("a runtime section");
+    assert_eq!(runtime.scalar("dispatch_tier"), "\"threaded\"");
+    // The retired switch tier is not a tier one can ask for.
+    let output = Command::new(helix_exe())
+        .args(["trace", nest_flip(), "--dispatch-tier", "switch"])
+        .output()
+        .unwrap();
+    assert_eq!(output.status.code(), Some(2), "{output:?}");
+    assert!(
+        String::from_utf8_lossy(&output.stderr).contains("--dispatch-tier expects"),
+        "{output:?}"
     );
 }
 

@@ -48,9 +48,9 @@ pub struct OracleConfig {
     pub check_parallel: bool,
     /// The executor of the parallel stage: its budgets, telemetry mode and dispatch tier
     /// apply to every run; its worker count is replaced by each of
-    /// [`OracleConfig::threads`]. The sequential reference engines are tier-independent, so
-    /// sweeping the same seed range once per pinned tier is a switch-vs-threaded-vs-jit
-    /// differential test by transitivity. A traced executor (the only kind that gets a
+    /// [`OracleConfig::threads`]. The sequential reference engines (the tree `Machine` and
+    /// `ImageMachine`) are tier-independent, so sweeping the same seed range once per
+    /// pinned tier is a threaded-vs-jit differential test by transitivity. A traced executor (the only kind that gets a
     /// report) additionally validates the event streams each run produces.
     pub executor: ParallelExecutor,
     /// HELIX configuration used for analysis.

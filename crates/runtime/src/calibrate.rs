@@ -42,24 +42,26 @@ enum Kernel {
 
 /// Measured machine constants, in nanoseconds, plus the topology they were measured on.
 ///
-/// All per-op numbers are *lean-engine dispatch costs* — what one executed op of that
-/// class costs end to end in the runtime's interpreter, dominated by dispatch rather than
-/// the ALU work itself. That is the right currency: the speedup model compares segment
+/// All per-op numbers are *dispatch costs* — what one executed op of that class costs end
+/// to end on one of the runtime's tiers, dominated by dispatch rather than the ALU work
+/// itself. That is the right currency: the speedup model compares segment
 /// cycles against signal latencies, and both must be priced in what *this* runtime pays.
 ///
 /// The `Default` is all zeros — "nothing measured", which [`CalibrationProfile::from_text`]
 /// refuses — and exists so a parse can start empty and prove every field was filled.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct CalibrationProfile {
-    /// ns per dispatched ALU-class op (add/xor/compare/move) in the switch tier.
+    /// The column of the retired switch tier, kept in the v3 format until the repository's
+    /// benchmark stops reading it: [`CalibrationProfile::measure`] copies the threaded
+    /// ALU-class cost here.
     pub alu_ns: f64,
-    /// ns per dispatched multiply in the switch tier.
+    /// The threaded multiply cost (see [`CalibrationProfile::alu_ns`]).
     pub mul_ns: f64,
-    /// ns per dispatched divide/remainder in the switch tier.
+    /// The threaded divide/remainder cost (see [`CalibrationProfile::alu_ns`]).
     pub div_ns: f64,
-    /// ns per dispatched load in the switch tier.
+    /// The threaded load cost (see [`CalibrationProfile::alu_ns`]).
     pub load_ns: f64,
-    /// ns per dispatched store in the switch tier.
+    /// The threaded store cost (see [`CalibrationProfile::alu_ns`]).
     pub store_ns: f64,
     /// ns per dispatched ALU-class op in the direct-threaded tier.
     pub alu_threaded_ns: f64,
@@ -103,11 +105,6 @@ impl CalibrationProfile {
     /// Measures the machine. Takes a few milliseconds; prefer
     /// [`CalibrationProfile::cached`] unless a fresh measurement is explicitly wanted.
     pub fn measure() -> CalibrationProfile {
-        let alu_ns = per_op_ns(Kernel::Alu, DispatchTier::Switch);
-        let mul_ns = per_op_ns(Kernel::Mul, DispatchTier::Switch).max(alu_ns);
-        let div_ns = per_op_ns(Kernel::Div, DispatchTier::Switch).max(alu_ns);
-        let load_ns = per_op_ns(Kernel::Load, DispatchTier::Switch).max(alu_ns);
-        let store_ns = per_op_ns(Kernel::Store, DispatchTier::Switch).max(alu_ns);
         let alu_threaded_ns = per_op_ns(Kernel::Alu, DispatchTier::Threaded);
         let mul_threaded_ns = per_op_ns(Kernel::Mul, DispatchTier::Threaded).max(alu_threaded_ns);
         let div_threaded_ns = per_op_ns(Kernel::Div, DispatchTier::Threaded).max(alu_threaded_ns);
@@ -138,11 +135,11 @@ impl CalibrationProfile {
         let (signal_observe_ns, signal_publish_ns, signal_poll_ns) = signal_latencies();
         let pool_wake_ns = pool_wake();
         CalibrationProfile {
-            alu_ns,
-            mul_ns,
-            div_ns,
-            load_ns,
-            store_ns,
+            alu_ns: alu_threaded_ns,
+            mul_ns: mul_threaded_ns,
+            div_ns: div_threaded_ns,
+            load_ns: load_threaded_ns,
+            store_ns: store_threaded_ns,
             alu_threaded_ns,
             mul_threaded_ns,
             div_threaded_ns,
@@ -168,23 +165,10 @@ impl CalibrationProfile {
     }
 
     /// Per-class dispatch costs `[alu, mul, div, load, store]` of `tier`, in ns.
-    /// [`DispatchTier::Auto`] resolves through [`CalibrationProfile::selected_tier`].
+    /// [`DispatchTier::Auto`] resolves through [`CalibrationProfile::selected_tier`]; a
+    /// tier the executor runs on the threaded tier costs the threaded tier's.
     pub fn dispatch_ns(&self, tier: DispatchTier) -> [f64; 5] {
         match tier {
-            DispatchTier::Switch => [
-                self.alu_ns,
-                self.mul_ns,
-                self.div_ns,
-                self.load_ns,
-                self.store_ns,
-            ],
-            DispatchTier::Threaded => [
-                self.alu_threaded_ns,
-                self.mul_threaded_ns,
-                self.div_threaded_ns,
-                self.load_threaded_ns,
-                self.store_threaded_ns,
-            ],
             DispatchTier::Jit => [
                 self.alu_jit_ns,
                 self.mul_jit_ns,
@@ -193,27 +177,30 @@ impl CalibrationProfile {
                 self.store_jit_ns,
             ],
             DispatchTier::Auto => self.dispatch_ns(self.selected_tier()),
+            _ => [
+                self.alu_threaded_ns,
+                self.mul_threaded_ns,
+                self.div_threaded_ns,
+                self.load_threaded_ns,
+                self.store_threaded_ns,
+            ],
         }
     }
 
-    /// The dispatch tier that measured fastest on this machine, by mean per-op dispatch
-    /// cost across the five kernel classes. The JIT tier is considered only where it can
-    /// actually run ([`crate::jit::jit_supported`]) and only on a *strict* win — a profile
-    /// measured on an unsupported host mirrors the threaded costs and therefore never
-    /// selects it. Remaining ties go to the threaded tier (it is the one with the
-    /// flat-profile branch predictor win the microkernels cannot see).
+    /// The dispatch tier that measured faster on this machine, the JIT or the threaded
+    /// tier, by mean per-op dispatch cost across the five kernel classes. The JIT tier is
+    /// chosen only where it can actually run ([`crate::jit::jit_supported`]) and only on
+    /// a *strict* win — a profile measured on an unsupported host mirrors the threaded
+    /// costs and therefore never selects it.
     pub fn selected_tier(&self) -> DispatchTier {
         let mean = |c: [f64; 5]| c.iter().sum::<f64>() / 5.0;
-        let threaded = mean(self.dispatch_ns(DispatchTier::Threaded));
-        let switch = mean(self.dispatch_ns(DispatchTier::Switch));
         if crate::jit::jit_supported()
-            && mean(self.dispatch_ns(DispatchTier::Jit)) < threaded.min(switch)
+            && mean(self.dispatch_ns(DispatchTier::Jit))
+                < mean(self.dispatch_ns(DispatchTier::Threaded))
         {
             DispatchTier::Jit
-        } else if threaded <= switch {
-            DispatchTier::Threaded
         } else {
-            DispatchTier::Switch
+            DispatchTier::Threaded
         }
     }
 
@@ -431,7 +418,7 @@ fn time_kernel(image: &ExecImage, func: FuncId, reps: usize, tier: DispatchTier)
     for _ in 0..reps {
         let mut regs = vec![Value::default(); fi.num_regs];
         let start = Instant::now();
-        let result = engine.run_flat(fi.entry_block, None, &mut regs, &mut mem, u64::MAX);
+        let result = engine.run_from(fi.entry_block, None, &mut regs, &mut mem, u64::MAX);
         let _ = std::hint::black_box(result);
         best = best.min(start.elapsed());
     }
@@ -563,7 +550,8 @@ mod tests {
         assert!(CalibrationProfile::from_text("helix-calibration v3\n").is_err());
     }
 
-    /// A v3 profile whose three tiers cost `switch`/`threaded`/`jit` ns for every op class.
+    /// A v3 profile whose retired switch column and two tiers cost `switch`/`threaded`/`jit`
+    /// ns for every op class.
     fn flat_profile(switch: f64, threaded: f64, jit: f64) -> CalibrationProfile {
         CalibrationProfile {
             alu_ns: switch,
@@ -639,9 +627,10 @@ mod tests {
         assert_eq!(p.selected_tier(), DispatchTier::Threaded);
         // The cost currency follows the selected tier.
         assert_eq!(p.ns_per_cycle(), 4.0);
-        let p = flat_profile(10.0, 40.0, 40.0);
-        assert_eq!(p.selected_tier(), DispatchTier::Switch);
-        assert_eq!(p.ns_per_cycle(), 10.0);
+        // The retired switch column selects nothing, however fast it reads.
+        let p = flat_profile(1.0, 40.0, 40.0);
+        assert_eq!(p.selected_tier(), DispatchTier::Threaded);
+        assert_eq!(p.ns_per_cycle(), 40.0);
     }
 
     #[test]

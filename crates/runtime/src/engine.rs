@@ -1,13 +1,13 @@
 //! The dispatch engine of one run: the resolved [`DispatchTier`]'s handler tables together
-//! with the [`JitArtifact`] their patched slots point into, behind the two operations the
-//! executor needs — run the engine's function flat, run one loop iteration.
+//! with the [`JitArtifact`] their patched slots point into, behind the operations the
+//! executor and the profiler need — run the engine's function flat, run one loop
+//! iteration, run a profiled call.
 //!
 //! Owning tables and native code in one value is what keeps the artifact alive as long as
 //! the tables (the patched head slots hold raw addresses into it). An engine is built once
 //! per run on the submitting thread and shared by reference with every pool helper: the
 //! tables are read-only during dispatch and sealed code pages are immutable, so helpers
-//! neither re-lower the streams nor map executable memory of their own. It is also the one
-//! place that knows the switch tier has no table at all.
+//! neither re-lower the streams nor map executable memory of their own.
 //!
 //! A build does only the work the run can use (see [`FlatScope`]): it decodes, and under
 //! the JIT compiles, the flat code of the engine's function and its call-closure, less the
@@ -16,9 +16,7 @@
 
 use crate::jit::{self, JitArtifact};
 use crate::observe::ImageObserver;
-use crate::parallel_image::{
-    run_flat, run_iteration, FlatEnd, FlatError, IterEnd, IterError, IterSync, LoopImage,
-};
+use crate::parallel_image::{FlatEnd, FlatError, IterEnd, IterError, IterSync, LoopImage};
 use crate::sharded::WorkerMemory;
 use crate::threaded::{
     run_flat_probed, run_flat_threaded, run_iteration_threaded, DispatchTier, FlatScope,
@@ -29,18 +27,12 @@ use helix_ir::{ExecImage, FuncId, Value};
 
 pub(crate) struct Engine<'a> {
     image: &'a ExecImage,
-    /// The function [`Engine::run_flat`] runs.
+    /// The function [`Engine::run_from`] runs.
     func: FuncId,
-    /// Absent for engines that only run flat code (calibration kernels).
-    loop_image: Option<&'a LoopImage>,
-    /// `None` for the switch tier, which dispatches the streams directly.
-    tables: Option<Tables>,
-}
-
-struct Tables {
     flat: FlatTables,
-    /// Present exactly when the engine has a loop image.
-    iter: Option<IterTable>,
+    /// The loop [`Engine::iterate`] runs, with its decoded iteration stream. Absent for
+    /// engines that only run flat code (calibration kernels, profiling runs).
+    iter: Option<(&'a LoopImage, IterTable)>,
     /// Declared last so it drops last: the tables above point into it.
     _jit: Option<JitArtifact>,
 }
@@ -53,51 +45,23 @@ impl<'a> Engine<'a> {
         image: &'a ExecImage,
         loop_image: &'a LoopImage,
     ) -> Self {
-        Self::build(tier, image, loop_image.func, Some(loop_image))
+        let scope = FlatScope::new(image, loop_image.func, Some(loop_image));
+        Self::build(tier, image, loop_image.func, scope, Some(loop_image))
     }
 
     /// An engine that runs `func` flat and nothing else (calibration kernels).
     pub(crate) fn for_func(tier: DispatchTier, image: &'a ExecImage, func: FuncId) -> Self {
-        Self::build(tier, image, func, None)
+        Self::build(tier, image, func, FlatScope::new(image, func, None), None)
     }
 
-    /// An engine that profiles `func` ([`Engine::run_probed`]). The switch tier has no
-    /// tables to put the profiling handlers in, so it profiles on the threaded tier's.
+    /// An engine that profiles `func` ([`Engine::run_probed`]).
     pub(crate) fn for_probe(tier: DispatchTier, image: &'a ExecImage, func: FuncId) -> Self {
-        let tier = match tier {
-            DispatchTier::Switch => DispatchTier::Threaded,
-            tier => tier,
-        };
-        Self::with_scope(tier, image, func, FlatScope::probe(image, func), None)
+        Self::build(tier, image, func, FlatScope::probe(image, func), None)
     }
 
-    /// Lowers (and under the JIT tier compiles) what a run of `func` can reach for the
+    /// Lowers (and under the JIT tier compiles) the tables of `scope` for the
     /// already-resolved `tier`.
     fn build(
-        tier: DispatchTier,
-        image: &'a ExecImage,
-        func: FuncId,
-        loop_image: Option<&'a LoopImage>,
-    ) -> Self {
-        if tier == DispatchTier::Switch {
-            return Engine {
-                image,
-                func,
-                loop_image,
-                tables: None,
-            };
-        }
-        Self::with_scope(
-            tier,
-            image,
-            func,
-            FlatScope::new(image, func, loop_image),
-            loop_image,
-        )
-    }
-
-    /// Builds the tables of `scope` for a resolved tier other than the switch tier.
-    fn with_scope(
         tier: DispatchTier,
         image: &'a ExecImage,
         func: FuncId,
@@ -108,18 +72,15 @@ impl<'a> Engine<'a> {
         Engine {
             image,
             func,
-            loop_image,
-            tables: Some(Tables {
-                flat,
-                iter,
-                _jit: jit,
-            }),
+            flat,
+            iter: loop_image.zip(iter),
+            _jit: jit,
         }
     }
 
     /// Runs the engine's function from `start_block` until it returns or reaches
-    /// `stop_block` (see [`run_flat`] for the contract both tiers share).
-    pub(crate) fn run_flat(
+    /// `stop_block` (see [`run_flat_threaded`]).
+    pub(crate) fn run_from(
         &self,
         start_block: u32,
         stop_block: Option<u32>,
@@ -127,27 +88,16 @@ impl<'a> Engine<'a> {
         mem: &mut WorkerMemory<'_>,
         budget: u64,
     ) -> Result<FlatEnd, FlatError> {
-        match &self.tables {
-            Some(t) => run_flat_threaded(
-                self.image,
-                &t.flat,
-                self.func,
-                start_block,
-                stop_block,
-                regs,
-                mem,
-                budget,
-            ),
-            None => run_flat(
-                self.image,
-                self.func,
-                start_block,
-                stop_block,
-                regs,
-                mem,
-                budget,
-            ),
-        }
+        run_flat_threaded(
+            self.image,
+            &self.flat,
+            self.func,
+            start_block,
+            stop_block,
+            regs,
+            mem,
+            budget,
+        )
     }
 
     /// Runs the engine's function with `args` to its return, reporting to `obs` and
@@ -160,13 +110,12 @@ impl<'a> Engine<'a> {
         fuel: u64,
         obs: &mut dyn ImageObserver,
     ) -> Result<Option<Value>, ExecError> {
-        let tables = self.tables.as_ref().expect("a profiling engine has tables");
-        run_flat_probed(self.image, &tables.flat, self.func, args, mem, fuel, obs)
+        run_flat_probed(self.image, &self.flat, self.func, args, mem, fuel, obs)
     }
 
     /// Runs iteration `iteration` of the loop this engine was built with (see
-    /// [`run_iteration`] for the contract both tiers share).
-    pub(crate) fn run_iteration(
+    /// [`run_iteration_threaded`]).
+    pub(crate) fn iterate(
         &self,
         iteration: u64,
         regs: &mut Vec<Value>,
@@ -174,17 +123,13 @@ impl<'a> Engine<'a> {
         sync: &IterSync<'_>,
         on_control: &mut dyn FnMut(),
     ) -> Result<IterEnd, IterError> {
-        let loop_image = self
-            .loop_image
+        let (loop_image, table) = self
+            .iter
+            .as_ref()
             .expect("engine was built without a loop image");
-        match self.tables.as_ref().and_then(|t| t.iter.as_ref()) {
-            Some(table) => run_iteration_threaded(
-                self.image, loop_image, table, iteration, regs, mem, sync, on_control,
-            ),
-            None => run_iteration(
-                self.image, loop_image, iteration, regs, mem, sync, on_control,
-            ),
-        }
+        run_iteration_threaded(
+            self.image, loop_image, table, &self.flat, iteration, regs, mem, sync, on_control,
+        )
     }
 }
 
@@ -192,39 +137,54 @@ impl<'a> Engine<'a> {
 mod tests {
     use super::*;
     use crate::sharded::SharedMemory;
-    use crate::{ParallelExecutor, ParallelImage};
+    use crate::{ParallelExecutor, ParallelImage, RuntimeError};
     use helix_analysis::LoopNestingGraph;
     use helix_core::{transform, Helix, HelixConfig, TransformedProgram};
     use helix_ir::builder::{FunctionBuilder, ModuleBuilder};
     use helix_ir::{BinOp, Machine, Module, Op, Operand};
     use helix_profiler::profile_program_image;
 
-    /// `main` runs a straight-line prologue, an accumulator loop whose body calls `body`
-    /// (inside an outer loop of three trips when `nested`), then calls `finish` on the
-    /// total; `unused` is called by nothing. Returns the module, `main`, the transform of
-    /// the accumulator loop, and `[finish, unused, body]`.
-    fn closure_program(nested: bool) -> (Module, FuncId, TransformedProgram, [FuncId; 3]) {
+    /// The variants of [`closure_program`].
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Shape {
+        /// The accumulator loop alone.
+        Flat,
+        /// The accumulator loop inside an outer loop of three trips.
+        Nested,
+        /// As `Flat`, but `body` also stores to a negative address, so the loop's first
+        /// call faults. The plan is the clean program's.
+        FaultingBody,
+    }
+
+    /// `main` runs a straight-line prologue, an accumulator loop whose body calls `body`,
+    /// then calls `finish` on the total; `unused` is called by nothing. Returns the module,
+    /// `main`, the transform of the accumulator loop, and `[finish, unused, body]`.
+    fn closure_program(shape: Shape) -> (Module, FuncId, TransformedProgram, [FuncId; 3]) {
         let mut mb = ModuleBuilder::new("m");
         let acc = mb.add_global("acc", 1);
-        let arith = |name: &str| {
+        let arith = |name: &str, fault: bool| {
             let mut fb = FunctionBuilder::new(name, 1);
             let x = fb.param(0);
             let t = fb.binary_to_new(BinOp::Mul, Operand::Var(x), Operand::int(3));
             let u = fb.binary_to_new(BinOp::Add, Operand::Var(t), Operand::int(7));
             let v = fb.binary_to_new(BinOp::Xor, Operand::Var(u), Operand::int(5));
+            if fault {
+                fb.store(Operand::int(-8), 0, Operand::Var(v));
+            }
             fb.ret(Some(Operand::Var(v)));
             fb.finish()
         };
-        let finish = mb.add_function(arith("finish"));
-        let unused = mb.add_function(arith("unused"));
-        let body = mb.add_function(arith("body"));
+        let finish = mb.add_function(arith("finish", false));
+        let unused = mb.add_function(arith("unused", false));
+        let body = mb.add_function(arith("body", false));
         let mut fb = FunctionBuilder::new("main", 0);
         let seed = fb.new_var();
         fb.load(seed, Operand::Global(acc), 0);
         let s1 = fb.binary_to_new(BinOp::Mul, Operand::Var(seed), Operand::int(3));
         let s2 = fb.binary_to_new(BinOp::Add, Operand::Var(s1), Operand::int(1));
         fb.store(Operand::Global(acc), 0, Operand::Var(s2));
-        let outer = nested.then(|| fb.counted_loop(Operand::int(0), Operand::int(3), 1));
+        let outer =
+            (shape == Shape::Nested).then(|| fb.counted_loop(Operand::int(0), Operand::int(3), 1));
         let lh = fb.counted_loop(Operand::int(0), Operand::int(40), 1);
         let w = fb.new_var();
         fb.call(Some(w), body, vec![Operand::Var(lh.induction_var)]);
@@ -245,7 +205,7 @@ mod tests {
         fb.call(Some(out), finish, vec![Operand::Var(total)]);
         fb.ret(Some(Operand::Var(out)));
         let main = mb.add_function(fb.finish());
-        let module = mb.finish();
+        let mut module = mb.finish();
         let nesting = LoopNestingGraph::new(&module);
         let profile = profile_program_image(&module, &nesting, main, &[]).unwrap();
         let output = Helix::new(HelixConfig::i7_980x()).analyze(&module, &profile);
@@ -255,7 +215,11 @@ mod tests {
             .find(|p| p.func == main && p.header == lh.header)
             .expect("a plan for the accumulator loop")
             .clone();
-        let transformed = transform::apply(&module, &plan);
+        let mut transformed = transform::apply(&module, &plan);
+        if shape == Shape::FaultingBody {
+            *module.function_mut(body) = arith("body", true);
+            *transformed.module.function_mut(body) = arith("body", true);
+        }
         (module, main, transformed, [finish, unused, body])
     }
 
@@ -266,24 +230,23 @@ mod tests {
             .lock()
             .unwrap_or_else(|e| e.into_inner());
         assert!(crate::jit::jit_supported());
-        let (_, main, transformed, [finish, unused, body]) = closure_program(false);
+        let (_, main, transformed, [finish, unused, body]) = closure_program(Shape::Flat);
         let pimg = ParallelImage::lower(&transformed);
         let clone = pimg.loop_image.func;
         assert_eq!(transformed.original_func, main);
         let engine = Engine::for_loop(DispatchTier::Jit, &pimg.exec, &pimg.loop_image);
-        let tables = engine.tables.as_ref().expect("the JIT tier has tables");
-        let table = |f: FuncId| &tables.flat.funcs[f.index()];
+        let table = |f: FuncId| &engine.flat.funcs[f.index()];
         let heads = |f: FuncId| table(f).iter().filter(|op| jit::is_chunk_head(op)).count();
         // The clone's original and the helper nothing calls: no run reaches them, so
-        // nothing is decoded and no chunk is compiled for them. Nor for the callee only
-        // the loop body calls: iteration code runs its callees on the switch engine.
-        for f in [main, unused, body] {
+        // nothing is decoded and no chunk is compiled for them.
+        for f in [main, unused] {
             assert!(table(f).is_empty(), "{f:?} was decoded");
         }
-        // What Phases A and C do run is decoded and compiled: the clone's prologue and the
-        // callee after the loop.
+        // What the run does reach is decoded and compiled: the clone's prologue, the
+        // callee after the loop, and the callee iteration code calls.
         assert!(heads(clone) >= 1, "the clone's prologue has a chunk");
         assert!(heads(finish) >= 1, "the Phase C callee has a chunk");
+        assert!(heads(body) >= 1, "the loop body's callee has a chunk");
         // The loop's own blocks are left for the iteration stream, which has its own table.
         let fi = pimg.exec.func(clone);
         let loop_ops: usize = (0..fi.num_blocks() as u32)
@@ -295,7 +258,7 @@ mod tests {
             .filter(|op| crate::threaded::is_cold(op));
         assert!(loop_ops > 0);
         assert_eq!(cold.count(), loop_ops);
-        assert!(tables.iter.is_some());
+        assert!(engine.iter.is_some());
     }
 
     /// `blend_mix`'s iteration is 14 rounds of `mul, add, max, min` on a float. The JIT
@@ -327,11 +290,10 @@ mod tests {
             .count();
         assert_eq!(rounds, 14);
         let engine = Engine::for_loop(DispatchTier::Jit, &pimg.exec, &pimg.loop_image);
-        let table = engine
-            .tables
+        let (_, table) = engine
+            .iter
             .as_ref()
-            .and_then(|t| t.iter.as_ref())
-            .expect("the JIT tier has an iteration table");
+            .expect("a loop engine has an iteration table");
         let heads = table.ops.iter().filter(|op| jit::is_chunk_head(op)).count();
         assert!(
             heads.abs_diff(rounds) <= 1,
@@ -339,34 +301,31 @@ mod tests {
         );
     }
 
+    /// Every shape of [`closure_program`] ends like the tree machine's run, the faulting
+    /// loop-body callee with the tree machine's error.
     #[test]
     fn phase_c_callees_and_nested_loops_match_the_tree_machine_on_every_tier() {
-        for nested in [false, true] {
-            let (module, main, transformed, _) = closure_program(nested);
-            let expected = Machine::new(&module).call(main, &[]).unwrap();
+        for shape in [Shape::Flat, Shape::Nested, Shape::FaultingBody] {
+            let (module, main, transformed, _) = closure_program(shape);
+            let expected = Machine::new(&module).call(main, &[]);
+            assert_eq!(expected.is_err(), shape == Shape::FaultingBody);
             let pimg = ParallelImage::lower(&transformed);
             // Nested: Phase C re-enters the loop on the outer loop's next trip, so none of
             // the clone's blocks may stay cold.
-            let clone_cold = |tier| {
-                let engine = Engine::for_loop(tier, &pimg.exec, &pimg.loop_image);
-                let tables = engine.tables.expect("threaded tiers have tables");
-                tables.flat.funcs[pimg.loop_image.func.index()]
-                    .iter()
-                    .any(crate::threaded::is_cold)
-            };
-            assert_eq!(clone_cold(DispatchTier::Threaded), !nested);
+            let engine = Engine::for_loop(DispatchTier::Threaded, &pimg.exec, &pimg.loop_image);
+            let clone_cold = engine.flat.funcs[pimg.loop_image.func.index()]
+                .iter()
+                .any(crate::threaded::is_cold);
+            assert_eq!(clone_cold, shape != Shape::Nested);
             for threads in [1, 2] {
-                for tier in [
-                    DispatchTier::Switch,
-                    DispatchTier::Threaded,
-                    DispatchTier::Jit,
-                ] {
+                for tier in [DispatchTier::Threaded, DispatchTier::Jit] {
                     let mut executor = ParallelExecutor::new(threads).with_dispatch_tier(tier);
                     executor.hardware = threads;
-                    let got = executor
-                        .run_parallel(&pimg, &[])
-                        .unwrap_or_else(|e| panic!("nested={nested} {threads}t/{tier}: {e}"));
-                    assert_eq!(got, expected, "nested={nested}, {threads} threads, {tier}");
+                    let got = executor.run_parallel(&pimg, &[]).map_err(|e| match e {
+                        RuntimeError::Exec(e) => e,
+                        e => panic!("{shape:?} {threads}t/{tier}: {e}"),
+                    });
+                    assert_eq!(got, expected, "{shape:?}, {threads} threads, {tier}");
                 }
             }
         }
@@ -376,25 +335,23 @@ mod tests {
     /// exactly like decoded ones, calls included.
     #[test]
     fn cold_slots_run_like_decoded_ones() {
-        let (_, _, transformed, _) = closure_program(false);
+        let (_, _, transformed, _) = closure_program(Shape::Flat);
+        let expected = Machine::new(&transformed.module)
+            .call(transformed.parallel_func, &[])
+            .unwrap();
+        assert!(expected.is_some());
         let pimg = ParallelImage::lower(&transformed);
         let fi = pimg.exec.func(pimg.loop_image.func);
-        // Run the clone flat from the loop header: the whole loop, cold, then Phase C.
-        let run_from_header = |tier| {
+        // Run the whole clone flat: the prologue, the whole loop, cold, then Phase C.
+        for tier in [DispatchTier::Threaded, DispatchTier::Jit] {
             let engine = Engine::for_loop(tier, &pimg.exec, &pimg.loop_image);
             let memory = SharedMemory::from_memory(&pimg.exec.initial_memory);
             let mut mem = WorkerMemory::new(&memory);
             let mut regs = vec![Value::default(); fi.num_regs];
-            let end = engine.run_flat(pimg.loop_image.header, None, &mut regs, &mut mem, u64::MAX);
-            match end {
-                Ok(FlatEnd::Returned(v)) => v,
+            match engine.run_from(fi.entry_block, None, &mut regs, &mut mem, u64::MAX) {
+                Ok(FlatEnd::Returned(v)) => assert_eq!(v, expected, "{tier}"),
                 _ => panic!("{tier}: the flat run did not return"),
             }
-        };
-        let expected = run_from_header(DispatchTier::Switch);
-        assert!(expected.is_some());
-        for tier in [DispatchTier::Threaded, DispatchTier::Jit] {
-            assert_eq!(run_from_header(tier), expected, "{tier}");
         }
     }
 }

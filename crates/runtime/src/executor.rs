@@ -3,9 +3,9 @@
 //! Execution follows the paper's three phases. Phase A runs the transformed function
 //! sequentially from its entry to the parallelized loop's header; Phase B dispatches loop
 //! iterations across workers; Phase C resumes sequentially from the earliest iteration's
-//! exit. All three phases execute *lean* lowered bytecode (see [`crate::parallel_image`]):
-//! no fuel, no statistics, no per-op cost charging — this is the production dispatch loop,
-//! not the instrumented engine.
+//! exit. All three phases execute lowered bytecode (see [`crate::parallel_image`]) on the
+//! run's engine: no fuel, no statistics, no per-op cost charging — this is the production
+//! dispatch loop, not the instrumented engine.
 //!
 //! Phase B's machinery, end to end:
 //!
@@ -427,7 +427,7 @@ impl<'a> IterRunner<'a> {
         let iter_start = telem.map(|t| t.on_iter_start(i));
         let outcome = self
             .engine
-            .run_iteration(i, &mut self.regs, mem, &self.sync, on_control);
+            .iterate(i, &mut self.regs, mem, &self.sync, on_control);
         self.iterations += 1;
         if let (Some(t), Some(t0)) = (telem, iter_start) {
             t.on_iter_finish(i, t0);
@@ -659,10 +659,12 @@ impl ParallelExecutor {
 
     /// The tier this executor will actually dispatch with: an explicit pin wins, and
     /// `Auto` resolves through [`CalibrationProfile::selected_tier`] — the measured-cost
-    /// feedback loop (PR 5) applied to the engine choice itself.
+    /// feedback loop applied to the engine choice itself. The retired
+    /// [`DispatchTier::Switch`] runs on [`DispatchTier::Threaded`].
     pub fn resolved_tier(&self) -> DispatchTier {
         match self.dispatch_tier {
             DispatchTier::Auto => CalibrationProfile::cached().selected_tier(),
+            DispatchTier::Switch => DispatchTier::Threaded,
             pinned => pinned,
         }
     }
@@ -832,7 +834,7 @@ impl ParallelExecutor {
         for (slot, a) in regs.iter_mut().zip(args.iter()).take(fi.num_params) {
             *slot = *a;
         }
-        let phase_a = engine.run_flat(
+        let phase_a = engine.run_from(
             fi.entry_block,
             Some(loop_image.header),
             &mut regs,
@@ -852,7 +854,7 @@ impl ParallelExecutor {
             }
             (LoopExit::Returned(v), _) => return Ok(v),
         };
-        match engine.run_flat(block, None, &mut regs, mem, self.max_iterations)? {
+        match engine.run_from(block, None, &mut regs, mem, self.max_iterations)? {
             FlatEnd::Returned(v) => Ok(v),
             FlatEnd::ReachedStop => unreachable!("phase C has no stop block"),
         }
@@ -1081,16 +1083,15 @@ mod tests {
     #[test]
     fn dispatch_tiers_agree_at_every_thread_count() {
         // The direct-threaded and JIT tiers must be observationally identical to the
-        // switch interpreter: same result, at every worker count — the `hardware`
-        // override keeps the full claim protocol alive on any host. (On targets without
-        // JIT support the `Jit` leg degrades to threaded — still a valid leg.)
+        // tree machine: same result, at every worker count — the `hardware` override
+        // keeps the full claim protocol alive on any host. (On targets without JIT
+        // support the `Jit` leg degrades to threaded — still a valid leg.)
         let (module, main, transformed) = build_accumulator(96);
         let mut machine = Machine::new(&module);
         let expected = machine.call(main, &[]).unwrap().unwrap().as_int();
         let pimg = ParallelImage::lower(&transformed);
         for threads in [1, 2, 4, 6] {
             for tier in [
-                DispatchTier::Switch,
                 DispatchTier::Threaded,
                 DispatchTier::Jit,
                 DispatchTier::Auto,
@@ -1123,9 +1124,19 @@ mod tests {
             "Auto must resolve to an engine"
         );
         assert_eq!(resolved, CalibrationProfile::cached().selected_tier());
-        // Pins win over calibration.
-        let pinned = executor.with_dispatch_tier(DispatchTier::Switch);
-        assert_eq!(pinned.resolved_tier(), DispatchTier::Switch);
+        // Pins win over calibration; the retired switch tier runs on the threaded tier.
+        for (pin, tier) in [
+            (DispatchTier::Threaded, DispatchTier::Threaded),
+            (DispatchTier::Jit, DispatchTier::Jit),
+            (DispatchTier::Switch, DispatchTier::Threaded),
+        ] {
+            assert_eq!(
+                ParallelExecutor::new(2)
+                    .with_dispatch_tier(pin)
+                    .resolved_tier(),
+                tier
+            );
+        }
     }
 
     #[test]
@@ -1327,11 +1338,7 @@ mod tests {
             // Fault injection fires at claim time, ahead of dispatch, so every tier —
             // including JIT-patched tables, where the panic unwinds across only
             // interpreter frames, never native ones — must surface and recover alike.
-            for tier in [
-                DispatchTier::Switch,
-                DispatchTier::Threaded,
-                DispatchTier::Jit,
-            ] {
+            for tier in [DispatchTier::Threaded, DispatchTier::Jit] {
                 let mut executor = ParallelExecutor::new(threads).with_dispatch_tier(tier);
                 executor.hardware = threads;
                 let faulty = executor.with_injected_panic(7);

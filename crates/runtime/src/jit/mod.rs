@@ -34,7 +34,7 @@
 //! the fused RMW, which holds a load and a store; they bound chunks rather than being
 //! emulated. Correctness
 //! never depends on *what* is covered — only dispatch cost does — and the differential
-//! fuzz oracle holds all three tiers to bitwise-identical results.
+//! fuzz oracle holds both tiers to bitwise-identical results.
 //!
 //! ## Degrading cleanly
 //!
@@ -261,18 +261,16 @@ fn flat_slot(op: &Op, data: Option<POp>) -> Slot {
     }
 }
 
-/// Builds the dispatch tables of one engine for a resolved tier other than the switch
-/// tier (which has none): the flat tables of `scope` and, when given, `loop_image`'s
-/// iteration table. Under the JIT, when supported, every chunk of those tables is
-/// compiled into one [`JitArtifact`]; otherwise, or when nothing compiled, the tables are
-/// plain threaded tables.
+/// Builds the dispatch tables of one engine for a resolved tier: the flat tables of
+/// `scope` and, when given, `loop_image`'s iteration table. Under the JIT, when
+/// supported, every chunk of those tables is compiled into one [`JitArtifact`]; otherwise,
+/// or when nothing compiled, the tables are plain threaded tables.
 pub(crate) fn build_tables(
     tier: DispatchTier,
     image: &ExecImage,
     scope: &FlatScope,
     loop_image: Option<&LoopImage>,
 ) -> (FlatTables, Option<IterTable>, Option<JitArtifact>) {
-    debug_assert_ne!(tier, DispatchTier::Switch, "the switch tier has no tables");
     let mut iter = loop_image.map(IterTable::build);
     if tier != DispatchTier::Jit || !jit_supported() {
         let (flat, _) = FlatTables::build(image, scope, |_, _| ());

@@ -15,8 +15,10 @@
 //!
 //! * [`parallel_image`] — a [`helix_plan::TransformedProgram`] lowers **once** into a
 //!   [`ParallelImage`]: per-iteration flat bytecode with pre-resolved signal-lane indices,
-//!   sentinel back-edge/exit targets and privatized allocation sites, dispatched by a lean
-//!   engine with no fuel/statistics/cost accounting;
+//!   sentinel back-edge/exit targets and privatized allocation sites;
+//! * [`threaded`] and [`jit`] — the two dispatch tiers: each lowered stream decoded once
+//!   into direct-threaded handler tables, whose straight-line data runs the JIT compiles
+//!   to native chunks; no fuel, statistics or cost accounting on either;
 //! * [`lanes`] — cache-line-padded, windowed [`SignalLanes`] replace the dense counter
 //!   array whose adjacent dependences false-shared cache lines (the paper's ring-cache
 //!   communication, in software);
@@ -27,8 +29,9 @@
 //!   bump allocator that every run, at any worker count, reads and writes, plus each
 //!   worker's [`PrivateArena`] serving allocations the privatization analysis proved
 //!   iteration-private;
-//! * `engine` — one run's dispatch tables and JIT code behind `run_flat`/`run_iteration`,
-//!   built once on the submitting thread and shared by reference with every helper;
+//! * `engine` — one run's dispatch tables and JIT code behind `run_from`/`iterate`,
+//!   built once on the submitting thread and shared by reference with every helper; a
+//!   run executes on its own tier's tables only, calls from iteration code included;
 //! * [`observe`] — [`run_observed`] runs a function flat on an engine whose control ops
 //!   report block entries, calls and returns to an [`ImageObserver`] and charge fuel: the
 //!   profiled training run `helix-profiler` turns into the profile loop selection reads;

@@ -129,8 +129,8 @@ mod tests {
         assert_eq!(log.0[0], ('b', fid, image.func(fid).entry_block, None));
     }
 
-    /// The profiling handlers sit in every tier's tables; the switch tier profiles on the
-    /// threaded tier's. Each reports the same events and stops at the same fuel.
+    /// The profiling handlers sit in both tiers' tables. Each reports the same events and
+    /// stops at the same fuel.
     #[test]
     fn every_tier_reports_the_same_run() {
         let (module, fid) = fib_module();
@@ -152,11 +152,9 @@ mod tests {
             let want = reference.call(fid, &args);
             let (end, log) = observe(DispatchTier::Threaded, fuel);
             assert_eq!(end, want, "threaded, fuel {fuel}");
-            for tier in [DispatchTier::Switch, DispatchTier::Jit] {
-                let (tier_end, tier_log) = observe(tier, fuel);
-                assert_eq!(tier_end, end, "{tier}, fuel {fuel}");
-                assert_eq!(tier_log, log, "{tier}, fuel {fuel}");
-            }
+            let (jit_end, jit_log) = observe(DispatchTier::Jit, fuel);
+            assert_eq!(jit_end, end, "jit, fuel {fuel}");
+            assert_eq!(jit_log, log, "jit, fuel {fuel}");
         }
     }
 }

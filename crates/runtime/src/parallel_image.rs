@@ -20,16 +20,14 @@
 //! * `Alloc` sites the privatization analysis proved iteration-private become
 //!   [`Op::PrivateAlloc`], served from the per-worker [`crate::sharded::PrivateArena`].
 //!
-//! The same module hosts the *lean engine*: a minimal interpreter over the lowered ops with
-//! no fuel, no statistics, no observers and no cycle charging — the production dispatch loop
-//! of the runtime, as opposed to the instrumented engine used for profiling. Its semantics
-//! (value evaluation, memory faults, call depth, missing terminators) are identical to
-//! [`helix_ir::ImageMachine`]; only the accounting is gone.
+//! The same module states what a run of that code returns: how a flat run and an
+//! iteration end ([`FlatEnd`], [`IterEnd`]) and fail, the synchronization handles an
+//! iteration needs, and the blocking branch of a lane `Wait`. The dispatch tiers in
+//! [`crate::threaded`] and [`crate::jit`] execute the code.
 
 use crate::lanes::SignalLanes;
 use crate::pool::{AdaptiveWait, Sleepers};
-use crate::sharded::{MemoryError, WorkerMemory};
-use helix_ir::interp::{eval_binop, eval_pred, eval_unop, ExecError, MAX_CALL_DEPTH};
+use helix_ir::interp::{eval_binop, eval_pred, eval_unop, ExecError};
 use helix_ir::lower::{cost_table, CostClass};
 use helix_ir::{BinOp, BlockId, CostModel, DepId, ExecImage, FuncId, InstrRef, Op, Opnd, Value};
 use helix_plan::TransformedProgram;
@@ -976,36 +974,10 @@ pub(crate) fn specialize_op(op: &Op, private_ok: bool) -> POp {
 }
 
 // ---------------------------------------------------------------------------
-// The lean engine.
+// How runs end, and the blocking wait.
 // ---------------------------------------------------------------------------
 
-/// Evaluates a pre-resolved operand. Reads are unchecked like the instrumented engine's:
-/// lowering widens the register file to cover every referenced index, and every caller sizes
-/// `regs` to the function's `num_regs`.
-#[inline(always)]
-pub(crate) fn eval(regs: &[Value], o: Opnd) -> Value {
-    match o {
-        Opnd::Reg(r) => {
-            debug_assert!((r as usize) < regs.len());
-            // SAFETY: `r` is an operand of lowered code, and lowering widened the
-            // function's `num_regs` past every register index its code references; every
-            // caller passes a register file of at least `num_regs` entries.
-            unsafe { *regs.get_unchecked(r as usize) }
-        }
-        Opnd::Int(i) => Value::Int(i),
-        Opnd::Float(f) => Value::Float(f),
-    }
-}
-
-/// One suspended guest frame of [`run_flat`]'s explicit call stack.
-struct LeanFrame {
-    func: usize,
-    pc: usize,
-    regs: Vec<Value>,
-    dst: Option<u32>,
-}
-
-/// How a [`run_flat`] execution ended.
+/// How a flat run (Phase A, Phase C, a callee) ended.
 pub(crate) enum FlatEnd {
     /// Control reached `stop_block` at the top level (Phase A arriving at the loop header).
     ReachedStop,
@@ -1013,217 +985,12 @@ pub(crate) enum FlatEnd {
     Returned(Option<Value>),
 }
 
-/// Errors of the lean engine's sequential paths.
+/// Errors of a flat run.
 pub(crate) enum FlatError {
     Exec(ExecError),
     /// The top-level block-transition budget ran out (a runaway loop outside the
     /// parallelized one).
     BudgetExceeded,
-}
-
-impl From<ExecError> for FlatError {
-    fn from(e: ExecError) -> Self {
-        FlatError::Exec(e)
-    }
-}
-
-/// Runs whole-function bytecode leanly: Phase A (with `stop_block` = the loop header),
-/// Phase C and callee invocations all go through here. `Wait`/`Signal` are no-ops (outside
-/// iteration code they are either Phase-bound sync the sequential engine also ignores, or
-/// generator noise), matching the sequential engine's treatment.
-///
-/// `budget` bounds top-level block transitions (the caller's runaway-loop guard); callee
-/// blocks are unmetered, like the instrumented executor's phase stepping.
-pub(crate) fn run_flat(
-    image: &ExecImage,
-    func: FuncId,
-    start_block: u32,
-    stop_block: Option<u32>,
-    regs: &mut Vec<Value>,
-    mem: &mut WorkerMemory<'_>,
-    budget: u64,
-) -> Result<FlatEnd, FlatError> {
-    let mut f = &image.funcs[func.index()];
-    if regs.len() < f.num_regs {
-        regs.resize(f.num_regs, Value::default());
-    }
-    if stop_block == Some(start_block) {
-        return Ok(FlatEnd::ReachedStop);
-    }
-    let mut func_ix = func.index();
-    let mut frames: Vec<LeanFrame> = Vec::new();
-    let mut pc = f.block_start(start_block) as usize;
-    let mut top_blocks = 0u64;
-    let mut local_regs = std::mem::take(regs);
-    let result = 'run: loop {
-        let op = &f.code[pc];
-        match op {
-            Op::Mov { dst, src } => {
-                local_regs[*dst as usize] = eval(&local_regs, *src);
-                pc += 1;
-            }
-            Op::Un { dst, op, src } => {
-                local_regs[*dst as usize] = eval_unop(*op, eval(&local_regs, *src));
-                pc += 1;
-            }
-            Op::Bin { dst, op, lhs, rhs } => {
-                local_regs[*dst as usize] =
-                    eval_binop(*op, eval(&local_regs, *lhs), eval(&local_regs, *rhs));
-                pc += 1;
-            }
-            Op::Cmp {
-                dst,
-                pred,
-                lhs,
-                rhs,
-            } => {
-                local_regs[*dst as usize] = Value::from_bool(eval_pred(
-                    *pred,
-                    eval(&local_regs, *lhs),
-                    eval(&local_regs, *rhs),
-                ));
-                pc += 1;
-            }
-            Op::Select {
-                dst,
-                cond,
-                on_true,
-                on_false,
-            } => {
-                let v = if eval(&local_regs, *cond).as_bool() {
-                    eval(&local_regs, *on_true)
-                } else {
-                    eval(&local_regs, *on_false)
-                };
-                local_regs[*dst as usize] = v;
-                pc += 1;
-            }
-            Op::Load { dst, addr, offset } => {
-                let base = eval(&local_regs, *addr).as_int();
-                match mem.load(base + offset) {
-                    Ok(v) => local_regs[*dst as usize] = v,
-                    Err(e) => break 'run Err(FlatError::Exec(e.into())),
-                }
-                pc += 1;
-            }
-            Op::Store {
-                addr,
-                offset,
-                value,
-            } => {
-                let base = eval(&local_regs, *addr).as_int();
-                let v = eval(&local_regs, *value);
-                if let Err(e) = mem.store(base + offset, v) {
-                    break 'run Err(FlatError::Exec(e.into()));
-                }
-                pc += 1;
-            }
-            Op::Alloc { dst, words } => {
-                let n = eval(&local_regs, *words).as_int().max(0) as usize;
-                match mem.alloc(n) {
-                    Ok(base) => local_regs[*dst as usize] = Value::Int(base),
-                    Err(e) => break 'run Err(FlatError::Exec(e.into())),
-                }
-                pc += 1;
-            }
-            Op::PrivateAlloc { dst, words } => {
-                let n = eval(&local_regs, *words).as_int().max(0) as usize;
-                match mem.alloc_private(n) {
-                    Ok(base) => local_regs[*dst as usize] = Value::Int(base),
-                    Err(e) => break 'run Err(FlatError::Exec(e.into())),
-                }
-                pc += 1;
-            }
-            Op::Wait { .. } | Op::Signal { .. } => pc += 1,
-            Op::Call {
-                dst,
-                func: callee,
-                args,
-            } => {
-                if frames.len() + 1 > MAX_CALL_DEPTH {
-                    break 'run Err(FlatError::Exec(ExecError::StackOverflow));
-                }
-                let callee_ix = *callee as usize;
-                let cf = &image.funcs[callee_ix];
-                let mut callee_regs = vec![Value::default(); cf.num_regs.max(args.len())];
-                for (slot, a) in callee_regs.iter_mut().zip(args.iter()).take(cf.num_params) {
-                    *slot = eval(&local_regs, *a);
-                }
-                frames.push(LeanFrame {
-                    func: func_ix,
-                    pc,
-                    regs: std::mem::replace(&mut local_regs, callee_regs),
-                    dst: *dst,
-                });
-                func_ix = callee_ix;
-                f = &image.funcs[func_ix];
-                pc = f.entry_pc() as usize;
-            }
-            Op::Jump { pc: target, block } => {
-                if frames.is_empty() {
-                    if stop_block == Some(*block) {
-                        break 'run Ok(FlatEnd::ReachedStop);
-                    }
-                    top_blocks += 1;
-                    if top_blocks > budget {
-                        break 'run Err(FlatError::BudgetExceeded);
-                    }
-                }
-                pc = *target as usize;
-            }
-            Op::Branch {
-                cond,
-                then_pc,
-                then_block,
-                else_pc,
-                else_block,
-            } => {
-                let (target, block) = if eval(&local_regs, *cond).as_bool() {
-                    (*then_pc, *then_block)
-                } else {
-                    (*else_pc, *else_block)
-                };
-                if frames.is_empty() {
-                    if stop_block == Some(block) {
-                        break 'run Ok(FlatEnd::ReachedStop);
-                    }
-                    top_blocks += 1;
-                    if top_blocks > budget {
-                        break 'run Err(FlatError::BudgetExceeded);
-                    }
-                }
-                pc = target as usize;
-            }
-            Op::Ret { value } => {
-                let v = value.map(|v| eval(&local_regs, v));
-                match frames.pop() {
-                    None => break 'run Ok(FlatEnd::Returned(v)),
-                    Some(frame) => {
-                        func_ix = frame.func;
-                        f = &image.funcs[func_ix];
-                        local_regs = frame.regs;
-                        pc = frame.pc;
-                        if let Some(d) = frame.dst {
-                            local_regs[d as usize] = v.unwrap_or_default();
-                        }
-                        pc += 1;
-                    }
-                }
-            }
-            Op::Trap { block } => {
-                break 'run Err(FlatError::Exec(ExecError::MissingTerminator(BlockId::new(
-                    *block,
-                ))));
-            }
-        }
-    };
-    // Hand the (possibly callee-stale) top-level register file back to the caller: unwind to
-    // the bottom frame if the run ended inside a callee.
-    if let Some(bottom) = frames.into_iter().next() {
-        local_regs = bottom.regs;
-    }
-    *regs = local_regs;
-    result
 }
 
 /// How one iteration ended.
@@ -1253,18 +1020,6 @@ pub(crate) enum IterError {
         /// Last counter value observed.
         observed: u64,
     },
-}
-
-impl From<ExecError> for IterError {
-    fn from(e: ExecError) -> Self {
-        IterError::Exec(e)
-    }
-}
-
-impl From<MemoryError> for IterError {
-    fn from(e: MemoryError) -> Self {
-        IterError::Exec(e.into())
-    }
 }
 
 /// Shared synchronization handles the iteration runner needs.
@@ -1310,7 +1065,7 @@ pub(crate) enum WaitOutcome {
 /// The blocking branch of a lane `Wait`: adaptive backoff until the signal arrives, the
 /// loop exits underneath the waiter, or the deadlock budget runs out. Out of line from the
 /// dispatch loop (the fast path is a single satisfied poll); `telem` is this worker's
-/// recording handle and is statically `None` when the `telemetry` feature is off.
+/// recording handle, `None` when the run records no telemetry.
 pub(crate) fn wait_blocking(
     sync: &IterSync<'_>,
     telem: Option<crate::telemetry::WorkerCtx<'_>>,
@@ -1348,321 +1103,6 @@ pub(crate) fn wait_blocking(
             let observed = sync.lanes.observed(lane_ix, iteration);
             return end(WaitOutcome::Deadlocked { observed }, &backoff);
         }
-    }
-}
-
-/// Executes one iteration of the lowered loop. `regs` must already hold the loop-entry
-/// snapshot with induction variables privatized for `iteration`; `on_control` is invoked
-/// when the iteration's prologue completes (at most once per iteration from inside the code;
-/// the caller must also release control when the iteration completes without entering the
-/// body).
-pub(crate) fn run_iteration(
-    image: &ExecImage,
-    loop_image: &LoopImage,
-    iteration: u64,
-    regs: &mut [Value],
-    mem: &mut WorkerMemory<'_>,
-    sync: &IterSync<'_>,
-    on_control: &mut dyn FnMut(),
-) -> Result<IterEnd, IterError> {
-    let code = &loop_image.pcode[..];
-    let mut pc = loop_image.entry_pc as usize;
-    let telem = sync.telem;
-    // Reads are unchecked (see `eval`); writes go through `set`, also unchecked: every dst
-    // register index was widened into the function's register file at lowering time.
-    #[inline(always)]
-    fn get(regs: &[Value], r: u32) -> Value {
-        debug_assert!((r as usize) < regs.len());
-        // SAFETY: as in `eval`: `r` is a register of the loop's lowered code and `regs` is
-        // the loop function's widened register file.
-        unsafe { *regs.get_unchecked(r as usize) }
-    }
-    #[inline(always)]
-    fn set(regs: &mut [Value], r: u32, v: Value) {
-        debug_assert!((r as usize) < regs.len());
-        // SAFETY: as in `get`; destination registers were widened into the file too.
-        unsafe {
-            *regs.get_unchecked_mut(r as usize) = v;
-        }
-    }
-    loop {
-        match &code[pc] {
-            POp::MovR { dst, src } => {
-                set(regs, *dst, get(regs, *src));
-                pc += 1;
-            }
-            POp::MovI { dst, v } => {
-                set(regs, *dst, *v);
-                pc += 1;
-            }
-            POp::UnR { dst, op, src } => {
-                set(regs, *dst, eval_unop(*op, get(regs, *src)));
-                pc += 1;
-            }
-            POp::BinRR { dst, op, lhs, rhs } => {
-                set(
-                    regs,
-                    *dst,
-                    eval_binop(*op, get(regs, *lhs), get(regs, *rhs)),
-                );
-                pc += 1;
-            }
-            POp::BinRI { dst, op, lhs, rhs } => {
-                set(regs, *dst, eval_binop(*op, get(regs, *lhs), *rhs));
-                pc += 1;
-            }
-            POp::BinIR { dst, op, lhs, rhs } => {
-                set(regs, *dst, eval_binop(*op, *lhs, get(regs, *rhs)));
-                pc += 1;
-            }
-            POp::CmpRR {
-                dst,
-                pred,
-                lhs,
-                rhs,
-            } => {
-                set(
-                    regs,
-                    *dst,
-                    Value::from_bool(eval_pred(*pred, get(regs, *lhs), get(regs, *rhs))),
-                );
-                pc += 1;
-            }
-            POp::CmpRI {
-                dst,
-                pred,
-                lhs,
-                rhs,
-            } => {
-                set(
-                    regs,
-                    *dst,
-                    Value::from_bool(eval_pred(*pred, get(regs, *lhs), *rhs)),
-                );
-                pc += 1;
-            }
-            POp::CmpIR {
-                dst,
-                pred,
-                lhs,
-                rhs,
-            } => {
-                set(
-                    regs,
-                    *dst,
-                    Value::from_bool(eval_pred(*pred, *lhs, get(regs, *rhs))),
-                );
-                pc += 1;
-            }
-            POp::SelectB(data) => {
-                let v = if eval(regs, data.cond).as_bool() {
-                    eval(regs, data.on_true)
-                } else {
-                    eval(regs, data.on_false)
-                };
-                set(regs, data.dst, v);
-                pc += 1;
-            }
-            POp::LoadR {
-                dst,
-                addr,
-                offset,
-                private_ok,
-            } => {
-                let base = get(regs, *addr).as_int();
-                let a = base + offset;
-                let v = if *private_ok {
-                    mem.load_private(a)?
-                } else {
-                    mem.load(a)?
-                };
-                set(regs, *dst, v);
-                pc += 1;
-            }
-            POp::LoadA { dst, addr } => {
-                set(regs, *dst, mem.load(*addr)?);
-                pc += 1;
-            }
-            POp::StoreRR {
-                addr,
-                offset,
-                value,
-                private_ok,
-            } => {
-                let base = get(regs, *addr).as_int();
-                let a = base + offset;
-                let v = get(regs, *value);
-                if *private_ok {
-                    mem.store_private(a, v)?;
-                } else {
-                    mem.store(a, v)?;
-                }
-                pc += 1;
-            }
-            POp::StoreRI {
-                addr,
-                offset,
-                value,
-                private_ok,
-            } => {
-                let base = get(regs, *addr).as_int();
-                let a = base + offset;
-                if *private_ok {
-                    mem.store_private(a, *value)?;
-                } else {
-                    mem.store(a, *value)?;
-                }
-                pc += 1;
-            }
-            POp::StoreAR { addr, value } => {
-                mem.store(*addr, get(regs, *value))?;
-                pc += 1;
-            }
-            POp::StoreAI { addr, value } => {
-                mem.store(*addr, *value)?;
-                pc += 1;
-            }
-            POp::AllocR { dst, words } => {
-                let n = get(regs, *words).as_int().max(0) as usize;
-                set(regs, *dst, Value::Int(mem.alloc(n)?));
-                pc += 1;
-            }
-            POp::AllocI { dst, words } => {
-                let n = (*words).max(0) as usize;
-                set(regs, *dst, Value::Int(mem.alloc(n)?));
-                pc += 1;
-            }
-            POp::PrivateAllocR { dst, words } => {
-                let n = get(regs, *words).as_int().max(0) as usize;
-                set(regs, *dst, Value::Int(mem.alloc_private(n)?));
-                pc += 1;
-            }
-            POp::PrivateAllocI { dst, words } => {
-                let n = (*words).max(0) as usize;
-                set(regs, *dst, Value::Int(mem.alloc_private(n)?));
-                pc += 1;
-            }
-            POp::Wait { lane } => {
-                let lane_ix = *lane as usize;
-                if !sync.lanes.poll(lane_ix, iteration) {
-                    match wait_blocking(sync, telem, lane_ix, iteration, pc as u32) {
-                        WaitOutcome::Passed => {}
-                        WaitOutcome::Cancelled => return Ok(IterEnd::Cancelled),
-                        WaitOutcome::Deadlocked { observed } => {
-                            return Err(IterError::Deadlock {
-                                lane: *lane,
-                                pc: pc as u32,
-                                observed,
-                            });
-                        }
-                    }
-                } else if let Some(t) = telem {
-                    t.on_wait_fast(iteration, pc as u32);
-                }
-                pc += 1;
-            }
-            POp::SignalLane { lane } => {
-                sync.lanes.signal(*lane as usize, iteration);
-                sync.sleepers.wake_all();
-                if let Some(t) = telem {
-                    t.on_signal(iteration, pc as u32);
-                }
-                pc += 1;
-            }
-            POp::SignalControl => {
-                on_control();
-                pc += 1;
-            }
-            POp::CallB(call) => {
-                let actuals: Vec<Value> = call.args.iter().map(|a| eval(regs, *a)).collect();
-                let mut callee_regs: Vec<Value> = Vec::new();
-                prepare_callee_regs(image, call.func, &actuals, &mut callee_regs);
-                let end = run_flat(
-                    image,
-                    FuncId::new(call.func),
-                    image.funcs[call.func as usize].entry_block,
-                    None,
-                    &mut callee_regs,
-                    mem,
-                    u64::MAX,
-                )
-                .map_err(|e| match e {
-                    FlatError::Exec(e) => IterError::Exec(e),
-                    FlatError::BudgetExceeded => unreachable!("callees are unmetered"),
-                })?;
-                let v = match end {
-                    FlatEnd::Returned(v) => v,
-                    FlatEnd::ReachedStop => unreachable!("no stop block in callee runs"),
-                };
-                if let Some(d) = call.dst {
-                    set(regs, d, v.unwrap_or_default());
-                }
-                pc += 1;
-            }
-            POp::Jump { pc: target } => pc = *target as usize,
-            POp::EndIter => return Ok(IterEnd::Completed),
-            POp::ExitJump { block } => return Ok(IterEnd::Exit { block: *block }),
-            POp::Branch {
-                cond,
-                then_pc,
-                then_block,
-                else_pc,
-                else_block,
-            } => {
-                let (target, block) = if get(regs, *cond).as_bool() {
-                    (*then_pc, *then_block)
-                } else {
-                    (*else_pc, *else_block)
-                };
-                match target {
-                    PC_END_ITER => return Ok(IterEnd::Completed),
-                    PC_EXIT => return Ok(IterEnd::Exit { block }),
-                    t => pc = t as usize,
-                }
-            }
-            POp::RetR { src } => return Ok(IterEnd::Returned(Some(get(regs, *src)))),
-            POp::RetI { v } => return Ok(IterEnd::Returned(*v)),
-            POp::Trap { block } => {
-                return Err(IterError::Exec(ExecError::MissingTerminator(BlockId::new(
-                    *block,
-                ))));
-            }
-            POp::RmwA {
-                laddr,
-                ld,
-                op,
-                other,
-                ld_on_lhs,
-                dst,
-                saddr,
-            } => {
-                let l = mem.load(*laddr)?;
-                set(regs, *ld, l);
-                let o = get(regs, *other);
-                let v = if *ld_on_lhs {
-                    eval_binop(*op, l, o)
-                } else {
-                    eval_binop(*op, o, l)
-                };
-                set(regs, *dst, v);
-                mem.store(*saddr, v)?;
-                pc += 3;
-            }
-        }
-    }
-}
-
-/// Sizes and seeds a callee register file inside `storage` for [`run_flat`].
-pub(crate) fn prepare_callee_regs(
-    image: &ExecImage,
-    callee: u32,
-    args: &[Value],
-    storage: &mut Vec<Value>,
-) {
-    let cf = &image.funcs[callee as usize];
-    storage.resize(cf.num_regs.max(args.len()), Value::default());
-    for (slot, a) in storage.iter_mut().zip(args.iter()).take(cf.num_params) {
-        *slot = *a;
     }
 }
 

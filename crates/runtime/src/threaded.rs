@@ -3,7 +3,7 @@
 //! specialized `POp` shape (the fused RMW included), dispatched by a loop that
 //! is a single indirect call per op.
 //!
-//! Why this beats the match-based engine in [`crate::parallel_image`]:
+//! Why this beats a match-based interpreter such as [`helix_ir::ImageMachine`]:
 //!
 //! * **operand decode happens at lowering time** — a handler reads flat `u32`/`i64`/[`Value`]
 //!   fields out of its own `TOp` instead of matching an enum and chasing `Box`es;
@@ -18,14 +18,14 @@
 //! tail-call threading; the measured win comes from the pre-decoded operands and the
 //! monomorphized straight-line handler bodies (see `docs/dispatch.md`).
 //!
-//! The switch interpreter remains both the fallback tier and the differential reference:
-//! every handler body here is a transliteration of the corresponding `run_iteration` /
-//! `run_flat` arm, and the fuzz oracle runs the two tiers against each other.
+//! Every run of a parallel program executes on these tables, calls from iteration code
+//! included. The differential references are the sequential engines of `helix-ir` (the
+//! tree `Machine` and `ImageMachine`): the fuzz oracle holds each tier to their results.
 
 use crate::observe::ImageObserver;
 use crate::parallel_image::{
-    eval, prepare_callee_regs, run_flat, specialize_op, wait_blocking, FlatEnd, FlatError, IterEnd,
-    IterError, IterSync, LoopImage, POp, WaitOutcome, PC_END_ITER, PC_EXIT,
+    specialize_op, wait_blocking, FlatEnd, FlatError, IterEnd, IterError, IterSync, LoopImage, POp,
+    WaitOutcome, PC_END_ITER, PC_EXIT,
 };
 use crate::sharded::WorkerMemory;
 use crate::telemetry::WorkerCtx;
@@ -39,7 +39,10 @@ pub enum DispatchTier {
     /// host (see `CalibrationProfile::selected_tier`).
     #[default]
     Auto,
-    /// The match-based interpreter in [`crate::parallel_image`] — the reference tier.
+    /// Retired: the match-based interpreter this named is deleted, and
+    /// [`crate::ParallelExecutor`] runs a pin to it on [`DispatchTier::Threaded`]. The name
+    /// stays until the repository's benchmark, which still pins it, stops naming it; it is
+    /// not parsed.
     Switch,
     /// The direct-threaded tier in this module.
     Threaded,
@@ -66,11 +69,10 @@ impl std::str::FromStr for DispatchTier {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "auto" => Ok(DispatchTier::Auto),
-            "switch" => Ok(DispatchTier::Switch),
             "threaded" => Ok(DispatchTier::Threaded),
             "jit" => Ok(DispatchTier::Jit),
             other => Err(format!(
-                "unknown dispatch tier `{other}` (expected auto|switch|threaded|jit)"
+                "unknown dispatch tier `{other}` (expected auto|threaded|jit)"
             )),
         }
     }
@@ -138,6 +140,9 @@ enum FlatHalt {
 /// `&mut TCtx` it also receives.
 pub(crate) struct TCtx<'r, 'm> {
     image: &'r ExecImage,
+    /// The engine's flat code: the arrays a flat call or return switches to, and the
+    /// tables a call out of iteration code runs its callee on.
+    flat: &'r FlatTables,
     /// The specialized iteration stream (for the rare boxed ops a `TOp` cannot carry:
     /// `SelectB`, `CallB`). Empty in flat mode.
     pcode: &'r [POp],
@@ -173,9 +178,19 @@ pub(crate) struct Probe<'r> {
     resume: Vec<u32>,
 }
 
-// Reads are unchecked exactly like the switch engine's `eval`/`get`: lowering widens the
-// register file to cover every referenced index and every caller sizes `regs` to
-// `num_regs`, so the indices are in range by construction.
+/// Evaluates a pre-resolved operand (see [`get`]).
+#[inline(always)]
+fn eval(regs: &[Value], o: Opnd) -> Value {
+    match o {
+        Opnd::Reg(r) => get(regs, r),
+        Opnd::Int(i) => Value::Int(i),
+        Opnd::Float(f) => Value::Float(f),
+    }
+}
+
+// Reads are unchecked: lowering widens the register file to cover every referenced index
+// and every caller sizes `regs` to `num_regs`, so the indices are in range by
+// construction.
 #[inline(always)]
 fn get(regs: &[Value], r: u32) -> Value {
     debug_assert!((r as usize) < regs.len());
@@ -302,15 +317,10 @@ macro_rules! by_unop {
 // The dispatch loop.
 // ---------------------------------------------------------------------------
 
-/// Runs decoded code until a handler returns [`DONE`]. `tables` holds per-function code
-/// arrays for flat mode ([`SWITCH`] reloads from it); iteration mode passes `&[]` and
-/// never switches.
-fn dispatch<'c>(
-    tables: &'c [Vec<TOp>],
-    mut code: &'c [TOp],
-    mut pc: usize,
-    ctx: &mut TCtx<'_, '_>,
-) {
+/// Runs decoded code until a handler returns [`DONE`]. A [`SWITCH`] reloads the code array
+/// from `ctx.flat`; iteration code never switches.
+fn dispatch<'r>(mut code: &'r [TOp], mut pc: usize, ctx: &mut TCtx<'r, '_>) {
+    let tables = ctx.flat;
     loop {
         let op = &code[pc];
         let next = (op.h)(ctx, op, pc);
@@ -321,15 +331,14 @@ fn dispatch<'c>(
         if next == DONE {
             return;
         }
-        code = &tables[ctx.cur_func];
+        code = &tables.funcs[ctx.cur_func];
         pc = ctx.next_pc;
     }
 }
 
 // ---------------------------------------------------------------------------
 // Mode-shared data handlers. Field mapping is noted as `a=.. b=..` per handler and must
-// match `decode_data` exactly. Each body is a transliteration of the corresponding
-// switch-engine arm.
+// match `decode_data` exactly.
 // ---------------------------------------------------------------------------
 
 /// `a=dst b=src`
@@ -504,27 +513,23 @@ fn h_trap(ctx: &mut TCtx<'_, '_>, op: &TOp, _pc: usize) -> usize {
     DONE
 }
 
-/// Flat-mode `Wait`/`Signal`: no-ops, like `run_flat`'s treatment.
+/// Flat-mode `Wait`/`Signal`: no-ops (outside iteration code they are either phase-bound
+/// sync the sequential engines also ignore, or generator noise).
 fn h_nop(_ctx: &mut TCtx<'_, '_>, _op: &TOp, pc: usize) -> usize {
     pc + 1
 }
 
 /// A slot [`FlatTables::build`] left undecoded (see [`FlatScope`]): decodes the op now and
-/// runs it, so reaching one costs time, never correctness. A call runs on the switch
-/// engine, as from iteration code, since its callee may have no table.
+/// runs it, so reaching one costs time, never correctness. A call's callee has a table:
+/// the scope closes over the calls of cold blocks too.
 fn h_cold(ctx: &mut TCtx<'_, '_>, _op: &TOp, pc: usize) -> usize {
     let image = ctx.image;
-    match &image.funcs[ctx.cur_func].code[pc] {
-        Op::Call { dst, func, args } => call_on_switch(ctx, *dst, *func, args, pc),
-        op => {
-            let (op, _) = decode_flat_op(op);
-            (op.h)(ctx, &op, pc)
-        }
-    }
+    let (op, _) = decode_flat_op(&image.funcs[ctx.cur_func].code[pc]);
+    (op.h)(ctx, &op, pc)
 }
 
 // ---------------------------------------------------------------------------
-// Iteration-mode control handlers (transliterations of `run_iteration` arms).
+// Iteration-mode control handlers.
 // ---------------------------------------------------------------------------
 
 /// `a=lane` — the synchronized-segment entry wait.
@@ -587,40 +592,27 @@ fn h_select_iter(ctx: &mut TCtx<'_, '_>, _op: &TOp, pc: usize) -> usize {
     pc + 1
 }
 
-/// Call out of the iteration; call data lives in the boxed `POp` at `pc`. Callees run on
-/// the switch engine (calls are rare in iteration code, and this keeps the callee
-/// semantics identical to the reference tier by construction).
+/// Call out of the iteration; call data lives in the boxed `POp` at `pc`. The callee runs
+/// flat on the engine's tables, on a call stack of its own.
 fn h_call_iter(ctx: &mut TCtx<'_, '_>, _op: &TOp, pc: usize) -> usize {
-    let pcode = ctx.pcode;
+    let (image, pcode) = (ctx.image, ctx.pcode);
     let POp::CallB(call) = &pcode[pc] else {
         unreachable!("decoder installs h_call_iter only on CallB")
     };
-    call_on_switch(ctx, call.dst, call.func, &call.args, pc)
-}
-
-/// Runs a whole call to `func` on the switch engine, then continues after the call op.
-fn call_on_switch(
-    ctx: &mut TCtx<'_, '_>,
-    dst: Option<u32>,
-    func: u32,
-    args: &[Opnd],
-    pc: usize,
-) -> usize {
-    let image = ctx.image;
-    let actuals: Vec<Value> = args.iter().map(|a| eval(ctx.regs, *a)).collect();
-    let mut callee_regs: Vec<Value> = Vec::new();
-    prepare_callee_regs(image, func, &actuals, &mut callee_regs);
-    match run_flat(
+    let mut callee_regs = callee_frame(image, call.func, &call.args, ctx.regs);
+    let callee = FuncId::new(call.func);
+    match run_flat_threaded(
         image,
-        FuncId::new(func),
-        image.funcs[func as usize].entry_block,
+        ctx.flat,
+        callee,
+        image.func(callee).entry_block,
         None,
         &mut callee_regs,
         ctx.mem,
         u64::MAX,
     ) {
         Ok(FlatEnd::Returned(v)) => {
-            if let Some(d) = dst {
+            if let Some(d) = call.dst {
                 set(ctx.regs, d, v.unwrap_or_default());
             }
             pc + 1
@@ -690,11 +682,11 @@ fn h_ret_i_iter(ctx: &mut TCtx<'_, '_>, op: &TOp, _pc: usize) -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// Flat-mode control handlers (transliterations of `run_flat` arms).
+// Flat-mode control handlers.
 // ---------------------------------------------------------------------------
 
 /// Resolves a flat top-level block transition: stop-block and budget checks apply only
-/// outside callees, like `run_flat`.
+/// outside callees.
 #[inline(always)]
 fn flat_edge(ctx: &mut TCtx<'_, '_>, target: u32, block: u32) -> usize {
     if ctx.frames.is_empty() {
@@ -763,21 +755,27 @@ fn h_call_flat(ctx: &mut TCtx<'_, '_>, _op: &TOp, pc: usize) -> usize {
         ctx.fault = Some(ExecError::StackOverflow);
         return DONE;
     }
-    let callee_ix = *callee as usize;
-    let cf = &image.funcs[callee_ix];
-    let mut callee_regs = vec![Value::default(); cf.num_regs.max(args.len())];
-    for (slot, a) in callee_regs.iter_mut().zip(args.iter()).take(cf.num_params) {
-        *slot = eval(ctx.regs, *a);
-    }
+    let callee_regs = callee_frame(image, *callee, args, ctx.regs);
     ctx.frames.push(TFrame {
         func: ctx.cur_func,
         pc,
         regs: std::mem::replace(ctx.regs, callee_regs),
         dst: *dst,
     });
-    ctx.cur_func = callee_ix;
-    ctx.next_pc = cf.entry_pc() as usize;
+    ctx.cur_func = *callee as usize;
+    ctx.next_pc = image.funcs[ctx.cur_func].entry_pc() as usize;
     SWITCH
+}
+
+/// The register file of a fresh frame of `callee`, its parameters evaluated from `args`
+/// over the caller's `regs`.
+fn callee_frame(image: &ExecImage, callee: u32, args: &[Opnd], regs: &[Value]) -> Vec<Value> {
+    let cf = &image.funcs[callee as usize];
+    let mut frame = vec![Value::default(); cf.num_regs.max(args.len())];
+    for (slot, a) in frame.iter_mut().zip(args).take(cf.num_params) {
+        *slot = eval(regs, *a);
+    }
+    frame
 }
 
 /// Shared return path: pop a frame or end the run.
@@ -947,8 +945,8 @@ fn h_ret_i_probe(ctx: &mut TCtx<'_, '_>, op: &TOp, _pc: usize) -> usize {
 
 // ---------------------------------------------------------------------------
 // Decoders: POp/Op streams → TOp arrays. Interior slots of fused windows decode like any
-// other op (they keep their original POp), so jumps into the middle of a window work
-// exactly as they do on the switch engine.
+// other op (they keep their original POp), so jumps into the middle of a window run the
+// window's remaining ops one by one.
 // ---------------------------------------------------------------------------
 
 /// Decodes a mode-independent data op; `None` for control ops and the boxed shapes
@@ -1186,10 +1184,10 @@ pub(crate) fn is_cold(op: &TOp) -> bool {
 }
 
 /// Decodes one whole-function op for the flat engine. Data ops reuse the iteration
-/// specializer (with `private_ok = false`, matching `run_flat`'s shared-route accesses)
+/// specializer (with `private_ok = false`: flat code accesses memory on the shared route)
 /// and come back with their specialized form, which the JIT compiles without specializing
 /// again; control ops decode straight from the [`Op`] so block fields survive for the
-/// stop-block and budget checks. No fusion in flat mode — same as `run_flat`.
+/// stop-block and budget checks. No fusion in flat mode.
 fn decode_flat_op(op: &Op) -> (TOp, Option<POp>) {
     let control = match op {
         Op::Wait { .. } | Op::Signal { .. } => TOp::new(h_nop),
@@ -1326,10 +1324,10 @@ impl IterTable {
     }
 }
 
-/// The flat code one engine can run: its function and that function's call-closure.
-/// Every other function's table stays empty — no run can reach it: the clone's original,
-/// helpers nothing calls, and callees only the loop body calls (iteration code runs its
-/// callees on the switch engine).
+/// The flat code one engine can run: its function and that function's call-closure,
+/// calls from the parallelized loop's blocks included (iteration code runs its callees on
+/// these tables). Every other function's table stays empty — no run can reach it: the
+/// clone's original and helpers nothing calls.
 ///
 /// In the engine's function, the parallelized loop's own blocks are *cold*: their slots
 /// decode on first use ([`h_cold`]) instead of up front. Phase A stops at the loop header
@@ -1363,18 +1361,17 @@ impl FlatScope {
                 cold.fill(false);
             }
         }
-        let mut scope = FlatScope {
-            funcs: Vec::new(),
+        let (funcs, recursive) = close_over_calls(image, root);
+        if recursive {
+            // The function runs as its own callee, where no stop block applies.
+            cold.fill(false);
+        }
+        FlatScope {
+            funcs,
             root,
             cold,
             probe: false,
-        };
-        if scope.close_over_calls(image) {
-            // The function runs as its own callee, where no stop block applies.
-            scope.cold.fill(false);
-            scope.close_over_calls(image);
         }
-        scope
     }
 
     /// The scope of a profiling run of `func`: its call-closure, nothing cold, control ops
@@ -1385,34 +1382,27 @@ impl FlatScope {
             ..Self::new(image, func, None)
         }
     }
+}
 
-    /// Marks the call-closure of the root's non-cold code; returns whether it calls the
-    /// root itself.
-    fn close_over_calls(&mut self, image: &ExecImage) -> bool {
-        self.funcs = vec![false; image.funcs.len()];
-        self.funcs[self.root] = true;
-        let mut recursive = false;
-        let mut stack = vec![self.root];
-        while let Some(k) = stack.pop() {
-            let f = &image.funcs[k];
-            for (b, &(start, end)) in f.block_range.iter().enumerate() {
-                if k == self.root && self.cold[b] {
-                    continue;
-                }
-                for op in &f.code[start as usize..end as usize] {
-                    if let Op::Call { func, .. } = op {
-                        let callee = *func as usize;
-                        recursive |= callee == self.root;
-                        if !self.funcs[callee] {
-                            self.funcs[callee] = true;
-                            stack.push(callee);
-                        }
-                    }
+/// Marks the call-closure of `root`, by function index; also returns whether it calls
+/// `root` itself.
+fn close_over_calls(image: &ExecImage, root: usize) -> (Vec<bool>, bool) {
+    let mut funcs = vec![false; image.funcs.len()];
+    funcs[root] = true;
+    let mut recursive = false;
+    let mut stack = vec![root];
+    while let Some(k) = stack.pop() {
+        for op in &image.funcs[k].code {
+            if let Op::Call { func, .. } = op {
+                let callee = *func as usize;
+                recursive |= callee == root;
+                if !std::mem::replace(&mut funcs[callee], true) {
+                    stack.push(callee);
                 }
             }
         }
-        recursive
     }
+    (funcs, recursive)
 }
 
 /// Whether a path leaves the blocks marked in `in_loop` and comes back to one of them.
@@ -1501,14 +1491,17 @@ impl FlatTables {
 // Runners.
 // ---------------------------------------------------------------------------
 
-/// [`crate::parallel_image::run_iteration`] on the threaded tier: identical contract,
-/// identical observable semantics (the fuzz oracle and the telemetry parity test hold the
-/// two to bitwise agreement).
+/// Executes one iteration of the lowered loop from `table`; its calls run on `flat`.
+/// `regs` must already hold the loop-entry snapshot with induction variables privatized
+/// for `iteration`; `on_control` is invoked when the iteration's prologue completes (at
+/// most once per iteration from inside the code; the caller must also release control
+/// when the iteration completes without entering the body).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_iteration_threaded(
     image: &ExecImage,
     loop_image: &LoopImage,
     table: &IterTable,
+    flat: &FlatTables,
     iteration: u64,
     regs: &mut Vec<Value>,
     mem: &mut WorkerMemory<'_>,
@@ -1518,6 +1511,7 @@ pub(crate) fn run_iteration_threaded(
     let telem = sync.telem;
     let mut ctx = TCtx {
         image,
+        flat,
         pcode: &loop_image.pcode,
         regs,
         mem,
@@ -1536,15 +1530,18 @@ pub(crate) fn run_iteration_threaded(
         end_flat: None,
         probe: None,
     };
-    dispatch(&[], &table.ops, loop_image.entry_pc as usize, &mut ctx);
+    dispatch(&table.ops, loop_image.entry_pc as usize, &mut ctx);
     if let Some(e) = ctx.fault {
         return Err(IterError::Exec(e));
     }
     ctx.end_iter.expect("iteration ended without a verdict")
 }
 
-/// [`crate::parallel_image::run_flat`] on the threaded tier: identical contract (stop
-/// block, budget metering, unwind-to-bottom register hand-back).
+/// Runs `func` of `tables` flat from `start_block` until it returns or, at the top level,
+/// reaches `stop_block`: Phase A (with `stop_block` = the loop header), Phase C and the
+/// callees of iteration code all run here. `budget` bounds top-level block transitions
+/// (the caller's runaway-loop guard); callee blocks are unmetered. `regs` comes back as
+/// the top-level frame's registers, also when the run ends inside a callee.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_flat_threaded(
     image: &ExecImage,
@@ -1566,6 +1563,7 @@ pub(crate) fn run_flat_threaded(
     let entry = f.block_start(start_block) as usize;
     let mut ctx = TCtx {
         image,
+        flat: tables,
         pcode: &[],
         regs,
         mem,
@@ -1584,7 +1582,7 @@ pub(crate) fn run_flat_threaded(
         end_flat: None,
         probe: None,
     };
-    dispatch(&tables.funcs, &tables.funcs[func.index()], entry, &mut ctx);
+    dispatch(&tables.funcs[func.index()], entry, &mut ctx);
     let TCtx {
         frames,
         fault,
@@ -1592,7 +1590,7 @@ pub(crate) fn run_flat_threaded(
         ..
     } = ctx;
     // Hand the (possibly callee-stale) top-level register file back: unwind to the bottom
-    // frame if the run ended inside a callee, like `run_flat`.
+    // frame if the run ended inside a callee.
     if let Some(bottom) = frames.into_iter().next() {
         *regs = bottom.regs;
     }
@@ -1619,11 +1617,14 @@ pub(crate) fn run_flat_probed(
     obs: &mut dyn ImageObserver,
 ) -> Result<Option<Value>, ExecError> {
     let f = &image.funcs[func.index()];
-    let mut regs = Vec::new();
-    prepare_callee_regs(image, func.index() as u32, args, &mut regs);
+    let mut regs = vec![Value::default(); f.num_regs.max(args.len())];
+    for (slot, a) in regs.iter_mut().zip(args).take(f.num_params) {
+        *slot = *a;
+    }
     let entry = f.entry_pc() as usize;
     let mut ctx = TCtx {
         image,
+        flat: tables,
         pcode: &[],
         regs: &mut regs,
         mem,
@@ -1648,7 +1649,7 @@ pub(crate) fn run_flat_probed(
     };
     probe_mut(&mut ctx).obs.on_block_enter(func, f.entry_block);
     if charge(&mut ctx, entry, run_fuel(f, entry as u32)) {
-        dispatch(&tables.funcs, &tables.funcs[func.index()], entry, &mut ctx);
+        dispatch(&tables.funcs[func.index()], entry, &mut ctx);
     }
     if let Some(e) = ctx.fault {
         return Err(e);

@@ -202,7 +202,6 @@ impl Server {
             helix_runtime::jit_supported().to_string(),
         );
         for (name, tier) in [
-            ("calibration_alu_switch_ns", DispatchTier::Switch),
             ("calibration_alu_threaded_ns", DispatchTier::Threaded),
             ("calibration_alu_jit_ns", DispatchTier::Jit),
         ] {

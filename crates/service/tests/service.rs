@@ -263,18 +263,21 @@ fn batch_transport_answers_every_id_with_fifo_deadlines_and_shutdown() {
         };
         let tier = extra("dispatch_tier").expect("stats report a dispatch tier");
         assert!(
-            ["switch", "threaded", "jit"].contains(&tier),
+            ["threaded", "jit"].contains(&tier),
             "resolved tier, never auto: {tier}"
         );
         for key in [
             "jit_supported",
-            "calibration_alu_switch_ns",
             "calibration_alu_threaded_ns",
             "calibration_alu_jit_ns",
             "calibration_ns_per_cycle",
         ] {
             assert!(extra(key).is_some(), "stats missing {key}");
         }
+        assert!(
+            extra("calibration_alu_switch_ns").is_none(),
+            "the retired switch tier has no cost of its own"
+        );
         assert_eq!(by_id(7).status, Some(Status::Ok));
     });
 

@@ -183,8 +183,8 @@ fn nest_flip_selection_flips_between_paper_and_measured_costs() {
 }
 
 /// Every fused superinstruction form the runtime keeps (today only the RMW) must fire on
-/// some plan: a form no program reaches is dead code in the switch engine, the threaded
-/// decoder and its handlers. Lowers every candidate plan (selected or not) of the corpus
+/// some plan: a form no program reaches is dead code in the threaded decoder and its
+/// handlers. Lowers every candidate plan (selected or not) of the corpus
 /// programs and the SPEC stand-ins, and counts each form through
 /// `LoopImage::fusion_summary`.
 #[test]
