@@ -28,7 +28,8 @@ use helix_frontend::parse_file;
 use helix_ir::{printer, ExecImage, ImageMachine, Module, Value};
 use helix_profiler::{profile_image_with_fuel, ProgramProfile};
 use helix_runtime::{
-    CalibrationProfile, EventKind, ParallelExecutor, ParallelImage, TelemetryMode, TelemetryReport,
+    CalibrationProfile, DispatchTier, EventKind, ParallelExecutor, ParallelImage, TelemetryMode,
+    TelemetryReport,
 };
 use helix_simulator::{simulate_program, Decision, SimConfig};
 use json::Json;
@@ -74,8 +75,8 @@ COMMON OPTIONS:
                        run --parallel and trace, 1,2,4,6 for fuzz)
     --dispatch-tier <t> (run --parallel, trace, fuzz) Pin the runtime dispatch engine:
                        threaded (direct-threaded handler streams) | jit (template JIT
-                       over threaded tables, see docs/jit.md) | auto (calibrated
-                       selection, the default; see docs/dispatch.md)
+                       over threaded tables, see docs/jit.md) | auto (the default:
+                       jit where it runs, else threaded; see docs/dispatch.md)
     --spin-budget <n>  (run --parallel, trace, fuzz) Wait spins before declaring deadlock
     --sample <n>       Telemetry sampling period: 0 disables event recording, 1 records
                        every iteration, n records every n-th (default: 1 for trace,
@@ -189,9 +190,9 @@ struct Options {
     gen_config: String,
     shrink: bool,
     inject_fault: Option<String>,
-    /// `--dispatch-tier`: pins the runtime dispatch engine; `None` keeps the calibrated
-    /// automatic selection.
-    dispatch_tier: Option<helix_runtime::DispatchTier>,
+    /// `--dispatch-tier`: pins the runtime dispatch engine; `None` keeps `Auto` (see
+    /// `DispatchTier::resolved`).
+    dispatch_tier: Option<DispatchTier>,
 }
 
 impl Default for Options {
@@ -1087,7 +1088,7 @@ fn cmd_explain(opts: &Options) -> Result<(), CliError> {
                     ("ns_per_cycle", Json::float(ns_per_cycle)),
                     (
                         "dispatch_tier",
-                        Json::str(&calibration.selected_tier().to_string()),
+                        Json::str(&DispatchTier::Auto.resolved().to_string()),
                     ),
                     (
                         "signal_latency_cycles",
@@ -1115,7 +1116,7 @@ fn cmd_explain(opts: &Options) -> Result<(), CliError> {
         opts.cores,
         loops.len(),
         ns_per_cycle,
-        calibration.selected_tier(),
+        DispatchTier::Auto.resolved(),
         calibrated.config.signal_latency_unprefetched,
         paper.config.signal_latency_unprefetched,
         calibrated.config.signal_latency_prefetched,

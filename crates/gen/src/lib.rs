@@ -12,14 +12,14 @@
 //!   verifier-clean, terminating HIR modules that span the paper's hard cases: nested loop
 //!   hierarchies, loop-carried scalar and memory dependences, pointer chasing over generated
 //!   heap graphs, reductions, calls (including in-loop `ret` and bounded recursion), and
-//!   irregular branching. Shape and size are controlled by [`GenConfig`].
+//!   irregular branching. Shape and size are controlled by [`GenConfig`]. The workspace's
+//!   property tests loop over its seeds, so a failing case reproduces from its seed alone.
 //! * [`oracle`] — a differential oracle running each module through the frontend round-trip,
 //!   both execution engines (results, [`helix_ir::ExecStats`], final memory — compared
 //!   bitwise), both profilers, a structural signal-placement soundness check over the HELIX
 //!   analysis, and the real-thread parallel executor at several thread counts.
 //! * [`shrink`] — a delta-debugging shrinker that minimizes a failing module while
 //!   preserving the failure, so every divergence ships as a small `.hir` repro.
-//! * [`strategy`] — `proptest` adapters so property tests draw from the same generator.
 //!
 //! The `helix fuzz` CLI command drives all of this over seed ranges; see `docs/testing.md`
 //! for the overall test matrix.
@@ -29,7 +29,6 @@ pub mod generate;
 pub mod oracle;
 pub mod rng;
 pub mod shrink;
-pub mod strategy;
 
 pub use config::GenConfig;
 pub use generate::{generate, GeneratedProgram};

@@ -164,11 +164,10 @@ impl CalibrationProfile {
         PROFILE.get_or_init(CalibrationProfile::measure)
     }
 
-    /// Per-class dispatch costs `[alu, mul, div, load, store]` of `tier`, in ns.
-    /// [`DispatchTier::Auto`] resolves through [`CalibrationProfile::selected_tier`]; a
-    /// tier the executor runs on the threaded tier costs the threaded tier's.
+    /// Per-class dispatch costs `[alu, mul, div, load, store]` of the tier `tier` resolves
+    /// to ([`DispatchTier::resolved`]), in ns.
     pub fn dispatch_ns(&self, tier: DispatchTier) -> [f64; 5] {
-        match tier {
+        match tier.resolved() {
             DispatchTier::Jit => [
                 self.alu_jit_ns,
                 self.mul_jit_ns,
@@ -176,7 +175,6 @@ impl CalibrationProfile {
                 self.load_jit_ns,
                 self.store_jit_ns,
             ],
-            DispatchTier::Auto => self.dispatch_ns(self.selected_tier()),
             _ => [
                 self.alu_threaded_ns,
                 self.mul_threaded_ns,
@@ -187,24 +185,7 @@ impl CalibrationProfile {
         }
     }
 
-    /// The dispatch tier that measured faster on this machine, the JIT or the threaded
-    /// tier, by mean per-op dispatch cost across the five kernel classes. The JIT tier is
-    /// chosen only where it can actually run ([`crate::jit::jit_supported`]) and only on
-    /// a *strict* win — a profile measured on an unsupported host mirrors the threaded
-    /// costs and therefore never selects it.
-    pub fn selected_tier(&self) -> DispatchTier {
-        let mean = |c: [f64; 5]| c.iter().sum::<f64>() / 5.0;
-        if crate::jit::jit_supported()
-            && mean(self.dispatch_ns(DispatchTier::Jit))
-                < mean(self.dispatch_ns(DispatchTier::Threaded))
-        {
-            DispatchTier::Jit
-        } else {
-            DispatchTier::Threaded
-        }
-    }
-
-    /// Nanoseconds per *model cycle*: the measured ALU dispatch of the selected tier
+    /// Nanoseconds per *model cycle*: the measured ALU dispatch of the tier `Auto` runs on
     /// anchors the currency (an ALU op costs 1 cycle in every [`CostModel`]).
     pub fn ns_per_cycle(&self) -> f64 {
         self.dispatch_ns(DispatchTier::Auto)[0].max(0.05)
@@ -214,10 +195,10 @@ impl CalibrationProfile {
         (ns / self.ns_per_cycle()).round().max(1.0) as u64
     }
 
-    /// The measured intra-core cost model: per-class dispatch costs of the *selected*
-    /// tier — the one the executor will actually run — converted into model cycles
-    /// (ALU = 1 by construction). In an interpreter, dispatch dominates, so the classes
-    /// are much flatter than silicon's — exactly what segment pricing should use.
+    /// The measured intra-core cost model: per-class dispatch costs of the tier `Auto`
+    /// runs on, converted into model cycles (ALU = 1 by construction). In an interpreter,
+    /// dispatch dominates, so the classes are much flatter than silicon's — exactly what
+    /// segment pricing should use.
     pub fn cost_model(&self) -> CostModel {
         let paper = CostModel::intel_i7_980x();
         let [_, mul_ns, div_ns, load_ns, store_ns] = self.dispatch_ns(DispatchTier::Auto);
@@ -605,31 +586,35 @@ mod tests {
         let _env = crate::jit::TEST_ENV_LOCK
             .lock()
             .unwrap_or_else(|e| e.into_inner());
-        let p = flat_profile(10.0, 4.0, 1.0);
-        if crate::jit::jit_supported() {
-            assert_eq!(p.selected_tier(), DispatchTier::Jit);
-            assert_eq!(p.ns_per_cycle(), 1.0);
-        } else {
-            // Unsupported host: the JIT column is ignored however fast it claims to be.
-            assert_eq!(p.selected_tier(), DispatchTier::Threaded);
-            assert_eq!(p.ns_per_cycle(), 4.0);
+        // The tier `Auto` selects is `DispatchTier::resolved`'s: the JIT wherever it runs,
+        // else the threaded tier. Whether the JIT column measured a win, a loss or a tie
+        // does not move it, and the cost currency prices the selected tier.
+        for p in [
+            flat_profile(10.0, 4.0, 1.0),
+            flat_profile(10.0, 1.0, 4.0),
+            flat_profile(10.0, 4.0, 4.0),
+        ] {
+            let selected = if crate::jit::jit_supported() {
+                p.alu_jit_ns
+            } else {
+                p.alu_threaded_ns
+            };
+            assert_eq!(p.ns_per_cycle(), selected);
+            assert_eq!(p.dispatch_ns(DispatchTier::Auto)[0], selected);
         }
-        // A tie with the threaded tier is not a win.
-        assert_eq!(
-            flat_profile(10.0, 4.0, 4.0).selected_tier(),
-            DispatchTier::Threaded
-        );
     }
 
     #[test]
     fn selected_tier_prefers_the_measured_faster_engine() {
-        let p = flat_profile(10.0, 4.0, 4.0);
-        assert_eq!(p.selected_tier(), DispatchTier::Threaded);
-        // The cost currency follows the selected tier.
-        assert_eq!(p.ns_per_cycle(), 4.0);
-        // The retired switch column selects nothing, however fast it reads.
+        // No measured column picks a tier any more; each column prices only the tier it
+        // measured. A pin keeps its own column whichever is faster.
+        let p = flat_profile(10.0, 4.0, 1.0);
+        assert_eq!(p.dispatch_ns(DispatchTier::Threaded), [4.0; 5]);
+        assert_eq!(p.dispatch_ns(DispatchTier::Jit), [1.0; 5]);
+        // The retired switch column prices nothing, however fast it reads: `Switch` runs
+        // on the threaded tier and costs its column, and `Auto` never lands on it.
         let p = flat_profile(1.0, 40.0, 40.0);
-        assert_eq!(p.selected_tier(), DispatchTier::Threaded);
+        assert_eq!(p.dispatch_ns(DispatchTier::Switch), [40.0; 5]);
         assert_eq!(p.ns_per_cycle(), 40.0);
     }
 

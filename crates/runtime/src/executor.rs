@@ -32,7 +32,6 @@
 //!   [`crate::sharded::PrivateArena`]; the words skipped in shared memory are re-reserved
 //!   after the loop so every shared address stays bitwise-identical to a sequential run.
 
-use crate::calibrate::CalibrationProfile;
 use crate::engine::Engine;
 use crate::lanes::{PaddedCounter, SignalLanes};
 use crate::parallel_image::{
@@ -572,8 +571,7 @@ pub struct ParallelExecutor {
     /// back in [`RunOutput::report`].
     pub telemetry: TelemetryMode,
     /// Which dispatch engine runs the bytecode (see [`DispatchTier`]). The default,
-    /// [`DispatchTier::Auto`], asks the process-wide [`CalibrationProfile`] which tier
-    /// measured faster on this machine.
+    /// [`DispatchTier::Auto`], is the JIT wherever it runs.
     pub dispatch_tier: DispatchTier,
     /// Hardware thread count, snapshotted once at construction. Every decision derived
     /// from the machine's topology — worker clamping and the clamp diagnostic — reads this
@@ -635,8 +633,8 @@ impl ParallelExecutor {
         self
     }
 
-    /// Pins the dispatch engine (see [`DispatchTier`]). [`DispatchTier::Auto`] — the
-    /// default — defers to the calibrator's per-tier dispatch measurements.
+    /// Pins the dispatch engine (see [`DispatchTier`]). [`DispatchTier::Auto`] is the
+    /// default.
     pub fn with_dispatch_tier(mut self, tier: DispatchTier) -> Self {
         self.dispatch_tier = tier;
         self
@@ -657,16 +655,9 @@ impl ParallelExecutor {
         self
     }
 
-    /// The tier this executor will actually dispatch with: an explicit pin wins, and
-    /// `Auto` resolves through [`CalibrationProfile::selected_tier`] — the measured-cost
-    /// feedback loop applied to the engine choice itself. The retired
-    /// [`DispatchTier::Switch`] runs on [`DispatchTier::Threaded`].
+    /// The tier this executor will actually dispatch with ([`DispatchTier::resolved`]).
     pub fn resolved_tier(&self) -> DispatchTier {
-        match self.dispatch_tier {
-            DispatchTier::Auto => CalibrationProfile::cached().selected_tier(),
-            DispatchTier::Switch => DispatchTier::Threaded,
-            pinned => pinned,
-        }
+        self.dispatch_tier.resolved()
     }
 
     /// Runs the parallel clone of `program` from its entry with `args`, executing the
@@ -1109,22 +1100,22 @@ mod tests {
     }
 
     #[test]
-    fn auto_tier_resolves_through_the_calibrator() {
-        // Read-side of the env lock: the comparison below calls `selected_tier()` twice
-        // and must not see `HELIX_DISABLE_JIT` flip in between.
+    fn auto_runs_and_profiling_runs_resolve_by_the_tier_rule() {
+        // Read-side of the env lock: the rule below must not see `HELIX_DISABLE_JIT`
+        // flip between its reads.
         let _env = crate::jit::TEST_ENV_LOCK
             .lock()
             .unwrap_or_else(|e| e.into_inner());
+        let rule = if crate::jit::jit_supported() {
+            DispatchTier::Jit
+        } else {
+            DispatchTier::Threaded
+        };
         let executor = ParallelExecutor::new(2);
         assert_eq!(executor.dispatch_tier, DispatchTier::Auto);
-        let resolved = executor.resolved_tier();
-        assert_ne!(
-            resolved,
-            DispatchTier::Auto,
-            "Auto must resolve to an engine"
-        );
-        assert_eq!(resolved, CalibrationProfile::cached().selected_tier());
-        // Pins win over calibration; the retired switch tier runs on the threaded tier.
+        assert_eq!(executor.resolved_tier(), rule);
+        assert_eq!(crate::observe::PROFILE_TIER.resolved(), rule);
+        // Pins are kept; the retired switch tier runs on the threaded tier.
         for (pin, tier) in [
             (DispatchTier::Threaded, DispatchTier::Threaded),
             (DispatchTier::Jit, DispatchTier::Jit),

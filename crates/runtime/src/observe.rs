@@ -6,8 +6,8 @@
 //! [`ImageObserver`] consumes and charge the run's fuel; every data op keeps its ordinary
 //! handler, and under the JIT its native chunk, so observing costs one event per block
 //! entry rather than one per op. The run uses the JIT tier where the JIT is supported and
-//! the threaded tier elsewhere: every tier reports the same events, so the choice needs no
-//! calibration. Its memory is a [`SharedMemory`] like every other run of this crate.
+//! the threaded tier elsewhere, the rule every `Auto` run follows: every tier reports the
+//! same events. Its memory is a [`SharedMemory`] like every other run of this crate.
 //!
 //! The run is observationally the sequential machine's
 //! ([`helix_ir::ImageMachine`]): the same return value, the same events in the same order,
@@ -23,6 +23,10 @@ use crate::sharded::{SharedMemory, WorkerMemory};
 use crate::threaded::DispatchTier;
 use helix_ir::interp::ExecError;
 use helix_ir::{ExecImage, FuncId, Value};
+
+/// The tier setting of every profiling run: the executor's default, resolved by the same
+/// rule ([`DispatchTier::resolved`]).
+pub(crate) const PROFILE_TIER: DispatchTier = DispatchTier::Auto;
 
 /// Receives the events of an observed run ([`run_observed`]). Blocks are identified by
 /// their dense index within the function, call sites by their program counter; both map
@@ -51,12 +55,7 @@ pub fn run_observed(
     fuel: u64,
     obs: &mut dyn ImageObserver,
 ) -> Result<Option<Value>, ExecError> {
-    let tier = if crate::jit::jit_supported() {
-        DispatchTier::Jit
-    } else {
-        DispatchTier::Threaded
-    };
-    let engine = Engine::for_probe(tier, image, func);
+    let engine = Engine::for_probe(PROFILE_TIER.resolved(), image, func);
     let memory = SharedMemory::from_memory(&image.initial_memory);
     engine.run_probed(args, &mut WorkerMemory::new(&memory), fuel, obs)
 }

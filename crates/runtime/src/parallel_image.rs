@@ -21,7 +21,7 @@
 //!   [`Op::PrivateAlloc`], served from the per-worker [`crate::sharded::PrivateArena`].
 //!
 //! The same module states what a run of that code returns: how a flat run and an
-//! iteration end ([`FlatEnd`], [`IterEnd`]) and fail, the synchronization handles an
+//! iteration end (`FlatEnd`, `IterEnd`) and fail, the synchronization handles an
 //! iteration needs, and the blocking branch of a lane `Wait`. The dispatch tiers in
 //! [`crate::threaded`] and [`crate::jit`] execute the code.
 

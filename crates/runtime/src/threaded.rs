@@ -35,8 +35,7 @@ use helix_ir::{BinOp, BlockId, ExecImage, FuncId, FuncImage, Op, Opnd, Pred, UnO
 /// Which dispatch engine runs the lowered bytecode.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum DispatchTier {
-    /// Pick automatically: the threaded tier unless calibration shows it losing on this
-    /// host (see `CalibrationProfile::selected_tier`).
+    /// The JIT wherever it runs, else the threaded tier (see [`DispatchTier::resolved`]).
     #[default]
     Auto,
     /// Retired: the match-based interpreter this named is deleted, and
@@ -50,6 +49,19 @@ pub enum DispatchTier {
     /// runs are compiled to native x86-64 chunks. Degrades to [`DispatchTier::Threaded`]
     /// on unsupported targets or under `HELIX_DISABLE_JIT=1`.
     Jit,
+}
+
+impl DispatchTier {
+    /// The tier a run set to `self` executes on. `Auto` resolves to the JIT wherever it
+    /// can run ([`crate::jit::jit_supported`]) and to the threaded tier elsewhere; the
+    /// retired `Switch` runs on the threaded tier; a `Threaded` or `Jit` pin is kept.
+    pub fn resolved(self) -> DispatchTier {
+        match self {
+            DispatchTier::Auto if crate::jit::jit_supported() => DispatchTier::Jit,
+            DispatchTier::Auto | DispatchTier::Switch => DispatchTier::Threaded,
+            pinned => pinned,
+        }
+    }
 }
 
 impl std::fmt::Display for DispatchTier {

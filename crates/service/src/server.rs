@@ -185,16 +185,14 @@ impl Server {
         for (k, v) in pairs {
             r.extra.push((k.to_string(), v.to_string()));
         }
-        // The dispatch engine every parallel job resolves to: `Auto` goes through the
-        // process-wide calibration cache, exactly as `run_job`'s executors do, so this
-        // is the engine the next job will run on — plus the measured per-op ALU
-        // dispatch costs behind the choice.
+        // The dispatch engine every parallel job resolves to, as `run_job`'s executors
+        // resolve `Auto` — plus the measured per-op ALU dispatch costs of both tiers.
         let calibration = CalibrationProfile::cached();
         let push = |r: &mut Response, k: &str, v: String| r.extra.push((k.to_string(), v));
         push(
             &mut r,
             "dispatch_tier",
-            calibration.selected_tier().to_string(),
+            DispatchTier::Auto.resolved().to_string(),
         );
         push(
             &mut r,

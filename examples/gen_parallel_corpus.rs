@@ -1,8 +1,9 @@
 //! Generates the parallel-kernel corpus programs (`corpus/hash_sweep.hir`,
-//! `corpus/blend_mix.hir`, `corpus/scratch_fold.hir`): loop-dominated kernels whose setup
-//! lives in global initializers rather than sequential init loops, so nearly all of their
-//! runtime is the parallelizable loop. Re-run with `cargo run --example
-//! gen_parallel_corpus` after changing the builders; output is canonical `.hir`.
+//! `corpus/blend_mix.hir`, `corpus/scratch_fold.hir`, `corpus/nest_flip.hir`):
+//! loop-dominated kernels whose setup lives in global initializers rather than sequential
+//! init loops, so nearly all of their runtime is the parallelizable loop. Re-run with
+//! `cargo run --example gen_parallel_corpus` after changing the builders; output is
+//! canonical `.hir`, and CI checks that the committed files match it.
 
 use helix_ir::builder::{FunctionBuilder, ModuleBuilder};
 use helix_ir::{printer, verify_module, BinOp, Module, Operand, UnOp};

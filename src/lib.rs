@@ -6,21 +6,25 @@
 //! This crate re-exports the individual subsystem crates under stable module names so that
 //! examples and downstream users can depend on a single crate:
 //!
-//! * [`ir`] — the compiler intermediate representation and sequential interpreter.
-//! * [`frontend`] — the lexer/parser for the textual `.hir` format.
-//! * [`gen`] — the seeded structured program generator, differential fuzzing oracle and
-//!   delta-debugging shrinker behind `helix fuzz`.
-//! * [`analysis`] — dominators, loops, data flow, pointer analysis and dependence graphs.
-//! * [`core`] — the HELIX transformation pipeline and loop selection algorithm.
-//! * [`simulator`] — the cycle-level chip-multiprocessor timing model.
-//! * [`runtime`] — the real-thread ring executor used for correctness validation.
-//! * [`profiler`] — the profiling interpreter feeding loop selection.
-//! * [`workloads`] — synthetic SPEC CPU2000 stand-in programs.
-//! * [`service`] — the `helix serve` daemon: content-hash image cache and shared-pool
-//!   job scheduling over a framed socket/stdin protocol (`docs/service.md`).
+//! * [`ir`] — three-address IR, tree-walking interpreter *and* flat-bytecode engine, cost
+//!   model, verifier, canonical printer.
+//! * [`frontend`] — lexer + parser for the textual `.hir` format.
+//! * [`analysis`] — CFG, dominators, loops, liveness, pointer analysis, dependence graphs.
+//! * [`runtime`] — real-thread parallel runtime: lowered `ParallelImage` bytecode, padded
+//!   signal lanes, persistent worker pool, iteration privatization; its engine also runs
+//!   the profiled training run.
+//! * [`profiler`] — profilers feeding loop selection: the tree-walking reference and the
+//!   dense block profiler of the runtime's engine.
+//! * [`core`] — HELIX Steps 1–8: segments, signal minimization, prefetch scheduling,
+//!   selection, transformation.
+//! * [`simulator`] — cycle-level CMP timing model (the Figure 9 numbers).
+//! * [`workloads`] — 13 synthetic SPEC CPU2000 stand-ins + the `.hir` corpus loader.
+//! * [`gen`] — seeded structured program generator, differential fuzzing oracle and
+//!   auto-shrinker.
+//! * [`service`] — `helix serve`: daemon with a content-hash image cache and shared-pool
+//!   scheduling.
 //!
-//! See `README.md` for a quickstart and `DESIGN.md` for the system inventory and the
-//! experiment index mapping every figure and table of the paper to a reproducing harness.
+//! See `README.md` for a quickstart and the crate table, and `docs/` for each subsystem.
 
 pub use helix_analysis as analysis;
 pub use helix_core as core;

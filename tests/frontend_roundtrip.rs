@@ -1,14 +1,15 @@
 //! Round-trip tests pinning the printer/parser symmetry: the text `helix_ir::printer` emits
 //! is the canonical grammar, so `parse(print(m)) == m` must hold for every module the system
 //! can produce — the full synthetic workload suite, the checked-in corpus, and programs
-//! drawn from the `helix::gen` structured generator (the same one behind `helix fuzz`, with
-//! sync noise enabled so `wait`/`signal` flow through the parser too).
+//! drawn over a fixed seed range from `helix::gen::generate` (the structured generator
+//! behind `helix fuzz`, with sync noise enabled so `wait`/`signal` flow through the parser
+//! too).
 
 use helix::frontend::{parse_and_verify, parse_module};
+use helix::gen::{generate, GenConfig};
 use helix::ir::builder::{FunctionBuilder, ModuleBuilder};
 use helix::ir::printer::format_module;
 use helix::ir::{DepId, Machine, Operand, UnOp, Value};
-use proptest::prelude::*;
 
 #[test]
 fn every_workload_round_trips_through_the_frontend() {
@@ -108,40 +109,64 @@ fn grammar_corner_instructions_round_trip() {
     assert_eq!(printed, format_module(&parsed));
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+/// Programs each generated-module property checks: seeds `1..=GENERATED_CASES`. A failing
+/// seed reproduces with `helix::gen::generate(seed, &GenConfig::…())` on the test's preset.
+const GENERATED_CASES: u64 = 32;
 
-    #[test]
-    fn generated_modules_round_trip(
-        gp in helix::gen::strategy::roundtrip_programs(),
-    ) {
+#[test]
+fn generated_modules_round_trip() {
+    for seed in 1..=GENERATED_CASES {
         // The roundtrip preset draws from the full shape mix — nested loops, pointer
         // chases, calls with in-loop ret, float reductions, allocs — plus balanced
         // wait/signal noise, so every mnemonic the printer can emit flows through the
         // parser here.
-        helix::ir::verify_module(&gp.module).expect("generated module verifies");
+        let gp = generate(seed, &GenConfig::roundtrip());
+        helix::ir::verify_module(&gp.module)
+            .unwrap_or_else(|e| panic!("seed {seed}: generated module does not verify: {e}"));
         let printed = format_module(&gp.module);
-        let parsed = parse_module(&printed).expect("printed module parses");
-        prop_assert_eq!(&gp.module, &parsed);
+        let parsed = parse_module(&printed)
+            .unwrap_or_else(|e| panic!("seed {seed}: printed module does not parse: {e}"));
+        assert_eq!(gp.module, parsed, "seed {seed}: parse(print(m)) != m");
         // Printing is a fixpoint of parse∘print.
-        prop_assert_eq!(printed, format_module(&parsed));
+        assert_eq!(
+            printed,
+            format_module(&parsed),
+            "seed {seed}: printing is not a fixpoint"
+        );
     }
+}
 
-    #[test]
-    fn generated_modules_reparse_to_the_same_behaviour(
-        gp in helix::gen::strategy::small_programs(),
-    ) {
+#[test]
+fn generated_modules_reparse_to_the_same_behaviour() {
+    for seed in 1..=GENERATED_CASES {
         // Beyond structural equality: the re-parsed module must *execute* identically
         // (same result, same instruction count), pinning printer/parser agreement on
         // value semantics, not just shape.
+        let gp = generate(seed, &GenConfig::small());
         let printed = format_module(&gp.module);
-        let parsed = helix::frontend::parse_and_verify(&printed).expect("parses and verifies");
+        let parsed = parse_and_verify(&printed)
+            .unwrap_or_else(|e| panic!("seed {seed}: printed module does not re-parse: {e}"));
         let mut m1 = Machine::new(&gp.module);
         m1.set_fuel(20_000_000);
         let mut m2 = Machine::new(&parsed);
         m2.set_fuel(20_000_000);
-        let main2 = parsed.function_by_name("main").expect("main survives");
-        prop_assert_eq!(m1.call(gp.main, &[]).unwrap(), m2.call(main2, &[]).unwrap());
-        prop_assert_eq!(m1.stats(), m2.stats());
+        let main2 = parsed
+            .function_by_name("main")
+            .unwrap_or_else(|| panic!("seed {seed}: main does not survive the round trip"));
+        let r1 = m1
+            .call(gp.main, &[])
+            .unwrap_or_else(|e| panic!("seed {seed}: original module fails: {e}"));
+        let r2 = m2
+            .call(main2, &[])
+            .unwrap_or_else(|e| panic!("seed {seed}: reparsed module fails: {e}"));
+        assert_eq!(
+            r1, r2,
+            "seed {seed}: reparsed module computes a different result"
+        );
+        assert_eq!(
+            m1.stats(),
+            m2.stats(),
+            "seed {seed}: reparsed module runs differently"
+        );
     }
 }
